@@ -92,18 +92,18 @@ def main() -> None:
     # ------------------------------------------------------------------ #
     # Applications do not call batch_query by hand: they wrap the index in
     # a SearchService, which owns micro-batching, an optional LRU result
-    # cache, a thread-pooled path for large batches, and per-service
-    # latency/throughput/recall counters.  Requests are QueryRequest
-    # objects; `probes` is translated to the right knob for any back-end
-    # (n_probes for partition/IVF methods, ef for HNSW).  On a back-end
-    # with no probe knob (exact brute force) the setting is not silently
-    # dropped: the capabilities layer warns once per index kind so you
-    # learn the accuracy/cost dial is a no-op there.
+    # cache, and per-service latency/throughput/recall counters.
+    # Requests are QueryRequest objects; `probes` is translated to the
+    # right knob for any back-end (n_probes for partition/IVF methods,
+    # ef for HNSW).  On a back-end with no probe knob (exact brute force)
+    # the setting is not silently dropped: the capabilities layer warns
+    # once per index kind so you learn the accuracy/cost dial is a no-op
+    # there.
     service = SearchService(index, cache_size=1024)
     request = QueryRequest(k=10, probes=2)
     result = service.search_batch(data.queries, request, ground_truth=data.ground_truth)
     print(f"\nserved {result.n_queries} queries at {result.queries_per_second:,.0f} q/s "
-          f"(mode={result.mode}, recall={result.recall:.3f})")
+          f"(recall={result.recall:.3f})")
 
     # A repeated batch is answered from the cache; a single query works too.
     cached = service.search_batch(data.queries, request)

@@ -56,7 +56,7 @@ from .errors import (
     api_error_from,
 )
 from .http import HttpRequest, HttpResponse
-from .metrics import Histogram, ServerMetrics
+from .metrics import ServerMetrics
 from .server import (
     DEADLINE_HEADER,
     TENANT_HEADER,
@@ -85,7 +85,6 @@ __all__ = [
     "api_error_from",
     "HttpRequest",
     "HttpResponse",
-    "Histogram",
     "ServerMetrics",
     "DEADLINE_HEADER",
     "TENANT_HEADER",

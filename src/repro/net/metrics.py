@@ -8,10 +8,10 @@ text-format (version 0.0.4) page, so the numbers operators scrape are
 the same numbers the in-process benchmarks report.
 
 The histogram and exposition-format primitives live in
-:mod:`repro.obs.metrics` (the shared telemetry layer) and are
-re-exported here for compatibility; this module keeps the HTTP-specific
-:class:`ServerMetrics` and the renderers that fold service, replication,
-tenant, and per-stage tracing series into the ``/metrics`` page.
+:mod:`repro.obs.metrics` (the shared telemetry layer); this module keeps
+the HTTP-specific :class:`ServerMetrics` and the renderers that fold
+service, replication, tenant, and per-stage tracing series into the
+``/metrics`` page.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from __future__ import annotations
 import threading
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
-from ..obs.metrics import (  # noqa: F401  (re-exported for compatibility)
+from ..obs.metrics import (
     DEPTH_BUCKETS,
     LATENCY_BUCKETS,
     Histogram,
@@ -27,10 +27,6 @@ from ..obs.metrics import (  # noqa: F401  (re-exported for compatibility)
     emit_gauge as _gauge,
     emit_histogram as _histogram,
     emit_labeled_histogram as _labeled_histogram,
-    escape_label_value,
-    format_labels,
-    format_value,
-    lint_prometheus_text,
 )
 
 
@@ -217,11 +213,29 @@ class ServerMetrics:
                 lines, "repro_http_queue_depth_at_admission", self.queue_depth_observed
             )
         if service_stats:
-            _render_service_stats(lines, service_stats)
+            _render_stats(
+                lines,
+                service_stats,
+                label="service",
+                prefix="repro_service_",
+                fields=_SERVICE_FIELDS,
+                nested_prefix="repro_",
+                nested_help="{section} gauge {field} from SearchService.stats().",
+                nested=_SERVICE_NESTED,
+            )
         if replication:
             _render_replication(lines, replication)
         if tenant_stats:
-            _render_tenant_stats(lines, tenant_stats)
+            _render_stats(
+                lines,
+                tenant_stats,
+                label="tenant",
+                prefix="repro_tenant_",
+                fields=_TENANT_FIELDS,
+                nested_prefix="repro_tenant_",
+                nested_help="Tenant {section} gauge {field} from TenantGateway.stats().",
+                nested=_TENANT_NESTED,
+            )
         if stage_seconds:
             _labeled_histogram(
                 lines,
@@ -268,33 +282,6 @@ _SERVICE_NESTED = (
     ("collection", "wal_ops"),
     ("collection", "wal_bytes"),
 )
-
-
-def _render_service_stats(
-    lines: List[str], service_stats: Mapping[str, Mapping[str, Any]]
-) -> None:
-    for field_name, suffix, kind, help_text in _SERVICE_FIELDS:
-        samples = []
-        for service, stats in sorted(service_stats.items()):
-            value = stats.get(field_name)
-            if isinstance(value, (int, float)):
-                samples.append(({"service": service}, value))
-        if samples:
-            emit = _counter if kind == "counter" else _gauge
-            emit(lines, f"repro_service_{suffix}", help_text, samples)
-    for section, field_name in _SERVICE_NESTED:
-        samples = []
-        for service, stats in sorted(service_stats.items()):
-            value = stats.get(section, {}).get(field_name)
-            if isinstance(value, (int, float)):
-                samples.append(({"service": service}, value))
-        if samples:
-            _gauge(
-                lines,
-                f"repro_{section}_{field_name}",
-                f"{section} gauge {field_name} from SearchService.stats().",
-                samples,
-            )
 
 
 #: replication gauges exported when the server hosts a Primary/Follower:
@@ -389,28 +376,43 @@ _TENANT_NESTED = (
 )
 
 
-def _render_tenant_stats(
-    lines: List[str], tenant_stats: Mapping[str, Mapping[str, Any]]
+def _render_stats(
+    lines: List[str],
+    stats_by_name: Mapping[str, Mapping[str, Any]],
+    *,
+    label: str,
+    prefix: str,
+    fields,
+    nested_prefix: str,
+    nested_help: str,
+    nested,
 ) -> None:
-    for field_name, suffix, kind, help_text in _TENANT_FIELDS:
-        samples = []
-        for tenant, stats in sorted(tenant_stats.items()):
-            value = stats.get(field_name)
-            if isinstance(value, (int, float)):
-                samples.append(({"tenant": tenant}, value))
-        if samples:
+    """Emit one ``{label="<name>"}`` family per table row that anyone reports.
+
+    ``fields`` rows are ``(stats field, metric suffix, type, help)`` read
+    from the top level of each stats mapping; ``nested`` rows are
+    ``(section, field)`` gauges read one level down.
+    """
+    owners = sorted(stats_by_name.items())
+
+    def samples(read):
+        return [
+            ({label: owner}, value)
+            for owner, stats in owners
+            if isinstance(value := read(stats), (int, float))
+        ]
+
+    for field_name, suffix, kind, help_text in fields:
+        found = samples(lambda stats: stats.get(field_name))
+        if found:
             emit = _counter if kind == "counter" else _gauge
-            emit(lines, f"repro_tenant_{suffix}", help_text, samples)
-    for section, field_name in _TENANT_NESTED:
-        samples = []
-        for tenant, stats in sorted(tenant_stats.items()):
-            value = stats.get(section, {}).get(field_name)
-            if isinstance(value, (int, float)):
-                samples.append(({"tenant": tenant}, value))
-        if samples:
+            emit(lines, prefix + suffix, help_text, found)
+    for section, field_name in nested:
+        found = samples(lambda stats: stats.get(section, {}).get(field_name))
+        if found:
             _gauge(
                 lines,
-                f"repro_tenant_{section}_{field_name}",
-                f"Tenant {section} gauge {field_name} from TenantGateway.stats().",
-                samples,
+                f"{nested_prefix}{section}_{field_name}",
+                nested_help.format(section=section, field=field_name),
+                found,
             )

@@ -33,7 +33,7 @@ in-process call never needed:
 Endpoints (JSON unless noted)::
 
     POST /query              {"vector": [...], "request": {...}}
-    POST /batch_query        {"vectors": [[...]], "request": {...}, "mode": "auto"}
+    POST /batch_query        {"vectors": [[...]], "request": {...}}
     POST /add                {"vectors": [[...]], "attributes": {col: [...]}}
     POST /remove             {"ids": [...]}
     POST /extend_attributes  {"rows": {col: [...]}}
@@ -80,7 +80,7 @@ from ..obs.trace import (
     deactivate,
     span,
 )
-from ..service.request import BatchResult, QueryRequest
+from ..service.request import BatchResult, QueryRequest, Service
 from ..service.router import Router
 from ..service.service import SearchService
 from ..utils.exceptions import ValidationError
@@ -226,9 +226,8 @@ class SearchServer:
         elif isinstance(target, Router):
             self.router = target
             self.service = None
-        elif isinstance(target, SearchService) or hasattr(target, "service_config"):
-            # A SearchService, or anything service-shaped (ReplicaGroup
-            # and TenantGateway duck-type the whole service surface).
+        elif isinstance(target, Service):
+            # A SearchService, ReplicaGroup or TenantGateway.
             self.router = None
             self.service = target
         else:
@@ -705,19 +704,18 @@ class SearchServer:
         if endpoint == "batch_query":
             vectors = _required_array(body, "vectors", ndim=2)
             query_request = self._request_from(body)
-            mode = str(body.get("mode", "auto"))
             chunk_rows = int(self.config.chunk_rows or service.batch_size)
 
             def job() -> Dict[str, Any]:
                 deadline.check("execution")
                 if vectors.shape[0] == 0:
-                    return service.search_batch(vectors, query_request, mode=mode).as_dict()
+                    return service.search_batch(vectors, query_request).as_dict()
                 parts = []
                 for start in range(0, vectors.shape[0], chunk_rows):
                     deadline.check("execution")
                     parts.append(
                         service.search_batch(
-                            vectors[start : start + chunk_rows], query_request, mode=mode
+                            vectors[start : start + chunk_rows], query_request
                         )
                     )
                 deadline.check("execution")
@@ -942,6 +940,5 @@ def _merge_batches(parts, request: QueryRequest) -> BatchResult:
         distances=np.vstack([part.distances for part in parts]),
         request=request,
         elapsed_seconds=float(sum(part.elapsed_seconds for part in parts)),
-        mode=parts[0].mode,
         cache_hits=int(sum(part.cache_hits for part in parts)),
     )

@@ -12,7 +12,7 @@ spans.  The design goals, in order:
 2. **Propagates everywhere the query goes.**  In process the context
    rides :mod:`contextvars` (copy the context into thread-pool tasks —
    a single Context object cannot be entered concurrently, so scatter
-   paths take one ``copy_context()`` per task).  Across HTTP it rides a
+   paths take one context copy per task).  Across HTTP it rides a
    W3C ``traceparent``-style header: clients inject, servers extract,
    replication polls forward.
 3. **The interesting traces survive.**  Head sampling decides whether a

@@ -1,9 +1,10 @@
 """Replica-aware serving: round-robin reads, session guarantees, one writer.
 
 :class:`ReplicaGroup` presents a primary plus N followers as **one**
-service: it duck-types the :class:`~repro.service.SearchService` surface
-(``search`` / ``search_batch`` / ``add`` / ``remove`` /
-``extend_attributes`` / ``stats`` / ``capabilities`` / ``dim``), so
+service: it satisfies the :class:`~repro.service.Service` protocol and
+mirrors the rest of the :class:`~repro.service.SearchService` surface
+(``add`` / ``remove`` / ``extend_attributes`` / ``capabilities`` /
+``dim``), so
 :meth:`Router.add_replica_group` can host it in the same table as plain
 services and :class:`repro.net.SearchServer` can serve it unchanged.
 
@@ -194,13 +195,12 @@ class ReplicaGroup:
         request=None,
         *,
         session: Optional[SessionToken] = None,
-        mode: str = "auto",
         ground_truth=None,
         **overrides,
     ):
         service = self._route_read(session)
         result = service.search_batch(
-            queries, request, mode=mode, ground_truth=ground_truth, **overrides
+            queries, request, ground_truth=ground_truth, **overrides
         )
         if session is not None and service.collection is not None:
             session.observe(service.collection.last_seq)

@@ -7,8 +7,10 @@ one":
 * :class:`QueryRequest` / :class:`QueryResult` / :class:`BatchResult` —
   typed request/response objects replacing positional query knobs;
 * :class:`SearchService` — wraps any built :class:`repro.api.AnnIndex`
-  with micro-batching, a thread-pooled execution path, an optional LRU
-  result cache, and latency/throughput/recall counters via ``stats()``;
+  with micro-batching, an optional LRU result cache, and
+  latency/throughput/recall counters via ``stats()``;
+* :class:`Service` — the ``search`` / ``search_batch`` / ``stats`` /
+  ``service_config`` protocol every host checks before serving a target;
 * :class:`Router` — hosts multiple named services (multi-dataset /
   multi-index deployments) with capability-based or round-robin dispatch
   and whole-deployment ``save`` / ``Router.load``.
@@ -25,9 +27,9 @@ Example
 
 from .cache import QueryCache
 from .metrics import ServiceMetrics, batch_recall
-from .request import BatchResult, QueryRequest, QueryResult
+from .request import BatchResult, QueryRequest, QueryResult, Service
 from .router import Router
-from .service import EXECUTION_MODES, SearchService
+from .service import SearchService
 
 __all__ = [
     "QueryCache",
@@ -37,6 +39,6 @@ __all__ = [
     "QueryRequest",
     "QueryResult",
     "Router",
-    "EXECUTION_MODES",
     "SearchService",
+    "Service",
 ]

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -126,3 +126,37 @@ class QueryCache:
                 "misses": self.misses,
                 "evictions": self.evictions,
             }
+
+
+def read_through(
+    cache: QueryCache,
+    queries: np.ndarray,
+    request_key: tuple,
+    compute: Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]],
+) -> Tuple[np.ndarray, np.ndarray, int]:
+    """Answer ``queries`` from ``cache``, computing and storing only the misses.
+
+    ``compute`` maps the missing query rows (in query order, one bulk
+    call) to their ``(ids, distances)``.  Returns the stitched answer in
+    query order plus the number of rows that were cache hits.
+    """
+    keys = [QueryCache.key_for(row, request_key) for row in queries]
+    hits = [cache.get(key) for key in keys]
+    missing = [row for row, hit in enumerate(hits) if hit is None]
+    if missing:
+        fresh_ids, fresh_distances = compute(queries[missing])
+        for position, row in enumerate(missing):
+            cache.put(keys[row], fresh_ids[position], fresh_distances[position])
+        width = fresh_ids.shape[1]
+    else:
+        width = hits[0][0].shape[-1]
+    ids = np.empty((len(keys), width), dtype=np.int64)
+    distances = np.empty((len(keys), width))
+    fresh_row = 0
+    for row, hit in enumerate(hits):
+        if hit is None:
+            ids[row], distances[row] = fresh_ids[fresh_row], fresh_distances[fresh_row]
+            fresh_row += 1
+        else:
+            ids[row], distances[row] = hit
+    return ids, distances, len(keys) - len(missing)

@@ -9,16 +9,20 @@ descriptor attached to every registered class.
 
 Results come back as :class:`QueryResult` (one query) or
 :class:`BatchResult` (a query matrix), both carrying the ids/distances
-*and* the serving metadata — elapsed time, execution mode, cache hits —
-so throughput numbers reported by benchmarks are produced by the same
+*and* the serving metadata — elapsed time, cache hits, recall — so
+throughput numbers reported by benchmarks are produced by the same
 instrumented path applications would serve from.
+
+:class:`Service` declares the surface those objects travel through: what
+a :class:`~repro.service.Router`, a tenant registry or the HTTP server
+needs from anything it hosts.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, Iterator, Mapping, Optional
+from typing import Any, Dict, Iterator, Mapping, Optional, Protocol, runtime_checkable
 
 import numpy as np
 
@@ -276,7 +280,6 @@ class BatchResult:
     distances: np.ndarray
     request: QueryRequest
     elapsed_seconds: float
-    mode: str = "serial"
     cache_hits: int = 0
     recall: Optional[float] = None
 
@@ -318,7 +321,6 @@ class BatchResult:
             "elapsed_seconds": float(self.elapsed_seconds),
             "per_query_latency_seconds": [per_query] * self.n_queries,
             "queries_per_second": float(self.queries_per_second),
-            "mode": str(self.mode),
             "cache_hits": int(self.cache_hits),
             "recall": None if self.recall is None else float(self.recall),
             "request": self.request.as_dict(),
@@ -338,7 +340,35 @@ class BatchResult:
             ),
             request=request,
             elapsed_seconds=float(data.get("elapsed_seconds", 0.0)),
-            mode=str(data.get("mode", "serial")),
             cache_hits=int(data.get("cache_hits", 0)),
             recall=None if recall is None else float(recall),
         )
+
+
+@runtime_checkable
+class Service(Protocol):
+    """What a host needs from a serving target.
+
+    :class:`~repro.service.SearchService`,
+    :class:`~repro.tenant.TenantGateway` and
+    :class:`~repro.replica.ReplicaGroup` all satisfy it; the router, the
+    tenant registry and the HTTP server check ``isinstance(target,
+    Service)`` before hosting one.
+    """
+
+    def search(
+        self, query: np.ndarray, request: Optional[QueryRequest] = None, **overrides
+    ) -> QueryResult: ...
+
+    def search_batch(
+        self,
+        queries: np.ndarray,
+        request: Optional[QueryRequest] = None,
+        *,
+        ground_truth: Optional[np.ndarray] = None,
+        **overrides,
+    ) -> BatchResult: ...
+
+    def stats(self) -> Dict[str, Any]: ...
+
+    def service_config(self) -> Dict[str, Any]: ...

@@ -28,7 +28,7 @@ import numpy as np
 
 from ..api.persistence import load_index
 from ..utils.exceptions import ConfigurationError, SerializationError, ValidationError
-from .request import BatchResult, QueryRequest, QueryResult
+from .request import BatchResult, QueryRequest, QueryResult, Service
 from .service import SearchService
 
 ROUTER_FORMAT = "repro-router"
@@ -84,39 +84,35 @@ class Router:
     def add_replica_group(self, name: str, group) -> "SearchService":
         """Serve a :class:`repro.replica.ReplicaGroup` under ``name``.
 
-        The group duck-types the whole :class:`SearchService` surface —
-        reads round-robin across its followers with bounded-staleness
-        session guarantees, writes journal through its primary — so the
-        router (and any :class:`~repro.net.SearchServer` in front of it)
+        The group satisfies the whole :class:`Service` protocol — reads
+        round-robin across its followers with bounded-staleness session
+        guarantees, writes journal through its primary — so the router
+        (and any :class:`~repro.net.SearchServer` in front of it)
         dispatches to it exactly like a plain service.  Replica groups
         are runtime wiring, not a persisted artifact: :meth:`save`
         refuses them (save the primary's collection instead).
         """
-        for attr in ("search", "search_batch", "stats", "service_config"):
-            if not hasattr(group, attr):
-                raise ValidationError(
-                    f"{type(group).__name__} does not look like a replica "
-                    f"group (missing {attr!r})"
-                )
-        return self.add_service(name, group)
+        return self._add_service_shaped(name, group, "replica group")
 
     def add_tenant(self, name: str, gateway) -> "SearchService":
         """Serve a :class:`repro.tenant.TenantGateway` under ``name``.
 
-        The gateway duck-types the service surface with tenant policy
-        (ACL injection, quotas, cache partition) already applied inside,
-        so dispatching to it is indistinguishable from a plain service.
-        Like replica groups, tenants are runtime wiring: :meth:`save`
-        refuses them — persist the underlying namespace instead and
-        re-provision tenants from their declarative configs.
+        The gateway satisfies the :class:`Service` protocol with tenant
+        policy (ACL injection, quotas, cache partition) already applied
+        inside, so dispatching to it is indistinguishable from a plain
+        service.  Like replica groups, tenants are runtime wiring:
+        :meth:`save` refuses them — persist the underlying namespace
+        instead and re-provision tenants from their declarative configs.
         """
-        for attr in ("search", "search_batch", "stats", "service_config"):
-            if not hasattr(gateway, attr):
-                raise ValidationError(
-                    f"{type(gateway).__name__} does not look like a tenant "
-                    f"gateway (missing {attr!r})"
-                )
-        return self.add_service(name, gateway)
+        return self._add_service_shaped(name, gateway, "tenant gateway")
+
+    def _add_service_shaped(self, name: str, target, kind: str) -> "SearchService":
+        if not isinstance(target, Service):
+            raise ValidationError(
+                f"{type(target).__name__} does not look like a {kind} "
+                "(it must satisfy the repro.service.Service protocol)"
+            )
+        return self.add_service(name, target)
 
     def remove(self, name: str) -> None:
         with self._lock:
@@ -239,7 +235,6 @@ class Router:
         request: Optional[QueryRequest] = None,
         *,
         name: Optional[str] = None,
-        mode: str = "auto",
         ground_truth: Optional[np.ndarray] = None,
         **route_and_overrides,
     ) -> BatchResult:
@@ -247,7 +242,7 @@ class Router:
         self._imply_filterable(name, request, overrides, route_kwargs)
         service = self.route(name, **route_kwargs)
         return service.search_batch(
-            queries, request, mode=mode, ground_truth=ground_truth, **overrides
+            queries, request, ground_truth=ground_truth, **overrides
         )
 
     @staticmethod
@@ -342,8 +337,6 @@ class Router:
         for name, config in manifest.get("services", {}).items():
             service_kwargs = dict(
                 batch_size=int(config.get("batch_size", 256)),
-                max_workers=int(config.get("max_workers", 0)) or None,
-                parallel_threshold=int(config.get("parallel_threshold", 512)),
                 cache_size=int(config.get("cache_size", 0)),
                 default_request=QueryRequest.from_dict(
                     config.get("default_request", {})

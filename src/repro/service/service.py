@@ -8,10 +8,10 @@ a serving path:
   back-end agnostic ``probes`` knob through the index's
   :class:`~repro.api.IndexCapabilities` and can plan a probe count from a
   ``candidate_budget``;
-* large batches are split into micro-batches, optionally executed on a
-  thread pool (NumPy releases the GIL inside the distance kernels, so the
-  blocked scans genuinely overlap); results are reassembled in query
-  order, bitwise-identical to the serial path;
+* large batches are split into micro-batches run one after another on
+  the calling thread (the paper's Algorithm 2 is one batched pass; the
+  micro-batch only bounds the distance blocks' peak memory) and
+  reassembled in query order;
 * an optional LRU cache short-circuits repeated queries;
 * every call updates latency/throughput/recall counters exposed via
   :meth:`stats`, so benchmark numbers and production numbers come from
@@ -27,31 +27,21 @@ only after the operation is durably journaled.
 
 from __future__ import annotations
 
-import contextvars
-import os
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 
 from ..api.persistence import load_index
-from ..obs.trace import current_trace, span
+from ..obs.trace import span
 from ..api.protocol import IndexCapabilities
 from ..store.collection import Collection, is_collection_dir
 from ..utils.exceptions import ValidationError
 from ..utils.validation import as_query_matrix
-from .cache import QueryCache
+from .cache import QueryCache, read_through
 from .metrics import ServiceMetrics, batch_recall
 from .request import BatchResult, QueryRequest, QueryResult
-
-#: execution modes accepted by :meth:`SearchService.search_batch`
-EXECUTION_MODES = ("auto", "serial", "threaded")
-
-
-def _default_workers() -> int:
-    return max(1, min(8, (os.cpu_count() or 2) - 1))
 
 
 class SearchService:
@@ -69,11 +59,6 @@ class SearchService:
     batch_size:
         Micro-batch size: queries are fed to ``batch_query`` in chunks of
         this many rows (bounds peak memory of the distance blocks).
-    max_workers:
-        Thread-pool width for the threaded path (default: CPU count - 1,
-        capped at 8).
-    parallel_threshold:
-        Minimum batch size before ``mode="auto"`` picks the thread pool.
     cache_size:
         LRU query-result cache capacity; ``0`` disables caching.
     cache:
@@ -90,8 +75,6 @@ class SearchService:
         name: Optional[str] = None,
         default_request: Optional[QueryRequest] = None,
         batch_size: int = 256,
-        max_workers: Optional[int] = None,
-        parallel_threshold: int = 512,
         cache_size: int = 0,
         cache: Optional[QueryCache] = None,
     ) -> None:
@@ -113,8 +96,6 @@ class SearchService:
         self.name = name or getattr(type(index), "_registry_name", None) or type(index).__name__
         self.default_request = default_request or QueryRequest()
         self.batch_size = int(batch_size)
-        self.max_workers = int(max_workers) if max_workers else _default_workers()
-        self.parallel_threshold = int(parallel_threshold)
         self.cache = cache if cache is not None else (
             QueryCache(cache_size) if cache_size else None
         )
@@ -122,7 +103,6 @@ class SearchService:
         # Set by a hosting SearchServer (or directly) to a repro.obs
         # Tracer; stats() then reports sampling rate and span loss.
         self.tracer = None
-        self._pool: Optional[ThreadPoolExecutor] = None
         # Serialises stats() assembly against cache invalidation so one
         # snapshot never mixes pre- and post-mutation counters.
         self._stats_lock = threading.Lock()
@@ -293,65 +273,33 @@ class SearchService:
     # execution
     # ------------------------------------------------------------------ #
     def _run_chunks(
-        self, queries: np.ndarray, k: int, kwargs: Dict[str, Any], threaded: bool
+        self, queries: np.ndarray, k: int, kwargs: Dict[str, Any]
     ) -> Tuple[np.ndarray, np.ndarray]:
-        starts = range(0, queries.shape[0], self.batch_size)
-        chunks = [queries[start : start + self.batch_size] for start in starts]
-
-        def run(chunk: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-            return self.index.batch_query(chunk, k, **kwargs)
-
-        if threaded and len(chunks) > 1:
-            if current_trace() is not None:
-                # One context copy per chunk: a single Context cannot be
-                # entered concurrently, and each copy carries the active
-                # trace into its pool thread so index-layer spans still
-                # attach to this request's tree.
-                contexts = [contextvars.copy_context() for _ in chunks]
-                results = list(
-                    self._executor().map(
-                        lambda context, chunk: context.run(run, chunk),
-                        contexts,
-                        chunks,
-                    )
-                )
-            else:
-                results = list(self._executor().map(run, chunks))
-        else:
-            results = [run(chunk) for chunk in chunks]
+        results = [
+            self.index.batch_query(queries[start : start + self.batch_size], k, **kwargs)
+            for start in range(0, queries.shape[0], self.batch_size)
+        ]
         ids = np.vstack([r[0] for r in results])
         distances = np.vstack([r[1] for r in results])
         return ids, distances
 
-    def _executor(self) -> ThreadPoolExecutor:
-        if self._pool is None:
-            self._pool = ThreadPoolExecutor(
-                max_workers=self.max_workers, thread_name_prefix=f"svc-{self.name}"
-            )
-        return self._pool
-
     def close(self) -> None:
-        """Shut down the thread pool (idempotent; the service stays usable)."""
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
+        """Close the served index, if it has anything to close.
+
+        The service owns no threads; this forwards to the index's own
+        ``close()`` when there is one (:class:`~repro.shard.ShardedIndex`
+        shuts down its scatter pool and recreates it on demand, so the
+        service stays usable).  Idempotent.
+        """
+        close = getattr(self.index, "close", None)
+        if callable(close):
+            close()
 
     def __enter__(self) -> "SearchService":
         return self
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-    def _pick_mode(self, mode: str, n_queries: int) -> str:
-        if mode not in EXECUTION_MODES:
-            raise ValidationError(
-                f"unknown execution mode {mode!r}; expected one of {EXECUTION_MODES}"
-            )
-        if mode != "auto":
-            return mode
-        if n_queries >= self.parallel_threshold and self.max_workers > 1:
-            return "threaded"
-        return "serial"
 
     # ------------------------------------------------------------------ #
     # public serving surface
@@ -379,7 +327,7 @@ class SearchService:
                 if hit is not None:
                     elapsed = time.perf_counter() - start
                     search_span.set(cache_hit=True)
-                    self.metrics.observe_batch(1, elapsed, "cached", cache_hits=1)
+                    self.metrics.observe_batch(1, elapsed, cache_hits=1)
                     return QueryResult(
                         ids=hit[0],
                         distances=hit[1],
@@ -393,7 +341,7 @@ class SearchService:
             if cache is not None and cache_key is not None:
                 cache.put(cache_key, ids[0], distances[0])
             search_span.set(cache_hit=False)
-            self.metrics.observe_batch(1, elapsed, "serial")
+            self.metrics.observe_batch(1, elapsed)
             return QueryResult(
                 ids=ids[0],
                 distances=distances[0],
@@ -406,18 +354,15 @@ class SearchService:
         queries: np.ndarray,
         request: Optional[QueryRequest] = None,
         *,
-        mode: str = "auto",
         ground_truth: Optional[np.ndarray] = None,
         **overrides,
     ) -> BatchResult:
-        """Answer a query matrix, micro-batched and optionally thread-pooled.
+        """Answer a query matrix in ``batch_size``-row micro-batches.
 
-        ``mode`` is ``"auto"`` (thread pool for batches of at least
-        ``parallel_threshold`` rows), ``"serial"``, or ``"threaded"``.  Both
-        execution paths partition the batch into the same micro-batches and
-        reassemble results in query order, so they return bitwise-identical
-        arrays.  With ``ground_truth`` given, the batch's k-NN recall is
-        computed and folded into the service's running counters.
+        The micro-batches run in order on the calling thread and the
+        results are reassembled in query order.  With ``ground_truth``
+        given, the batch's k-NN recall is computed and folded into the
+        service's running counters.
         """
         request = self.resolve_request(request, **overrides)
         queries = self._as_queries(queries)
@@ -428,32 +373,28 @@ class SearchService:
                 distances=np.empty((0, request.k)),
                 request=request,
                 elapsed_seconds=0.0,
-                mode="serial",
             )
         kwargs = self.query_kwargs(request)
-        run_mode = self._pick_mode(mode, queries.shape[0])
 
         with span(
-            "service.search",
-            k=int(request.k),
-            n_queries=int(queries.shape[0]),
-            mode=run_mode,
+            "service.search", k=int(request.k), n_queries=int(queries.shape[0])
         ) as search_span:
             cache = self._request_cache()
             start = time.perf_counter()
             if cache is None:
-                ids, distances = self._run_chunks(
-                    queries, request.k, kwargs, run_mode == "threaded"
-                )
+                ids, distances = self._run_chunks(queries, request.k, kwargs)
                 cache_hits = 0
             else:
-                ids, distances, cache_hits = self._search_batch_cached(
-                    queries, request, kwargs, run_mode, cache
+                ids, distances, cache_hits = read_through(
+                    cache,
+                    queries,
+                    request.cache_key() + self._cache_tag,
+                    lambda rows: self._run_chunks(rows, request.k, kwargs),
                 )
             elapsed = time.perf_counter() - start
             search_span.set(cache_hits=cache_hits)
 
-        self.metrics.observe_batch(queries.shape[0], elapsed, run_mode, cache_hits)
+        self.metrics.observe_batch(queries.shape[0], elapsed, cache_hits)
         recall = None
         if ground_truth is not None:
             ground_truth = np.asarray(ground_truth)
@@ -465,46 +406,9 @@ class SearchService:
             distances=distances,
             request=request,
             elapsed_seconds=elapsed,
-            mode=run_mode,
             cache_hits=cache_hits,
             recall=recall,
         )
-
-    def _search_batch_cached(
-        self,
-        queries: np.ndarray,
-        request: QueryRequest,
-        kwargs: Dict[str, Any],
-        run_mode: str,
-        cache: QueryCache,
-    ) -> Tuple[np.ndarray, np.ndarray, int]:
-        """Batch path with per-query cache lookups around the bulk execution."""
-        request_key = request.cache_key() + self._cache_tag
-        keys = [QueryCache.key_for(row, request_key) for row in queries]
-        hits: List[Optional[Tuple[np.ndarray, np.ndarray]]] = [
-            cache.get(key) for key in keys
-        ]
-        missing = [row for row, hit in enumerate(hits) if hit is None]
-        if missing:
-            fresh_ids, fresh_distances = self._run_chunks(
-                queries[missing], request.k, kwargs, run_mode == "threaded"
-            )
-            for position, row in enumerate(missing):
-                cache.put(keys[row], fresh_ids[position], fresh_distances[position])
-        else:
-            fresh_ids = np.empty((0, request.k), dtype=np.int64)
-            fresh_distances = np.empty((0, request.k))
-        width = fresh_ids.shape[1] if missing else hits[0][0].shape[-1]
-        ids = np.empty((queries.shape[0], width), dtype=np.int64)
-        distances = np.empty((queries.shape[0], width))
-        fresh_row = 0
-        for row, hit in enumerate(hits):
-            if hit is None:
-                ids[row], distances[row] = fresh_ids[fresh_row], fresh_distances[fresh_row]
-                fresh_row += 1
-            else:
-                ids[row], distances[row] = hit
-        return ids, distances, len(keys) - len(missing)
 
     # ------------------------------------------------------------------ #
     # mutation endpoints (durable when collection-backed)
@@ -643,8 +547,6 @@ class SearchService:
         """JSON-able construction parameters (used by router save/restore)."""
         return {
             "batch_size": self.batch_size,
-            "max_workers": self.max_workers,
-            "parallel_threshold": self.parallel_threshold,
             "cache_size": self.cache.max_entries if self.cache is not None else 0,
             "default_request": self.default_request.as_dict(),
         }
@@ -652,5 +554,5 @@ class SearchService:
     def __repr__(self) -> str:
         return (
             f"SearchService(name={self.name!r}, index={type(self.index).__name__}, "
-            f"batch_size={self.batch_size}, workers={self.max_workers})"
+            f"batch_size={self.batch_size})"
         )

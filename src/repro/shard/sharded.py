@@ -5,7 +5,7 @@
 
 * the offline phase partitions the base with a
   :class:`~repro.shard.partitioner.Partitioner` and builds every shard in
-  parallel on a thread or process pool;
+  parallel on a thread pool;
 * ``query`` / ``batch_query`` scatter to all shards and gather with an
   exact global top-k merge over the shard-local results (re-ranked
   distances, local ids remapped to global ids), so a sharded exact
@@ -43,7 +43,7 @@ from ..utils.validation import as_float_matrix, as_query_matrix, check_positive_
 from .partitioner import Partitioner, make_partitioner, partitioner_from_state
 
 #: parallel build/scatter strategies
-PARALLEL_MODES = ("thread", "process", "serial")
+PARALLEL_MODES = ("thread", "serial")
 
 _SHARDED_CAPABILITIES = IndexCapabilities(
     metrics=("euclidean", "sqeuclidean", "cosine"),
@@ -87,7 +87,7 @@ def _instantiate_child(name: str, params: Mapping[str, Any], metric: str):
 
 
 def _build_shard(args):
-    """Build one shard (top-level so a process pool can pickle the task)."""
+    """Build one shard from a ``(name, params, metric, subset)`` task."""
     name, params, metric, subset = args
     if subset.shape[0] == 0:
         return None
@@ -118,13 +118,11 @@ class ShardedIndex(RegisteredIndex):
         :class:`~repro.shard.Partitioner` instance) assigning base
         vectors to shards and routing later additions.
     metric:
-        Distance metric used by the pending-buffer scan and threaded
+        Distance metric used by the pending-buffer scan and passed
         through to every shard that supports it.
     parallel:
         ``"thread"`` (default; NumPy kernels release the GIL so shard
-        builds and the query fan-out genuinely overlap), ``"process"``
-        (fully independent build workers; shards must pickle), or
-        ``"serial"``.
+        builds and the query fan-out genuinely overlap) or ``"serial"``.
     max_workers:
         Pool width for parallel build/scatter (default: one per shard,
         capped at 8).
@@ -299,11 +297,6 @@ class ShardedIndex(RegisteredIndex):
         ]
         if self.parallel == "serial" or self.n_shards == 1:
             shards = [_build_shard(task) for task in tasks]
-        elif self.parallel == "process":
-            from concurrent.futures import ProcessPoolExecutor
-
-            with ProcessPoolExecutor(max_workers=self.max_workers) as pool:
-                shards = list(pool.map(_build_shard, tasks))
         else:
             shards = list(self._executor().map(_build_shard, tasks))
         self._serve_state = (shards, shard_ids, np.empty(0, dtype=np.int64))
@@ -432,16 +425,6 @@ class ShardedIndex(RegisteredIndex):
             if self._pool is not None:
                 self._pool.shutdown(wait=True)
                 self._pool = None
-
-    def __getstate__(self):
-        state = self.__dict__.copy()
-        state["_pool"] = None
-        state["_pool_lock"] = None
-        return state
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-        self._pool_lock = threading.Lock()
 
     def _child_kwargs(self, child, probes: Optional[int]) -> Dict[str, int]:
         """Translate the composite ``probes`` knob for one shard backend.
@@ -874,13 +857,18 @@ class ShardedIndex(RegisteredIndex):
     @classmethod
     def _from_state(cls, config, arrays, load_child):
         specs = [(str(name), dict(params)) for name, params in config["specs"]]
+        parallel = str(config.get("parallel", "thread"))
+        if parallel == "process":
+            # Written by versions that had a process build pool.  Answers
+            # never depended on it, so the artefact loads as the default.
+            parallel = "thread"
         index = cls(
             int(config["n_shards"]),
             spec=[name for name, _ in specs],
             shard_params=[params for _, params in specs],
             partitioner=partitioner_from_state(dict(config.get("routing", {})), arrays),
             metric=str(config.get("metric", "euclidean")),
-            parallel=str(config.get("parallel", "thread")),
+            parallel=parallel,
             max_workers=int(config.get("max_workers", 0)) or None,
             compact_threshold=config.get("compact_threshold"),
         )

@@ -1,11 +1,10 @@
 """The per-tenant serving facade: ACL injection, quotas, cache partition.
 
-A :class:`TenantGateway` duck-types the :class:`~repro.service.SearchService`
-surface (``search`` / ``search_batch`` / mutations / ``stats`` /
-``service_config``), so everything that can host a service — the
-:class:`~repro.service.Router`, the HTTP server — can host a tenant
-without knowing it is one.  The delegate underneath is equally
-duck-typed: a plain ``SearchService``, a collection-backed one, or a
+A :class:`TenantGateway` satisfies the :class:`~repro.service.Service`
+protocol (plus the mutation endpoints), so everything that can host a
+service — the :class:`~repro.service.Router`, the HTTP server — can host
+a tenant without knowing it is one.  The delegate underneath is any
+``Service``: a plain ``SearchService``, a collection-backed one, or a
 :class:`~repro.replica.ReplicaGroup`.
 
 Three policies are enforced on the way through:
@@ -36,7 +35,7 @@ import numpy as np
 
 from ..filter.predicate import And, Predicate
 from ..obs.trace import span
-from ..service.cache import QueryCache
+from ..service.cache import QueryCache, read_through
 from ..service.request import BatchResult, QueryRequest, QueryResult
 from ..utils.exceptions import QuotaExceededError, ValidationError
 from .cache import CacheBudget
@@ -250,7 +249,6 @@ class TenantGateway:
         queries: np.ndarray,
         request: Optional[QueryRequest] = None,
         *,
-        mode: str = "auto",
         ground_truth: Optional[np.ndarray] = None,
         **overrides,
     ) -> BatchResult:
@@ -265,45 +263,29 @@ class TenantGateway:
         # delegate, so ground-truth calls bypass the gateway partition.
         cache = self._partition() if ground_truth is None and n else None
         if cache is None:
-            result = self.service.search_batch(
-                queries, request, mode=mode, ground_truth=ground_truth
-            )
+            result = self.service.search_batch(queries, request, ground_truth=ground_truth)
             self._observe_query(n, time.perf_counter() - start, hits=result.cache_hits)
             return result
-        keys = [self._cache_key(row, request) for row in queries]
-        hits = [cache.get(key) for key in keys]
-        missing = [row for row, hit in enumerate(hits) if hit is None]
         inner_hits = 0
-        inner_mode = "cached"
-        if missing:
-            inner = self.service.search_batch(queries[missing], request, mode=mode)
+
+        def from_delegate(rows: np.ndarray):
+            nonlocal inner_hits
+            inner = self.service.search_batch(rows, request)
             inner_hits = inner.cache_hits
-            inner_mode = inner.mode
-            for position, row in enumerate(missing):
-                cache.put(keys[row], inner.ids[position], inner.distances[position])
+            return inner.ids, inner.distances
+
+        ids, distances, gateway_hits = read_through(
+            cache, queries, request.cache_key() + (self._delegate_tag,), from_delegate
+        )
+        if gateway_hits < n:
             self._reconcile_budget()
-            width = inner.ids.shape[1]
-        else:
-            width = hits[0][0].shape[-1]
-        ids = np.empty((n, width), dtype=np.int64)
-        distances = np.empty((n, width))
-        fresh_row = 0
-        for row, hit in enumerate(hits):
-            if hit is None:
-                ids[row] = inner.ids[fresh_row]
-                distances[row] = inner.distances[fresh_row]
-                fresh_row += 1
-            else:
-                ids[row], distances[row] = hit
         elapsed = time.perf_counter() - start
-        gateway_hits = n - len(missing)
         self._observe_query(n, elapsed, hits=gateway_hits + inner_hits)
         return BatchResult(
             ids=ids,
             distances=distances,
             request=request,
             elapsed_seconds=elapsed,
-            mode=inner_mode,
             cache_hits=gateway_hits + inner_hits,
         )
 

@@ -2,8 +2,9 @@
 
 A :class:`TenantRegistry` owns the pieces the rest of the stack hosts:
 
-* **namespaces** — duck-typed serving targets (``SearchService``,
-  collection-backed services, ``ReplicaGroup``) that tenants attach to.
+* **namespaces** — serving targets (anything satisfying
+  :class:`~repro.service.Service`: ``SearchService``, collection-backed
+  services, ``ReplicaGroup``) that tenants attach to.
   Several tenants may share one namespace; their ACL predicates carve it
   into disjoint (or overlapping, if so configured) views.
 * **tenants** — :class:`~repro.tenant.gateway.TenantGateway` instances
@@ -27,6 +28,7 @@ import threading
 import time
 from typing import Dict, List, Optional
 
+from ..service.request import Service
 from ..utils.exceptions import UnknownTenantError, ValidationError
 from .cache import CacheBudget
 from .config import TenantConfig
@@ -34,10 +36,6 @@ from .gateway import TenantGateway
 from .scheduler import FairScheduler
 
 _NAME_PATTERN = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]*$")
-
-#: Methods a namespace target must answer — the same duck-typed serving
-#: surface the Router checks before hosting a replica group.
-_SERVICE_SURFACE = ("search", "search_batch", "stats", "service_config")
 
 
 class TenantRegistry:
@@ -92,15 +90,10 @@ class TenantRegistry:
     def add_namespace(self, name: str, service) -> None:
         """Register a serving target tenants can attach to."""
         name = self._check_name(name, "namespace")
-        missing = [
-            method
-            for method in _SERVICE_SURFACE
-            if not callable(getattr(service, method, None))
-        ]
-        if missing:
+        if not isinstance(service, Service):
             raise ValidationError(
-                f"{type(service).__name__} does not look like a serving "
-                f"target: missing {missing}"
+                f"{type(service).__name__} does not look like a serving target "
+                "(it must satisfy the repro.service.Service protocol)"
             )
         with self._lock:
             if name in self._namespaces:

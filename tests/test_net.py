@@ -249,9 +249,16 @@ class TestDurableServing:
                 batch_expected = reference.search_batch(queries, request)
                 status, wire = request_json(
                     server.url + "/batch_query", method="POST",
-                    body={"vectors": queries.tolist(), "request": request.as_dict()},
+                    # "mode" selected an execution path once; like any
+                    # unknown key it is now ignored, whatever its value
+                    body={
+                        "vectors": queries.tolist(),
+                        "request": request.as_dict(),
+                        "mode": "warp-speed",
+                    },
                 )
                 assert status == 200
+                assert "mode" not in wire
                 got = BatchResult.from_dict(wire)
                 np.testing.assert_array_equal(got.ids, batch_expected.ids)
                 np.testing.assert_array_equal(got.distances, batch_expected.distances)

@@ -31,7 +31,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api import make_index
-from repro.net import SearchServer, ServerConfig, request_json
+from repro.net import SearchServer, ServerConfig, ServerMetrics, request_json
 from repro.obs import (
     NOOP_SPAN,
     SlowQueryLog,
@@ -619,6 +619,116 @@ class TestSamplingOverHttp:
 # ---------------------------------------------------------------------- #
 # Prometheus text-format lint
 # ---------------------------------------------------------------------- #
+_STATS_SERIES_PAGE = r'''# HELP repro_service_queries_total Queries served.
+# TYPE repro_service_queries_total counter
+repro_service_queries_total{service="alpha"} 0
+repro_service_queries_total{service="beta"} 7
+# HELP repro_service_batches_total Batches served.
+# TYPE repro_service_batches_total counter
+repro_service_batches_total{service="alpha"} 0
+repro_service_batches_total{service="beta"} 2
+# HELP repro_service_cache_hits_total Result-cache hits.
+# TYPE repro_service_cache_hits_total counter
+repro_service_cache_hits_total{service="alpha"} 0
+repro_service_cache_hits_total{service="beta"} 3
+# HELP repro_service_query_seconds_total Total time spent answering queries.
+# TYPE repro_service_query_seconds_total counter
+repro_service_query_seconds_total{service="alpha"} 0
+repro_service_query_seconds_total{service="beta"} 0.25
+# HELP repro_service_queries_per_second Recent serving throughput.
+# TYPE repro_service_queries_per_second gauge
+repro_service_queries_per_second{service="alpha"} 0
+repro_service_queries_per_second{service="beta"} 28
+# HELP repro_service_cache_hit_ratio Cache hits over queries.
+# TYPE repro_service_cache_hit_ratio gauge
+repro_service_cache_hit_ratio{service="alpha"} 0
+repro_service_cache_hit_ratio{service="beta"} 0.5
+# HELP repro_service_mean_latency_ms Mean per-query latency (ms).
+# TYPE repro_service_mean_latency_ms gauge
+repro_service_mean_latency_ms{service="beta"} 1.5
+# HELP repro_service_p50_latency_ms Median per-query latency (ms).
+# TYPE repro_service_p50_latency_ms gauge
+repro_service_p50_latency_ms{service="beta"} 1.25
+# HELP repro_service_p95_latency_ms 95th percentile per-query latency (ms).
+# TYPE repro_service_p95_latency_ms gauge
+repro_service_p95_latency_ms{service="beta"} 2.75
+# HELP repro_mutation_n_pending mutation gauge n_pending from SearchService.stats().
+# TYPE repro_mutation_n_pending gauge
+repro_mutation_n_pending{service="alpha"} 0
+repro_mutation_n_pending{service="beta"} 4
+# HELP repro_mutation_n_tombstones mutation gauge n_tombstones from SearchService.stats().
+# TYPE repro_mutation_n_tombstones gauge
+repro_mutation_n_tombstones{service="beta"} 1
+# HELP repro_mutation_mutation_pressure mutation gauge mutation_pressure from SearchService.stats().
+# TYPE repro_mutation_mutation_pressure gauge
+repro_mutation_mutation_pressure{service="beta"} 0.125
+# HELP repro_collection_generation collection gauge generation from SearchService.stats().
+# TYPE repro_collection_generation gauge
+repro_collection_generation{service="beta"} 3
+# HELP repro_collection_last_seq collection gauge last_seq from SearchService.stats().
+# TYPE repro_collection_last_seq gauge
+repro_collection_last_seq{service="beta"} 17
+# HELP repro_collection_wal_ops collection gauge wal_ops from SearchService.stats().
+# TYPE repro_collection_wal_ops gauge
+repro_collection_wal_ops{service="beta"} 5
+# HELP repro_collection_wal_bytes collection gauge wal_bytes from SearchService.stats().
+# TYPE repro_collection_wal_bytes gauge
+repro_collection_wal_bytes{service="beta"} 2048
+# HELP repro_tenant_queries_total Search calls served for this tenant.
+# TYPE repro_tenant_queries_total counter
+repro_tenant_queries_total{tenant="acme"} 1
+repro_tenant_queries_total{tenant="we\"ird\\name"} 5
+# HELP repro_tenant_query_rows_total Query rows served for this tenant.
+# TYPE repro_tenant_query_rows_total counter
+repro_tenant_query_rows_total{tenant="acme"} 1
+repro_tenant_query_rows_total{tenant="we\"ird\\name"} 40
+# HELP repro_tenant_cache_hits_total Result-cache hits for this tenant.
+# TYPE repro_tenant_cache_hits_total counter
+repro_tenant_cache_hits_total{tenant="acme"} 0
+repro_tenant_cache_hits_total{tenant="we\"ird\\name"} 8
+# HELP repro_tenant_write_calls_total Mutation calls served for this tenant.
+# TYPE repro_tenant_write_calls_total counter
+repro_tenant_write_calls_total{tenant="acme"} 0
+repro_tenant_write_calls_total{tenant="we\"ird\\name"} 1
+# HELP repro_tenant_quota_denials_total Requests refused over a tenant quota.
+# TYPE repro_tenant_quota_denials_total counter
+repro_tenant_quota_denials_total{tenant="acme"} 0
+repro_tenant_quota_denials_total{tenant="we\"ird\\name"} 2
+# HELP repro_tenant_latency_seconds_total Total serving time for this tenant.
+# TYPE repro_tenant_latency_seconds_total counter
+repro_tenant_latency_seconds_total{tenant="acme"} 0.125
+repro_tenant_latency_seconds_total{tenant="we\"ird\\name"} 0.5
+# HELP repro_tenant_vectors_used Vectors counted against the tenant's cap.
+# TYPE repro_tenant_vectors_used gauge
+repro_tenant_vectors_used{tenant="acme"} 0
+repro_tenant_vectors_used{tenant="we\"ird\\name"} 12
+# HELP repro_tenant_qps_bucket_tokens Tenant qps_bucket gauge tokens from TenantGateway.stats().
+# TYPE repro_tenant_qps_bucket_tokens gauge
+repro_tenant_qps_bucket_tokens{tenant="we\"ird\\name"} 3.5
+# HELP repro_tenant_qps_bucket_denied Tenant qps_bucket gauge denied from TenantGateway.stats().
+# TYPE repro_tenant_qps_bucket_denied gauge
+repro_tenant_qps_bucket_denied{tenant="we\"ird\\name"} 2
+# HELP repro_tenant_write_bucket_tokens Tenant write_bucket gauge tokens from TenantGateway.stats().
+# TYPE repro_tenant_write_bucket_tokens gauge
+repro_tenant_write_bucket_tokens{tenant="acme"} 1
+# HELP repro_tenant_write_bucket_denied Tenant write_bucket gauge denied from TenantGateway.stats().
+# TYPE repro_tenant_write_bucket_denied gauge
+repro_tenant_write_bucket_denied{tenant="acme"} 0
+# HELP repro_tenant_cache_entries Tenant cache gauge entries from TenantGateway.stats().
+# TYPE repro_tenant_cache_entries gauge
+repro_tenant_cache_entries{tenant="we\"ird\\name"} 6
+# HELP repro_tenant_cache_cache_bytes Tenant cache gauge cache_bytes from TenantGateway.stats().
+# TYPE repro_tenant_cache_cache_bytes gauge
+repro_tenant_cache_cache_bytes{tenant="we\"ird\\name"} 960
+# HELP repro_tenant_cache_hits Tenant cache gauge hits from TenantGateway.stats().
+# TYPE repro_tenant_cache_hits gauge
+repro_tenant_cache_hits{tenant="we\"ird\\name"} 8
+# HELP repro_tenant_cache_evictions Tenant cache gauge evictions from TenantGateway.stats().
+# TYPE repro_tenant_cache_evictions gauge
+repro_tenant_cache_evictions{tenant="we\"ird\\name"} 1
+'''
+
+
 class TestPrometheusLint:
     def test_counter_without_total_suffix_is_flagged(self):
         text = "# HELP repro_queries Queries.\n# TYPE repro_queries counter\nrepro_queries 5\n"
@@ -658,6 +768,70 @@ class TestPrometheusLint:
         line = f'repro_x{{tenant="{escape_label_value(hostile)}"}} 1\n'
         text = "# HELP repro_x X.\n# TYPE repro_x gauge\n" + line
         assert lint_prometheus_text(text) == []
+
+    def test_service_and_tenant_series_are_byte_stable(self):
+        """The table-driven renderer emits the page the two hand-written
+        per-section renderers did (expected text captured from them)."""
+        service_stats = {
+            "beta": {
+                "queries": 7,
+                "batches": 2,
+                "cache_hits": 3,
+                "query_seconds": 0.25,
+                "queries_per_second": 28.0,
+                "cache_hit_ratio": 0.5,
+                "mean_latency_ms": 1.5,
+                "p50_latency_ms": 1.25,
+                "p95_latency_ms": 2.75,
+                "mutation": {"n_pending": 4, "n_tombstones": 1, "mutation_pressure": 0.125},
+                "collection": {
+                    "name": "beta",
+                    "generation": 3,
+                    "last_seq": 17,
+                    "wal_ops": 5,
+                    "wal_bytes": 2048,
+                    "sync": "always",
+                },
+            },
+            "alpha": {
+                "queries": 0,
+                "batches": 0,
+                "cache_hits": 0,
+                "query_seconds": 0.0,
+                "queries_per_second": 0.0,
+                "cache_hit_ratio": 0.0,
+                "mutation": {"n_pending": 0},
+            },
+        }
+        tenant_stats = {
+            'we"ird\\name': {
+                "queries": 5,
+                "query_rows": 40,
+                "cache_hits": 8,
+                "write_calls": 1,
+                "quota_denials": 2,
+                "latency_seconds_sum": 0.5,
+                "vectors_used": 12,
+                "max_vectors": None,
+                "qps_bucket": {"tokens": 3.5, "denied": 2},
+                "cache": {"entries": 6, "cache_bytes": 960, "hits": 8, "evictions": 1},
+            },
+            "acme": {
+                "queries": 1,
+                "query_rows": 1,
+                "cache_hits": 0,
+                "write_calls": 0,
+                "quota_denials": 0,
+                "latency_seconds_sum": 0.125,
+                "vectors_used": 0,
+                "write_bucket": {"tokens": 1.0, "denied": 0},
+            },
+        }
+        text = ServerMetrics().render(
+            service_stats=service_stats, tenant_stats=tenant_stats
+        )
+        assert lint_prometheus_text(text) == []
+        assert text[text.index("# HELP repro_service_") :] == _STATS_SERIES_PAGE
 
     def test_full_stack_metrics_page_is_clean(self, tmp_path, data):
         """Every layer at once: tenants over sharded sq8 + replication."""

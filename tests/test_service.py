@@ -2,11 +2,16 @@
 
 The two central guarantees:
 
-* the thread-pooled ``search_batch`` path returns results bitwise
-  identical to the serial path for **every** registered index;
+* ``search_batch`` called from several threads at once returns results
+  bitwise identical to the single-thread answer for **every** registered
+  index;
 * a router with several named indexes round-trips through deployment
   save/restore and serves identical results after reload.
 """
+
+import json
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -275,38 +280,46 @@ class TestCacheFreshness:
 
 @pytest.mark.parametrize("name", sorted(TINY_PARAMS))
 class TestThreadedMatchesSerial:
-    """Concurrency correctness: the thread pool must not change any answer."""
+    """Concurrency correctness: callers on several threads at once (what the
+    HTTP server's executor does) must each get the single-thread answer."""
 
     def test_threaded_bitwise_identical_to_serial(self, name, service_dataset):
         index = make_index(name, **TINY_PARAMS[name]).build(service_dataset.base)
-        service = SearchService(index, batch_size=4, max_workers=4)
+        service = SearchService(index, batch_size=4)
         request = QueryRequest(k=5, probes=2)
-        serial = service.search_batch(service_dataset.queries, request, mode="serial")
-        threaded = service.search_batch(service_dataset.queries, request, mode="threaded")
-        assert serial.mode == "serial" and threaded.mode == "threaded"
-        np.testing.assert_array_equal(serial.ids, threaded.ids)
-        np.testing.assert_array_equal(serial.distances, threaded.distances)
+        serial = service.search_batch(service_dataset.queries, request)
+        callers = 4
+        barrier = threading.Barrier(callers)
+
+        def call() -> BatchResult:
+            barrier.wait(timeout=30)
+            return service.search_batch(service_dataset.queries, request)
+
+        with ThreadPoolExecutor(max_workers=callers) as pool:
+            futures = [pool.submit(call) for _ in range(callers)]
+            results = [future.result(timeout=60) for future in futures]
+        for threaded in results:
+            np.testing.assert_array_equal(serial.ids, threaded.ids)
+            np.testing.assert_array_equal(serial.distances, threaded.distances)
 
 
-class TestExecutionModes:
-    def test_auto_mode_thresholds(self, kmeans_index, service_dataset):
-        service = SearchService(
-            kmeans_index, batch_size=4, parallel_threshold=16, max_workers=2
-        )
-        small = service.search_batch(service_dataset.queries[:8], k=3, probes=1)
-        large = service.search_batch(service_dataset.queries, k=3, probes=1)
-        assert small.mode == "serial"
-        assert large.mode == "threaded"
+class TestClose:
+    def test_context_manager_closes_the_index_pool(self, service_dataset):
+        from repro.shard import ShardedIndex
 
-    def test_unknown_mode_rejected(self, kmeans_service, service_dataset):
-        with pytest.raises(ValidationError, match="unknown execution mode"):
-            kmeans_service.search_batch(service_dataset.queries, mode="warp-speed")
+        index = ShardedIndex(2, compact_threshold=None).build(service_dataset.base)
+        with SearchService(index, batch_size=4) as service:
+            before = service.search_batch(service_dataset.queries, k=3)
+            assert index._pool is not None
+        assert index._pool is None
+        # the pool is recreated on demand: a closed service still serves
+        after = service.search_batch(service_dataset.queries, k=3)
+        np.testing.assert_array_equal(before.ids, after.ids)
 
-    def test_context_manager_closes_pool(self, kmeans_index, service_dataset):
-        with SearchService(kmeans_index, batch_size=4) as service:
-            service.search_batch(service_dataset.queries, k=3, probes=1, mode="threaded")
-            assert service._pool is not None
-        assert service._pool is None
+    def test_close_without_an_index_close_is_a_no_op(self, kmeans_service, service_dataset):
+        kmeans_service.close()
+        kmeans_service.close()
+        assert kmeans_service.search_batch(service_dataset.queries, k=3).n_queries == 24
 
 
 class TestRouter:
@@ -373,6 +386,22 @@ class TestRouter:
         # service configuration (cache size, default request) is restored too
         assert reloaded.service("kmeans").cache is not None
         assert reloaded.service("kmeans").cache.max_entries == 16
+
+    def test_manifest_written_by_an_earlier_version_still_loads(
+        self, router, service_dataset, tmp_path
+    ):
+        """``max_workers`` / ``parallel_threshold`` were service options once."""
+        deployment = router.save(tmp_path / "deployment")
+        manifest_file = deployment / "router.json"
+        manifest = json.loads(manifest_file.read_text())
+        for config in manifest["services"].values():
+            config.update(max_workers=4, parallel_threshold=512)
+        manifest_file.write_text(json.dumps(manifest))
+        reloaded = Router.load(deployment)
+        before = router.search_batch(service_dataset.queries, name="kmeans", k=5, probes=2)
+        after = reloaded.search_batch(service_dataset.queries, name="kmeans", k=5, probes=2)
+        np.testing.assert_array_equal(before.ids, after.ids)
+        assert "max_workers" not in reloaded.service("kmeans").service_config()
 
     def test_save_empty_router_raises(self, tmp_path):
         with pytest.raises(SerializationError, match="empty router"):

@@ -16,6 +16,8 @@ The central guarantees:
   plus manifests.
 """
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -119,7 +121,7 @@ def test_merge_exact_for_every_partitioner(partitioner, shard_dataset):
     np.testing.assert_array_equal(expected, got)
 
 
-@pytest.mark.parametrize("parallel", ["serial", "thread", "process"])
+@pytest.mark.parametrize("parallel", ["serial", "thread"])
 def test_parallel_modes_build_identical_indexes(parallel, shard_dataset):
     index = ShardedIndex(3, parallel=parallel).build(shard_dataset.base)
     reference = ShardedIndex(3, parallel="serial").build(shard_dataset.base)
@@ -314,6 +316,22 @@ class TestPersistence:
         assert (path / "index.json").is_file()
         for shard in range(3):
             assert (path / f"shard-{shard}" / "index.json").is_file()
+
+    def test_artifact_saved_with_the_removed_process_mode_loads_as_thread(
+        self, shard_dataset, tmp_path
+    ):
+        index = ShardedIndex(3).build(shard_dataset.base)
+        path = index.save(tmp_path / "sharded")
+        manifest = json.loads((path / "index.json").read_text())
+        manifest["config"]["parallel"] = "process"  # what older versions could write
+        (path / "index.json").write_text(json.dumps(manifest))
+        reloaded = load_index(path)
+        assert reloaded.parallel == "thread"
+        expected, _ = index.batch_query(shard_dataset.queries, 5)
+        got, _ = reloaded.batch_query(shard_dataset.queries, 5)
+        np.testing.assert_array_equal(expected, got)
+        with pytest.raises(ConfigurationError, match="unknown parallel mode"):
+            ShardedIndex(3, parallel="process")
 
     def test_mutations_round_trip_through_save_load(self, shard_dataset, tmp_path):
         """Acceptance: add/remove/compact survive persistence."""

@@ -30,7 +30,8 @@ from hypothesis import strategies as st
 from repro.api import make_index
 from repro.filter import And, AttributeStore, Eq, Range
 from repro.net import SearchServer, ServerConfig, request_json
-from repro.net.metrics import ServerMetrics, escape_label_value, format_labels
+from repro.net.metrics import ServerMetrics
+from repro.obs.metrics import escape_label_value, format_labels
 from repro.service import QueryRequest, Router, SearchService
 from repro.service.cache import QueryCache
 from repro.tenant import (

@@ -132,29 +132,34 @@ class TestBatchResultRoundTrip:
         st.integers(0, 12),  # n_queries: includes the empty batch
         st.integers(1, 8),
         st.floats(0.001, 10, allow_nan=False),
-        st.sampled_from(["serial", "parallel", "auto"]),
+        st.sampled_from([None, "serial", "threaded"]),  # key older servers sent
         st.integers(0, 5),
         st.one_of(st.none(), st.floats(0, 1, allow_nan=False)),
     )
-    def test_round_trip(self, request, seed, n, k, elapsed, mode, cache_hits, recall):
+    def test_round_trip(
+        self, request, seed, n, k, elapsed, legacy_mode, cache_hits, recall
+    ):
         rng = np.random.default_rng(seed)
         result = BatchResult(
             ids=rng.integers(0, 10_000, size=(n, k)).astype(np.int64),
             distances=np.sort(rng.random((n, k)), axis=1),
             request=request.with_updates(k=k),
             elapsed_seconds=elapsed,
-            mode=mode,
             cache_hits=min(cache_hits, n),
             recall=recall,
         )
-        wire = over_the_wire(result.as_dict())
+        wire = result.as_dict()
+        assert "mode" not in wire
+        if legacy_mode is not None:
+            wire["mode"] = legacy_mode
+        wire = over_the_wire(wire)
         returned = BatchResult.from_dict(wire)
         np.testing.assert_array_equal(returned.ids, result.ids)
         np.testing.assert_array_equal(returned.distances, result.distances)
         assert returned.ids.shape == (n, k)
         assert returned.n_queries == n
         assert returned.elapsed_seconds == elapsed
-        assert returned.mode == mode
+        assert not hasattr(returned, "mode")
         assert returned.cache_hits == result.cache_hits
         assert returned.recall == recall
         assert returned.request.as_dict() == result.request.as_dict()
