@@ -138,7 +138,6 @@ def run_quant_benchmark(smoke: bool = False):
                 "recall": round(recall_at_k(ids, data.ground_truth, K), 4),
             }
         )
-        sharded.close()
 
     # -- memmap: the loaded index re-ranks from disk, not from RAM ------ #
     with tempfile.TemporaryDirectory() as tmp:

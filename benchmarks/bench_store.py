@@ -55,7 +55,7 @@ SMOKE_SCALE = dict(
 def build_collection(root, scale, *, sync: str, with_store: bool = True) -> Collection:
     rng = np.random.default_rng(7)
     base = rng.normal(size=(scale["n_points"], scale["dim"]))
-    index = ShardedIndex(4, compact_threshold=None, parallel="serial").build(base)
+    index = ShardedIndex(4, compact_threshold=None).build(base)
     if with_store:
         index.set_attributes(random_attribute_store(scale["n_points"], seed=11))
     return Collection.create(root, index, sync=sync)

@@ -130,8 +130,8 @@ def main() -> None:
     # One monolithic build stops scaling at some dataset size.  A
     # ShardedIndex spreads the same logical index over N child indexes
     # (any registered backend, mixed backends allowed): a partitioner
-    # assigns base vectors to shards, the offline phase builds shards in
-    # parallel, and queries scatter-gather with an exact global top-k
+    # assigns base vectors to shards, the offline phase builds each
+    # shard, and queries scatter-gather with an exact global top-k
     # merge — sharded bruteforce returns exactly what a single
     # bruteforce index would.
     sharded = make_index("sharded", n_shards=4, spec="kmeans",

@@ -4,8 +4,8 @@ Run with:  python examples/sharded_serving.py
 
 The end-to-end scaling story of ``repro.shard``:
 
-1. build a ``ShardedIndex`` whose offline phase runs shard builds in
-   parallel (and compare against the serial build);
+1. build a ``ShardedIndex`` (a partitioner assigns vectors to shards,
+   each shard is its own registered backend);
 2. mutate the live deployment — ``add`` new vectors, ``remove`` ids,
    ``compact`` — while every query keeps answering exactly;
 3. host it behind a ``Router`` next to an exact single-node tier, save
@@ -31,7 +31,7 @@ def main() -> None:
     data = sift_like(n_points=8000, n_queries=200, dim=64, n_clusters=12, seed=7)
     print(f"dataset: base={data.base.shape} queries={data.queries.shape}")
 
-    # 1. Parallel shard build: four IVF shards, kmeans-routed so each
+    # 1. Shard build: four IVF shards, kmeans-routed so each
     #    shard owns a spatially coherent region of the dataset.
     sharded = ShardedIndex(
         4,
@@ -40,16 +40,7 @@ def main() -> None:
         partitioner="kmeans",
         compact_threshold=0.25,
     ).build(data.base)
-    serial = ShardedIndex(
-        4,
-        spec="ivf-flat",
-        shard_params=dict(n_lists=16, seed=0),
-        partitioner="kmeans",
-        parallel="serial",
-    ).build(data.base)
-    print(f"parallel build {sharded.build_seconds:.2f}s vs serial "
-          f"{serial.build_seconds:.2f}s "
-          f"({serial.build_seconds / max(sharded.build_seconds, 1e-9):.1f}x), "
+    print(f"build {sharded.build_seconds:.2f}s, "
           f"shard sizes {sharded.shard_sizes().tolist()}")
 
     retrieved, _ = sharded.batch_query(data.queries, k=10, probes=4)

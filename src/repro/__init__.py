@@ -18,7 +18,7 @@ HNSW, ScaNN) — into one system behind a single public API:
   ``.npz`` arrays), answering queries bitwise-identically after reload.
 * Serving — :class:`repro.service.SearchService` wraps any built or
   reloaded index with typed :class:`repro.service.QueryRequest` requests,
-  micro-batching, thread-pooled execution, an optional LRU result cache,
+  micro-batching, an optional LRU result cache,
   and latency/throughput/recall counters; :class:`repro.service.Router`
   hosts several named services with capability-based dispatch and
   whole-deployment save/restore.

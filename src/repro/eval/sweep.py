@@ -196,14 +196,6 @@ class ShardScalingPoint:
     build_seconds: float
     queries_per_second: float
     accuracy: float
-    serial_build_seconds: Optional[float] = None
-
-    @property
-    def build_speedup(self) -> Optional[float]:
-        """Parallel-build speedup over the serial shard-by-shard build."""
-        if self.serial_build_seconds is None or self.build_seconds <= 0:
-            return None
-        return self.serial_build_seconds / self.build_seconds
 
 
 def shard_scaling_curve(
@@ -215,17 +207,13 @@ def shard_scaling_curve(
     partitioner: str = "round-robin",
     k: int = 10,
     probes: Optional[int] = None,
-    compare_serial_build: bool = False,
 ) -> List[ShardScalingPoint]:
     """Sweep shard counts and record build cost, throughput, and accuracy.
 
     For each count a :class:`repro.shard.ShardedIndex` over ``spec``
-    back-ends is built (thread-parallel) and served through
+    back-ends is built and served through
     :class:`~repro.service.SearchService` — the same instrumented path as
-    every other curve.  With ``compare_serial_build`` the offline phase is
-    additionally rebuilt shard-by-shard so each point carries the
-    parallel-over-serial build speedup (the scaling claim of
-    ``benchmarks/bench_shard.py``).
+    every other curve.
     """
     from ..shard import ShardedIndex
 
@@ -239,16 +227,6 @@ def shard_scaling_curve(
             shard_params=shard_params,
             partitioner=partitioner,
         ).build(dataset.base)
-        serial_seconds = None
-        if compare_serial_build and n_shards > 1:
-            serial = ShardedIndex(
-                int(n_shards),
-                spec=spec,
-                shard_params=shard_params,
-                partitioner=partitioner,
-                parallel="serial",
-            ).build(dataset.base)
-            serial_seconds = serial.build_seconds
         service = SearchService(index)
         batch = service.search_batch(queries, QueryRequest(k=k, probes=probes))
         points.append(
@@ -257,10 +235,8 @@ def shard_scaling_curve(
                 build_seconds=index.build_seconds,
                 queries_per_second=batch.queries_per_second,
                 accuracy=knn_accuracy(batch.ids, ground_truth, k),
-                serial_build_seconds=serial_seconds,
             )
         )
-        index.close()
     return points
 
 

@@ -10,11 +10,10 @@ spans.  The design goals, in order:
    no clock read.  Layers instrument unconditionally and pay nothing
    unless a trace is live.
 2. **Propagates everywhere the query goes.**  In process the context
-   rides :mod:`contextvars` (copy the context into thread-pool tasks —
-   a single Context object cannot be entered concurrently, so scatter
-   paths take one context copy per task).  Across HTTP it rides a
-   W3C ``traceparent``-style header: clients inject, servers extract,
-   replication polls forward.
+   rides :mod:`contextvars` (the HTTP server copies the context into
+   its executor task, the one thread hop a request makes).  Across
+   HTTP it rides a W3C ``traceparent``-style header: clients inject,
+   servers extract, replication polls forward.
 3. **The interesting traces survive.**  Head sampling decides whether a
    request records spans at all; tail rules (slow or errored requests)
    still leave a root-only record even when head sampling said no, and
@@ -134,10 +133,9 @@ class Span:
 class TraceContext:
     """One in-flight trace: identity, the root span, finished child spans.
 
-    Thread-safe on the append path — shard scatter and service batching
-    finish spans from executor threads while the event loop owns the
-    root.  ``max_spans`` bounds memory per trace; overflow is counted,
-    not silently swallowed.
+    Thread-safe on the append path — the request's executor thread
+    finishes spans while the event loop owns the root.  ``max_spans``
+    bounds memory per trace; overflow is counted, not silently swallowed.
     """
 
     __slots__ = ("trace_id", "root", "started_at", "spans", "spans_dropped",

@@ -287,9 +287,9 @@ class SearchService:
         """Close the served index, if it has anything to close.
 
         The service owns no threads; this forwards to the index's own
-        ``close()`` when there is one (:class:`~repro.shard.ShardedIndex`
-        shuts down its scatter pool and recreates it on demand, so the
-        service stays usable).  Idempotent.
+        ``close()`` when there is one.  A served
+        :class:`~repro.store.Collection` stays open: whoever created it
+        closes it.  Idempotent.
         """
         close = getattr(self.index, "close", None)
         if callable(close):

@@ -3,7 +3,7 @@
 One logical index, N child shards (any registered backend, mixed
 backends allowed):
 
-* :class:`ShardedIndex` — parallel shard builds, scatter-gather queries
+* :class:`ShardedIndex` — shard-by-shard builds, scatter-gather queries
   with an exact global top-k merge, post-build ``add`` / ``remove`` /
   ``compact`` mutation, and persistence as a directory of shard
   artifacts plus a manifest;
@@ -29,7 +29,7 @@ from .partitioner import (
     available_partitioners,
     make_partitioner,
 )
-from .sharded import PARALLEL_MODES, ShardedIndex
+from .sharded import ShardedIndex
 
 __all__ = [
     "ContiguousPartitioner",
@@ -38,6 +38,5 @@ __all__ = [
     "RoundRobinPartitioner",
     "available_partitioners",
     "make_partitioner",
-    "PARALLEL_MODES",
     "ShardedIndex",
 ]

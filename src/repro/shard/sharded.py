@@ -4,9 +4,10 @@
 (any registered backend, mixed backends allowed):
 
 * the offline phase partitions the base with a
-  :class:`~repro.shard.partitioner.Partitioner` and builds every shard in
-  parallel on a thread pool;
-* ``query`` / ``batch_query`` scatter to all shards and gather with an
+  :class:`~repro.shard.partitioner.Partitioner` and builds every shard,
+  one after the other;
+* ``query`` / ``batch_query`` scan every shard in turn on the calling
+  thread (BLAS already uses the cores inside each scan) and gather with an
   exact global top-k merge over the shard-local results (re-ranked
   distances, local ids remapped to global ids), so a sharded exact
   backend returns exactly what the unsharded backend would — identically
@@ -25,25 +26,19 @@ like any other registered index, including through ``Router.save``.
 
 from __future__ import annotations
 
-import contextvars
 import inspect
-import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
 from ..api.protocol import IndexCapabilities, RegisteredIndex
-from ..obs.trace import current_trace, span
+from ..obs.trace import span
 from ..api.registry import get_spec, register_index
 from ..utils.distances import pairwise_topk
 from ..utils.exceptions import ConfigurationError, NotFittedError, ValidationError
 from ..utils.validation import as_float_matrix, as_query_matrix, check_positive_int
 from .partitioner import Partitioner, make_partitioner, partitioner_from_state
-
-#: parallel build/scatter strategies
-PARALLEL_MODES = ("thread", "serial")
 
 _SHARDED_CAPABILITIES = IndexCapabilities(
     metrics=("euclidean", "sqeuclidean", "cosine"),
@@ -86,14 +81,6 @@ def _instantiate_child(name: str, params: Mapping[str, Any], metric: str):
     return child
 
 
-def _build_shard(args):
-    """Build one shard from a ``(name, params, metric, subset)`` task."""
-    name, params, metric, subset = args
-    if subset.shape[0] == 0:
-        return None
-    return _instantiate_child(name, params, metric).build(subset)
-
-
 @register_index(
     "sharded",
     capabilities=_SHARDED_CAPABILITIES,
@@ -120,12 +107,6 @@ class ShardedIndex(RegisteredIndex):
     metric:
         Distance metric used by the pending-buffer scan and passed
         through to every shard that supports it.
-    parallel:
-        ``"thread"`` (default; NumPy kernels release the GIL so shard
-        builds and the query fan-out genuinely overlap) or ``"serial"``.
-    max_workers:
-        Pool width for parallel build/scatter (default: one per shard,
-        capped at 8).
     compact_threshold:
         Auto-compact when ``(pending + tombstoned) / live`` exceeds this
         fraction after a mutation; ``None`` disables auto-compaction
@@ -150,20 +131,10 @@ class ShardedIndex(RegisteredIndex):
         shard_params=None,
         partitioner="round-robin",
         metric: str = "euclidean",
-        parallel: str = "thread",
-        max_workers: Optional[int] = None,
         compact_threshold: Optional[float] = 0.25,
     ) -> None:
         self.n_shards = check_positive_int(n_shards, "n_shards")
-        if parallel not in PARALLEL_MODES:
-            raise ConfigurationError(
-                f"unknown parallel mode {parallel!r}; expected one of {PARALLEL_MODES}"
-            )
-        self.parallel = parallel
         self.metric = str(metric)
-        self.max_workers = (
-            int(max_workers) if max_workers else min(self.n_shards, 8)
-        )
         if compact_threshold is not None and float(compact_threshold) <= 0:
             raise ConfigurationError("compact_threshold must be positive (or None)")
         self.compact_threshold = (
@@ -194,8 +165,6 @@ class ShardedIndex(RegisteredIndex):
         self._dead_per_shard = np.zeros(self.n_shards, dtype=np.int64)
         self.version = 0  # bumped on every add/remove/compact (cache keys)
         self.build_seconds: float = 0.0
-        self._pool: Optional[ThreadPoolExecutor] = None
-        self._pool_lock = threading.Lock()
 
     # ------------------------------------------------------------------ #
     # configuration plumbing
@@ -242,7 +211,7 @@ class ShardedIndex(RegisteredIndex):
     # offline phase
     # ------------------------------------------------------------------ #
     def build(self, base: np.ndarray) -> "ShardedIndex":
-        """Partition ``base`` and build every shard (in parallel)."""
+        """Partition ``base`` and build every shard."""
         start = time.perf_counter()
         data = as_float_matrix(base, name="base")
         labels = np.asarray(
@@ -291,14 +260,12 @@ class ShardedIndex(RegisteredIndex):
         shard_ids = [
             ids[labels == shard] for shard in range(self.n_shards)
         ]
-        tasks = [
-            (name, params, self.metric, self._data[members])
+        shards = [
+            _instantiate_child(name, params, self.metric).build(self._data[members])
+            if members.shape[0]
+            else None
             for (name, params), members in zip(self._specs, shard_ids)
         ]
-        if self.parallel == "serial" or self.n_shards == 1:
-            shards = [_build_shard(task) for task in tasks]
-        else:
-            shards = list(self._executor().map(_build_shard, tasks))
         self._serve_state = (shards, shard_ids, np.empty(0, dtype=np.int64))
 
     @property
@@ -411,21 +378,6 @@ class ShardedIndex(RegisteredIndex):
     # ------------------------------------------------------------------ #
     # scatter-gather querying
     # ------------------------------------------------------------------ #
-    def _executor(self) -> ThreadPoolExecutor:
-        with self._pool_lock:
-            if self._pool is None:
-                self._pool = ThreadPoolExecutor(
-                    max_workers=self.max_workers, thread_name_prefix="shard"
-                )
-            return self._pool
-
-    def close(self) -> None:
-        """Shut down the scatter/build thread pool (recreated on demand)."""
-        with self._pool_lock:
-            if self._pool is not None:
-                self._pool.shutdown(wait=True)
-                self._pool = None
-
     def _child_kwargs(self, child, probes: Optional[int]) -> Dict[str, int]:
         """Translate the composite ``probes`` knob for one shard backend.
 
@@ -453,8 +405,8 @@ class ShardedIndex(RegisteredIndex):
         """Run ``batch_query`` on every non-empty shard, remapped to global ids.
 
         ``shards`` / ``shard_ids`` come from the caller's atomic
-        serve-state snapshot, so every worker maps local ids through the
-        table matching the shard it queried.  Each shard over-fetches by
+        serve-state snapshot, so local ids map through the table matching
+        the shard that was queried.  Each shard over-fetches by
         the number of tombstones still inside *its own* structure: even
         if every dead id outranked the live ones, the shard still
         surfaces ``k`` live candidates.
@@ -466,17 +418,15 @@ class ShardedIndex(RegisteredIndex):
         queried at all.
         """
         dead_per_shard = self._dead_per_shard
-
-        def run(shard: int) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-            child = shards[shard]
-            members = shard_ids[shard]
+        parts: List[Tuple[np.ndarray, np.ndarray]] = []
+        for shard, (child, members) in enumerate(zip(shards, shard_ids)):
             if child is None or members.shape[0] == 0:
-                return None
+                continue
             local_mask = None
             if mask is not None:
                 local_mask = mask[members]
                 if not local_mask.any():
-                    return None
+                    continue
                 if local_mask.all():
                     # Every member survives: the unfiltered fast path
                     # returns identical results without planner overhead.
@@ -504,27 +454,8 @@ class ShardedIndex(RegisteredIndex):
             global_ids = np.where(
                 valid, members[np.clip(local_ids, 0, members.shape[0] - 1)], -1
             )
-            return global_ids, distances
-
-        shard_range = range(self.n_shards)
-        if self.parallel == "thread" and self.n_shards > 1:
-            if current_trace() is not None:
-                # One context copy per shard task: a Context cannot be
-                # entered concurrently, and the copies carry the active
-                # trace so per-shard scan spans join the request's tree.
-                contexts = [contextvars.copy_context() for _ in shard_range]
-                results = list(
-                    self._executor().map(
-                        lambda context, shard: context.run(run, shard),
-                        contexts,
-                        shard_range,
-                    )
-                )
-            else:
-                results = list(self._executor().map(run, shard_range))
-        else:
-            results = [run(shard) for shard in shard_range]
-        return [result for result in results if result is not None]
+            parts.append((global_ids, distances))
+        return parts
 
     def _pending_topk(
         self,
@@ -792,7 +723,6 @@ class ShardedIndex(RegisteredIndex):
         stats.update(
             {
                 "partitioner": self.partitioner.name,
-                "parallel": self.parallel,
                 "pending": self.n_pending,
                 "tombstones": self.n_tombstones,
                 "mutation_pressure": self.mutation_pressure,
@@ -826,8 +756,6 @@ class ShardedIndex(RegisteredIndex):
             "n_shards": int(self.n_shards),
             "specs": [[name, params] for name, params in self._specs],
             "metric": self.metric,
-            "parallel": self.parallel,
-            "max_workers": int(self.max_workers),
             "compact_threshold": self.compact_threshold,
             "routing": routing_config,
             "version": int(self.version),
@@ -857,19 +785,14 @@ class ShardedIndex(RegisteredIndex):
     @classmethod
     def _from_state(cls, config, arrays, load_child):
         specs = [(str(name), dict(params)) for name, params in config["specs"]]
-        parallel = str(config.get("parallel", "thread"))
-        if parallel == "process":
-            # Written by versions that had a process build pool.  Answers
-            # never depended on it, so the artefact loads as the default.
-            parallel = "thread"
+        # Manifests written by older versions also carry thread-pool
+        # settings; they are ignored: answers never depended on them.
         index = cls(
             int(config["n_shards"]),
             spec=[name for name, _ in specs],
             shard_params=[params for _, params in specs],
             partitioner=partitioner_from_state(dict(config.get("routing", {})), arrays),
             metric=str(config.get("metric", "euclidean")),
-            parallel=parallel,
-            max_workers=int(config.get("max_workers", 0)) or None,
             compact_threshold=config.get("compact_threshold"),
         )
         index._adopt_stores(

@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 from repro.core import (
     KnnMatrix,
     LossBreakdown,
+    PartitionModel,
     balance_cost,
+    build_mlp_module,
     build_knn_matrix,
     entropy_balance_cost,
     neighbor_bin_distribution,
@@ -17,6 +19,8 @@ from repro.core import (
 )
 from repro.nn import Tensor
 from repro.utils.exceptions import ValidationError
+
+from test_nn_tensor import numerical_gradient
 
 
 class TestKnnMatrix:
@@ -183,6 +187,57 @@ class TestUspLoss:
         loss.backward()
         assert logits.grad is not None
         assert np.abs(logits.grad).sum() > 0
+
+    @pytest.mark.parametrize("balance_term", ["topk", "entropy"])
+    def test_gradient_matches_central_finite_differences(self, balance_term):
+        """Every parameter's analytic gradient of the full loss, checked numerically.
+
+        The paper's network in miniature (Linear, BatchNorm in training
+        mode, ReLU, Linear; dropout off so the loss is a function).  The
+        neighbour bins are constants, as in training.
+        """
+        n_bins, batch, eta = 4, 12, 5.0
+        rng = np.random.default_rng(3)
+        model = PartitionModel(
+            build_mlp_module(6, n_bins, hidden_dim=5, dropout=0.0, rng=rng),
+            dim=6,
+            n_bins=n_bins,
+        )
+        model.train()
+        points = rng.normal(size=(batch, 6))
+        neighbor_bins = rng.integers(0, n_bins, size=(batch, 3))
+
+        def loss():
+            return usp_loss(
+                model.forward_logits(points), neighbor_bins, n_bins, eta,
+                balance_term=balance_term,
+            )[0]
+
+        # The loss is only piecewise smooth: the top-k window picks rows
+        # and ReLU picks sides.  Neither choice may flip within a step.
+        probabilities = np.sort(
+            model.forward_logits(points).softmax(axis=-1).data, axis=0
+        )
+        window = batch // n_bins
+        assert (probabilities[-window] - probabilities[-window - 1]).min() > 1e-3
+        hidden = model.module[1](model.module[0](Tensor(points))).data
+        assert np.abs(hidden).min() > 1e-3
+
+        loss().backward()
+        for parameter in model.parameters():
+            original = parameter.data.copy()
+
+            def loss_at(value):
+                parameter.data[...] = value
+                return loss().item()
+
+            numeric = numerical_gradient(loss_at, original)
+            parameter.data[...] = original
+            # atol: the first Linear's bias has gradient exactly 0 (BatchNorm
+            # subtracts the batch mean), where a relative bound means nothing
+            np.testing.assert_allclose(
+                parameter.grad, numeric, rtol=1e-5, atol=1e-8, err_msg=parameter.name
+            )
 
     def test_quality_zero_when_model_matches_neighbors_exactly(self):
         # All neighbours in bin 1 and the model predicts bin 1 with certainty.

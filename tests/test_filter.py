@@ -281,7 +281,6 @@ class TestResolveAndPlan:
         sharded.set_attributes(AttributeStore().add_numeric("v", [0.0, 1.0]))
         mask = resolve_filter(Range("v", low=-1.0), sharded, 4)
         np.testing.assert_array_equal(mask, [True, True, False, False])
-        sharded.close()
         # Immutable indexes: a short store is a caller bug, not a lag —
         # it must fail loudly instead of silently excluding tail ids.
         bf = make_index("bruteforce").build(np.eye(4))
@@ -357,7 +356,6 @@ class TestResolveAndPlan:
         assert not np.isin(ids[ids >= 0], removed).any()
         expected, _ = sharded.batch_query(queries, 5, filter=predicate)
         np.testing.assert_array_equal(ids, expected)
-        sharded.close()
 
     def test_postfilter_stops_when_candidate_pool_is_exhausted(self):
         # With n_probes fixed, a larger fetch cannot add candidates; the
@@ -453,8 +451,6 @@ class TestFilteredBackends:
             assert mask[returned].all(), (name, predicate)
             # padding is well-formed: -1 ids pair with inf distances
             assert np.isinf(distances[ids < 0]).all()
-        if hasattr(index, "close"):
-            index.close()
 
     def test_single_query_matches_batch(self, search_setup):
         data, store = search_setup
@@ -544,7 +540,6 @@ class TestShardedFilterProperty:
             # (BLAS accumulation order varies with the scanned matrix shape)
             np.testing.assert_array_equal(got_ids, expected_ids)
             np.testing.assert_allclose(got_distances, expected_distances, rtol=1e-12)
-        sharded.close()
 
     def test_filtered_quant_matches_bruteforce_over_subset(self):
         # Inline masks over code rows: with the over-fetch budget
@@ -626,7 +621,6 @@ class TestShardedFilterProperty:
         )
         got_ids, _ = sharded.batch_query(queries, 10, filter=predicate)
         np.testing.assert_array_equal(got_ids, expected_ids)
-        sharded.close()
 
 
 # ---------------------------------------------------------------------- #

@@ -397,6 +397,18 @@ class TestSpanTreeProperty:
         for child in payload["spans"][1:]:
             assert child["duration_seconds"] <= root["duration_seconds"] + 1e-6
 
+    def test_one_scan_span_per_shard_parented_in_the_request(self, stacks):
+        target, _ = stacks["sharded"]
+        _, payload = traced(
+            lambda: target.search_batch(np.zeros((3, DIM)), QueryRequest(k=5))
+        )
+        assert validate_span_tree(payload) == []
+        by_id = {s["span_id"]: s for s in payload["spans"]}
+        scans = [s for s in payload["spans"] if s["name"] == "shard.scan"]
+        assert [s["attributes"]["shard"] for s in scans] == [0, 1]
+        for scan in scans:
+            assert by_id[scan["parent_id"]]["name"] == "service.search"
+
     def test_untraced_calls_record_nothing(self, stacks):
         target, _ = stacks["sharded-quant"]
         assert current_trace() is None

@@ -56,7 +56,7 @@ class TestTruncatedArrays:
             load_index(path)
 
     def test_truncated_attribute_arrays_raise(self, tmp_path, base):
-        index = ShardedIndex(2, parallel="serial").build(base)
+        index = ShardedIndex(2).build(base)
         index.set_attributes(random_attribute_store(base.shape[0], seed=1))
         path = tmp_path / "with-attrs"
         index.save(path)
@@ -69,7 +69,7 @@ class TestTruncatedArrays:
 class TestMissingArtifacts:
     def test_missing_shard_artifact_raises(self, tmp_path, base):
         path = tmp_path / "sharded"
-        ShardedIndex(3, parallel="serial").build(base).save(path)
+        ShardedIndex(3).build(base).save(path)
         shutil.rmtree(path / "shard-1")
         with pytest.raises(SerializationError, match="not a saved index"):
             load_index(path)

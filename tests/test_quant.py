@@ -72,25 +72,21 @@ class TestTwoStageExactness:
         base = rng.normal(size=(n, dim))
         queries = rng.normal(size=(5, dim))
         index = _build(backend, base, metric=metric, sharded=sharded)
-        try:
-            ids, distances = index.batch_query(queries, k)
-            assert ids.shape == distances.shape == (5, k)
-            assert (ids >= 0).all()
-            # Stage 2 stores float32: the exactness bound is brute force
-            # over the float32 copy (the cast to float64 inside the
-            # metric kernels is value-preserving).
-            stored = np.asarray(base, dtype=np.float32)
-            full = get_metric(metric)(queries, stored)
-            rows = np.arange(5)[:, None]
-            np.testing.assert_allclose(
-                distances, full[rows, ids], rtol=1e-12, atol=0
-            )
-            # each row is sorted and duplicate-free — a real top-k
-            assert (np.diff(distances, axis=1) >= 0).all()
-            assert all(len(set(row)) == k for row in ids)
-        finally:
-            if hasattr(index, "close"):
-                index.close()
+        ids, distances = index.batch_query(queries, k)
+        assert ids.shape == distances.shape == (5, k)
+        assert (ids >= 0).all()
+        # Stage 2 stores float32: the exactness bound is brute force
+        # over the float32 copy (the cast to float64 inside the
+        # metric kernels is value-preserving).
+        stored = np.asarray(base, dtype=np.float32)
+        full = get_metric(metric)(queries, stored)
+        rows = np.arange(5)[:, None]
+        np.testing.assert_allclose(
+            distances, full[rows, ids], rtol=1e-12, atol=0
+        )
+        # each row is sorted and duplicate-free — a real top-k
+        assert (np.diff(distances, axis=1) >= 0).all()
+        assert all(len(set(row)) == k for row in ids)
 
     @settings(max_examples=6, deadline=None)
     @given(
@@ -142,13 +138,9 @@ class TestTwoStageExactness:
         for backend in sorted(QUANT_BACKENDS):
             for sharded in (False, True):
                 index = _build(backend, data.base, sharded=sharded, **realistic[backend])
-                try:
-                    ids, _ = index.batch_query(data.queries, 10)
-                    recall = recall_at_k(ids, data.ground_truth, 10)
-                    assert recall >= 0.9, (backend, sharded, recall)
-                finally:
-                    if hasattr(index, "close"):
-                        index.close()
+                ids, _ = index.batch_query(data.queries, 10)
+                recall = recall_at_k(ids, data.ground_truth, 10)
+                assert recall >= 0.9, (backend, sharded, recall)
 
     def test_rerank_knob_trades_recall_monotonically(self):
         data = sift_like(
@@ -356,7 +348,6 @@ class TestQuantPersistence:
         sharded = make_index("sharded-sq8", n_shards=2).build(base)
         ids, distances = sharded.batch_query(queries, 5)
         sharded.save(tmp_path / "shq")
-        sharded.close()
         reloaded = load_index(tmp_path / "shq")
         re_ids, re_distances = reloaded.batch_query(queries, 5)
         np.testing.assert_array_equal(ids, re_ids)
@@ -364,7 +355,6 @@ class TestQuantPersistence:
         # every child shard re-ranks from its own memmapped store
         for child in reloaded._shards:
             assert child.stats()["rerank_source"] == "memmap"
-        reloaded.close()
 
 
 # ---------------------------------------------------------------------- #

@@ -305,14 +305,19 @@ class TestThreadedMatchesSerial:
 
 class TestClose:
     def test_context_manager_closes_the_index_pool(self, service_dataset):
-        from repro.shard import ShardedIndex
+        """Leaving the ``with`` block calls the served index's own ``close()``.
 
-        index = ShardedIndex(2, compact_threshold=None).build(service_dataset.base)
+        No registered index owns a pool (or anything else to close) any
+        more; the forwarding is for index types that do.
+        """
+        index = make_index("bruteforce").build(service_dataset.base)
+        closed = []
+        index.close = lambda: closed.append(True)
         with SearchService(index, batch_size=4) as service:
             before = service.search_batch(service_dataset.queries, k=3)
-            assert index._pool is not None
-        assert index._pool is None
-        # the pool is recreated on demand: a closed service still serves
+            assert not closed
+        assert closed == [True]
+        # the service holds nothing of its own: closed, it still serves
         after = service.search_batch(service_dataset.queries, k=3)
         np.testing.assert_array_equal(before.ids, after.ids)
 

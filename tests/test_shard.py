@@ -121,14 +121,71 @@ def test_merge_exact_for_every_partitioner(partitioner, shard_dataset):
     np.testing.assert_array_equal(expected, got)
 
 
+def reload_with_legacy_pool_keys(index, path, parallel):
+    """Save ``index``, then reload it from a manifest an older version wrote.
+
+    Older versions had a thread-pool scatter and stored its settings in
+    the manifest config; a freshly saved manifest must carry neither key.
+    """
+    path = index.save(path)
+    manifest = json.loads((path / "index.json").read_text())
+    assert not {"parallel", "max_workers"} & set(manifest["config"])
+    manifest["config"].update({"parallel": parallel, "max_workers": 3})
+    (path / "index.json").write_text(json.dumps(manifest))
+    return load_index(path)
+
+
 @pytest.mark.parametrize("parallel", ["serial", "thread"])
-def test_parallel_modes_build_identical_indexes(parallel, shard_dataset):
-    index = ShardedIndex(3, parallel=parallel).build(shard_dataset.base)
-    reference = ShardedIndex(3, parallel="serial").build(shard_dataset.base)
-    got, _ = index.batch_query(shard_dataset.queries, 5)
-    expected, _ = reference.batch_query(shard_dataset.queries, 5)
-    np.testing.assert_array_equal(expected, got)
-    index.close()
+def test_parallel_modes_build_identical_indexes(parallel, shard_dataset, tmp_path):
+    """A manifest naming either removed mode loads to a fresh build's answers."""
+    saved = make_index("sharded-sq8", n_shards=3).build(shard_dataset.base)
+    reloaded = reload_with_legacy_pool_keys(saved, tmp_path / "legacy", parallel)
+    fresh = make_index("sharded-sq8", n_shards=3).build(shard_dataset.base)
+    expected = fresh.batch_query(shard_dataset.queries, 5)
+    got = reloaded.batch_query(shard_dataset.queries, 5)
+    np.testing.assert_array_equal(expected[0], got[0])
+    np.testing.assert_array_equal(expected[1], got[1])
+    for name in ("parallel", "max_workers", "close"):
+        assert not hasattr(reloaded, name)
+        assert name not in reloaded.stats()
+
+
+def test_every_shard_is_scanned_on_the_calling_thread(shard_dataset):
+    """The scatter is a loop on the caller's thread: no hand-off, no pool."""
+    import threading
+
+    index = ShardedIndex(3).build(shard_dataset.base)
+    scans = []  # (thread ident, shard) per child batch_query, in call order
+
+    def recording(shard, scan):
+        def batch_query(*args, **kwargs):
+            scans.append((threading.get_ident(), shard))
+            return scan(*args, **kwargs)
+
+        return batch_query
+
+    for shard, child in enumerate(index._shards):
+        child.batch_query = recording(shard, child.batch_query)
+
+    index.batch_query(shard_dataset.queries, 5)
+    assert scans == [(threading.get_ident(), shard) for shard in range(3)]
+
+    scans.clear()
+    together = threading.Barrier(2)  # both callers alive: distinct idents
+
+    def caller():
+        together.wait()
+        index.batch_query(shard_dataset.queries, 5)
+        together.wait()
+
+    callers = [threading.Thread(target=caller) for _ in range(2)]
+    for thread in callers:
+        thread.start()
+    for thread in callers:
+        thread.join()
+    assert len(scans) == 6
+    for thread in callers:
+        assert [s for ident, s in scans if ident == thread.ident] == [0, 1, 2]
 
 
 def test_more_shards_than_points_leaves_empty_shards_harmless():
@@ -161,8 +218,11 @@ def test_configuration_errors(shard_dataset):
         ShardedIndex(3, spec=["bruteforce"])
     with pytest.raises(ConfigurationError, match="does not support metric"):
         ShardedIndex(2, spec="ivf-flat", metric="cosine")
-    with pytest.raises(ConfigurationError, match="unknown parallel mode"):
-        ShardedIndex(2, parallel="quantum")
+    # the removed pool options are ordinary unknown keywords now
+    with pytest.raises(TypeError, match="parallel"):
+        ShardedIndex(2, parallel="serial")
+    with pytest.raises(TypeError, match="max_workers"):
+        make_index("sharded-sq8", max_workers=2)
     with pytest.raises(NotFittedError):
         ShardedIndex(2).batch_query(shard_dataset.queries, 5)
 
@@ -321,17 +381,12 @@ class TestPersistence:
         self, shard_dataset, tmp_path
     ):
         index = ShardedIndex(3).build(shard_dataset.base)
-        path = index.save(tmp_path / "sharded")
-        manifest = json.loads((path / "index.json").read_text())
-        manifest["config"]["parallel"] = "process"  # what older versions could write
-        (path / "index.json").write_text(json.dumps(manifest))
-        reloaded = load_index(path)
-        assert reloaded.parallel == "thread"
-        expected, _ = index.batch_query(shard_dataset.queries, 5)
-        got, _ = reloaded.batch_query(shard_dataset.queries, 5)
-        np.testing.assert_array_equal(expected, got)
-        with pytest.raises(ConfigurationError, match="unknown parallel mode"):
-            ShardedIndex(3, parallel="process")
+        # "process": what the oldest versions could write
+        reloaded = reload_with_legacy_pool_keys(index, tmp_path / "sharded", "process")
+        expected = index.batch_query(shard_dataset.queries, 5)
+        got = reloaded.batch_query(shard_dataset.queries, 5)
+        np.testing.assert_array_equal(expected[0], got[0])
+        np.testing.assert_array_equal(expected[1], got[1])
 
     def test_mutations_round_trip_through_save_load(self, shard_dataset, tmp_path):
         """Acceptance: add/remove/compact survive persistence."""
@@ -490,10 +545,6 @@ class TestSweepIntegration:
     def test_shard_scaling_curve(self, shard_dataset):
         from repro.eval import shard_scaling_curve
 
-        points = shard_scaling_curve(
-            shard_dataset, [1, 2], k=5, compare_serial_build=True
-        )
+        points = shard_scaling_curve(shard_dataset, [1, 2], k=5)
         assert [p.n_shards for p in points] == [1, 2]
         assert all(p.accuracy == 1.0 for p in points)  # bruteforce shards stay exact
-        assert points[0].build_speedup is None
-        assert points[1].serial_build_seconds is not None

@@ -50,7 +50,7 @@ def make_base(n: int = 120, seed: int = 3) -> np.ndarray:
 
 
 def build_index(base: np.ndarray, *, with_store: bool = True) -> ShardedIndex:
-    index = ShardedIndex(3, compact_threshold=None, parallel="serial").build(base)
+    index = ShardedIndex(3, compact_threshold=None).build(base)
     if with_store:
         index.set_attributes(random_attribute_store(base.shape[0], seed=11))
     return index

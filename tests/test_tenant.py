@@ -82,7 +82,7 @@ def make_mutable_service(n=50):
 
     rng = np.random.default_rng(7)
     base = rng.normal(size=(n, DIM))
-    index = ShardedIndex(2, compact_threshold=None, parallel="serial").build(base)
+    index = ShardedIndex(2, compact_threshold=None).build(base)
     return SearchService(index, name="ns"), base
 
 
@@ -641,7 +641,7 @@ class TestTenantRegistry:
 
         rng = np.random.default_rng(9)
         base = rng.normal(size=(40, DIM))
-        index = ShardedIndex(2, compact_threshold=None, parallel="serial").build(base)
+        index = ShardedIndex(2, compact_threshold=None).build(base)
         store = AttributeStore()
         store.add_categorical("owner", ["acme" if i % 2 else "globex" for i in range(40)])
         index.set_attributes(store)
