@@ -186,14 +186,24 @@ class UspEnsembleIndex(RegisteredIndex):
         self._require_built()
         queries = as_query_matrix(queries, self.dim)
         check_positive_int(n_probes, "n_probes")
-        per_member = [member.candidate_sets(queries, n_probes) for member in self.members]
         if self.config.combination == "union":
+            per_member = [member.candidate_sets(queries, n_probes) for member in self.members]
             return [
                 np.unique(np.concatenate([per_member[m][i] for m in range(self.n_models)]))
                 for i in range(queries.shape[0])
             ]
-        best = self.best_members(queries)
-        return [per_member[int(best[i])][i] for i in range(queries.shape[0])]
+        # One model pass per member gives both its confidence and its bin
+        # ranking; buckets are gathered from the chosen member only.  The
+        # stable sort is what ``top_bins`` is defined to equal.
+        scores = [member.bin_scores(queries) for member in self.members]
+        best = np.column_stack([s.max(axis=1) for s in scores]).argmax(axis=1)
+        candidates: List[np.ndarray] = [np.empty(0, dtype=np.int64)] * queries.shape[0]
+        for m, member in enumerate(self.members):
+            chosen = np.flatnonzero(best == m)
+            ranked = np.argsort(-scores[m][chosen], axis=1, kind="stable")[:, :n_probes]
+            for i, bins in zip(chosen, ranked):
+                candidates[i] = np.concatenate([member.points_in_bin(b) for b in bins])
+        return candidates
 
     def batch_query(
         self, queries: np.ndarray, k: int = 10, *, n_probes: int = 1, filter=None

@@ -9,11 +9,14 @@ Two architectures are used in the paper:
 
 Both are wrapped in :class:`PartitionModel`, which adds batched inference
 helpers that return numpy bin probabilities for downstream (non-autodiff)
-consumers such as the lookup table and the query path.
+consumers such as the lookup table and the query path.  Inference never
+builds an autodiff graph: the eval-mode module is folded into plain
+float64 affine stages once per call.
 """
 
 from __future__ import annotations
 
+from typing import List, Tuple
 
 import numpy as np
 
@@ -22,6 +25,37 @@ from ..nn.layers import BatchNorm1d
 from ..utils.exceptions import ConfigurationError
 from ..utils.rng import SeedLike, resolve_rng
 from .config import UspConfig
+
+
+def _eval_stages(module: Module) -> List[Tuple[np.ndarray, np.ndarray, bool]]:
+    """``module`` in eval mode as ``(weight, bias, relu_after)`` affine stages.
+
+    Eval-mode batch norm is an affine map of its input, so it folds into the
+    ``Linear`` it follows; dropout is the identity.
+    """
+    if not isinstance(module, Sequential):
+        raise ConfigurationError(f"expected a Sequential partition module, got {module!r}")
+    stages: List[Tuple[np.ndarray, np.ndarray, bool]] = []
+    for layer in module:
+        if isinstance(layer, Linear):
+            bias = np.zeros(layer.out_features) if layer.bias is None else layer.bias.data
+            stages.append((layer.weight.data, bias, False))
+        elif isinstance(layer, BatchNorm1d) and stages and not stages[-1][2]:
+            weight, bias, _ = stages[-1]
+            buffers = dict(layer.named_buffers())
+            scale = layer.gamma.data / np.sqrt(buffers["running_var"] + layer.eps)
+            stages[-1] = (
+                weight * scale,
+                (bias - buffers["running_mean"]) * scale + layer.beta.data,
+                False,
+            )
+        elif isinstance(layer, ReLU) and stages:
+            stages[-1] = (*stages[-1][:2], True)
+        elif not isinstance(layer, Dropout):
+            raise ConfigurationError(f"cannot run {layer!r} of {module!r} without autodiff")
+    if not stages:
+        raise ConfigurationError(f"{module!r} has no Linear layer")
+    return stages
 
 
 class PartitionModel:
@@ -51,30 +85,36 @@ class PartitionModel:
         self.module.eval()
 
     # -- inference-side API ------------------------------------------------ #
-    def predict_proba(self, points: np.ndarray, *, batch_size: int = 4096) -> np.ndarray:
-        """Bin probability distribution for each row of ``points`` (eval mode)."""
+    def _predict_logits(self, points: np.ndarray, batch_size: int) -> np.ndarray:
+        """Eval-mode logits for each row of ``points``, without autodiff."""
         points = np.atleast_2d(np.asarray(points, dtype=np.float64))
         if points.shape[1] != self.dim:
             raise ConfigurationError(
                 f"points have dimension {points.shape[1]}, model expects {self.dim}"
             )
-        was_training = self.module.training
-        self.module.eval()
-        try:
-            outputs = np.empty((points.shape[0], self.n_bins), dtype=np.float64)
-            for start in range(0, points.shape[0], batch_size):
-                chunk = points[start : start + batch_size]
-                logits = self.module(Tensor(chunk)).data
-                shifted = logits - logits.max(axis=1, keepdims=True)
-                exp = np.exp(shifted)
-                outputs[start : start + chunk.shape[0]] = exp / exp.sum(axis=1, keepdims=True)
-        finally:
-            self.module.train(was_training)
-        return outputs
+        stages = _eval_stages(self.module)
+        logits = np.empty((points.shape[0], self.n_bins), dtype=np.float64)
+        for start in range(0, points.shape[0], batch_size):
+            hidden = points[start : start + batch_size]
+            for weight, bias, relu in stages:
+                hidden = hidden @ weight
+                hidden += bias
+                if relu:
+                    np.maximum(hidden, 0.0, out=hidden)
+            logits[start : start + hidden.shape[0]] = hidden
+        return logits
+
+    def predict_proba(self, points: np.ndarray, *, batch_size: int = 4096) -> np.ndarray:
+        """Bin probability distribution for each row of ``points`` (eval mode)."""
+        out = self._predict_logits(points, batch_size)
+        out -= out.max(axis=1, keepdims=True)
+        np.exp(out, out=out)
+        out /= out.sum(axis=1, keepdims=True)
+        return out
 
     def predict_bins(self, points: np.ndarray, *, batch_size: int = 4096) -> np.ndarray:
         """Most likely bin for each row of ``points``."""
-        return self.predict_proba(points, batch_size=batch_size).argmax(axis=1)
+        return self._predict_logits(points, batch_size).argmax(axis=1)
 
     def state_dict(self):
         return self.module.state_dict()

@@ -10,6 +10,7 @@ from repro.core import (
     UspConfig,
     UspEnsembleIndex,
     boosting_weights,
+    rerank_candidates,
 )
 from repro.eval import candidate_recall, knn_accuracy
 from repro.utils.exceptions import ConfigurationError, NotFittedError
@@ -82,6 +83,48 @@ class TestUspEnsembleIndex:
                 queries[i : i + 1], 1
             )[0]
             np.testing.assert_array_equal(candidates[i], member_candidates)
+
+    @pytest.mark.parametrize("combination", ["best", "union"])
+    @pytest.mark.parametrize("n_probes", [1, 2, 9])
+    def test_answers_equal_every_member_asked_separately(
+        self, ensemble_index, tiny_dataset, combination, n_probes, monkeypatch
+    ):
+        """Bitwise the seed's answers: each member's own ``candidate_sets`` and
+        ``confidence``, combined outside the ensemble, then re-ranked."""
+        queries = tiny_dataset.queries
+        members = ensemble_index.members
+        per_member = [member.candidate_sets(queries, n_probes) for member in members]
+        if combination == "union":
+            expected = [
+                np.unique(np.concatenate([sets[i] for sets in per_member]))
+                for i in range(len(queries))
+            ]
+        else:
+            best = np.column_stack([m.confidence(queries) for m in members]).argmax(axis=1)
+            assert len(set(best.tolist())) == 2  # both members get chosen
+            expected = [per_member[int(best[i])][i] for i in range(len(queries))]
+        expected_ids, expected_distances = rerank_candidates(
+            tiny_dataset.base, queries, expected, 10, metric=ensemble_index.metric
+        )
+
+        monkeypatch.setattr(
+            ensemble_index,
+            "config",
+            EnsembleConfig(n_models=2, base=ensemble_index.config.base, combination=combination),
+        )
+        passes = []
+        for member in members:
+            monkeypatch.setattr(
+                member, "bin_scores",
+                lambda q, scores=member.bin_scores: passes.append(1) or scores(q),
+            )
+        candidates = ensemble_index.candidate_sets(queries, n_probes)
+        assert len(passes) == len(members)  # one model pass per member
+        for got, want in zip(candidates, expected):
+            np.testing.assert_array_equal(got, want)
+        ids, distances = ensemble_index.batch_query(queries, 10, n_probes=n_probes)
+        np.testing.assert_array_equal(ids, expected_ids)
+        np.testing.assert_array_equal(distances, expected_distances)
 
     def test_query_and_batch_query(self, ensemble_index, tiny_dataset):
         indices, distances = ensemble_index.query(tiny_dataset.queries[0], k=5, n_probes=2)

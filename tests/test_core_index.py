@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from repro.api import load_index
 from repro.core import (
     PartitionIndexBase,
+    PartitionModel,
     UspConfig,
     UspIndex,
     UspTrainer,
@@ -13,6 +15,7 @@ from repro.core import (
     rerank_candidates,
 )
 from repro.eval import candidate_recall, knn_accuracy
+from repro.nn import Linear, Sequential, Tanh, Tensor
 from repro.utils.exceptions import ConfigurationError, NotFittedError, ValidationError
 
 
@@ -95,6 +98,79 @@ class TestPartitionModels:
         b = build_partition_model(dim=3, config=config)
         for (_, pa), (_, pb) in zip(a.module.named_parameters(), b.module.named_parameters()):
             np.testing.assert_array_equal(pa.data, pb.data)
+
+
+class TestInferenceWithoutAutodiff:
+    """``predict_proba`` / ``predict_bins`` against the module's own eval-mode forward."""
+
+    @pytest.fixture(scope="class", params=["mlp", "logistic"])
+    def trained_model(self, request, tiny_dataset, tiny_knn, fast_usp_config):
+        # A few steps, so the batch-norm running statistics are not 0 / 1.
+        config = fast_usp_config.with_updates(model=request.param, epochs=2)
+        model, _ = UspTrainer(config).train(tiny_dataset.base, tiny_knn)
+        return model
+
+    @staticmethod
+    def reference_proba(model, points):
+        model.eval()
+        return model.forward_logits(points).softmax(axis=-1).data
+
+    def test_matches_the_eval_mode_forward(self, trained_model, tiny_dataset):
+        points = np.vstack([tiny_dataset.queries, tiny_dataset.base[:50]])
+        expected = self.reference_proba(trained_model, points)
+        np.testing.assert_allclose(trained_model.predict_proba(points), expected, rtol=1e-12)
+        np.testing.assert_array_equal(
+            trained_model.predict_bins(points), expected.argmax(axis=1)
+        )
+        np.testing.assert_allclose(
+            trained_model.predict_proba(points, batch_size=7), expected, rtol=1e-12
+        )
+
+    @pytest.mark.parametrize("training", [True, False])
+    def test_leaves_mode_alone_and_builds_no_graph(
+        self, trained_model, tiny_dataset, training, monkeypatch
+    ):
+        trained_model.module.train(training)
+        created = []
+        original = Tensor.__init__
+
+        def counting_init(self, *args, **kwargs):
+            created.append(1)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(Tensor, "__init__", counting_init)
+        before = trained_model.predict_proba(tiny_dataset.queries)
+        trained_model.predict_bins(tiny_dataset.queries)
+        assert not created
+        assert all(layer.training is training for layer in trained_model.module)
+        assert trained_model.module.training is training
+        # Inference reads the running statistics either way.
+        trained_model.module.eval()
+        np.testing.assert_array_equal(trained_model.predict_proba(tiny_dataset.queries), before)
+
+    def test_wrong_dimension_still_rejected(self, trained_model):
+        with pytest.raises(ConfigurationError):
+            trained_model.predict_bins(np.zeros((3, 7)))
+
+    def test_module_without_a_plain_numpy_form_is_rejected(self):
+        model = PartitionModel(Sequential(Linear(4, 8), Tanh(), Linear(8, 3)), dim=4, n_bins=3)
+        with pytest.raises(ConfigurationError):
+            model.predict_proba(np.zeros((2, 4)))
+
+    def test_saved_index_answers_bitwise_like_the_live_one(
+        self, built_usp_index, tiny_dataset, tmp_path
+    ):
+        built_usp_index.save(tmp_path / "usp")
+        loaded = load_index(tmp_path / "usp")
+        for n_probes in (1, 2):
+            live = built_usp_index.batch_query(tiny_dataset.queries, 10, n_probes=n_probes)
+            again = loaded.batch_query(tiny_dataset.queries, 10, n_probes=n_probes)
+            np.testing.assert_array_equal(live[0], again[0])
+            np.testing.assert_array_equal(live[1], again[1])
+        np.testing.assert_array_equal(
+            built_usp_index.bin_scores(tiny_dataset.queries),
+            loaded.bin_scores(tiny_dataset.queries),
+        )
 
 
 class TestTrainer:
