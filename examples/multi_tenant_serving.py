@@ -111,7 +111,7 @@ def main() -> None:
     assert not np.array_equal(flood[0].result().ids, direct.ids[:1])  # ACL'd
 
     # 5. The same registry on the wire: X-Tenant picks the gateway.
-    with SearchServer(registry, config=ServerConfig(port=0)) as server:
+    with SearchServer(tenants=registry, config=ServerConfig(port=0)) as server:
         body = {"vector": queries[0].tolist(), "request": {"k": 5}}
         status, wire = request_json(
             f"{server.url}/query", method="POST", body=body,

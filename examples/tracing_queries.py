@@ -88,7 +88,7 @@ def main() -> None:
     registry.create_tenant("acme", "products", TenantConfig(qps=10_000))
 
     config = ServerConfig(port=0, trace_sample_rate=1.0)
-    with SearchServer(registry, config=config) as server:
+    with SearchServer(tenants=registry, config=config) as server:
         _, trace_id = post_query(server.url, rng.normal(size=DIM), "acme")
         print(f"1. query answered, X-Trace-Id: {trace_id}")
 
@@ -153,7 +153,7 @@ def main() -> None:
     config = ServerConfig(
         port=0, trace_sample_rate=0.0, slow_trace_seconds=1e-9
     )
-    with SearchServer(registry, config=config) as server:
+    with SearchServer(tenants=registry, config=config) as server:
         _, trace_id = post_query(server.url, rng.normal(size=DIM), "acme")
         assert trace_id == ""  # not head-sampled: no X-Trace-Id
         _, debug = request_json(f"{server.url}/debug/traces")

@@ -80,12 +80,6 @@ class BruteForceIndex(RegisteredIndex):
             queries, self._base, k, metric=self.metric, block_size=self.block_size
         )
 
-    def query(
-        self, query: np.ndarray, k: int = 10, *, filter=None
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        indices, distances = self.batch_query(np.atleast_2d(query), k, filter=filter)
-        return indices[0], distances[0]
-
     # ------------------------------------------------------------------ #
     def _state(self):
         config = {"metric": self.metric, "block_size": int(self.block_size)}

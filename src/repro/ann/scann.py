@@ -160,14 +160,6 @@ class ScannSearcher(RegisteredIndex):
             out_distances[i, :top] = np.sqrt(exact[order])
         return out_indices, out_distances
 
-    def query(
-        self, query: np.ndarray, k: int = 10, *, n_probes: int = 2, filter=None
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        indices, distances = self.batch_query(
-            np.atleast_2d(query), k, n_probes=n_probes, filter=filter
-        )
-        return indices[0], distances[0]
-
     # ------------------------------------------------------------------ #
     # persistence: the codec arrays live here, the partitioner (if any) is
     # a nested saved index dispatched through its own registry name

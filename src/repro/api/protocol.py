@@ -3,11 +3,12 @@
 Every index in this repository — the USP partitioner, the learned and
 classical baselines, and the full ANN pipelines — follows the same
 structural contract: ``build(base)`` runs the offline phase and returns
-``self``; ``query`` / ``batch_query`` answer nearest-neighbour requests;
-``stats()`` reports introspection data.  :class:`IndexCapabilities`
-describes the per-class differences (supported metrics, the name of the
-probe knob, whether the method learns parameters) so harnesses can drive
-any registered index without special-casing.
+``self``; ``batch_query`` answers nearest-neighbour requests (``query``
+is its one-row case); ``stats()`` reports introspection data.
+:class:`IndexCapabilities` describes the per-class differences
+(supported metrics, the name of the probe knob, whether the method
+learns parameters) so harnesses can drive any registered index without
+special-casing.
 """
 
 from __future__ import annotations
@@ -219,8 +220,8 @@ def basic_index_stats(index) -> Dict[str, Any]:
 class RegisteredIndex(PersistentIndexMixin):
     """Mixin inherited by every concrete index class.
 
-    Provides the protocol's ``stats()``, the ``save``/``load`` persistence
-    machinery (via :class:`PersistentIndexMixin`), and the deprecated
+    Provides the protocol's ``query()`` and ``stats()``, ``save``/``load``
+    persistence (via :class:`PersistentIndexMixin`), and the deprecated
     ``fit`` alias kept for callers written against the pre-registry API.
     """
 
@@ -282,6 +283,13 @@ class RegisteredIndex(PersistentIndexMixin):
         from ..filter.planner import filtered_search
 
         return filtered_search(self, queries, k, filter, query_kwargs=query_kwargs)
+
+    def query(
+        self, query: np.ndarray, k: int = 10, **kwargs
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Row 0 of a one-row :meth:`batch_query` (same keywords, same defaults)."""
+        indices, distances = self.batch_query(np.atleast_2d(query), k, **kwargs)
+        return indices[0], distances[0]
 
     def stats(self) -> Dict[str, Any]:
         """Introspection data: size, timings, parameter counts, capabilities."""

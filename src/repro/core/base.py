@@ -201,19 +201,10 @@ class PartitionIndexBase(RegisteredIndex):
             )
         return candidates
 
-    def query(
-        self, query: np.ndarray, k: int = 10, *, n_probes: int = 1, filter=None
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Return the approximate ``k`` nearest base indices and distances."""
-        indices, distances = self.batch_query(
-            np.atleast_2d(query), k, n_probes=n_probes, filter=filter
-        )
-        return indices[0], distances[0]
-
     def batch_query(
         self, queries: np.ndarray, k: int = 10, *, n_probes: int = 1, filter=None
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Vectorised :meth:`query` over many queries.
+        """The approximate ``k`` nearest base indices and distances per query.
 
         Returns ``(indices, distances)`` arrays of shape ``(n_queries, k)``;
         rows are padded with ``-1`` / ``inf`` when a candidate set holds

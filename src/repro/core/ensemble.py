@@ -217,14 +217,6 @@ class UspEnsembleIndex(RegisteredIndex):
         candidates = self.candidate_sets(queries, n_probes)
         return rerank_candidates(self._base, queries, candidates, k, metric=self.metric)
 
-    def query(
-        self, query: np.ndarray, k: int = 10, *, n_probes: int = 1, filter=None
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        indices, distances = self.batch_query(
-            np.atleast_2d(query), k, n_probes=n_probes, filter=filter
-        )
-        return indices[0], distances[0]
-
     # ------------------------------------------------------------------ #
     # introspection
     # ------------------------------------------------------------------ #

@@ -23,8 +23,8 @@ socket with the behaviours production traffic needs:
   ``replication=repro.replica.Primary(...)``, the server additionally
   exposes ``GET /replicate`` (WAL shipping + snapshot bootstrap) for
   cross-process read replicas.
-* Tenant hosting — constructed with a
-  :class:`repro.tenant.TenantRegistry` (as the target or ``tenants=``),
+* Tenant hosting — constructed with ``tenants=`` a
+  :class:`repro.tenant.TenantRegistry` (alone, for a tenant-only server),
   requests carrying the ``X-Tenant`` header are served through that
   tenant's gateway: ACL injected, quotas charged (typed 429
   ``quota_exceeded`` with refill-derived ``Retry-After``), per-tenant

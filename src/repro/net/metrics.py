@@ -1,9 +1,9 @@
 """Serving-layer observability: counters, histograms, Prometheus text.
 
 The HTTP layer keeps its own counters — requests by endpoint × status,
-sheds, deadline expiries by stage, queue-wait and request-latency
-histograms, queue-depth gauges — and renders them together with the
-wrapped :meth:`SearchService.stats` counters as one Prometheus
+deadline expiries by stage, queue-wait and request-latency histograms —
+and renders them with the admission controller's sheds and queue gauges
+and the wrapped :meth:`SearchService.stats` counters as one Prometheus
 text-format (version 0.0.4) page, so the numbers operators scrape are
 the same numbers the in-process benchmarks report.
 
@@ -37,7 +37,6 @@ class ServerMetrics:
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self.requests_total: Dict[Tuple[str, int], int] = {}
-        self.shed_total = 0
         self.draining_refused_total = 0
         self.deadline_expired_total: Dict[str, int] = {}
         self.request_seconds = Histogram(LATENCY_BUCKETS)
@@ -53,28 +52,18 @@ class ServerMetrics:
         status: int,
         *,
         seconds: Optional[float] = None,
-        queue_seconds: Optional[float] = None,
-        queue_depth: Optional[int] = None,
     ) -> None:
         with self._lock:
             key = (str(endpoint), int(status))
             self.requests_total[key] = self.requests_total.get(key, 0) + 1
             if seconds is not None:
                 self.request_seconds.observe(seconds)
-            if queue_seconds is not None:
-                self.queue_seconds.observe(queue_seconds)
-            if queue_depth is not None:
-                self.queue_depth_observed.observe(queue_depth)
 
     def observe_admission(self, queue_seconds: float, queue_depth: int) -> None:
         """One admitted request: how long it queued, how deep the queue was."""
         with self._lock:
             self.queue_seconds.observe(queue_seconds)
             self.queue_depth_observed.observe(queue_depth)
-
-    def observe_shed(self) -> None:
-        with self._lock:
-            self.shed_total += 1
 
     def observe_draining_refusal(self) -> None:
         with self._lock:
@@ -107,7 +96,6 @@ class ServerMetrics:
                     for (endpoint, status), count in sorted(self.requests_total.items())
                 },
                 "errors_total": dict(sorted(self.errors_by_endpoint().items())),
-                "shed_total": self.shed_total,
                 "draining_refused_total": self.draining_refused_total,
                 "deadline_expired_total": dict(self.deadline_expired_total),
                 "requests_observed": self.request_seconds.total,
@@ -123,6 +111,7 @@ class ServerMetrics:
     def render(
         self,
         *,
+        shed_total: int = 0,
         queue_depth: int = 0,
         queue_waiting: int = 0,
         draining: bool = False,
@@ -133,11 +122,12 @@ class ServerMetrics:
     ) -> str:
         """The full ``/metrics`` page.
 
-        ``service_stats`` maps service name → ``SearchService.stats()``;
-        the serving counters the stack already keeps (queries, cache
-        hits, latency percentiles, mutation-pressure gauges, WAL
-        counters) are re-exported under ``repro_service_*`` so one scrape
-        covers the HTTP layer and the search stack beneath it.
+        ``shed_total`` and the queue gauges come from the admission
+        controller.  ``service_stats`` maps service name →
+        ``SearchService.stats()``; the serving counters the stack already
+        keeps (queries, cache hits, latency percentiles, mutation-pressure
+        gauges, WAL counters) are re-exported under ``repro_service_*`` so
+        one scrape covers the HTTP layer and the search stack beneath it.
         ``replication`` is a ``Primary.stats()`` / ``Follower.stats()``
         mapping (keyed by ``role``), rendered as ``repro_replica_*``
         gauges.  ``tenant_stats`` maps tenant name →
@@ -172,7 +162,7 @@ class ServerMetrics:
                 lines,
                 "repro_http_shed_total",
                 "Requests shed with 429 by admission control.",
-                [({}, self.shed_total)],
+                [({}, shed_total)],
             )
             _counter(
                 lines,

@@ -49,7 +49,7 @@ requests carrying a filter are implicitly routed to a filterable
 service, exactly as :meth:`Router.search_batch` does in process.
 
 Multi-tenant deployments (a :class:`repro.tenant.TenantRegistry` passed
-as ``tenants=`` or as the target itself) address a tenant with the
+as ``tenants=``) address a tenant with the
 ``X-Tenant`` header (or ``?tenant=<name>``): the request is served
 through that tenant's gateway — ACL injected, quotas charged — and
 quota violations come back as typed 429 ``quota_exceeded`` responses
@@ -124,9 +124,9 @@ class ServerConfig:
     ``max_concurrency`` is both the executor width and the number of
     admission slots; ``queue_limit`` bounds the waiting room beyond it.
     ``default_deadline_seconds`` applies when a request sends no
-    ``X-Deadline-Ms`` header (``None`` = no implicit deadline).
-    ``chunk_rows`` is the deadline-check granularity of batch execution
-    (defaults to the service's own micro-batch size).
+    ``X-Deadline-Ms`` header (``None`` = no implicit deadline); batch
+    execution re-checks it every ``batch_size`` rows of the serving
+    target.
     ``trace_sample_rate`` is the head-sampling probability for request
     traces (0 disables head sampling; slow/error requests are still
     tail-recorded past ``slow_trace_seconds``); ``trace_capacity`` and
@@ -140,7 +140,6 @@ class ServerConfig:
     default_deadline_seconds: Optional[float] = 30.0
     max_body_bytes: int = DEFAULT_MAX_BODY_BYTES
     drain_grace_seconds: float = 30.0
-    chunk_rows: Optional[int] = None
     checkpoint_on_drain: bool = True
     trace_sample_rate: float = 1.0
     slow_trace_seconds: float = 0.25
@@ -193,8 +192,8 @@ class SearchServer:
         like replication — this module never imports :mod:`repro.tenant`).
         Requests carrying ``X-Tenant`` (or ``?tenant=``) are served
         through that tenant's gateway; the registry's per-tenant
-        counters join ``/stats`` and ``/metrics``.  A registry may also
-        be passed *as the target* for a tenant-only server.
+        counters join ``/stats`` and ``/metrics``.  With no ``target``
+        the server is tenant-only.
     """
 
     def __init__(
@@ -208,13 +207,6 @@ class SearchServer:
         tracer: Optional[Tracer] = None,
     ) -> None:
         self.config = config or ServerConfig()
-        if target is not None and _is_tenant_registry(target):
-            if tenants is not None:
-                raise ValidationError(
-                    "pass the tenant registry either as the target or as "
-                    "tenants=, not both"
-                )
-            tenants, target = target, None
         if target is None:
             if tenants is None:
                 raise ValidationError(
@@ -556,9 +548,7 @@ class SearchServer:
             raise
         except BaseException as exc:  # noqa: BLE001 - every failure becomes typed JSON
             error = api_error_from(exc)
-            if error.code == "overloaded":
-                self.metrics.observe_shed()
-            elif error.code == "draining":
+            if error.code == "draining":
                 self.metrics.observe_draining_refusal()
             elif error.code == "deadline_exceeded":
                 self.metrics.observe_deadline(getattr(error, "stage", "unknown"))
@@ -704,7 +694,7 @@ class SearchServer:
         if endpoint == "batch_query":
             vectors = _required_array(body, "vectors", ndim=2)
             query_request = self._request_from(body)
-            chunk_rows = int(self.config.chunk_rows or service.batch_size)
+            chunk_rows = int(service.batch_size)
 
             def job() -> Dict[str, Any]:
                 deadline.check("execution")
@@ -877,6 +867,7 @@ class SearchServer:
             name: service.stats() for name, service in self._all_services().items()
         }
         return self.metrics.render(
+            shed_total=self.admission.shed_total,
             queue_depth=self.admission.depth,
             queue_waiting=self.admission.waiting,
             draining=self._draining,
@@ -899,19 +890,6 @@ class SearchServer:
             target = f"tenants[{', '.join(self.tenants.tenants())}]"
         bound = self.url if self.port is not None else "<unbound>"
         return f"SearchServer({target}, {bound}, {self.admission!r})"
-
-
-def _is_tenant_registry(target) -> bool:
-    """Duck-check for a :class:`repro.tenant.TenantRegistry`-shaped target.
-
-    A registry is *not* service-shaped (no ``search``), so it needs its
-    own detection; matching on the control-plane surface keeps this
-    module free of a :mod:`repro.tenant` import.
-    """
-    return all(
-        callable(getattr(target, attr, None))
-        for attr in ("gateway", "create_tenant", "tenants", "stats")
-    )
 
 
 def _required_array(body: Dict[str, Any], field: str, *, ndim: int) -> np.ndarray:

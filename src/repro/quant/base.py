@@ -275,19 +275,6 @@ class QuantizedIndexBase(RegisteredIndex):
                 self._vectors, queries, list(candidates), k, metric=self.metric
             )
 
-    def query(
-        self,
-        query: np.ndarray,
-        k: int = 10,
-        *,
-        rerank: Optional[int] = None,
-        filter=None,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        indices, distances = self.batch_query(
-            np.atleast_2d(query), k, rerank=rerank, filter=filter
-        )
-        return indices[0], distances[0]
-
     def _scan(
         self, queries: np.ndarray, budget: int, mask: Optional[np.ndarray]
     ) -> np.ndarray:

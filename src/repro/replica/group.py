@@ -1,12 +1,12 @@
 """Replica-aware serving: round-robin reads, session guarantees, one writer.
 
 :class:`ReplicaGroup` presents a primary plus N followers as **one**
-service: it satisfies the :class:`~repro.service.Service` protocol and
+service: it subclasses the :class:`~repro.service.Service` protocol and
 mirrors the rest of the :class:`~repro.service.SearchService` surface
 (``add`` / ``remove`` / ``extend_attributes`` / ``capabilities`` /
-``dim``), so
-:meth:`Router.add_replica_group` can host it in the same table as plain
-services and :class:`repro.net.SearchServer` can serve it unchanged.
+``dim``), so :meth:`Router.add_service` can host it in the same table as
+plain services and :class:`repro.net.SearchServer` can serve it
+unchanged.
 
 Dispatch rules:
 
@@ -29,6 +29,7 @@ import time
 from threading import Lock
 from typing import Any, Dict, List, Mapping, Optional
 
+from ..service.request import Service
 from ..service.service import SearchService
 from ..utils.exceptions import ValidationError
 from .follower import Follower
@@ -64,8 +65,13 @@ class SessionToken:
         return f"SessionToken(last_seen_seq={self.last_seen_seq})"
 
 
-class ReplicaGroup:
-    """One primary + N followers behind a single service-shaped front."""
+class ReplicaGroup(Service):
+    """One primary + N followers behind a single service-shaped front.
+
+    :meth:`search_batch` routes a read; a single query
+    (:meth:`~repro.service.Service.search`, ``session=`` included) is a
+    one-row batch through it — one routing decision, one token advance.
+    """
 
     def __init__(
         self,
@@ -179,15 +185,6 @@ class ReplicaGroup:
             self.session_redirects += 1
             self.reads_primary += 1
         return self._primary_service
-
-    def search(
-        self, query, request=None, *, session: Optional[SessionToken] = None, **overrides
-    ):
-        service = self._route_read(session)
-        result = service.search(query, request, **overrides)
-        if session is not None and service.collection is not None:
-            session.observe(service.collection.last_seq)
-        return result
 
     def search_batch(
         self,

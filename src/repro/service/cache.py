@@ -3,8 +3,8 @@
 Keys combine the raw query bytes with the request's :meth:`cache_key`, so
 two requests hit the same entry only when they would provably produce the
 same answer (same vector, same ``k``, same probe setting, same extra
-knobs).  Values are ``(ids, distances)`` pairs stored as the arrays the
-index returned; hits hand back copies so callers cannot corrupt the cache.
+knobs).  Values are read-only copies of the ``(ids, distances)`` the
+index returned; :func:`read_through` copies hits into its answer.
 
 Capacity is bounded two ways: ``max_entries`` (the original knob) and an
 optional ``max_bytes`` budget metered by per-entry byte accounting — the
@@ -21,6 +21,7 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
+from ..obs.trace import NOOP_SPAN, span
 from ..utils.exceptions import ValidationError
 
 CacheValue = Tuple[np.ndarray, np.ndarray]
@@ -58,6 +59,7 @@ class QueryCache:
         return (query.tobytes(), request_key)
 
     def get(self, key: tuple) -> Optional[CacheValue]:
+        """The stored (read-only) ``(ids, distances)``, or ``None`` on a miss."""
         with self._lock:
             value = self._entries.get(key)
             if value is None:
@@ -65,12 +67,13 @@ class QueryCache:
                 return None
             self._entries.move_to_end(key)
             self.hits += 1
-            ids, distances = value
-        return ids.copy(), distances.copy()
+        return value
 
     def put(self, key: tuple, ids: np.ndarray, distances: np.ndarray) -> None:
         ids = np.array(ids, copy=True)
         distances = np.array(distances, copy=True)
+        ids.setflags(write=False)
+        distances.setflags(write=False)
         cost = _entry_bytes(key, ids, distances)
         with self._lock:
             previous = self._entry_cost.pop(key, None)
@@ -133,30 +136,42 @@ def read_through(
     queries: np.ndarray,
     request_key: tuple,
     compute: Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]],
+    *,
+    lookup_span: Optional[str] = None,
 ) -> Tuple[np.ndarray, np.ndarray, int]:
     """Answer ``queries`` from ``cache``, computing and storing only the misses.
 
     ``compute`` maps the missing query rows (in query order, one bulk
-    call) to their ``(ids, distances)``.  Returns the stitched answer in
-    query order plus the number of rows that were cache hits.
+    call) to their ``(ids, distances)``.  Returns the answer in query
+    order plus the number of rows that were cache hits; when every row
+    missed that is ``compute``'s own arrays (the cache keeps copies).
+    ``lookup_span`` names a span around the lookup only.  One row (every
+    single query) skips the per-row lists; nothing observable differs.
     """
-    keys = [QueryCache.key_for(row, request_key) for row in queries]
-    hits = [cache.get(key) for key in keys]
-    missing = [row for row, hit in enumerate(hits) if hit is None]
+    if len(queries) == 1:
+        with span(lookup_span) if lookup_span else NOOP_SPAN as lookup:
+            key = QueryCache.key_for(queries[0], request_key)
+            hit = cache.get(key)
+            lookup.set(hits=int(hit is not None))
+        if hit is not None:
+            return hit[0][None].copy(), hit[1][None].copy(), 1
+        ids, distances = compute(queries)
+        cache.put(key, ids[0], distances[0])
+        return ids, distances, 0
+    with span(lookup_span) if lookup_span else NOOP_SPAN as lookup:
+        keys = [QueryCache.key_for(row, request_key) for row in queries]
+        hits = [cache.get(key) for key in keys]
+        missing = [row for row, hit in enumerate(hits) if hit is None]
+        lookup.set(hits=len(hits) - len(missing))
+    if len(missing) == len(hits):
+        ids, distances = compute(queries)
+        for row, key in enumerate(keys):
+            cache.put(key, ids[row], distances[row])
+        return ids, distances, 0
     if missing:
         fresh_ids, fresh_distances = compute(queries[missing])
         for position, row in enumerate(missing):
-            cache.put(keys[row], fresh_ids[position], fresh_distances[position])
-        width = fresh_ids.shape[1]
-    else:
-        width = hits[0][0].shape[-1]
-    ids = np.empty((len(keys), width), dtype=np.int64)
-    distances = np.empty((len(keys), width))
-    fresh_row = 0
-    for row, hit in enumerate(hits):
-        if hit is None:
-            ids[row], distances[row] = fresh_ids[fresh_row], fresh_distances[fresh_row]
-            fresh_row += 1
-        else:
-            ids[row], distances[row] = hit
-    return ids, distances, len(keys) - len(missing)
+            hits[row] = fresh_ids[position], fresh_distances[position]
+            cache.put(keys[row], *hits[row])
+    ids, distances = zip(*hits)
+    return np.array(ids), np.array(distances), len(hits) - len(missing)

@@ -351,14 +351,31 @@ class Service(Protocol):
 
     :class:`~repro.service.SearchService`,
     :class:`~repro.tenant.TenantGateway` and
-    :class:`~repro.replica.ReplicaGroup` all satisfy it; the router, the
+    :class:`~repro.replica.ReplicaGroup` subclass it; the router, the
     tenant registry and the HTTP server check ``isinstance(target,
-    Service)`` before hosting one.
+    Service)`` before hosting one.  Implementers write
+    :meth:`search_batch`; :meth:`search` is defined here once, as its
+    one-row case.
     """
 
     def search(
-        self, query: np.ndarray, request: Optional[QueryRequest] = None, **overrides
-    ) -> QueryResult: ...
+        self, query: np.ndarray, request: Optional[QueryRequest] = None, **kwargs
+    ) -> QueryResult:
+        """Answer one query vector: row 0 of a one-row :meth:`search_batch`
+        (``kwargs`` are its keywords: overrides, ``session``, ``name``...)."""
+        row = np.asarray(query)
+        if row.ndim == 1:
+            row = row[None]
+        if row.ndim != 2 or row.shape[0] != 1:
+            raise ValidationError("search() takes a single query; use search_batch()")
+        batch = self.search_batch(row, request, **kwargs)
+        return QueryResult(
+            ids=batch.ids[0],
+            distances=batch.distances[0],
+            request=batch.request,
+            latency_seconds=batch.elapsed_seconds,
+            cached=batch.cache_hits == 1,
+        )
 
     def search_batch(
         self,

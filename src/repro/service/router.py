@@ -28,7 +28,7 @@ import numpy as np
 
 from ..api.persistence import load_index
 from ..utils.exceptions import ConfigurationError, SerializationError, ValidationError
-from .request import BatchResult, QueryRequest, QueryResult, Service
+from .request import BatchResult, QueryRequest, Service
 from .service import SearchService
 
 ROUTER_FORMAT = "repro-router"
@@ -50,11 +50,19 @@ class Router:
     # ------------------------------------------------------------------ #
     # registration
     # ------------------------------------------------------------------ #
-    def add_service(self, name: str, service: SearchService) -> SearchService:
-        """Register an existing service under ``name``."""
+    def add_service(self, name: str, service: Service) -> Service:
+        """Host any :class:`Service` under ``name``: a :class:`SearchService`,
+        a :class:`repro.tenant.TenantGateway` or a
+        :class:`repro.replica.ReplicaGroup` (the last two are runtime
+        wiring, which :meth:`save` refuses)."""
         if not _NAME_PATTERN.match(name):
             raise ValidationError(
                 f"service name {name!r} must be alphanumeric with ._- separators"
+            )
+        if not isinstance(service, Service):
+            raise ValidationError(
+                f"{type(service).__name__} does not look like a service "
+                "(it must satisfy the repro.service.Service protocol)"
             )
         with self._lock:
             if name in self._services:
@@ -80,39 +88,6 @@ class Router:
             collection = Collection.open(collection)
         service = SearchService(collection, name=name, **service_kwargs)
         return self.add_service(name, service)
-
-    def add_replica_group(self, name: str, group) -> "SearchService":
-        """Serve a :class:`repro.replica.ReplicaGroup` under ``name``.
-
-        The group satisfies the whole :class:`Service` protocol — reads
-        round-robin across its followers with bounded-staleness session
-        guarantees, writes journal through its primary — so the router
-        (and any :class:`~repro.net.SearchServer` in front of it)
-        dispatches to it exactly like a plain service.  Replica groups
-        are runtime wiring, not a persisted artifact: :meth:`save`
-        refuses them (save the primary's collection instead).
-        """
-        return self._add_service_shaped(name, group, "replica group")
-
-    def add_tenant(self, name: str, gateway) -> "SearchService":
-        """Serve a :class:`repro.tenant.TenantGateway` under ``name``.
-
-        The gateway satisfies the :class:`Service` protocol with tenant
-        policy (ACL injection, quotas, cache partition) already applied
-        inside, so dispatching to it is indistinguishable from a plain
-        service.  Like replica groups, tenants are runtime wiring:
-        :meth:`save` refuses them — persist the underlying namespace
-        instead and re-provision tenants from their declarative configs.
-        """
-        return self._add_service_shaped(name, gateway, "tenant gateway")
-
-    def _add_service_shaped(self, name: str, target, kind: str) -> "SearchService":
-        if not isinstance(target, Service):
-            raise ValidationError(
-                f"{type(target).__name__} does not look like a {kind} "
-                "(it must satisfy the repro.service.Service protocol)"
-            )
-        return self.add_service(name, target)
 
     def remove(self, name: str) -> None:
         with self._lock:
@@ -216,18 +191,8 @@ class Router:
     # ------------------------------------------------------------------ #
     # serving surface (delegates to the routed service)
     # ------------------------------------------------------------------ #
-    def search(
-        self,
-        query: np.ndarray,
-        request: Optional[QueryRequest] = None,
-        *,
-        name: Optional[str] = None,
-        **route_and_overrides,
-    ) -> QueryResult:
-        route_kwargs, overrides = self._split_route_kwargs(route_and_overrides)
-        self._imply_filterable(name, request, overrides, route_kwargs)
-        service = self.route(name, **route_kwargs)
-        return service.search(query, request, **overrides)
+    #: one query is a one-row batch: ``name=`` / route keywords included
+    search = Service.search
 
     def search_batch(
         self,

@@ -41,11 +41,15 @@ from ..utils.exceptions import ValidationError
 from ..utils.validation import as_query_matrix
 from .cache import QueryCache, read_through
 from .metrics import ServiceMetrics, batch_recall
-from .request import BatchResult, QueryRequest, QueryResult
+from .request import BatchResult, QueryRequest, Service
 
 
-class SearchService:
+class SearchService(Service):
     """Serve nearest-neighbour queries from one built index.
+
+    :meth:`search_batch` is the serving path; a single query
+    (:meth:`~repro.service.Service.search`) is a one-row batch through
+    it — same cache, counters and spans.
 
     Parameters
     ----------
@@ -261,13 +265,13 @@ class SearchService:
         return self.cache
 
     def _as_queries(self, queries: np.ndarray) -> np.ndarray:
-        queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
+        queries = np.asarray(queries, dtype=np.float64)
         dim = self.dim
-        if queries.shape[0] == 0:
+        if queries.ndim == 2 and queries.shape[0] == 0:
             return queries.reshape(0, dim if dim is not None else queries.shape[-1])
         if dim is not None:
-            queries = as_query_matrix(queries, dim)
-        return queries
+            return as_query_matrix(queries, dim)
+        return np.atleast_2d(queries)
 
     # ------------------------------------------------------------------ #
     # execution
@@ -275,6 +279,8 @@ class SearchService:
     def _run_chunks(
         self, queries: np.ndarray, k: int, kwargs: Dict[str, Any]
     ) -> Tuple[np.ndarray, np.ndarray]:
+        if queries.shape[0] <= self.batch_size:
+            return self.index.batch_query(queries, k, **kwargs)
         results = [
             self.index.batch_query(queries[start : start + self.batch_size], k, **kwargs)
             for start in range(0, queries.shape[0], self.batch_size)
@@ -302,53 +308,8 @@ class SearchService:
         self.close()
 
     # ------------------------------------------------------------------ #
-    # public serving surface
+    # public serving surface (search() is the one-row case, from Service)
     # ------------------------------------------------------------------ #
-    def search(
-        self, query: np.ndarray, request: Optional[QueryRequest] = None, **overrides
-    ) -> QueryResult:
-        """Answer one query vector."""
-        request = self.resolve_request(request, **overrides)
-        queries = self._as_queries(query)
-        if queries.shape[0] != 1:
-            raise ValidationError("search() takes a single query; use search_batch()")
-        kwargs = self.query_kwargs(request)
-        with span("service.search", k=int(request.k)) as search_span:
-            cache = self._request_cache()
-            cache_key = None
-            if cache is not None:
-                start = time.perf_counter()
-                with span("service.cache") as cache_span:
-                    cache_key = QueryCache.key_for(
-                        queries[0], request.cache_key() + self._cache_tag
-                    )
-                    hit = cache.get(cache_key)
-                    cache_span.set(hit=hit is not None)
-                if hit is not None:
-                    elapsed = time.perf_counter() - start
-                    search_span.set(cache_hit=True)
-                    self.metrics.observe_batch(1, elapsed, cache_hits=1)
-                    return QueryResult(
-                        ids=hit[0],
-                        distances=hit[1],
-                        request=request,
-                        latency_seconds=elapsed,
-                        cached=True,
-                    )
-            start = time.perf_counter()
-            ids, distances = self.index.batch_query(queries, request.k, **kwargs)
-            elapsed = time.perf_counter() - start
-            if cache is not None and cache_key is not None:
-                cache.put(cache_key, ids[0], distances[0])
-            search_span.set(cache_hit=False)
-            self.metrics.observe_batch(1, elapsed)
-            return QueryResult(
-                ids=ids[0],
-                distances=distances[0],
-                request=request,
-                latency_seconds=elapsed,
-            )
-
     def search_batch(
         self,
         queries: np.ndarray,
@@ -390,6 +351,7 @@ class SearchService:
                     queries,
                     request.cache_key() + self._cache_tag,
                     lambda rows: self._run_chunks(rows, request.k, kwargs),
+                    lookup_span="service.cache",
                 )
             elapsed = time.perf_counter() - start
             search_span.set(cache_hits=cache_hits)

@@ -571,19 +571,6 @@ class ShardedIndex(RegisteredIndex):
                 parts.append(pending)
             return self._merge_topk(parts, queries.shape[0], k)
 
-    def query(
-        self,
-        query: np.ndarray,
-        k: int = 10,
-        *,
-        probes: Optional[int] = None,
-        filter=None,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        indices, distances = self.batch_query(
-            np.atleast_2d(query), k, probes=probes, filter=filter
-        )
-        return indices[0], distances[0]
-
     def candidate_sets(self, queries: np.ndarray, n_probes: int = 1) -> List[np.ndarray]:
         """Union of per-shard candidate sets, remapped to live global ids.
 

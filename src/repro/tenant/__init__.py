@@ -21,8 +21,9 @@ package isolates **tenants** — named principals with declarative policy:
   that coalesces equal requests from different tenants into one kernel
   call, bitwise-identical to serving them serially;
 * :class:`TenantRegistry` — the control plane tying namespaces, tenants,
-  budget, and scheduler together; hosted by ``Router.add_tenant`` and by
-  :class:`repro.net.SearchServer` via the ``X-Tenant`` header.
+  budget, and scheduler together; its gateways are hosted by
+  ``Router.add_service`` and by :class:`repro.net.SearchServer`
+  (``tenants=registry``) via the ``X-Tenant`` header.
 
 Example
 -------

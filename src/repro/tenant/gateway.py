@@ -1,6 +1,6 @@
 """The per-tenant serving facade: ACL injection, quotas, cache partition.
 
-A :class:`TenantGateway` satisfies the :class:`~repro.service.Service`
+A :class:`TenantGateway` subclasses the :class:`~repro.service.Service`
 protocol (plus the mutation endpoints), so everything that can host a
 service — the :class:`~repro.service.Router`, the HTTP server — can host
 a tenant without knowing it is one.  The delegate underneath is any
@@ -36,15 +36,20 @@ import numpy as np
 from ..filter.predicate import And, Predicate
 from ..obs.trace import span
 from ..service.cache import QueryCache, read_through
-from ..service.request import BatchResult, QueryRequest, QueryResult
+from ..service.request import BatchResult, QueryRequest, Service
 from ..utils.exceptions import QuotaExceededError, ValidationError
 from .cache import CacheBudget
 from .config import TenantConfig
 from .quota import TokenBucket
 
 
-class TenantGateway:
-    """One tenant's view of a namespace, with policy enforced in the path."""
+class TenantGateway(Service):
+    """One tenant's view of a namespace, with policy enforced in the path.
+
+    :meth:`search_batch` is the policy path; a single query
+    (:meth:`~repro.service.Service.search`) is a one-row batch through
+    it, charged, cached and counted as one row.
+    """
 
     def __init__(
         self,
@@ -201,49 +206,13 @@ class TenantGateway:
                 self._delegate_tag = tag
         return self.cache
 
-    def _cache_key(self, row: np.ndarray, request: QueryRequest) -> tuple:
-        return QueryCache.key_for(
-            np.asarray(row, dtype=np.float64).reshape(-1),
-            request.cache_key() + (self._delegate_tag,),
-        )
-
     def _reconcile_budget(self) -> None:
         if self._budget is not None:
             self._budget.reconcile()
 
     # ------------------------------------------------------------------ #
-    # serving surface
+    # serving surface (search() is the one-row case, from Service)
     # ------------------------------------------------------------------ #
-    def search(
-        self, query: np.ndarray, request: Optional[QueryRequest] = None, **overrides
-    ) -> QueryResult:
-        with span("tenant.acl_quota", tenant=self.name) as policy_span:
-            request = self.effective_request(request, **overrides)
-            policy_span.set(acl=self.config.acl is not None)
-            self._charge(self.query_bucket, 1, "qps")
-        start = time.perf_counter()
-        cache = self._partition()
-        key = self._cache_key(query, request) if cache is not None else None
-        if cache is not None:
-            hit = cache.get(key)
-            if hit is not None:
-                elapsed = time.perf_counter() - start
-                self._observe_query(1, elapsed, hits=1)
-                return QueryResult(
-                    ids=hit[0],
-                    distances=hit[1],
-                    request=request,
-                    latency_seconds=elapsed,
-                    cached=True,
-                )
-        result = self.service.search(query, request)
-        if cache is not None:
-            cache.put(key, result.ids, result.distances)
-            self._reconcile_budget()
-        elapsed = time.perf_counter() - start
-        self._observe_query(1, elapsed, hits=1 if result.cached else 0)
-        return result
-
     def search_batch(
         self,
         queries: np.ndarray,

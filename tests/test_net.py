@@ -67,11 +67,6 @@ class SlowBruteForce(BruteForceIndex):
         super().__init__(*args, **kwargs)
         self.calls = 0
 
-    def query(self, query, k=10, *, filter=None):
-        self.calls += 1
-        time.sleep(self.delay)
-        return super().query(query, k, filter=filter)
-
     def batch_query(self, queries, k=10, *, filter=None):
         self.calls += 1
         time.sleep(self.delay)
@@ -115,8 +110,9 @@ def slow_server(delay=0.15, **config_kwargs):
     index = SlowBruteForce()
     index.delay = delay
     index.build(rng.standard_normal((50, DIM)).astype(np.float32))
-    service = SearchService(index, cache_size=0)
-    defaults = dict(port=0, max_concurrency=1, queue_limit=1, chunk_rows=1)
+    # batch_size=1: /batch_query re-checks the deadline after every row
+    service = SearchService(index, cache_size=0, batch_size=1)
+    defaults = dict(port=0, max_concurrency=1, queue_limit=1)
     defaults.update(config_kwargs)
     return SearchServer(service, config=ServerConfig(**defaults)), index
 

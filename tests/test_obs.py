@@ -447,7 +447,7 @@ def tenant_server(data):
         SearchService(make_index("sharded", n_shards=2, spec="sq8").build(base)),
     )
     registry.create_tenant("acme", "products", TenantConfig(qps=1e9))
-    with SearchServer(registry, config=ServerConfig(port=0)) as server:
+    with SearchServer(tenants=registry, config=ServerConfig(port=0)) as server:
         yield server
 
 
@@ -858,7 +858,7 @@ class TestPrometheusLint:
             "starved", "ns", TenantConfig(qps=0.001, qps_burst=1.0)
         )
         with SearchServer(
-            registry, replication=primary, config=ServerConfig(port=0)
+            tenants=registry, replication=primary, config=ServerConfig(port=0)
         ) as server:
             single = {"vector": queries[0].tolist(), "request": {"k": 5}}
             batch = {"vectors": queries[:4].tolist(), "request": {"k": 5}}

@@ -276,9 +276,9 @@ class TestReplicaGroup:
         collection, primary, follower = make_pair(tmp_path)
         group = ReplicaGroup(primary, [follower])
         router = Router()
-        router.add_replica_group("replicated", group)
+        router.add_service("replicated", group)
         with pytest.raises(ValidationError, match="does not look like"):
-            router.add_replica_group("bogus", object())
+            router.add_service("bogus", object())
         query = np.random.default_rng(6).normal(size=(DIM,))
         result = router.search(query, name="replicated", k=3)
         assert result.ids.shape == (3,)

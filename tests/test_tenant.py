@@ -626,11 +626,11 @@ class TestTenantRegistry:
         service, base, _ = make_service()
         gateway = TenantGateway("acme", service, TenantConfig(acl=Eq("owner", "acme")))
         router = Router()
-        router.add_tenant("tenant-acme", gateway)
+        router.add_service("tenant-acme", gateway)
         result = router.search(base[0], name="tenant-acme", k=4)
         assert result.ids.shape == (4,)
-        with pytest.raises(ValidationError, match="tenant gateway"):
-            router.add_tenant("bogus", object())
+        with pytest.raises(ValidationError, match="Service protocol"):
+            router.add_service("bogus", object())
 
     def test_gateway_over_replica_group(self, tmp_path):
         # The delegate is duck-typed: a ReplicaGroup serves reads through
@@ -718,7 +718,7 @@ def tenant_server():
     registry.create_tenant(
         "starved", "ns", TenantConfig(qps=1e-3, qps_burst=1.0)
     )
-    with SearchServer(registry, config=ServerConfig(port=0)) as server:
+    with SearchServer(tenants=registry, config=ServerConfig(port=0)) as server:
         yield server, base, store
 
 
@@ -753,6 +753,14 @@ class TestTenantServing:
         )
         assert status == 400
         assert body["error"]["code"] == "missing_tenant"
+
+    def test_registry_as_target_is_a_typed_error(self):
+        # A registry is hosted through tenants=, never as the served target.
+        service, _, _ = make_service()
+        registry = TenantRegistry()
+        registry.add_namespace("ns", service)
+        with pytest.raises(ValidationError):
+            SearchServer(registry, config=ServerConfig(port=0))
 
     def test_unknown_tenant_is_404(self, tenant_server):
         server, base, _ = tenant_server
