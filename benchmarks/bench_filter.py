@@ -41,7 +41,7 @@ BACKENDS = [
     ("ivf-flat", dict(n_lists=32, seed=0), 8),
     ("sharded-bruteforce", dict(n_shards=4), None),
     # quantized backends: probes reaches them as the re-rank budget
-    ("sq8", dict(query_block=64), 40),
+    ("sq8", dict(), 40),
     (
         "pq-adc",
         dict(n_subspaces=8, n_codewords=64, kmeans_iterations=5, seed=0),

@@ -61,9 +61,7 @@ def _make_service(data) -> SearchService:
     # cache off: every measured pass must do the same quantized work, or
     # the later (traced) configs would win on cache hits, not lose on
     # instrumentation.
-    index = make_index(
-        "sq8", rerank_factor=RERANK_FACTOR, query_block=64
-    ).build(data.base)
+    index = make_index("sq8", rerank_factor=RERANK_FACTOR).build(data.base)
     return SearchService(index, cache_size=0)
 
 

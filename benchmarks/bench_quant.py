@@ -42,7 +42,7 @@ SMOKE_SCALE = dict(n_points=1_500, n_queries=48, dim=32, n_clusters=6)
 
 #: (registry name, construction params, over-fetch budgets to sweep)
 FULL_BACKENDS = [
-    ("sq8", dict(query_block=64), (20, 40, 80)),
+    ("sq8", dict(), (20, 40, 80)),
     (
         "pq-adc",
         dict(n_subspaces=12, n_codewords=128, kmeans_iterations=8, seed=0),
@@ -50,7 +50,7 @@ FULL_BACKENDS = [
     ),
 ]
 SMOKE_BACKENDS = [
-    ("sq8", dict(query_block=64), (20, 40)),
+    ("sq8", dict(), (20, 40)),
     (
         "pq-adc",
         dict(n_subspaces=8, n_codewords=32, kmeans_iterations=4, seed=0),
@@ -119,7 +119,7 @@ def run_quant_benchmark(smoke: bool = False):
     # -- sharded scan: the same comparison through scatter-gather ------- #
     for name, spec, params, probes in (
         ("sharded-bruteforce", "bruteforce", {}, None),
-        ("sharded-sq8", "sq8", dict(query_block=64), 40),
+        ("sharded-sq8", "sq8", dict(), 40),
     ):
         sharded = make_index(
             "sharded", n_shards=N_SHARDS, spec=spec, shard_params=params

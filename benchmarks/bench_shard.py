@@ -76,9 +76,7 @@ def run_shard_benchmark(smoke: bool = False):
     # quantized rider: the same scatter-gather over int8 shards — probes
     # reaches the children as the re-rank budget via IndexCapabilities
     quant_request = QueryRequest(k=K, probes=40)
-    sharded_quant = ShardedIndex(
-        max(shard_counts), spec="sq8", shard_params=dict(query_block=64)
-    ).build(data.base)
+    sharded_quant = ShardedIndex(max(shard_counts), spec="sq8").build(data.base)
     quant_service = SearchService(sharded_quant)
     quant_batch = quant_service.search_batch(data.queries, quant_request)
     serve_rows.append(

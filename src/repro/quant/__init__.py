@@ -3,7 +3,7 @@
 Public surface:
 
 * :class:`Sq8Index` (registry: ``sq8`` / ``sharded-sq8``) — per-dimension
-  affine int8 scalar quantization, blocked SGEMM scan;
+  affine int8 scalar quantization, tiled SGEMM scan;
 * :class:`PqAdcIndex` (registry: ``pq-adc``) — product-quantized codes
   scored by per-query LUT gather+sum (asymmetric distance computation);
 * :class:`VectorStore` — memmapped full-precision row store backing the

@@ -8,9 +8,9 @@ distance to every row is a **gather + sum** —
 * :meth:`~repro.ann.ProductQuantizer.distance_tables` builds one
   ``(n_subspaces, n_codewords)`` LUT per query (squared distance of the
   query's sub-vector to every codeword);
-* the scan accumulates ``lut[s][codes[:, s]]`` across subspaces into a
-  ``(queries, rows)`` score matrix — pure vectorised indexing into
-  ``float32`` tables, never touching a raw vector.
+* each scan tile accumulates ``lut[s][codes[start:stop, s]]`` across
+  subspaces into its ``(queries, rows)`` score matrix — pure vectorised
+  indexing into ``float32`` tables, never touching a raw vector.
 
 Code columns are stored transposed (``(n_subspaces, n)``, each row
 contiguous) so every gather streams sequentially.  A row costs
@@ -30,7 +30,7 @@ from ..ann.pq import ProductQuantizer
 from ..utils.exceptions import ConfigurationError
 from ..utils.rng import SeedLike
 from ..utils.validation import check_positive_int
-from .base import QuantizedIndexBase
+from .base import QuantizedIndexBase, tile_rows
 
 
 @register_index(
@@ -60,7 +60,7 @@ class PqAdcIndex(QuantizedIndexBase):
     kmeans_iterations, seed:
         Codebook training knobs, forwarded to the
         :class:`~repro.ann.ProductQuantizer`.
-    metric, rerank_factor, query_block:
+    metric, rerank_factor:
         See :class:`~repro.quant.QuantizedIndexBase`.
     """
 
@@ -73,11 +73,8 @@ class PqAdcIndex(QuantizedIndexBase):
         seed: SeedLike = None,
         metric: str = "euclidean",
         rerank_factor: int = 4,
-        query_block: int = 16,
     ) -> None:
-        super().__init__(
-            metric=metric, rerank_factor=rerank_factor, query_block=query_block
-        )
+        super().__init__(metric=metric, rerank_factor=rerank_factor)
         self.n_subspaces = check_positive_int(n_subspaces, "n_subspaces")
         self.n_codewords = check_positive_int(n_codewords, "n_codewords")
         if self.n_codewords > 256:
@@ -105,16 +102,29 @@ class PqAdcIndex(QuantizedIndexBase):
         codes = self._pq.encode(encoded_base)
         self._codes_t = np.ascontiguousarray(codes.T.astype(np.uint8))
 
-    def _scores(self, queries: np.ndarray) -> np.ndarray:
-        """ADC scores: gather each query's LUT along every code column."""
-        tables = self._pq.distance_tables(queries).astype(np.float32)
-        n = self._codes_t.shape[1]
-        scores = np.zeros((queries.shape[0], n), dtype=np.float32)
-        gathered = np.empty((queries.shape[0], n), dtype=np.float32)
+    def _encode_queries(self, queries: np.ndarray) -> np.ndarray:
+        """One float32 ``(n_subspaces, n_codewords)`` LUT per query."""
+        return self._pq.distance_tables(queries).astype(np.float32)
+
+    def _tile_rows(self, n_queries: int) -> int:
+        """Rows whose ``(queries, rows)`` accumulator fills 1/32 of the tile.
+
+        Every subspace re-reads and re-writes the accumulator and its gather
+        buffer, so the tile is held to 256 KB to stay in L2.
+        """
+        return tile_rows(32 * n_queries)
+
+    def _tile_scores(
+        self, encoded_queries: np.ndarray, start: int, stop: int
+    ) -> np.ndarray:
+        """ADC scores of rows ``[start, stop)``: gather each LUT along the codes."""
+        shape = (encoded_queries.shape[0], stop - start)
+        scores = np.zeros(shape, dtype=np.float32)
+        gathered = np.empty(shape, dtype=np.float32)
         for subspace in range(self.n_subspaces):
             np.take(
-                tables[:, subspace, :],
-                self._codes_t[subspace],
+                encoded_queries[:, subspace, :],
+                self._codes_t[subspace, start:stop],
                 axis=1,
                 out=gathered,
             )

@@ -3,11 +3,19 @@
 Every quantized backend follows the same online shape:
 
 1. **scan** — score *all* rows against each query using only the
-   compressed codes (subclass hook :meth:`_scores`); the raw vectors are
-   never touched;
+   compressed codes, one tile at a time (subclass hook
+   :meth:`_tile_scores`); the raw vectors are never touched.  A tile is
+   a query range x a row range whose float32 score matrix holds at most
+   :data:`SCAN_TILE` elements, so no full ``(queries, n)`` matrix is
+   ever materialised;
 2. **over-fetch** — keep the best ``rerank`` candidates per query
    (default ``rerank_factor * k``, the recall/cost knob surfaced as the
-   registry's ``probe_parameter``);
+   registry's ``probe_parameter``) as a running top-``rerank`` set: the
+   first tile seeds it by partition, every later tile only contributes
+   the rows strictly below the current ``rerank``-th score, merged in
+   with one stable sort.  Ties always keep the smallest row id, so the
+   candidates are exactly the first ``rerank`` columns of a stable
+   argsort of the full score matrix, whatever the tile shape;
 3. **re-rank** — compute exact distances for just those candidates
    against the stored full-precision vectors and return the top ``k``.
 
@@ -26,9 +34,10 @@ re-ranked exactly — brute-force-over-subset by construction.
 
 from __future__ import annotations
 
+import math
 import os
 from pathlib import Path
-from typing import Any, Dict, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -48,8 +57,15 @@ from .memmap_store import VectorStore
 #: sub-directory (next to ``index.json``) holding the re-rank vectors
 VECTORS_DIR = "vectors"
 
-#: queries per scan block (bounds the (block, n) score matrix)
-DEFAULT_QUERY_BLOCK = 32
+#: float32 elements one scan tile may hold (8 MB): the cap on its
+#: (queries, rows) score matrix.  A kernel whose rows also cost decoded
+#: codes or gather buffers takes fewer rows (see ``_tile_rows``)
+SCAN_TILE = 1 << 21
+
+
+def tile_rows(row_cost: int) -> int:
+    """Rows per scan tile when one row costs ``row_cost`` float32 elements."""
+    return max(1, SCAN_TILE // max(1, row_cost))
 
 
 def _normalize_rows(matrix: np.ndarray) -> np.ndarray:
@@ -58,16 +74,60 @@ def _normalize_rows(matrix: np.ndarray) -> np.ndarray:
     return matrix / np.where(norms == 0.0, 1.0, norms)
 
 
+def _query_score_keys(owner: np.ndarray, scores: np.ndarray) -> np.ndarray:
+    """int64 keys that order (owner, float32 score) pairs lexicographically.
+
+    A float32's bits, with the magnitude bits flipped when negative, order
+    like the float itself as a signed int32; adding ``+0.0`` first folds
+    ``-0.0`` onto ``+0.0`` so the two stay equal.
+    """
+    bits = (scores + np.float32(0.0)).view(np.int32).astype(np.int64)
+    bits ^= (bits >> 31) & 0x7FFFFFFF
+    return (owner << 32) + bits
+
+
+def _merge_top(
+    best: Optional[Tuple[np.ndarray, np.ndarray]],
+    parts: List[Tuple[np.ndarray, np.ndarray, np.ndarray]],
+    rows: int,
+    budget: int,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The ``budget`` smallest (score, id) pairs per query of a pool.
+
+    The pool is ``best`` — ``None`` or ``(scores, ids)`` of shape ``(rows,
+    budget)`` in (score, id) order — followed by ``parts``, survivor
+    ``(owner, score, id)`` arrays in (owner, id) order, each from rows
+    after every earlier part's.  Ids therefore ascend within every equal
+    (owner, score) run, so a stable sort on (owner, score) orders the pool
+    by (owner, score, id).  Every query must own at least ``budget``
+    entries.
+    """
+    if best is not None:
+        held_owner = np.repeat(np.arange(rows), budget)
+        parts = [(held_owner, best[0].ravel(), best[1].ravel()), *parts]
+    owner, scores, ids = (np.concatenate(column) for column in zip(*parts))
+    order = np.argsort(_query_score_keys(owner, scores), kind="stable")
+    counts = np.bincount(owner, minlength=rows)
+    firsts = np.cumsum(counts) - counts
+    pick = order[firsts[:, None] + np.arange(budget)]
+    return scores[pick], ids[pick]
+
+
 class QuantizedIndexBase(RegisteredIndex):
     """Base class for code-scanning backends with an exact re-rank stage.
 
-    Subclasses implement four hooks:
+    Subclasses implement six hooks:
 
     * :meth:`_fit_codec` — train the codec and encode the (metric-adjusted)
       base matrix into compressed codes;
-    * :meth:`_scores` — approximate scores of every row for a query
-      block, monotone in distance (smaller = closer), computed from the
+    * :meth:`_encode_queries` — turn (metric-adjusted) queries into the
+      operand the tile kernel consumes, one leading row per query;
+    * :meth:`_tile_scores` — approximate float32 scores of the rows
+      ``[start, stop)`` for encoded queries, monotone in distance
+      (smaller = closer) up to a per-query constant, computed from the
       codes alone;
+    * :meth:`_tile_rows` — rows per tile for a query count, from the
+      float32 elements one row of a tile costs the kernel;
     * :meth:`_codec_state` / :meth:`_restore_codec` — persistence of the
       codec arrays (the re-rank vectors are handled here, through the
       :class:`VectorStore`).
@@ -78,7 +138,6 @@ class QuantizedIndexBase(RegisteredIndex):
         *,
         metric: str = "euclidean",
         rerank_factor: int = 4,
-        query_block: int = DEFAULT_QUERY_BLOCK,
     ) -> None:
         if metric not in type(self).capabilities.metrics:
             raise ConfigurationError(
@@ -87,7 +146,6 @@ class QuantizedIndexBase(RegisteredIndex):
             )
         self.metric = str(metric)
         self.rerank_factor = check_positive_int(rerank_factor, "rerank_factor")
-        self.query_block = check_positive_int(query_block, "query_block")
         self._vectors: Optional[np.ndarray] = None
         self._store: Optional[VectorStore] = None
         self._dim: Optional[int] = None
@@ -99,7 +157,15 @@ class QuantizedIndexBase(RegisteredIndex):
     def _fit_codec(self, encoded_base: np.ndarray) -> None:  # pragma: no cover
         raise NotImplementedError
 
-    def _scores(self, queries: np.ndarray) -> np.ndarray:  # pragma: no cover
+    def _encode_queries(self, queries: np.ndarray) -> np.ndarray:  # pragma: no cover
+        raise NotImplementedError
+
+    def _tile_scores(
+        self, encoded_queries: np.ndarray, start: int, stop: int
+    ) -> np.ndarray:  # pragma: no cover
+        raise NotImplementedError
+
+    def _tile_rows(self, n_queries: int) -> int:  # pragma: no cover
         raise NotImplementedError
 
     def _codec_state(self) -> Tuple[Dict[str, Any], Dict[str, np.ndarray]]:
@@ -126,8 +192,8 @@ class QuantizedIndexBase(RegisteredIndex):
         self._fit_codec(self._encode_input(base))
         return self
 
-    def _encode_input(self, base: np.ndarray) -> np.ndarray:
-        """The matrix the codec trains on: normalised rows under cosine.
+    def _encode_input(self, points: np.ndarray) -> np.ndarray:
+        """What the codec sees, base or queries: normalised rows under cosine.
 
         Euclidean distance on L2-normalised vectors ranks exactly like
         cosine distance, so the cosine scan quantizes the normalised base
@@ -135,13 +201,8 @@ class QuantizedIndexBase(RegisteredIndex):
         stored vectors.
         """
         if self.metric == "cosine":
-            return _normalize_rows(base)
-        return base
-
-    def _encode_queries(self, queries: np.ndarray) -> np.ndarray:
-        if self.metric == "cosine":
-            return _normalize_rows(queries)
-        return queries
+            return _normalize_rows(points)
+        return points
 
     # ------------------------------------------------------------------ #
     # protocol properties
@@ -264,8 +325,9 @@ class QuantizedIndexBase(RegisteredIndex):
             rows=int(self.n_points),
             budget=int(budget),
             kernel=getattr(type(self), "_registry_name", type(self).__name__),
-        ):
-            candidates = self._scan(queries, budget, mask)
+        ) as scan_span:
+            candidates, tiles, survivors = self._scan(queries, budget, mask)
+            scan_span.set(tiles=tiles, survivors=survivors)
         with span(
             "quant.rerank",
             candidates=int(budget),
@@ -277,21 +339,90 @@ class QuantizedIndexBase(RegisteredIndex):
 
     def _scan(
         self, queries: np.ndarray, budget: int, mask: Optional[np.ndarray]
-    ) -> np.ndarray:
-        """Stage 1: top-``budget`` candidate rows per query, by code scores."""
+    ) -> Tuple[np.ndarray, int, int]:
+        """Stage 1: top-``budget`` candidate rows per query, by code scores.
+
+        Returns ``(ids, tiles, survivors)``: ``ids`` is ``(queries,
+        budget)`` in (score, row id) order — the first ``budget`` columns
+        of a stable argsort of the full score matrix — ``tiles`` counts the
+        tiles scored and ``survivors`` the rows that passed a tile's
+        selection threshold.  Tiles whose rows the mask disallows entirely
+        are never scored.
+        """
         n = self.n_points
-        encoded = self._encode_queries(queries)
+        n_queries = queries.shape[0]
         if budget >= n:
-            return np.broadcast_to(
-                np.arange(n, dtype=np.int64), (queries.shape[0], n)
-            )
-        out = np.empty((queries.shape[0], budget), dtype=np.int64)
-        for start, stop in iter_blocks(queries.shape[0], self.query_block):
-            scores = self._scores(encoded[start:stop])
-            if mask is not None:
-                scores[:, ~mask] = np.inf
-            out[start:stop] = np.argpartition(scores, budget - 1, axis=1)[:, :budget]
-        return out
+            ids = np.broadcast_to(np.arange(n, dtype=np.int64), (n_queries, n))
+            return ids, 0, 0
+        adjusted = self._encode_input(queries)
+        # Query ranges stop at sqrt(SCAN_TILE) so a tile is never much
+        # narrower than it is tall.
+        query_step = min(n_queries, math.isqrt(SCAN_TILE))
+        row_step = self._tile_rows(query_step)
+        out = np.empty((n_queries, budget), dtype=np.int64)
+        tiles = survivors = 0
+        for q_start, q_stop in iter_blocks(n_queries, query_step):
+            encoded = self._encode_queries(adjusted[q_start:q_stop])
+            rows = q_stop - q_start
+            # Top-budget per query as of the last merge, (scores, ids) in
+            # (score, row id) order, and the survivors found since.  Merging
+            # only once the survivors could refill every query keeps the
+            # merge count logarithmic in the tiles; the stale bound just
+            # lets a few more rows through.
+            best = None
+            pending: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+            pending_size = 0
+            for start, stop in iter_blocks(n, row_step):
+                blocked = None
+                if mask is not None:
+                    blocked = np.flatnonzero(~mask[start:stop])
+                    if blocked.size == stop - start:
+                        continue
+                scores = self._tile_scores(encoded, start, stop)
+                tiles += 1
+                if blocked is not None and blocked.size:
+                    scores[:, blocked] = np.inf
+                width = stop - start
+                if best is None and width >= budget:
+                    # Seed: each query's budget-th score in this tile bounds
+                    # its top-budget; every row tying it is kept.
+                    kth = np.partition(scores, budget - 1, axis=1)[:, budget - 1 : budget]
+                    keep = np.flatnonzero(scores <= kth)
+                    survivors += int(keep.size)
+                    kept = scores.ravel()[keep]
+                    if keep.size == rows * budget:
+                        # No tie at any threshold: the survivors form a
+                        # (rows, budget) grid in id order, so a stable sort
+                        # of each row orders it by (score, id).
+                        order = np.argsort(kept.reshape(rows, budget), axis=1, kind="stable")
+                        order += np.arange(0, keep.size, budget)[:, None]
+                        best = (kept[order], keep[order] % width + start)
+                    else:
+                        owner, column = np.divmod(keep, width)
+                        best = _merge_top(None, [(owner, kept, column + start)], rows, budget)
+                    continue
+                if best is None:
+                    # A tile narrower than the budget: pad with (+inf, n).
+                    best = (
+                        np.full((rows, budget), np.inf, dtype=np.float32),
+                        np.full((rows, budget), n, dtype=np.int64),
+                    )
+                # Strict: a later row tying the budget-th score loses to the
+                # smaller id already held.
+                keep = np.flatnonzero(scores < best[0][:, -1:])
+                survivors += int(keep.size)
+                if keep.size == 0:
+                    continue
+                owner, column = np.divmod(keep, width)
+                pending.append((owner, scores.ravel()[keep], column + start))
+                pending_size += keep.size
+                if pending_size >= rows * budget:
+                    best = _merge_top(best, pending, rows, budget)
+                    pending, pending_size = [], 0
+            if pending:
+                best = _merge_top(best, pending, rows, budget)
+            out[q_start:q_stop] = best[1]
+        return out, tiles, survivors
 
     # ------------------------------------------------------------------ #
     # introspection
@@ -323,17 +454,17 @@ class QuantizedIndexBase(RegisteredIndex):
         arrays = dict(arrays)
         config["__metric__"] = self.metric
         config["__rerank_factor__"] = int(self.rerank_factor)
-        config["__query_block__"] = int(self.query_block)
         config["__n_points__"] = int(self.n_points)
         config["__dim__"] = int(self.dim)
         return config, arrays, {}
 
     @classmethod
     def _from_state(cls, config, arrays, load_child):
+        # Manifests written before the tiled scan also carry a
+        # ``__query_block__`` key; it no longer configures anything.
         index = cls(
             metric=str(config["__metric__"]),
             rerank_factor=int(config["__rerank_factor__"]),
-            query_block=int(config.get("__query_block__", DEFAULT_QUERY_BLOCK)),
         )
         index._n_points = int(config["__n_points__"])
         index._dim = int(config["__dim__"])

@@ -1,4 +1,4 @@
-"""Int8 scalar quantization: per-dimension affine codes, blocked scan.
+"""Int8 scalar quantization: per-dimension affine codes, tiled SGEMM scan.
 
 Each dimension ``d`` gets its own affine grid ``value = code * scale_d +
 offset_d`` with 256 levels spanning the base's observed range, so a row
@@ -11,11 +11,14 @@ the expansion::
     ||q - x̂||² = ||q||² - 2 q·x̂ + ||x̂||²
     q·x̂        = (q * scale) · codes + q · offset
 
-``||x̂||²`` is precomputed per row at build time and ``||q||²`` is
-constant per query (dropped — it never changes the ranking), so the hot
-loop is one SGEMM of the scaled queries against ``float32``-promoted
-code blocks.  Blocks are sized to stay cache-resident: the scan streams
-``n * dim`` *bytes* of codes, not ``8 n * dim`` of float64.
+``||x̂||²`` is precomputed per row at build time; ``||q||²`` and
+``-2 q·offset`` are the same for every row a query scores, so both are
+dropped — they never change the ranking.  What is left is one SGEMM per
+scan tile (see :data:`~repro.quant.base.SCAN_TILE`): the tile's uint8
+code rows are converted to float32 once, multiplied against every query
+of the tile pre-scaled by ``-2 * scale``, and ``||x̂||²`` is added in
+place.  Tiles span hundreds of queries and thousands of rows, so BLAS
+runs large, well-shaped products instead of many thin ones.
 
 NumPy ships no integer GEMM, so the serving kernel accumulates in
 float32; :meth:`Sq8Index.int32_dot` is the pure-integer reference — the
@@ -32,12 +35,8 @@ import numpy as np
 from ..api.protocol import IndexCapabilities
 from ..api.registry import register_index
 from ..utils.distances import iter_blocks
-from ..utils.validation import as_query_matrix, check_positive_int
-from .base import QuantizedIndexBase
-
-#: base rows per scan block — 512 rows x 128 dims x 4 B = 256 KiB, sized
-#: so the float32-promoted block stays in L2 while SGEMM runs over it
-DEFAULT_ROW_BLOCK = 512
+from ..utils.validation import as_query_matrix
+from .base import QuantizedIndexBase, tile_rows
 
 
 class Sq8Codec:
@@ -90,8 +89,6 @@ class Sq8Index(QuantizedIndexBase):
     rerank_factor:
         Default over-fetch: stage 1 keeps ``rerank_factor * k``
         candidates per query (override per call with ``rerank=``).
-    row_block:
-        Base rows promoted to float32 per SGEMM block.
     """
 
     def __init__(
@@ -99,13 +96,8 @@ class Sq8Index(QuantizedIndexBase):
         *,
         metric: str = "euclidean",
         rerank_factor: int = 4,
-        row_block: int = DEFAULT_ROW_BLOCK,
-        query_block: int = 32,
     ) -> None:
-        super().__init__(
-            metric=metric, rerank_factor=rerank_factor, query_block=query_block
-        )
-        self.row_block = check_positive_int(row_block, "row_block")
+        super().__init__(metric=metric, rerank_factor=rerank_factor)
         self._codes: np.ndarray | None = None
         self._code_norms: np.ndarray | None = None
         self._codec = Sq8Codec()
@@ -119,7 +111,7 @@ class Sq8Index(QuantizedIndexBase):
         # ||x̂||² per row, computed blocked so fit never materialises the
         # full decoded matrix.
         norms = np.empty(self._codes.shape[0], dtype=np.float32)
-        for start, stop in iter_blocks(self._codes.shape[0], self.row_block):
+        for start, stop in iter_blocks(self._codes.shape[0], self._tile_rows(1)):
             decoded = self._decode_block_f32(start, stop)
             norms[start:stop] = np.einsum("ij,ij->i", decoded, decoded)
         self._code_norms = norms
@@ -130,20 +122,28 @@ class Sq8Index(QuantizedIndexBase):
         block += self._codec.offset.astype(np.float32)
         return block
 
-    def _scores(self, queries: np.ndarray) -> np.ndarray:
-        """Approximate squared distances (up to a per-query constant)."""
-        scaled = (queries * self._codec.scale).astype(np.float32)
-        bias = (queries @ self._codec.offset).astype(np.float32)
-        n = self._codes.shape[0]
-        dots = np.empty((queries.shape[0], n), dtype=np.float32)
-        for start, stop in iter_blocks(n, self.row_block):
-            block = self._codes[start:stop].astype(np.float32)
-            dots[:, start:stop] = scaled @ block.T
-        # ||x̂||² - 2 q·x̂ ; the dropped ||q||² is constant per query row.
-        dots += bias[:, None]
-        dots *= -2.0
-        dots += self._code_norms[None, :]
-        return dots
+    def _encode_queries(self, queries: np.ndarray) -> np.ndarray:
+        """Queries pre-scaled onto the code grid: ``-2 * q * scale``."""
+        return (queries * (-2.0 * self._codec.scale)).astype(np.float32)
+
+    def _tile_rows(self, n_queries: int) -> int:
+        """Rows whose scores and decoded codes both fit the tile.
+
+        A row costs ``n_queries`` score elements and ``dim`` decoded ones;
+        the decoded block is held to an eighth of the tile (1 MB) so it
+        stays cache-resident while SGEMM reads it — what bounds a
+        single-query scan, which is memory-bound.
+        """
+        return tile_rows(max(n_queries, 8 * self.dim))
+
+    def _tile_scores(
+        self, encoded_queries: np.ndarray, start: int, stop: int
+    ) -> np.ndarray:
+        """``||x̂||² - 2 q·(x̂ - offset)`` for rows ``[start, stop)``."""
+        block = self._codes[start:stop].astype(np.float32)
+        scores = encoded_queries @ block.T
+        scores += self._code_norms[start:stop]
+        return scores
 
     # ------------------------------------------------------------------ #
     # integer reference kernel
@@ -152,7 +152,7 @@ class Sq8Index(QuantizedIndexBase):
         """Quantize queries onto the codec's own uint8 grid."""
         self._require_built()
         queries = as_query_matrix(np.atleast_2d(queries), self.dim)
-        return self._codec.encode(self._encode_queries(queries))
+        return self._codec.encode(self._encode_input(queries))
 
     def int32_dot(self, query: np.ndarray) -> np.ndarray:
         """Cross term ``q8 · codes`` accumulated in int32 on the code grid.
@@ -166,7 +166,7 @@ class Sq8Index(QuantizedIndexBase):
         q8 = self.quantize_queries(query)[0].astype(np.int32)
         n = self._codes.shape[0]
         out = np.empty(n, dtype=np.int32)
-        for start, stop in iter_blocks(n, self.row_block):
+        for start, stop in iter_blocks(n, self._tile_rows(1)):
             block = self._codes[start:stop].astype(np.int32)
             np.einsum("nd,d->n", block, q8, out=out[start:stop])
         return out
@@ -175,19 +175,19 @@ class Sq8Index(QuantizedIndexBase):
     # persistence / introspection
     # ------------------------------------------------------------------ #
     def _codec_state(self) -> Tuple[Dict[str, Any], Dict[str, np.ndarray]]:
-        config = {"row_block": int(self.row_block)}
         arrays = {
             "codes": self._codes,
             "scale": self._codec.scale,
             "offset": self._codec.offset,
             "code_norms": self._code_norms,
         }
-        return config, arrays
+        return {}, arrays
 
     def _restore_codec(
         self, config: Mapping[str, Any], arrays: Mapping[str, np.ndarray]
     ) -> None:
-        self.row_block = int(config.get("row_block", DEFAULT_ROW_BLOCK))
+        # Manifests written before the tiled scan also carry a
+        # ``row_block`` key; it no longer configures anything.
         codes = np.asarray(arrays["codes"], dtype=np.uint8)
         self._validate_codes_shape(codes)
         self._codes = codes

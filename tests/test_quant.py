@@ -15,20 +15,24 @@ The central guarantees:
 * **WAL recovery** — a collection over a sharded quantized index
   recovers acknowledged mutations to bitwise-identical answers;
 * **kernel fidelity** — ``distance_tables`` batched == single-query,
-  and the int32 reference kernel is exact on the code grid.
+  and the int32 reference kernel is exact on the code grid;
+* **tiled selection** — stage 1 returns exactly the first ``budget``
+  columns of a stable argsort of the full score matrix for any tile
+  shape, budget and filter mask, so ties keep the smallest row ids.
 """
 
 import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.api import load_index, make_index
 from repro.datasets import sift_like
 from repro.eval import recall_at_k
 from repro.quant import Sq8Index, VectorStore
+from repro.quant import base as quant_base
 from repro.quant.memmap_store import HEADER_FILE, VECTORS_FILE
 from repro.utils.distances import get_metric, pairwise_topk
 from repro.utils.exceptions import (
@@ -319,6 +323,29 @@ class TestQuantPersistence:
         assert stats["resident_bytes"] < stats["float32_bytes"]
         assert stats["resident_bytes"] == reloaded.resident_bytes()
 
+    @pytest.mark.parametrize("backend", sorted(QUANT_BACKENDS))
+    def test_manifest_with_retired_block_knobs_loads_bitwise(self, backend, tmp_path):
+        # Manifests written before the tiled scan carry ``__query_block__``
+        # (and ``row_block`` for sq8); they must load and answer unchanged.
+        rng = np.random.default_rng(8)
+        base = rng.normal(size=(300, 16))
+        queries = rng.normal(size=(6, 16))
+        index = _build(backend, base)
+        ids, distances = index.batch_query(queries, 10)
+        index.save(tmp_path / backend)
+        manifest_path = tmp_path / backend / "index.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["config"]["__query_block__"] = 32
+        if backend == "sq8":
+            manifest["config"]["row_block"] = 512
+        manifest_path.write_text(json.dumps(manifest))
+        reloaded = load_index(tmp_path / backend)
+        re_ids, re_distances = reloaded.batch_query(queries, 10)
+        np.testing.assert_array_equal(ids, re_ids)
+        np.testing.assert_array_equal(distances, re_distances)
+        assert not hasattr(reloaded, "query_block")
+        assert not hasattr(reloaded, "row_block")
+
     def test_mismatched_store_is_rejected_at_load(self, tmp_path):
         rng = np.random.default_rng(5)
         index = _build("sq8", rng.normal(size=(40, 8)))
@@ -434,41 +461,165 @@ class TestKernels:
         with pytest.raises(ValidationError, match="dimensionality"):
             pq.distance_tables(np.zeros((2, 12)))
 
-    def test_int32_reference_kernel_is_exact_on_the_code_grid(self):
+    def test_int32_reference_kernel_is_exact_on_the_code_grid(self, monkeypatch):
         # The integer reference: uint8 x uint8 products accumulated in
-        # int32 must equal an int64 accumulation exactly (no overflow).
+        # int32 must equal an int64 accumulation exactly (no overflow),
+        # across many small tiles.
+        monkeypatch.setattr(quant_base, "SCAN_TILE", 8 * 24 * 64)
         rng = np.random.default_rng(3)
         base = rng.normal(size=(300, 24))
-        index = Sq8Index(row_block=64).build(base)
+        index = Sq8Index().build(base)
         query = rng.normal(size=24)
         got = index.int32_dot(query)
         assert got.dtype == np.int32
         q8 = index.quantize_queries(query)[0].astype(np.int64)
         codes = index._codes.astype(np.int64)
         np.testing.assert_array_equal(got, codes @ q8)
+        # The float32 tile kernel is exact on the code grid too: on an
+        # integer base (scale 1, offset 0) every norm and cross term is an
+        # integer below 2^24, so fed a quantized query as its operand each
+        # tile reproduces the int32 cross term plus ||x̂||² bitwise.
+        grid = Sq8Index().build(_grid_base(rng, 300, 24))
+        q8 = grid.quantize_queries(query)[0]
+        operand = q8.astype(np.float32)[None, :]
+        tiled = np.concatenate(
+            [grid._tile_scores(operand, start, min(start + 64, 300)) for start in range(0, 300, 64)],
+            axis=1,
+        )
+        np.testing.assert_array_equal(tiled[0] - grid._code_norms, grid.int32_dot(query))
 
     def test_sq8_scores_rank_like_decoded_distances(self):
-        # The float32 SGEMM kernel drops ||q||^2; adding it back must
+        # The float32 SGEMM kernel drops ||q||² and -2 q·offset, both the
+        # same for every row a query scores; adding them back must
         # reproduce the decoded-row squared distances to float32 accuracy.
         rng = np.random.default_rng(6)
         base = rng.normal(size=(150, 12))
-        index = Sq8Index(row_block=32).build(base)
+        index = Sq8Index().build(base)
         queries = rng.normal(size=(4, 12))
-        scores = index._scores(queries)
+        scores = index._tile_scores(index._encode_queries(queries), 0, 150)
         decoded = index._codec.decode(index._codes)
         exact = get_metric("sqeuclidean")(queries, decoded)
         q_norms = np.einsum("ij,ij->i", queries, queries)
+        q_offsets = queries @ index._codec.offset
         np.testing.assert_allclose(
-            scores + q_norms[:, None], exact, rtol=1e-4, atol=1e-3
+            scores + (q_norms - 2.0 * q_offsets)[:, None], exact, rtol=1e-4, atol=1e-3
         )
 
-    def test_query_blocking_does_not_change_answers(self):
+    def test_query_blocking_does_not_change_answers(self, monkeypatch):
+        # Ties at the budget boundary keep the smallest row ids whatever
+        # the tile shape.  On an integer grid (scale 1, offset 0) every
+        # score is exact, so copies of a row tie bitwise: 5 copies of the
+        # query sit at distance 0, 30 copies of a neighbour at distance 1,
+        # and a budget of 12 cuts through the second group.
         rng = np.random.default_rng(11)
-        base = rng.normal(size=(220, 12))
-        queries = rng.normal(size=(9, 12))
-        one = _build("sq8", base, query_block=1)
-        many = _build("sq8", base, query_block=64)
-        ids_one, d_one = one.batch_query(queries, 8)
-        ids_many, d_many = many.batch_query(queries, 8)
-        np.testing.assert_array_equal(ids_one, ids_many)
-        np.testing.assert_array_equal(d_one, d_many)
+        n, dim, budget = 400, 12, 12
+        base = _grid_base(rng, n, dim)
+        query = rng.integers(1, 254, size=dim).astype(np.float64)
+        neighbour = query.copy()
+        neighbour[0] += 1.0
+        slots = rng.permutation(np.arange(2, n))
+        exact_ids, tied_ids = np.sort(slots[:5]), np.sort(slots[5:35])
+        base[exact_ids] = query
+        base[tied_ids] = neighbour
+        queries = np.vstack([query, rng.integers(0, 255, size=(8, dim))])
+        expected = np.concatenate([exact_ids, tied_ids[: budget - 5]])
+        answers = []
+        for tile in (8 * dim * 3, 8 * dim * 40, 1 << 21):
+            monkeypatch.setattr(quant_base, "SCAN_TILE", tile)
+            index = Sq8Index().build(base)
+            for batch in (queries[:1], queries):
+                ids, _, _ = index._scan(batch, budget, None)
+                np.testing.assert_array_equal(ids[0], expected)
+            answers.append(index.batch_query(queries, 8, rerank=budget))
+        for ids, distances in answers[1:]:
+            np.testing.assert_array_equal(ids, answers[0][0])
+            np.testing.assert_array_equal(distances, answers[0][1])
+
+
+def _grid_base(rng, n, dim):
+    """Integer rows whose sq8 grid is exactly scale 1, offset 0.
+
+    Rows 0 and 1 pin every dimension's range to [0, 255], so codes equal
+    the values and every kernel score is an exactly representable integer
+    — ties between copies are bitwise whatever BLAS does.
+    """
+    base = rng.integers(0, 8, size=(n, dim)).astype(np.float64)
+    base[0], base[1] = 0.0, 255.0
+    return base
+
+
+def _mask_for(kind, n, rng):
+    if kind == "none":
+        return None
+    if kind == "random":
+        return rng.random(n) < 0.6
+    mask = np.ones(n, dtype=bool)
+    if kind == "blank-tiles":
+        mask[:40] = False
+        mask[80:100] = False
+    else:  # "sparse-first-tile": one allowed row among the first 40
+        mask[:40] = False
+        mask[7] = True
+    return mask
+
+
+# ---------------------------------------------------------------------- #
+# tiled stage 1: selection, tie-break and counters
+# ---------------------------------------------------------------------- #
+class TestTiledScan:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**16),
+        backend=st.sampled_from(sorted(QUANT_BACKENDS)),
+        tile=st.sampled_from([256, 4096, 1 << 21]),
+        budget_kind=st.sampled_from(["small", "wide", "n-1"]),
+        mask_kind=st.sampled_from(["none", "random", "blank-tiles", "sparse-first-tile"]),
+    )
+    def test_selection_matches_stable_argsort_of_full_scores(
+        self, seed, backend, tile, budget_kind, mask_kind
+    ):
+        # SCAN_TILE=256 leaves 1-4 rows per tile, fewer than any budget.
+        rng = np.random.default_rng(seed)
+        n, dim = 150, 8
+        base = _grid_base(rng, n, dim)
+        queries = rng.integers(0, 8, size=(4, dim)).astype(np.float64)
+        index = _build(backend, base)
+        budget = {"small": 3, "wide": 17, "n-1": n - 1}[budget_kind]
+        mask = _mask_for(mask_kind, n, rng)
+        # batch_query re-ranks a subset that fits the budget without a scan
+        assume(mask is None or mask.sum() > budget)
+        encoded = index._encode_queries(index._encode_input(queries))
+        full = index._tile_scores(encoded, 0, n)
+        if mask is not None:
+            full[:, ~mask] = np.inf
+        expected = np.argsort(full, axis=1, kind="stable")[:, :budget]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(quant_base, "SCAN_TILE", tile)
+            ids, tiles, survivors = index._scan(queries, budget, mask)
+        np.testing.assert_array_equal(ids, expected)
+        assert tiles >= 1 and survivors >= budget * len(queries)
+
+    def test_scan_span_carries_deterministic_counters(self, monkeypatch):
+        from repro.obs import Tracer, TracingConfig, activate, deactivate
+
+        # 2,000 grid rows at 16 dims: sq8 rows cost 8 * 16 floats, so a
+        # 16,384-element tile holds 128 rows and the scan runs 16 tiles.
+        monkeypatch.setattr(quant_base, "SCAN_TILE", 16_384)
+        rng = np.random.default_rng(21)
+        base = _grid_base(rng, 2000, 16)
+        queries = rng.integers(0, 8, size=(6, 16)).astype(np.float64)
+        index = Sq8Index().build(base)
+        tracer = Tracer(TracingConfig())
+        trace = tracer.begin("test.root")
+        token = activate(trace)
+        try:
+            index.batch_query(queries, 10)
+        finally:
+            deactivate(token)
+        payload = tracer.finish(trace)
+        (scan,) = [s for s in payload["spans"] if s["name"] == "quant.scan"]
+        # exact integer scores make both counters machine-independent
+        assert scan["attributes"]["tiles"] == 16
+        assert scan["attributes"]["survivors"] == 1234
+        assert scan["attributes"]["budget"] == 40
+        assert index._scan(queries, 40, None)[1:] == (16, 1234)
