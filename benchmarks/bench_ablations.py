@@ -1,4 +1,4 @@
-"""Ablation benchmarks for the design choices called out in DESIGN.md §5.
+"""Ablation benchmarks for USP's design choices (see PAPER.md).
 
 These go beyond the paper's tables: they isolate the effect of the soft
 neighbour labels, the balance term, the ensemble size, k', the batch

@@ -42,7 +42,7 @@ def test_figure6_mnist_trees(benchmark, mnist_dataset, report):
     by_method = {c.method: c for c in curves}
     usp = by_method["USP (logistic tree)"]
     # On the MNIST-like manifold data the PCA-style trees are very strong at
-    # this reduced scale (see EXPERIMENTS.md); the robust paper claim is the
+    # this reduced scale (results/figure6_mnist_trees.txt); the robust paper claim is the
     # comparison against Regression LSH in the high-accuracy regime.
     assert usp.candidate_size_at_accuracy(0.98) <= by_method[
         "Regression LSH"

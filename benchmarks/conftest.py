@@ -1,10 +1,10 @@
 """Shared fixtures and reporting plumbing for the benchmark harness.
 
-Every module under ``benchmarks/`` regenerates one table or figure of the
-paper at a reduced, CPU-friendly scale (see DESIGN.md for the substitution
-rationale).  Results are printed to stdout and also written to
-``benchmarks/results/<name>.txt`` so they survive pytest's output capture
-and can be pasted into EXPERIMENTS.md.
+The paper modules under ``benchmarks/`` regenerate one table or figure of
+the paper at a reduced, CPU-friendly scale on synthetic stand-ins for
+SIFT/MNIST (docs/benchmarks.md lists them).  Results are printed to stdout
+and also written to ``benchmarks/results/<name>.txt`` so they survive
+pytest's output capture and can be compared across commits.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ RESULTS_DIR = Path(__file__).parent / "results"
 def smoke_artifact_guard(path, *, smoke: bool) -> None:
     """Assert that a smoke run never writes a committed full-scale artifact.
 
-    The committed trajectory files (``bench_store.json`` et al.) carry no
+    The committed trajectory files (``bench_load.json`` et al.) carry no
     suffix; smoke runs must write ``*_smoke`` names (or an ``--out-dir``
     away from ``benchmarks/results``).  Every ``write_results`` routes its
     target paths through this check, so a naming regression fails loudly

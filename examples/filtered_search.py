@@ -81,7 +81,7 @@ def main() -> None:
           f"different predicate: {other.cache_hits}/{other.n_queries}")
     assert first.cache_hits == 0 and other.cache_hits == 0
 
-    # 6. The selectivity sweep behind benchmarks/bench_filter.py.
+    # 6. Recall and throughput per selectivity (repro.eval.filter_selectivity_curve).
     points = filter_selectivity_curve(
         "kmeans",
         data,

@@ -25,7 +25,8 @@ from repro.service import QueryRequest, SearchService
 
 
 def main() -> None:
-    # 1. A SIFT-like benchmark dataset (see DESIGN.md for why it is synthetic).
+    # 1. A SIFT-like benchmark dataset: a synthetic stand-in with SIFT's
+    #    structure (see docs/benchmarks.md).
     data = sift_like(n_points=5000, n_queries=200, dim=64, n_clusters=12, seed=7)
     print(f"dataset: {data.name}  base={data.base.shape}  queries={data.queries.shape}")
 
@@ -150,8 +151,8 @@ def main() -> None:
     sharded.compact()
     print(f"after add/remove/compact: {sharded.n_points} live vectors, "
           f"version={sharded.version}")
-    # End-to-end sharded serving (Router, persistence, benchmarks) is in
-    # examples/sharded_serving.py and benchmarks/bench_shard.py.
+    # End-to-end sharded serving (Router, persistence) is in
+    # examples/sharded_serving.py; tests/test_shard.py pins the exact merge.
 
     # ------------------------------------------------------------------ #
     # Filtered search

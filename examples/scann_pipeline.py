@@ -50,7 +50,7 @@ def main() -> None:
               f"{vs_kmeans:.2f}x that of K-means+ScaNN")
     print("\n(The paper reports ~40% faster 10-NN retrieval than K-means+ScaNN on the "
           "full-scale datasets; at this reduced scale the per-query Python overhead "
-          "compresses the gap — see EXPERIMENTS.md.)")
+          "compresses the gap — see docs/benchmarks.md.)")
 
 
 if __name__ == "__main__":

@@ -3,9 +3,9 @@
 Every benchmark module under ``benchmarks/`` is a thin wrapper around a
 function in this module, so the same experiments can also be run directly
 from Python or from the examples.  All experiments run at a reduced,
-CPU-friendly scale controlled by :class:`ExperimentScale`; the DESIGN.md
-substitution table explains why the reduced scale preserves the paper's
-qualitative claims.
+CPU-friendly scale controlled by :class:`ExperimentScale`, on synthetic
+structural stand-ins for SIFT and MNIST (docs/benchmarks.md lists which
+runner reproduces which table or figure).
 
 Query execution inside every sweep goes through
 :class:`repro.service.SearchService` (see :mod:`repro.eval.sweep`), so the
@@ -135,7 +135,7 @@ def benchmark_dataset(
 # ---------------------------------------------------------------------- #
 # Default configurations (the reproduction's analogue of the paper's
 # Table 3 settings; eta is re-tuned because the balance term here is
-# normalised to [-1, 0], see EXPERIMENTS.md)
+# normalised to [-1, 0])
 # ---------------------------------------------------------------------- #
 def default_usp_config(n_bins: int, *, dataset: str = "sift", seed: int = 0) -> UspConfig:
     """USP hyper-parameters per dataset/bins (the reproduction's Table 3)."""

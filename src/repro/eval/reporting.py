@@ -3,7 +3,7 @@
 The benchmark harness prints the same rows/series the paper reports; these
 helpers render them as aligned ASCII tables so the output of
 ``pytest benchmarks/ --benchmark-only -s`` is directly readable and can be
-pasted into EXPERIMENTS.md.
+compared with the committed ``benchmarks/results/*.txt``.
 """
 
 from __future__ import annotations

@@ -189,58 +189,6 @@ def accuracy_candidate_curve(
 
 
 @dataclass
-class ShardScalingPoint:
-    """One shard count of a scaling sweep (build cost + serving throughput)."""
-
-    n_shards: int
-    build_seconds: float
-    queries_per_second: float
-    accuracy: float
-
-
-def shard_scaling_curve(
-    dataset: AnnDataset,
-    shard_counts: Sequence[int],
-    *,
-    spec: str = "bruteforce",
-    shard_params: Optional[dict] = None,
-    partitioner: str = "round-robin",
-    k: int = 10,
-    probes: Optional[int] = None,
-) -> List[ShardScalingPoint]:
-    """Sweep shard counts and record build cost, throughput, and accuracy.
-
-    For each count a :class:`repro.shard.ShardedIndex` over ``spec``
-    back-ends is built and served through
-    :class:`~repro.service.SearchService` — the same instrumented path as
-    every other curve.
-    """
-    from ..shard import ShardedIndex
-
-    points: List[ShardScalingPoint] = []
-    queries = dataset.queries
-    ground_truth = dataset.ground_truth_for(k)
-    for n_shards in shard_counts:
-        index = ShardedIndex(
-            int(n_shards),
-            spec=spec,
-            shard_params=shard_params,
-            partitioner=partitioner,
-        ).build(dataset.base)
-        service = SearchService(index)
-        batch = service.search_batch(queries, QueryRequest(k=k, probes=probes))
-        points.append(
-            ShardScalingPoint(
-                n_shards=int(n_shards),
-                build_seconds=index.build_seconds,
-                queries_per_second=batch.queries_per_second,
-                accuracy=knn_accuracy(batch.ids, ground_truth, k),
-            )
-        )
-    return points
-
-
-@dataclass
 class FilterSweepPoint:
     """One predicate of a filtered-search sweep on one index."""
 

@@ -13,6 +13,7 @@ never overwrite them.  Two mechanisms enforce that, both tested here:
 
 import importlib.util
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -46,27 +47,21 @@ class TestSmokeArtifactGuard:
         results_dir = conftest.RESULTS_DIR
         # full-scale path from a smoke run: refused
         with pytest.raises(AssertionError, match="overwrite"):
-            conftest.smoke_artifact_guard(results_dir / "bench_store.json", smoke=True)
+            conftest.smoke_artifact_guard(results_dir / "bench_load.json", smoke=True)
         # suffixed smoke artifact: fine
-        conftest.smoke_artifact_guard(results_dir / "bench_store_smoke.json", smoke=True)
+        conftest.smoke_artifact_guard(results_dir / "bench_load_smoke.json", smoke=True)
         # full-scale run writing the committed name: fine
-        conftest.smoke_artifact_guard(results_dir / "bench_store.json", smoke=False)
+        conftest.smoke_artifact_guard(results_dir / "bench_load.json", smoke=False)
 
     def test_out_dir_redirect_is_always_safe(self, monkeypatch, tmp_path):
         _, conftest = load_bench_module("bench_load", monkeypatch)
-        conftest.smoke_artifact_guard(tmp_path / "bench_store.json", smoke=True)
+        conftest.smoke_artifact_guard(tmp_path / "bench_load.json", smoke=True)
 
     def test_every_ci_bench_has_the_flag_and_the_guard(self):
-        for name in (
-            "bench_shard",
-            "bench_filter",
-            "bench_store",
-            "bench_load",
-            "bench_quant",
-            "bench_replica",
-            "bench_tenant",
-            "bench_obs",
-        ):
+        ci = (BENCH_DIR.parent / ".github" / "workflows" / "ci.yml").read_text()
+        names = re.findall(r"python benchmarks/(bench_\w+)\.py --smoke", ci)
+        assert names, "ci.yml smoke-runs no benchmarks/bench_*.py"
+        for name in names:
             source = (BENCH_DIR / f"{name}.py").read_text()
             assert "resolve_out_dir" in source, f"{name} lost its --out-dir flag"
             assert "smoke_artifact_guard" in source, f"{name} lost the smoke guard"

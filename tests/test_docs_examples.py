@@ -4,7 +4,9 @@ Docs rot when nothing executes them: this module extracts every fenced
 ``python`` block from ``README.md`` and ``exec``s it (doctest-style, but
 for fenced markdown blocks).  The quickstart snippet carries its own
 asserts, so a drifted API fails loudly here — and therefore in CI —
-rather than on a new user's first copy-paste.
+rather than on a new user's first copy-paste.  A pointer to a file that
+does not exist is the same rot, so every script and doc path the docs,
+CI and code name must resolve.
 """
 
 from __future__ import annotations
@@ -14,9 +16,24 @@ from pathlib import Path
 
 import pytest
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 _FENCE = re.compile(r"```python\n(.*?)```", re.DOTALL)
+
+#: ``benchmarks/...py`` scripts, ``NAME.md`` docs (bare names resolve at the
+#: repo root) and ``docs/*.md`` guides.
+_REFERENCE = re.compile(
+    r"benchmarks/[\w/]+\.py|(?:[\w-]+/)*[A-Z][A-Z_]*\.md|docs/[\w-]+\.md"
+)
+_REFERRING = (
+    "README.md",
+    "docs/*.md",
+    ".github/workflows/ci.yml",
+    "examples/*.py",
+    "src/repro/**/*.py",
+    "benchmarks/*.py",
+)
 
 
 def python_blocks() -> list[str]:
@@ -51,3 +68,14 @@ def test_readme_backend_table_matches_registry():
         f"README backend table is stale; missing registry entries: {missing} "
         "(regenerate the table from available_indexes()/index_info())"
     )
+
+
+def test_docs_name_no_missing_file():
+    sources = {path for pattern in _REFERRING for path in ROOT.glob(pattern)}
+    missing = sorted(
+        f"{path.relative_to(ROOT)} names {name}"
+        for path in sources
+        for name in set(_REFERENCE.findall(path.read_text()))
+        if not (ROOT / name).exists()
+    )
+    assert not missing, missing

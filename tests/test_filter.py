@@ -818,15 +818,20 @@ class TestFilterSweep:
             "bruteforce",
             tiny_dataset,
             store,
-            [("narrow", Range("price", high=2.0)), ("wide", Range("price", high=90.0))],
+            [
+                ("narrow", Range("price", high=2.0)),
+                ("wide", Range("price", high=90.0)),
+                ("all", Range("price", high=100.0)),  # price is uniform on [0, 100)
+            ],
             k=10,
         )
-        assert [p.label for p in points] == ["narrow", "wide"]
+        assert [p.label for p in points] == ["narrow", "wide", "all"]
         for point in points:
             assert point.recall == 1.0  # exact back-end
             assert point.queries_per_second > 0
-            assert point.strategy == "prefilter"
-        assert points[0].selectivity < points[1].selectivity
+        # an all-true mask takes the plain query path
+        assert [p.strategy for p in points] == ["prefilter", "prefilter", "unfiltered"]
+        assert points[0].selectivity < points[1].selectivity < points[2].selectivity == 1.0
 
     def test_filter_selectivity_curve_accepts_reloaded_store(self, tiny_dataset, tmp_path):
         # load_index re-attaches an equal-content copy of the store; the

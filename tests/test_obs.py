@@ -225,6 +225,7 @@ class TestSampling:
     def test_rate_zero_never_starts_and_rate_one_always_does(self):
         off = Tracer(TracingConfig(sample_rate=0.0))
         assert all(off.begin("q") is None for _ in range(50))
+        assert off.stats()["traces_finished"] == off.stats()["spans_recorded"] == 0
         on = Tracer(TracingConfig(sample_rate=1.0))
         assert all(on.begin("q") is not None for _ in range(50))
 

@@ -541,10 +541,3 @@ class TestSweepIntegration:
         assert len(curve.points) == 2
         # probing every per-shard bin makes the candidate union everything
         assert curve.points[-1].accuracy == 1.0
-
-    def test_shard_scaling_curve(self, shard_dataset):
-        from repro.eval import shard_scaling_curve
-
-        points = shard_scaling_curve(shard_dataset, [1, 2], k=5)
-        assert [p.n_shards for p in points] == [1, 2]
-        assert all(p.accuracy == 1.0 for p in points)  # bruteforce shards stay exact

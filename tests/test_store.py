@@ -350,6 +350,7 @@ class TestCrashRecovery:
         start = time.perf_counter()
         recovered = Collection.open(tmp_path / "c")
         elapsed = time.perf_counter() - start
+        assert recovered.last_seq == 1000
         assert recovered.index.n_points == 400 + 10_000
         assert elapsed < 30.0, f"recovery took {elapsed:.1f}s"
 
