@@ -169,6 +169,19 @@ class NeuralLshIndex(PartitionIndexBase):
         """Classifier training time (excludes graph partitioning)."""
         return self.training_time
 
+    def _keep_router_only(self, dim: int) -> "NeuralLshIndex":
+        """Drop the training rows; keep the classifier that routes queries.
+
+        ``bin_scores`` needs a built index but never reads its data, so a
+        Regression LSH router node holds this empty two-bin state both
+        after ``build`` and after ``load_index``.
+        """
+        self._base = np.empty((0, dim), dtype=np.float64)
+        self._assignments = np.empty(0, dtype=np.int64)
+        self._lookup = [np.empty(0, dtype=np.int64)] * 2
+        self._n_bins = 2
+        return self
+
     def preprocessing_seconds(self) -> float:
         """Graph-partitioning time — the expensive step USP eliminates."""
         return self.partition_seconds
@@ -297,8 +310,8 @@ class RegressionLshIndex(PartitionIndexBase):
                 )
             )
             node.build(points)
-            self._nodes[node_id] = node
             left_mask = node.assignments == 0
+            self._nodes[node_id] = node._keep_router_only(base.shape[1])
         left = point_indices[left_mask]
         right = point_indices[~left_mask]
         # Leaf id offsets: left subtree keeps the lower half of leaf ids.
@@ -397,12 +410,6 @@ class RegressionLshIndex(PartitionIndexBase):
                     if key.startswith(prefix)
                 },
             )
-            # Mark the node as a query-time router only: bin_scores needs a
-            # built index but never touches the (subset) training data.
-            node._base = np.empty((0, dim), dtype=np.float64)
-            node._assignments = np.empty(0, dtype=np.int64)
-            node._lookup = [np.empty(0, dtype=np.int64)] * 2
-            node._n_bins = 2
-            index._nodes[int(i)] = node
+            index._nodes[int(i)] = node._keep_router_only(dim)
         index.build_seconds = float(config.get("build_seconds", 0.0))
         return index

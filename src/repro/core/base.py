@@ -16,9 +16,16 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from ..api.protocol import RegisteredIndex
-from ..utils.distances import get_metric
+from ..utils.distances import get_metric, squared_norms, unit_rows
 from ..utils.exceptions import NotFittedError, ValidationError
 from ..utils.validation import as_float_matrix, as_query_matrix, check_positive_int
+
+
+def _nearest_positions(dists: np.ndarray, k: int) -> np.ndarray:
+    """Positions of the ``k`` smallest ``dists``, nearest first, ties in input order."""
+    top = min(k, dists.size)
+    part = np.argpartition(dists, kth=top - 1)[:top]
+    return part[np.argsort(dists[part], kind="stable")]
 
 
 def rerank_candidates(
@@ -31,10 +38,12 @@ def rerank_candidates(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Exactly re-rank per-query candidate index lists against ``base``.
 
-    Shared by every partition index and by the ensemble: given the candidate
-    set of each query, compute exact distances and keep the best ``k``.
-    Rows are padded with ``-1`` / ``inf`` when fewer than ``k`` candidates
-    are available.
+    Given the candidate set of each query, compute exact distances and
+    keep the best ``k``.  Rows are padded with ``-1`` / ``inf`` when fewer
+    than ``k`` candidates are available.  Used by ``filter=`` queries, the
+    ensemble, the boosted forest and the quantized re-rank; the unfiltered
+    :meth:`PartitionIndexBase.batch_query` gives the same answers without
+    the gather.
     """
     metric_fn = get_metric(metric)
     queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
@@ -45,12 +54,71 @@ def rerank_candidates(
         if candidates.size == 0:
             continue
         dists = metric_fn(queries[i : i + 1], base[candidates])[0]
-        top = min(k, candidates.size)
-        part = np.argpartition(dists, kth=top - 1)[:top]
-        order = part[np.argsort(dists[part], kind="stable")]
-        out_indices[i, :top] = candidates[order]
-        out_distances[i, :top] = dists[order]
+        nearest = _nearest_positions(dists, k)
+        out_indices[i, : nearest.size] = candidates[nearest]
+        out_distances[i, : nearest.size] = dists[nearest]
     return out_indices, out_distances
+
+
+class _BinMajorLayout:
+    """The base rows regrouped bin after bin, with the metric's per-row constant.
+
+    Bin ``b`` owns layout rows ``[bounds[b], bounds[b + 1])``, which are
+    ``base[lookup[b]]`` byte for byte.  ``euclidean`` / ``sqeuclidean``
+    keep the rows and their squared norms; ``cosine`` keeps the rows
+    already divided by their norms.  Scoring a query against one bin is
+    then one matrix-vector product over a contiguous slice — the same BLAS
+    call on the same bytes as :func:`rerank_candidates` on that bin's
+    gathered rows, minus the gather and the norm recomputation.
+    """
+
+    def __init__(self, base: np.ndarray, lookup: Sequence[np.ndarray], metric: str) -> None:
+        get_metric(metric)  # unknown names fail exactly as in rerank_candidates
+        self.metric = metric
+        self.lookup = lookup
+        self.bounds = np.concatenate([[0], np.cumsum([len(b) for b in lookup])]).tolist()
+        rows = base[np.concatenate(lookup)]
+        if metric == "cosine":
+            self.rows, self.norms = unit_rows(rows), None
+        else:
+            self.rows, self.norms = rows, squared_norms(rows)
+
+    def search(
+        self, queries: np.ndarray, ranked: np.ndarray, k: int
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """The ``k`` nearest rows of each query's ``ranked`` bins, as base ids.
+
+        Same distances, selection and padding as :func:`rerank_candidates`
+        over the concatenated ``lookup`` buckets of each row of ``ranked``.
+        """
+        rows, norms, bounds, lookup = self.rows, self.norms, self.bounds, self.lookup
+        if norms is None:
+            queries = unit_rows(queries)
+        else:
+            query_norms = squared_norms(queries)
+        out_indices = np.full((queries.shape[0], k), -1, dtype=np.int64)
+        out_distances = np.full((queries.shape[0], k), np.inf, dtype=np.float64)
+        for i, bins in enumerate(ranked.tolist()):
+            query = queries[i : i + 1]
+            parts = []
+            for b in bins:
+                dots = (query @ rows[bounds[b] : bounds[b + 1]].T)[0]
+                if norms is None:
+                    parts.append(1.0 - dots)
+                else:
+                    parts.append(query_norms[i] + norms[bounds[b] : bounds[b + 1]] - 2.0 * dots)
+            dists = parts[0] if len(parts) == 1 else np.concatenate(parts)
+            if dists.size == 0:
+                continue
+            if norms is not None:
+                np.maximum(dists, 0.0, out=dists)
+                if self.metric == "euclidean":
+                    np.sqrt(dists, out=dists)
+            ids = lookup[bins[0]] if len(bins) == 1 else np.concatenate([lookup[b] for b in bins])
+            nearest = _nearest_positions(dists, k)
+            out_indices[i, : nearest.size] = ids[nearest]
+            out_distances[i, : nearest.size] = dists[nearest]
+        return out_indices, out_distances
 
 
 class PartitionIndexBase(RegisteredIndex):
@@ -72,6 +140,7 @@ class PartitionIndexBase(RegisteredIndex):
         self._assignments: Optional[np.ndarray] = None
         self._lookup: Optional[List[np.ndarray]] = None
         self._n_bins: Optional[int] = None
+        self._layout: Optional[_BinMajorLayout] = None
 
     # ------------------------------------------------------------------ #
     # offline phase plumbing
@@ -94,6 +163,7 @@ class PartitionIndexBase(RegisteredIndex):
         for bin_id in range(n_bins):
             lookup.append(order[boundaries[bin_id] : boundaries[bin_id + 1]])
         self._lookup = lookup
+        self._layout = None
 
     def _require_built(self) -> None:
         if self._base is None or self._lookup is None:
@@ -216,16 +286,31 @@ class PartitionIndexBase(RegisteredIndex):
         brute-forces the surviving subset when the predicate is highly
         selective (pre-filter) — disallowed ids never reach the distance
         kernel either way.
+
+        Unfiltered, each query is scored in place against its probed bins'
+        row ranges of the bin-major layout (built on the first such call),
+        with the answers :func:`rerank_candidates` gives on
+        :meth:`candidate_sets`.
         """
         self._require_built()
         queries = as_query_matrix(queries, self.dim)
         check_positive_int(k, "k")
         if filter is not None:
             return self._filtered_batch_query(queries, k, filter, n_probes=int(n_probes))
-        candidate_lists = self.candidate_sets(queries, n_probes)
-        return rerank_candidates(
-            self._base, queries, candidate_lists, k, metric=self.metric
-        )
+        n_probes = min(check_positive_int(n_probes, "n_probes"), self.n_bins)
+        ranked = self.top_bins(queries, n_probes)
+        return self._bin_major_layout().search(queries, ranked, int(k))
+
+    def _bin_major_layout(self) -> _BinMajorLayout:
+        """The bin-major rows for the current metric, built on first use.
+
+        A pure function of the built state, so concurrent first calls at
+        worst build it twice; nothing of it is persisted.
+        """
+        layout = self._layout
+        if layout is None or layout.metric != self.metric:
+            layout = self._layout = _BinMajorLayout(self._base, self._lookup, self.metric)
+        return layout
 
     # ------------------------------------------------------------------ #
     # persistence (repro.api.persistence hooks)

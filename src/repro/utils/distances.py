@@ -16,6 +16,17 @@ import numpy as np
 DEFAULT_BLOCK_SIZE = 1024
 
 
+def squared_norms(x: np.ndarray) -> np.ndarray:
+    """Squared L2 norm of every row: the per-row constant of :func:`squared_euclidean`."""
+    return np.einsum("ij,ij->i", x, x)
+
+
+def unit_rows(x: np.ndarray) -> np.ndarray:
+    """Rows divided by their L2 norms (zero rows stay zero), as :func:`cosine_distance` uses them."""
+    norm = np.linalg.norm(x, axis=1, keepdims=True)
+    return x / np.where(norm == 0.0, 1.0, norm)
+
+
 def squared_euclidean(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Pairwise squared Euclidean distances between rows of ``x`` and ``y``.
 
@@ -24,8 +35,8 @@ def squared_euclidean(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     y = np.atleast_2d(np.asarray(y, dtype=np.float64))
-    x_norm = np.einsum("ij,ij->i", x, x)[:, None]
-    y_norm = np.einsum("ij,ij->i", y, y)[None, :]
+    x_norm = squared_norms(x)[:, None]
+    y_norm = squared_norms(y)[None, :]
     dist = x_norm + y_norm - 2.0 * (x @ y.T)
     np.maximum(dist, 0.0, out=dist)
     return dist
@@ -47,12 +58,7 @@ def cosine_distance(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Pairwise cosine distances (1 - cosine similarity)."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     y = np.atleast_2d(np.asarray(y, dtype=np.float64))
-    x_norm = np.linalg.norm(x, axis=1, keepdims=True)
-    y_norm = np.linalg.norm(y, axis=1, keepdims=True)
-    x_norm = np.where(x_norm == 0.0, 1.0, x_norm)
-    y_norm = np.where(y_norm == 0.0, 1.0, y_norm)
-    sim = (x / x_norm) @ (y / y_norm).T
-    return 1.0 - sim
+    return 1.0 - unit_rows(x) @ unit_rows(y).T
 
 
 _METRICS: dict[str, Callable[[np.ndarray, np.ndarray], np.ndarray]] = {

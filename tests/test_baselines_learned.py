@@ -79,6 +79,25 @@ class TestRegressionLsh:
         scores = index.bin_scores(tiny_dataset.queries)
         np.testing.assert_allclose(scores.sum(axis=1), np.ones(tiny_dataset.n_queries), atol=1e-6)
 
+    def test_router_nodes_keep_no_rows_after_build_or_load(self, tmp_path):
+        from repro.api import load_index
+
+        data = np.random.default_rng(4).normal(size=(2000, 8))
+        queries = np.random.default_rng(5).normal(size=(20, 8))
+        built = RegressionLshIndex(depth=3, epochs=2, seed=0).build(data)
+        built.save(tmp_path / "index")
+        loaded = load_index(tmp_path / "index")
+        for index in (built, loaded):
+            nodes = [node for node in index._nodes if node is not None]
+            assert len(nodes) == 7
+            assert sum(node._base.shape[0] for node in nodes) == 0
+            assert all(node.n_bins == 2 and node.dim == 8 for node in nodes)
+        for n_probes in (1, 3, 8):
+            b_ids, b_dist = built.batch_query(queries, 10, n_probes=n_probes)
+            l_ids, l_dist = loaded.batch_query(queries, 10, n_probes=n_probes)
+            np.testing.assert_array_equal(b_ids, l_ids)
+            np.testing.assert_array_equal(b_dist, l_dist)
+
 
 class TestLsh:
     def test_cross_polytope_bins_and_query(self, tiny_dataset):
