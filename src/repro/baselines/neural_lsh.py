@@ -7,7 +7,10 @@ offline phase is a two-step pipeline:
    parts with a combinatorial graph partitioner (here
    :func:`repro.baselines.graph_partition.partition_knn_graph`).
 2. Train a neural network classifier to predict the part of a point, so
-   out-of-sample queries can be routed to bins.
+   out-of-sample queries can be routed to bins.  The classifier trains with
+   USP's own step, :func:`repro.core.trainer.loss_and_gradients`: its
+   cross entropy against the graph-partition labels is USP's quality term
+   with one-hot targets and no balance term.
 
 Dataset points keep the labels assigned by the graph partitioner; queries
 are routed by the classifier's probability output (supporting multi-probe).
@@ -27,8 +30,9 @@ from ..api.protocol import IndexCapabilities
 from ..api.registry import register_index
 from ..core.base import PartitionIndexBase
 from ..core.knn_matrix import KnnMatrix, build_knn_matrix
-from ..nn import Adam, EpochBatchIterator, cross_entropy
 from ..core.models import PartitionModel, build_logistic_module, build_mlp_module
+from ..core.trainer import loss_and_gradients
+from ..nn import Adam, EpochBatchIterator
 from ..utils.exceptions import ValidationError
 from ..utils.rng import resolve_rng, spawn_rngs
 from ..utils.timing import Stopwatch
@@ -143,13 +147,11 @@ class NeuralLshIndex(PartitionIndexBase):
         model = PartitionModel(module, dim=base.shape[1], n_bins=config.n_bins)
         optimizer = Adam(model.parameters(), lr=config.learning_rate)
         iterator = EpochBatchIterator(base, config.batch_size, rng=rng)
+        one_hot = np.eye(config.n_bins)
         model.train()
         for _ in range(config.epochs):
             for batch in iterator:
-                optimizer.zero_grad()
-                logits = model.forward_logits(batch.points)
-                loss = cross_entropy(logits, labels[batch.indices])
-                loss.backward()
+                loss_and_gradients(model, batch.points, one_hot[labels[batch.indices]])
                 optimizer.step()
         model.eval()
         return model

@@ -3,7 +3,9 @@
 * :class:`UspConfig`, :class:`EnsembleConfig`, :class:`HierarchicalConfig`
   — hyper-parameter dataclasses.
 * :func:`build_knn_matrix` / :class:`KnnMatrix` — the only preprocessing.
-* :func:`usp_loss` and friends — the unsupervised partition loss.
+* :class:`UspTrainer` — trains a partition model on the unsupervised USP
+  loss (Algorithm 1) with :func:`repro.core.trainer.loss_and_gradients`,
+  the closed-form step Neural LSH trains with too.
 * :class:`UspIndex` — single-model index (Algorithms 1 & 2).
 * :class:`UspEnsembleIndex` — boosted ensemble (Algorithms 3 & 4).
 * :class:`HierarchicalUspIndex` — hierarchical partitioning.
@@ -15,14 +17,7 @@ from .ensemble import UspEnsembleIndex, boosting_weights
 from .hierarchical import HierarchicalUspIndex
 from .index import UspIndex
 from .knn_matrix import KnnMatrix, build_knn_matrix
-from .loss import (
-    LossBreakdown,
-    balance_cost,
-    entropy_balance_cost,
-    neighbor_bin_distribution,
-    quality_cost,
-    usp_loss,
-)
+from .loss import LossBreakdown, neighbor_bin_distribution
 from .models import (
     PartitionModel,
     build_logistic_module,
@@ -44,11 +39,7 @@ __all__ = [
     "KnnMatrix",
     "build_knn_matrix",
     "LossBreakdown",
-    "balance_cost",
-    "entropy_balance_cost",
     "neighbor_bin_distribution",
-    "quality_cost",
-    "usp_loss",
     "PartitionModel",
     "build_logistic_module",
     "build_mlp_module",

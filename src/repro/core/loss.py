@@ -18,16 +18,18 @@ has two differentiable terms computed over a mini-batch of points:
 
 The combined objective is ``U(R) + eta * S(R)`` (Eq. 5).  Per-point weights
 (Eq. 14) plug into the quality term to support the boosting ensemble.
+
+This module holds the loss's targets and its logged breakdown; the loss
+itself and its gradient are computed in closed form by
+:func:`repro.core.trainer.loss_and_gradients`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-from ..nn import Tensor, soft_cross_entropy
 from ..utils.exceptions import ValidationError
 
 
@@ -72,55 +74,6 @@ def neighbor_bin_distribution(
     return counts / float(k_prime)
 
 
-def quality_cost(
-    logits: Tensor,
-    soft_targets: np.ndarray,
-    *,
-    weights: Optional[np.ndarray] = None,
-) -> Tensor:
-    """Quality cost ``U(R)`` for a batch (Eq. 10, weighted form Eq. 14)."""
-    return soft_cross_entropy(logits, soft_targets, weights=weights)
-
-
-def balance_cost(probabilities: Tensor, n_bins: int) -> Tensor:
-    """Computation cost ``S(R)`` for a batch (Eq. 12–13), normalised to [-1, 0].
-
-    The window ``w`` keeps the top ``batch/m`` probabilities per bin column;
-    the cost is the negated window sum divided by the batch size, so a
-    perfectly balanced, perfectly confident partition scores exactly ``-1``.
-    """
-    batch = probabilities.shape[0]
-    if probabilities.ndim != 2 or probabilities.shape[1] != n_bins:
-        raise ValidationError(
-            f"probabilities must have shape (batch, {n_bins}), got {probabilities.shape}"
-        )
-    window = max(1, batch // n_bins)
-    values = probabilities.data
-    mask = np.zeros_like(values)
-    # Select the `window` largest entries in each column.
-    top_rows = np.argpartition(-values, kth=window - 1, axis=0)[:window, :]
-    cols = np.tile(np.arange(n_bins), (window, 1))
-    mask[top_rows, cols] = 1.0
-    selected = probabilities * Tensor(mask)
-    return -(selected.sum() / float(batch))
-
-
-def entropy_balance_cost(probabilities: Tensor, n_bins: int) -> Tensor:
-    """Ablation alternative to the paper's window cost.
-
-    Negated entropy of the *average* bin assignment distribution; maximal
-    entropy (uniform usage of all bins) gives the minimum value
-    ``-log(n_bins)``.
-    """
-    if probabilities.ndim != 2 or probabilities.shape[1] != n_bins:
-        raise ValidationError(
-            f"probabilities must have shape (batch, {n_bins}), got {probabilities.shape}"
-        )
-    mean_assignment = probabilities.mean(axis=0)
-    eps = 1e-12
-    return (mean_assignment * (mean_assignment + eps).log()).sum()
-
-
 @dataclass
 class LossBreakdown:
     """The scalar pieces of one loss evaluation (for logging and tests)."""
@@ -128,60 +81,3 @@ class LossBreakdown:
     total: float
     quality: float
     balance: float
-
-
-def usp_loss(
-    logits: Tensor,
-    neighbor_bins: np.ndarray,
-    n_bins: int,
-    eta: float,
-    *,
-    weights: Optional[np.ndarray] = None,
-    soft_labels: bool = True,
-    balance_term: str = "topk",
-) -> tuple[Tensor, LossBreakdown]:
-    """Combined USP objective ``U(R) + eta * S(R)`` (Eq. 5) for one batch.
-
-    Parameters
-    ----------
-    logits:
-        ``(batch, n_bins)`` model outputs for the batch points (pre-softmax).
-    neighbor_bins:
-        ``(batch, k')`` most-likely bins of each batch point's neighbours
-        (computed with a detached forward pass; constants w.r.t. the loss).
-    n_bins, eta:
-        Partition size ``m`` and balance weight.
-    weights:
-        Optional per-point boosting weights (Eq. 14).
-    soft_labels:
-        Use the neighbour bin *distribution* (paper) or the majority bin
-        only (ablation).
-    balance_term:
-        ``"topk"`` (paper), ``"entropy"`` (ablation), or ``"none"``.
-
-    Returns
-    -------
-    (loss, breakdown):
-        ``loss`` is the scalar tensor to backpropagate; ``breakdown`` holds
-        the detached component values.
-    """
-    targets = neighbor_bin_distribution(neighbor_bins, n_bins, soft=soft_labels)
-    quality = quality_cost(logits, targets, weights=weights)
-    if balance_term == "none" or eta == 0.0:
-        balance = Tensor(0.0)
-        total = quality
-    else:
-        probabilities = logits.softmax(axis=-1)
-        if balance_term == "topk":
-            balance = balance_cost(probabilities, n_bins)
-        elif balance_term == "entropy":
-            balance = entropy_balance_cost(probabilities, n_bins)
-        else:
-            raise ValidationError(f"unknown balance_term {balance_term!r}")
-        total = quality + balance * float(eta)
-    breakdown = LossBreakdown(
-        total=float(total.data),
-        quality=float(quality.data),
-        balance=float(balance.data),
-    )
-    return total, breakdown

@@ -8,10 +8,10 @@ Two architectures are used in the paper:
   hyperplane/tree comparison where each model splits the data into 2 bins.
 
 Both are wrapped in :class:`PartitionModel`, which adds batched inference
-helpers that return numpy bin probabilities for downstream (non-autodiff)
-consumers such as the lookup table and the query path.  Inference never
-builds an autodiff graph: the eval-mode module is folded into plain
-float64 affine stages once per call.
+helpers that return numpy bin probabilities for the lookup table and the
+query path.  Inference folds the eval-mode module into plain float64
+affine stages once per call; training is
+:func:`repro.core.trainer.loss_and_gradients`.
 """
 
 from __future__ import annotations
@@ -20,8 +20,7 @@ from typing import List, Tuple
 
 import numpy as np
 
-from ..nn import Dropout, Linear, Module, ReLU, Sequential, Tensor
-from ..nn.layers import BatchNorm1d
+from ..nn import BatchNorm1d, Dropout, Linear, Module, ReLU, Sequential
 from ..utils.exceptions import ConfigurationError
 from ..utils.rng import SeedLike, resolve_rng
 from .config import UspConfig
@@ -52,7 +51,7 @@ def _eval_stages(module: Module) -> List[Tuple[np.ndarray, np.ndarray, bool]]:
         elif isinstance(layer, ReLU) and stages:
             stages[-1] = (*stages[-1][:2], True)
         elif not isinstance(layer, Dropout):
-            raise ConfigurationError(f"cannot run {layer!r} of {module!r} without autodiff")
+            raise ConfigurationError(f"no affine eval-mode form for {layer!r} of {module!r}")
     if not stages:
         raise ConfigurationError(f"{module!r} has no Linear layer")
     return stages
@@ -67,10 +66,6 @@ class PartitionModel:
         self.n_bins = int(n_bins)
 
     # -- training-side API ------------------------------------------------ #
-    def forward_logits(self, points: np.ndarray) -> Tensor:
-        """Forward pass returning logits as an autodiff tensor (training mode)."""
-        return self.module(Tensor(np.asarray(points, dtype=np.float64)))
-
     def parameters(self):
         return self.module.parameters()
 
@@ -86,7 +81,7 @@ class PartitionModel:
 
     # -- inference-side API ------------------------------------------------ #
     def _predict_logits(self, points: np.ndarray, batch_size: int) -> np.ndarray:
-        """Eval-mode logits for each row of ``points``, without autodiff."""
+        """Eval-mode logits for each row of ``points``."""
         points = np.atleast_2d(np.asarray(points, dtype=np.float64))
         if points.shape[1] != self.dim:
             raise ConfigurationError(

@@ -5,11 +5,14 @@ their ``k'`` nearest neighbours in the precomputed k'-NN matrix, runs a
 detached forward pass on the neighbours to obtain their current bin
 assignments, and minimises the USP loss on the batch with Adam.
 
-The step is written out by hand for the two architectures
+:func:`loss_and_gradients` is the library's only training step, written
+out by hand for the two architectures
 :func:`~repro.core.models.build_partition_model` makes: one float64
 forward/backward in plain numpy that leaves each gradient on its
-``Parameter``.  The autodiff loss in :mod:`repro.core.loss` over
-:mod:`repro.nn` is the reference it is tested against, gradient by gradient.
+``Parameter``.  It takes the target distribution rather than the
+neighbours, so the same step trains Neural LSH's classifier (one-hot
+graph-partition labels, no balance term).  The test suite checks it
+gradient by gradient against an autodiff tape.
 """
 
 from __future__ import annotations
@@ -39,8 +42,7 @@ from .knn_matrix import KnnMatrix
 from .loss import LossBreakdown, neighbor_bin_distribution
 from .models import PartitionModel, build_partition_model
 
-#: Added inside the logarithm of the entropy balance term, as in
-#: :func:`repro.core.loss.entropy_balance_cost`.
+#: Added inside the logarithm of the entropy balance term.
 _ENTROPY_EPS = 1e-12
 
 
@@ -87,8 +89,8 @@ def _trainable_layers(
     if biased and kinds == [Linear, BatchNorm1d, ReLU, Dropout, Linear]:
         return layers[0], layers[1], layers[3], layers[4]
     raise ConfigurationError(
-        "UspTrainer trains Linear->BatchNorm1d->ReLU->Dropout->Linear or a single "
-        f"Linear (both with bias), got {module!r}"
+        "the training step handles Linear->BatchNorm1d->ReLU->Dropout->Linear or a "
+        f"single Linear (both with bias), got {module!r}"
     )
 
 
@@ -193,103 +195,119 @@ class UspTrainer:
             if weights.sum() <= 0:
                 weights = None
 
-        breakdown = self._loss_and_gradients(model, batch.points, neighbor_bins, weights)
+        targets = neighbor_bin_distribution(
+            neighbor_bins, config.n_bins, soft=config.soft_labels
+        )
+        breakdown = loss_and_gradients(
+            model,
+            batch.points,
+            targets,
+            weights=weights,
+            balance_term=config.balance_term,
+            eta=config.eta,
+        )
         if config.grad_clip is not None:
             clip_grad_norm(model.parameters(), config.grad_clip)
         optimizer.step()
         return breakdown
 
-    def _loss_and_gradients(
-        self,
-        model: PartitionModel,
-        batch_points: np.ndarray,
-        neighbor_bins: np.ndarray,
-        weights: Optional[np.ndarray],
-    ) -> LossBreakdown:
-        """Training-mode USP loss on one batch; sets ``grad`` on every parameter.
 
-        Draws the dropout mask from the model's own ``Dropout`` generator and
-        updates the batch-norm running statistics, as a training-mode
-        forward through the module would.
-        """
-        config = self.config
-        hidden, norm, dropout, head = _trainable_layers(model.module)
-        batch = batch_points.shape[0]
-        per_row = 1.0 / batch
+def loss_and_gradients(
+    model: PartitionModel,
+    batch_points: np.ndarray,
+    targets: np.ndarray,
+    *,
+    weights: Optional[np.ndarray] = None,
+    balance_term: str = "none",
+    eta: float = 0.0,
+) -> LossBreakdown:
+    """Training-mode loss on one batch; sets ``grad`` on every parameter.
 
-        features = batch_points
-        if hidden is not None:
-            pre = batch_points @ hidden.weight.data
-            pre += hidden.bias.data
-            mean = pre.sum(axis=0) * per_row
-            centered = pre - mean
-            variance = (centered * centered).sum(axis=0) * per_row
-            running = dict(norm.named_buffers())
-            for name, value in (("running_mean", mean), ("running_var", variance)):
-                running[name] *= 1.0 - norm.momentum
-                running[name] += norm.momentum * value
-            std = np.sqrt(variance + norm.eps)
-            normalized = centered / std
-            scaled = normalized * norm.gamma.data + norm.beta.data
-            gate = (scaled > 0.0).astype(np.float64)
-            if dropout.p > 0.0:
-                keep = 1.0 - dropout.p
-                # The layer's own generator: the mask stream a forward through it would draw.
-                gate *= (dropout._rng.random(gate.shape) < keep).astype(np.float64) / keep
-            features = scaled * gate
+    The loss is the (``weights``-weighted) mean cross entropy of the
+    model's bin distribution against ``targets`` — ``(batch, n_bins)`` rows
+    that sum to one — plus ``eta`` times the ``balance_term`` (``"topk"``,
+    ``"entropy"`` or ``"none"``).  With neighbour-bin targets this is the
+    USP loss ``U(R) + eta * S(R)``; with one-hot labels and no balance term
+    it is a supervised classifier's cross entropy.
 
-        logits = features @ head.weight.data
-        logits += head.bias.data
-        shifted = logits - logits.max(axis=1, keepdims=True)
-        exp = np.exp(shifted)
-        exp_sum = exp.sum(axis=1, keepdims=True)
-        probabilities = exp / exp_sum
-        log_probabilities = shifted - np.log(exp_sum)
+    Draws the dropout mask from the model's own ``Dropout`` generator and
+    updates the batch-norm running statistics, as a training-mode
+    forward through the module would.
+    """
+    hidden, norm, dropout, head = _trainable_layers(model.module)
+    batch = batch_points.shape[0]
+    per_row = 1.0 / batch
 
-        # Quality cost: (weighted) mean cross entropy against the neighbours' bins.
-        targets = neighbor_bin_distribution(
-            neighbor_bins, config.n_bins, soft=config.soft_labels
-        )
-        row_weights = (
-            np.full(batch, per_row) if weights is None else weights / float(weights.sum())
-        )
-        quality = float((-(log_probabilities * targets).sum(axis=1) * row_weights).sum())
-        grad_log = targets * -row_weights[:, None]
-        grad_logits = grad_log - probabilities * grad_log.sum(axis=1, keepdims=True)
+    features = batch_points
+    if hidden is not None:
+        pre = batch_points @ hidden.weight.data
+        pre += hidden.bias.data
+        mean = pre.sum(axis=0) * per_row
+        centered = pre - mean
+        variance = (centered * centered).sum(axis=0) * per_row
+        running = dict(norm.named_buffers())
+        for name, value in (("running_mean", mean), ("running_var", variance)):
+            running[name] *= 1.0 - norm.momentum
+            running[name] += norm.momentum * value
+        std = np.sqrt(variance + norm.eps)
+        normalized = centered / std
+        scaled = normalized * norm.gamma.data + norm.beta.data
+        gate = (scaled > 0.0).astype(np.float64)
+        if dropout.p > 0.0:
+            keep = 1.0 - dropout.p
+            # The layer's own generator: the mask stream a forward through it would draw.
+            gate *= (dropout._rng.random(gate.shape) < keep).astype(np.float64) / keep
+        features = scaled * gate
 
-        balance = 0.0
-        total = quality
-        if config.balance_term != "none" and config.eta != 0.0:
-            eta = float(config.eta)
-            if config.balance_term == "topk":
-                window = max(1, batch // config.n_bins)
-                top_rows = np.argpartition(-probabilities, kth=window - 1, axis=0)[:window]
-                grad_prob = np.zeros_like(probabilities)
-                np.put_along_axis(grad_prob, top_rows, 1.0, axis=0)
-                balance = float(-((probabilities * grad_prob).sum() / batch))
-                grad_prob *= -eta / batch
-            else:
-                usage = probabilities.sum(axis=0) * per_row
-                log_usage = np.log(usage + _ENTROPY_EPS)
-                balance = float((usage * log_usage).sum())
-                grad_prob = (log_usage + usage / (usage + _ENTROPY_EPS)) * (eta * per_row)
-            inner = (grad_prob * probabilities).sum(axis=1, keepdims=True)
-            grad_logits += probabilities * (grad_prob - inner)
-            total = quality + balance * eta
+    logits = features @ head.weight.data
+    logits += head.bias.data
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    exp = np.exp(shifted)
+    exp_sum = exp.sum(axis=1, keepdims=True)
+    probabilities = exp / exp_sum
+    log_probabilities = shifted - np.log(exp_sum)
 
-        head.weight.grad = features.T @ grad_logits
-        head.bias.grad = grad_logits.sum(axis=0)
-        if hidden is not None:
-            grad = grad_logits @ head.weight.data.T
-            grad *= gate
-            grad_beta = grad.sum(axis=0)
-            grad_gamma = (grad * normalized).sum(axis=0)
-            norm.beta.grad = grad_beta
-            norm.gamma.grad = grad_gamma
-            # Batch norm: the batch mean and variance depend on every row.
-            grad -= grad_beta * per_row
-            grad -= normalized * (grad_gamma * per_row)
-            grad *= norm.gamma.data / std
-            hidden.weight.grad = batch_points.T @ grad
-            hidden.bias.grad = grad.sum(axis=0)
-        return LossBreakdown(total=total, quality=quality, balance=balance)
+    # Quality cost: (weighted) mean cross entropy against the targets.
+    row_weights = (
+        np.full(batch, per_row) if weights is None else weights / float(weights.sum())
+    )
+    quality = float((-(log_probabilities * targets).sum(axis=1) * row_weights).sum())
+    grad_log = targets * -row_weights[:, None]
+    grad_logits = grad_log - probabilities * grad_log.sum(axis=1, keepdims=True)
+
+    balance = 0.0
+    total = quality
+    if balance_term != "none" and eta != 0.0:
+        eta = float(eta)
+        if balance_term == "topk":
+            window = max(1, batch // targets.shape[1])
+            top_rows = np.argpartition(-probabilities, kth=window - 1, axis=0)[:window]
+            grad_prob = np.zeros_like(probabilities)
+            np.put_along_axis(grad_prob, top_rows, 1.0, axis=0)
+            balance = float(-((probabilities * grad_prob).sum() / batch))
+            grad_prob *= -eta / batch
+        else:
+            usage = probabilities.sum(axis=0) * per_row
+            log_usage = np.log(usage + _ENTROPY_EPS)
+            balance = float((usage * log_usage).sum())
+            grad_prob = (log_usage + usage / (usage + _ENTROPY_EPS)) * (eta * per_row)
+        inner = (grad_prob * probabilities).sum(axis=1, keepdims=True)
+        grad_logits += probabilities * (grad_prob - inner)
+        total = quality + balance * eta
+
+    head.weight.grad = features.T @ grad_logits
+    head.bias.grad = grad_logits.sum(axis=0)
+    if hidden is not None:
+        grad = grad_logits @ head.weight.data.T
+        grad *= gate
+        grad_beta = grad.sum(axis=0)
+        grad_gamma = (grad * normalized).sum(axis=0)
+        norm.beta.grad = grad_beta
+        norm.gamma.grad = grad_gamma
+        # Batch norm: the batch mean and variance depend on every row.
+        grad -= grad_beta * per_row
+        grad -= normalized * (grad_gamma * per_row)
+        grad *= norm.gamma.data / std
+        hidden.weight.grad = batch_points.T @ grad
+        hidden.bias.grad = grad.sum(axis=0)
+    return LossBreakdown(total=total, quality=quality, balance=balance)

@@ -1,12 +1,13 @@
-"""Numpy-based neural network substrate (autodiff, layers, optimisers).
+"""Numpy-based neural network substrate (parameters, layers, optimisers).
 
 This subpackage replaces PyTorch for the reproduction: it provides exactly
-the pieces the paper's models need — a reverse-mode autodiff tensor, fully
-connected layers with batch normalisation and dropout, Glorot
-initialisation, Adam/SGD optimisers, and soft-label cross-entropy.
+the pieces the paper's models need — parameters, fully connected layers
+with batch normalisation and dropout, Glorot initialisation, Adam/SGD
+optimisers, gradient clipping and mini-batch sampling.  There is no
+autodiff engine: :func:`repro.core.trainer.loss_and_gradients` computes
+every gradient the library trains with in closed form.
 """
 
-from .tensor import Tensor, as_tensor, stack_rows
 from .init import (
     get_initializer,
     glorot_normal,
@@ -23,23 +24,12 @@ from .layers import (
     Parameter,
     ReLU,
     Sequential,
-    Softmax,
-    Tanh,
-)
-from .losses import (
-    binary_cross_entropy_with_logits,
-    cross_entropy,
-    mse_loss,
-    soft_cross_entropy,
 )
 from .optim import SGD, Adam, Optimizer, clip_grad_norm
 from .data import Batch, EpochBatchIterator, UniformBatchSampler, train_validation_split
 from .serialization import load_module, save_module
 
 __all__ = [
-    "Tensor",
-    "as_tensor",
-    "stack_rows",
     "get_initializer",
     "glorot_normal",
     "glorot_uniform",
@@ -53,12 +43,6 @@ __all__ = [
     "Parameter",
     "ReLU",
     "Sequential",
-    "Softmax",
-    "Tanh",
-    "binary_cross_entropy_with_logits",
-    "cross_entropy",
-    "mse_loss",
-    "soft_cross_entropy",
     "SGD",
     "Adam",
     "Optimizer",

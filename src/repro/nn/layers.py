@@ -1,9 +1,14 @@
-"""Neural network modules built on top of the autodiff :class:`Tensor`.
+"""Neural network modules: trainable state, containers and modes.
 
 Mirrors the subset of ``torch.nn`` used by the paper: ``Linear``,
-``BatchNorm1d``, ``ReLU``, ``Dropout``, ``Sequential``, and a softmax output
-head.  A :class:`Module` owns named :class:`Parameter` tensors and optional
-named buffers (non-trainable state such as BatchNorm running statistics).
+``BatchNorm1d``, ``ReLU``, ``Dropout`` and ``Sequential``.  A
+:class:`Module` owns named :class:`Parameter` arrays and optional named
+buffers (non-trainable state such as BatchNorm running statistics).
+
+Modules carry no forward pass of their own.  The two architectures the
+library builds run in plain numpy: training in
+:func:`repro.core.trainer.loss_and_gradients`, inference in
+:class:`repro.core.models.PartitionModel`.
 """
 
 from __future__ import annotations
@@ -14,14 +19,17 @@ import numpy as np
 
 from ..utils.rng import SeedLike, resolve_rng
 from .init import get_initializer, ones, zeros
-from .tensor import Tensor
 
 
-class Parameter(Tensor):
-    """A trainable tensor (always requires gradients)."""
+class Parameter:
+    """A trainable float64 array and the gradient last computed for it."""
+
+    __slots__ = ("data", "grad", "name")
 
     def __init__(self, data, *, name: Optional[str] = None) -> None:
-        super().__init__(data, requires_grad=True, name=name)
+        self.data = np.asarray(data, dtype=np.float64)
+        self.grad: Optional[np.ndarray] = None
+        self.name = name
 
 
 class Module:
@@ -75,7 +83,7 @@ class Module:
 
     def num_parameters(self) -> int:
         """Total number of learnable scalar parameters (paper Table 2)."""
-        return int(sum(p.size for p in self.parameters()))
+        return int(sum(p.data.size for p in self.parameters()))
 
     # -- mode ------------------------------------------------------------ #
     def train(self, mode: bool = True) -> "Module":
@@ -89,7 +97,7 @@ class Module:
 
     def zero_grad(self) -> None:
         for param in self.parameters():
-            param.zero_grad()
+            param.grad = None
 
     # -- state dict ------------------------------------------------------ #
     def state_dict(self) -> Dict[str, np.ndarray]:
@@ -102,34 +110,26 @@ class Module:
         return state
 
     def load_state_dict(self, state: Dict[str, np.ndarray]) -> None:
-        """Load parameters and buffers produced by :meth:`state_dict`."""
-        param_map = dict(self.named_parameters())
-        for name, value in state.items():
-            if name.startswith("__buffer__."):
-                self._load_buffer(name[len("__buffer__.") :], value)
-            else:
-                if name not in param_map:
-                    raise KeyError(f"unexpected parameter {name!r} in state dict")
-                if param_map[name].shape != value.shape:
-                    raise ValueError(
-                        f"shape mismatch for {name!r}: "
-                        f"{param_map[name].shape} vs {value.shape}"
-                    )
-                param_map[name].data[...] = value
+        """Load parameters and buffers produced by :meth:`state_dict`.
 
-    def _load_buffer(self, dotted_name: str, value: np.ndarray) -> None:
-        parts = dotted_name.split(".")
-        module: Module = self
-        for part in parts[:-1]:
-            module = module._modules[part]
-        module._buffers[parts[-1]][...] = value
-
-    # -- forward --------------------------------------------------------- #
-    def forward(self, x: Tensor) -> Tensor:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-    def __call__(self, x: Tensor) -> Tensor:
-        return self.forward(x)
+        ``state`` must hold exactly the keys :meth:`state_dict` writes, each
+        with the shape it has here; nothing is written unless all of it fits.
+        """
+        targets = {name: param.data for name, param in self.named_parameters()}
+        targets.update((f"__buffer__.{name}", buf) for name, buf in self.named_buffers())
+        unexpected = sorted(set(state) - set(targets))
+        if unexpected:
+            raise KeyError(f"unexpected keys in state dict: {unexpected}")
+        missing = sorted(set(targets) - set(state))
+        if missing:
+            raise KeyError(f"state dict is missing {missing}")
+        for name, target in targets.items():
+            if target.shape != np.shape(state[name]):
+                raise ValueError(
+                    f"shape mismatch for {name!r}: {target.shape} vs {np.shape(state[name])}"
+                )
+        for name, target in targets.items():
+            target[...] = state[name]
 
 
 class Linear(Module):
@@ -158,12 +158,6 @@ class Linear(Module):
         else:
             self.bias = None
 
-    def forward(self, x: Tensor) -> Tensor:
-        out = x @ self.weight
-        if self.bias is not None:
-            out = out + self.bias
-        return out
-
     def __repr__(self) -> str:
         return f"Linear({self.in_features}, {self.out_features})"
 
@@ -171,25 +165,12 @@ class Linear(Module):
 class ReLU(Module):
     """Rectified linear activation."""
 
-    def forward(self, x: Tensor) -> Tensor:
-        return x.relu()
-
     def __repr__(self) -> str:
         return "ReLU()"
 
 
-class Tanh(Module):
-    """Hyperbolic tangent activation."""
-
-    def forward(self, x: Tensor) -> Tensor:
-        return x.tanh()
-
-    def __repr__(self) -> str:
-        return "Tanh()"
-
-
 class Dropout(Module):
-    """Inverted dropout; identity in eval mode.
+    """Inverted dropout with its own mask generator; identity in eval mode.
 
     The paper uses dropout with probability 0.1 to regularise the
     partitioning network so that it generalises to out-of-sample queries.
@@ -201,13 +182,6 @@ class Dropout(Module):
             raise ValueError(f"dropout probability must be in [0, 1), got {p}")
         self.p = float(p)
         self._rng = resolve_rng(rng)
-
-    def forward(self, x: Tensor) -> Tensor:
-        if not self.training or self.p == 0.0:
-            return x
-        keep = 1.0 - self.p
-        mask = (self._rng.random(x.shape) < keep).astype(np.float64) / keep
-        return x * Tensor(mask)
 
     def __repr__(self) -> str:
         return f"Dropout(p={self.p})"
@@ -226,41 +200,12 @@ class BatchNorm1d(Module):
         self.register_buffer("running_mean", zeros(self.num_features))
         self.register_buffer("running_var", ones(self.num_features))
 
-    def forward(self, x: Tensor) -> Tensor:
-        if self.training:
-            mean = x.mean(axis=0, keepdims=True)
-            centered = x - mean
-            var = (centered * centered).mean(axis=0, keepdims=True)
-            # update running statistics with detached batch statistics
-            batch_mean = mean.data.reshape(-1)
-            batch_var = var.data.reshape(-1)
-            self._buffers["running_mean"] *= 1.0 - self.momentum
-            self._buffers["running_mean"] += self.momentum * batch_mean
-            self._buffers["running_var"] *= 1.0 - self.momentum
-            self._buffers["running_var"] += self.momentum * batch_var
-            normalized = centered / (var + self.eps).sqrt()
-        else:
-            mean = Tensor(self._buffers["running_mean"][None, :])
-            var = Tensor(self._buffers["running_var"][None, :])
-            normalized = (x - mean) / (var + self.eps).sqrt()
-        return normalized * self.gamma + self.beta
-
     def __repr__(self) -> str:
         return f"BatchNorm1d({self.num_features})"
 
 
-class Softmax(Module):
-    """Softmax over the last axis."""
-
-    def forward(self, x: Tensor) -> Tensor:
-        return x.softmax(axis=-1)
-
-    def __repr__(self) -> str:
-        return "Softmax()"
-
-
 class Sequential(Module):
-    """Run child modules in order."""
+    """An ordered list of child modules."""
 
     def __init__(self, *modules: Module) -> None:
         super().__init__()
@@ -284,11 +229,6 @@ class Sequential(Module):
 
     def __getitem__(self, index: int) -> Module:
         return self._modules[self._order[index]]
-
-    def forward(self, x: Tensor) -> Tensor:
-        for name in self._order:
-            x = self._modules[name](x)
-        return x
 
     def __repr__(self) -> str:
         inner = ", ".join(repr(self._modules[name]) for name in self._order)

@@ -23,7 +23,7 @@ class Optimizer:
 
     def zero_grad(self) -> None:
         for param in self.parameters:
-            param.zero_grad()
+            param.grad = None
 
     def step(self) -> None:  # pragma: no cover - abstract
         raise NotImplementedError

@@ -1,8 +1,11 @@
-"""A small reverse-mode automatic differentiation engine on numpy arrays.
+"""The test suite's oracle: a reverse-mode autodiff tape and the losses on it.
 
-This module is the stand-in for PyTorch's autograd in the reproduction (the
-paper trains its partitioning models with PyTorch).  It implements exactly
-the operator set required by the paper's models and loss function:
+The library trains every partition model with one closed-form step,
+:func:`repro.core.trainer.loss_and_gradients`.  This module is what that
+step is checked against: a small define-by-run autodiff engine on numpy
+arrays (the stand-in for PyTorch's autograd, which the paper trains with),
+the layers' forward passes written on it, and the paper's losses as
+compositions of its primitives.  It covers
 
 * elementwise arithmetic with numpy-style broadcasting,
 * matrix multiplication,
@@ -12,9 +15,9 @@ the operator set required by the paper's models and loss function:
 * shape ops (``reshape`` / ``transpose``) and row gathering.
 
 Gradients are accumulated by a topological-order backward pass over the
-dynamically recorded operation graph, mirroring the define-by-run semantics
-of PyTorch so the training loops in :mod:`repro.core.trainer` read the same
-way as the original implementation.
+recorded graph.  A :class:`repro.nn.Parameter` enters the graph as a leaf
+that accumulates into ``param.grad``, so a model trained through this tape
+and one trained by the library hold their gradients in the same place.
 """
 
 from __future__ import annotations
@@ -23,7 +26,11 @@ from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-ArrayLike = Union["Tensor", np.ndarray, float, int]
+from repro.core.loss import LossBreakdown, neighbor_bin_distribution
+from repro.nn import BatchNorm1d, Dropout, Linear, Module, Parameter, ReLU, Sequential
+from repro.utils.exceptions import ValidationError
+
+ArrayLike = Union["Tensor", Parameter, np.ndarray, float, int]
 
 
 def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
@@ -104,7 +111,7 @@ class Tensor:
     # ------------------------------------------------------------------ #
     @staticmethod
     def _wrap(value: ArrayLike) -> "Tensor":
-        return value if isinstance(value, Tensor) else Tensor(value)
+        return as_tensor(value)
 
     def _make(
         self,
@@ -400,10 +407,32 @@ class Tensor:
                 node._backward(node.grad)
 
 
+class _ParameterLeaf(Tensor):
+    """A :class:`Parameter` on the tape: shares its data, accumulates into ``param.grad``."""
+
+    __slots__ = ("param",)
+
+    def __init__(self, param: Parameter) -> None:
+        super().__init__(param.data, requires_grad=True, name=param.name)
+        self.param = param
+
+    def _accumulate(self, grad: np.ndarray) -> None:
+        grad = np.asarray(grad, dtype=np.float64)
+        if self.param.grad is None:
+            self.param.grad = grad.copy()
+        else:
+            self.param.grad += grad
+
+
 def as_tensor(value: ArrayLike, requires_grad: bool = False) -> Tensor:
-    """Coerce ``value`` to a :class:`Tensor` (no copy if already one)."""
+    """Coerce ``value`` to a :class:`Tensor` (no copy if already one).
+
+    A :class:`Parameter` becomes a leaf whose gradient lands on the parameter.
+    """
     if isinstance(value, Tensor):
         return value
+    if isinstance(value, Parameter):
+        return _ParameterLeaf(value)
     return Tensor(value, requires_grad=requires_grad)
 
 
@@ -422,3 +451,234 @@ def stack_rows(tensors: Iterable[Tensor]) -> Tensor:
         out._parents = tuple(tensors)
         out._backward = backward
     return out
+
+
+# ---------------------------------------------------------------------- #
+# the layers' forward passes
+# ---------------------------------------------------------------------- #
+class Tanh(Module):
+    """Hyperbolic tangent activation (forward only; no library step trains it)."""
+
+    def __repr__(self) -> str:
+        return "Tanh()"
+
+
+class Softmax(Module):
+    """Softmax over the last axis (forward only)."""
+
+    def __repr__(self) -> str:
+        return "Softmax()"
+
+
+def forward(module: Module, x: ArrayLike) -> Tensor:
+    """``module`` applied to ``x`` on the tape, in the module's current mode.
+
+    A training-mode ``BatchNorm1d`` updates its running statistics and a
+    training-mode ``Dropout`` draws its mask from its own generator, as the
+    library's training step does.  A module of any other type supplies its
+    own ``forward(x)``.
+    """
+    x = as_tensor(x)
+    if isinstance(module, Sequential):
+        for layer in module:
+            x = forward(layer, x)
+        return x
+    if isinstance(module, Linear):
+        out = x @ module.weight
+        return out if module.bias is None else out + module.bias
+    if isinstance(module, ReLU):
+        return x.relu()
+    if isinstance(module, Tanh):
+        return x.tanh()
+    if isinstance(module, Softmax):
+        return x.softmax(axis=-1)
+    if isinstance(module, Dropout):
+        if not module.training or module.p == 0.0:
+            return x
+        keep = 1.0 - module.p
+        mask = (module._rng.random(x.shape) < keep).astype(np.float64) / keep
+        return x * Tensor(mask)
+    if isinstance(module, BatchNorm1d):
+        return _batch_norm(module, x)
+    return module.forward(x)
+
+
+def _batch_norm(module: BatchNorm1d, x: Tensor) -> Tensor:
+    running_mean = module._buffers["running_mean"]
+    running_var = module._buffers["running_var"]
+    if module.training:
+        mean = x.mean(axis=0, keepdims=True)
+        centered = x - mean
+        var = (centered * centered).mean(axis=0, keepdims=True)
+        # update running statistics with detached batch statistics
+        running_mean *= 1.0 - module.momentum
+        running_mean += module.momentum * mean.data.reshape(-1)
+        running_var *= 1.0 - module.momentum
+        running_var += module.momentum * var.data.reshape(-1)
+        normalized = centered / (var + module.eps).sqrt()
+    else:
+        mean = Tensor(running_mean[None, :])
+        var = Tensor(running_var[None, :])
+        normalized = (x - mean) / (var + module.eps).sqrt()
+    return normalized * module.gamma + module.beta
+
+
+def forward_logits(model, points: np.ndarray) -> Tensor:
+    """A :class:`repro.core.PartitionModel`'s logits on the tape, in its current mode."""
+    return forward(model.module, Tensor(np.asarray(points, dtype=np.float64)))
+
+
+# ---------------------------------------------------------------------- #
+# generic losses
+# ---------------------------------------------------------------------- #
+def soft_cross_entropy(
+    logits: Tensor,
+    soft_targets: np.ndarray,
+    *,
+    weights: Optional[np.ndarray] = None,
+) -> Tensor:
+    """Cross entropy between row-wise soft target distributions and logits.
+
+    Returns the (weighted) mean over rows of
+    ``-sum_j targets[i, j] * log_softmax(logits)[i, j]``; ``weights`` are
+    optional per-row weights (the ensemble boosting weights of Eq. 14).
+    """
+    soft_targets = np.asarray(soft_targets, dtype=np.float64)
+    if soft_targets.shape != logits.shape:
+        raise ValueError(
+            f"soft_targets shape {soft_targets.shape} does not match logits {logits.shape}"
+        )
+    log_probs = logits.log_softmax(axis=-1)
+    per_row = -(log_probs * Tensor(soft_targets)).sum(axis=1)
+    if weights is None:
+        return per_row.mean()
+    weights = np.asarray(weights, dtype=np.float64).reshape(-1)
+    if weights.shape[0] != logits.shape[0]:
+        raise ValueError(
+            f"weights length {weights.shape[0]} does not match batch {logits.shape[0]}"
+        )
+    total = float(weights.sum())
+    if total <= 0:
+        raise ValueError("weights must have a positive sum")
+    normalized = weights / total
+    return (per_row * Tensor(normalized)).sum()
+
+
+def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
+    """Hard-label cross entropy (the Neural LSH classifier's loss)."""
+    labels = np.asarray(labels, dtype=np.int64).reshape(-1)
+    n_classes = logits.shape[-1]
+    if labels.min() < 0 or labels.max() >= n_classes:
+        raise ValueError("labels out of range for the given logits")
+    one_hot = np.zeros((labels.shape[0], n_classes), dtype=np.float64)
+    one_hot[np.arange(labels.shape[0]), labels] = 1.0
+    return soft_cross_entropy(logits, one_hot)
+
+
+def mse_loss(prediction: Tensor, target: np.ndarray) -> Tensor:
+    """Mean squared error against a constant target array."""
+    target = np.asarray(target, dtype=np.float64)
+    diff = prediction - Tensor(target)
+    return (diff * diff).mean()
+
+
+def binary_cross_entropy_with_logits(logits: Tensor, targets: np.ndarray) -> Tensor:
+    """Binary cross entropy on logits, with the probabilities clamped away from 0 and 1."""
+    targets = np.asarray(targets, dtype=np.float64)
+    probs_pos = logits.sigmoid()
+    eps = 1e-12
+    term_pos = (probs_pos + eps).log() * Tensor(targets)
+    term_neg = (1.0 - probs_pos + eps).log() * Tensor(1.0 - targets)
+    return -(term_pos + term_neg).mean()
+
+
+# ---------------------------------------------------------------------- #
+# the USP loss (Section 4.2.2)
+# ---------------------------------------------------------------------- #
+def quality_cost(
+    logits: Tensor,
+    soft_targets: np.ndarray,
+    *,
+    weights: Optional[np.ndarray] = None,
+) -> Tensor:
+    """Quality cost ``U(R)`` for a batch (Eq. 10, weighted form Eq. 14)."""
+    return soft_cross_entropy(logits, soft_targets, weights=weights)
+
+
+def balance_cost(probabilities: Tensor, n_bins: int) -> Tensor:
+    """Computation cost ``S(R)`` for a batch (Eq. 12–13), normalised to [-1, 0].
+
+    The window ``w`` keeps the top ``batch/m`` probabilities per bin column;
+    the cost is the negated window sum divided by the batch size, so a
+    perfectly balanced, perfectly confident partition scores exactly ``-1``.
+    """
+    batch = probabilities.shape[0]
+    if probabilities.ndim != 2 or probabilities.shape[1] != n_bins:
+        raise ValidationError(
+            f"probabilities must have shape (batch, {n_bins}), got {probabilities.shape}"
+        )
+    window = max(1, batch // n_bins)
+    values = probabilities.data
+    mask = np.zeros_like(values)
+    # Select the `window` largest entries in each column.
+    top_rows = np.argpartition(-values, kth=window - 1, axis=0)[:window, :]
+    cols = np.tile(np.arange(n_bins), (window, 1))
+    mask[top_rows, cols] = 1.0
+    selected = probabilities * Tensor(mask)
+    return -(selected.sum() / float(batch))
+
+
+def entropy_balance_cost(probabilities: Tensor, n_bins: int) -> Tensor:
+    """Ablation alternative to the paper's window cost.
+
+    Negated entropy of the *average* bin assignment distribution; maximal
+    entropy (uniform usage of all bins) gives the minimum value
+    ``-log(n_bins)``.
+    """
+    if probabilities.ndim != 2 or probabilities.shape[1] != n_bins:
+        raise ValidationError(
+            f"probabilities must have shape (batch, {n_bins}), got {probabilities.shape}"
+        )
+    mean_assignment = probabilities.mean(axis=0)
+    eps = 1e-12
+    return (mean_assignment * (mean_assignment + eps).log()).sum()
+
+
+def usp_loss(
+    logits: Tensor,
+    neighbor_bins: np.ndarray,
+    n_bins: int,
+    eta: float,
+    *,
+    weights: Optional[np.ndarray] = None,
+    soft_labels: bool = True,
+    balance_term: str = "topk",
+) -> tuple[Tensor, LossBreakdown]:
+    """Combined USP objective ``U(R) + eta * S(R)`` (Eq. 5) for one batch.
+
+    ``neighbor_bins`` holds the ``(batch, k')`` most-likely bins of each
+    batch point's neighbours (constants w.r.t. the loss); ``soft_labels``
+    picks the neighbour bin distribution (paper) or the majority bin only;
+    ``balance_term`` is ``"topk"`` (paper), ``"entropy"`` or ``"none"``.
+    Returns the scalar tensor to backpropagate and its detached components.
+    """
+    targets = neighbor_bin_distribution(neighbor_bins, n_bins, soft=soft_labels)
+    quality = quality_cost(logits, targets, weights=weights)
+    if balance_term == "none" or eta == 0.0:
+        balance = Tensor(0.0)
+        total = quality
+    else:
+        probabilities = logits.softmax(axis=-1)
+        if balance_term == "topk":
+            balance = balance_cost(probabilities, n_bins)
+        elif balance_term == "entropy":
+            balance = entropy_balance_cost(probabilities, n_bins)
+        else:
+            raise ValidationError(f"unknown balance_term {balance_term!r}")
+        total = quality + balance * float(eta)
+    breakdown = LossBreakdown(
+        total=float(total.data),
+        quality=float(quality.data),
+        balance=float(balance.data),
+    )
+    return total, breakdown

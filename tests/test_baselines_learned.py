@@ -1,5 +1,7 @@
 """Tests for Neural LSH, Regression LSH, LSH, trees, and the boosted forest."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -15,8 +17,15 @@ from repro.baselines import (
     RegressionLshIndex,
     TwoMeansTreeIndex,
 )
+from repro.baselines.neural_lsh import _build_classifier_module
+from repro.core import PartitionModel
+from repro.datasets import sift_like
 from repro.eval import candidate_recall, knn_accuracy
+from repro.nn import Adam, EpochBatchIterator
 from repro.utils.exceptions import ValidationError
+from repro.utils.rng import resolve_rng
+
+from autodiff import cross_entropy, forward_logits
 
 
 @pytest.fixture(scope="module")
@@ -64,6 +73,53 @@ class TestNeuralLsh:
         config = NeuralLshConfig(n_bins=2, k_prime=8, model="logistic", epochs=5, seed=0)
         index = NeuralLshIndex(config).build(tiny_dataset.base, knn=tiny_knn)
         assert index.num_parameters() == tiny_dataset.dim * 2 + 2
+
+    @pytest.mark.parametrize("model", ["mlp", "logistic"])
+    def test_training_replays_the_autodiff_loop(self, model):
+        """The shared training step against Neural LSH's cross-entropy loop on the tape.
+
+        Same ``Adam``, ``EpochBatchIterator``, seeds and generator draws; only
+        how each gradient is computed differs.  The ``mlp``'s first ``Linear``
+        bias is left out of the parameter check: batch norm subtracts the
+        batch mean, so that bias's true gradient is exactly 0, and Adam
+        scales each side's rounding noise into its own lr-sized random walk.
+        The running mean absorbs the walk, so the logits still agree.
+        """
+        data = sift_like(n_points=600, n_queries=1000, dim=16, n_clusters=6, gt_k=1, seed=5)
+        config = NeuralLshConfig(
+            n_bins=4, k_prime=8, hidden_dim=32, epochs=6, batch_size=96, model=model, seed=3
+        )
+        index = NeuralLshIndex(config).build(data.base)
+
+        rng = resolve_rng(config.seed)
+        reference = PartitionModel(
+            _build_classifier_module(data.dim, config, rng=rng), dim=data.dim, n_bins=config.n_bins
+        )
+        optimizer = Adam(reference.parameters(), lr=config.learning_rate)
+        iterator = EpochBatchIterator(data.base, config.batch_size, rng=rng)
+        reference.train()
+        for _ in range(config.epochs):
+            for batch in iterator:
+                optimizer.zero_grad()
+                logits = forward_logits(reference, batch.points)
+                cross_entropy(logits, index.assignments[batch.indices]).backward()
+                optimizer.step()
+        reference.eval()
+
+        replayed = copy.copy(index)
+        replayed.model = reference
+        np.testing.assert_array_equal(index.top_bins(data.queries, 3), replayed.top_bins(data.queries, 3))
+        np.testing.assert_allclose(
+            forward_logits(index.model, data.queries).data,
+            forward_logits(reference, data.queries).data,
+            rtol=1e-9,
+        )
+        for (name, got), (_, want) in zip(
+            index.model.module.named_parameters(), reference.module.named_parameters()
+        ):
+            if model == "mlp" and name == "0.bias":
+                continue
+            np.testing.assert_allclose(got.data, want.data, rtol=1e-9, err_msg=name)
 
 
 class TestRegressionLsh:

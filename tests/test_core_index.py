@@ -15,8 +15,10 @@ from repro.core import (
     rerank_candidates,
 )
 from repro.eval import candidate_recall, knn_accuracy
-from repro.nn import Linear, Sequential, Tanh, Tensor
+from repro.nn import Linear, Sequential
 from repro.utils.exceptions import ConfigurationError, NotFittedError, ValidationError
+
+from autodiff import Tanh, Tensor, forward_logits
 
 
 class TestUspConfig:
@@ -113,7 +115,7 @@ class TestInferenceWithoutAutodiff:
     @staticmethod
     def reference_proba(model, points):
         model.eval()
-        return model.forward_logits(points).softmax(axis=-1).data
+        return forward_logits(model, points).softmax(axis=-1).data
 
     def test_matches_the_eval_mode_forward(self, trained_model, tiny_dataset):
         points = np.vstack([tiny_dataset.queries, tiny_dataset.base[:50]])

@@ -1,4 +1,4 @@
-"""Tests for the k'-NN matrix and the USP loss function."""
+"""Tests for the k'-NN matrix, the USP loss (on the autodiff oracle) and the training step."""
 
 import numpy as np
 import pytest
@@ -11,20 +11,28 @@ from repro.core import (
     PartitionModel,
     UspConfig,
     UspTrainer,
-    balance_cost,
     build_mlp_module,
     build_knn_matrix,
     build_partition_model,
-    entropy_balance_cost,
     neighbor_bin_distribution,
-    quality_cost,
-    usp_loss,
 )
 from repro.core.knn_matrix import _certified_self_join
-from repro.nn import Adam, Linear, Sequential, Tanh, Tensor, UniformBatchSampler, clip_grad_norm
+from repro.core.trainer import loss_and_gradients
+from repro.nn import Adam, Linear, Sequential, UniformBatchSampler, clip_grad_norm
 from repro.utils.distances import pairwise_topk
 from repro.utils.exceptions import ConfigurationError, ValidationError
 
+from autodiff import (
+    Tanh,
+    Tensor,
+    balance_cost,
+    cross_entropy,
+    entropy_balance_cost,
+    forward,
+    forward_logits,
+    quality_cost,
+    usp_loss,
+)
 from test_nn_tensor import numerical_gradient
 
 
@@ -214,18 +222,18 @@ class TestUspLoss:
 
         def loss():
             return usp_loss(
-                model.forward_logits(points), neighbor_bins, n_bins, eta,
+                forward_logits(model, points), neighbor_bins, n_bins, eta,
                 balance_term=balance_term,
             )[0]
 
         # The loss is only piecewise smooth: the top-k window picks rows
         # and ReLU picks sides.  Neither choice may flip within a step.
         probabilities = np.sort(
-            model.forward_logits(points).softmax(axis=-1).data, axis=0
+            forward_logits(model, points).softmax(axis=-1).data, axis=0
         )
         window = batch // n_bins
         assert (probabilities[-window] - probabilities[-window - 1]).min() > 1e-3
-        hidden = model.module[1](model.module[0](Tensor(points))).data
+        hidden = forward(model.module[1], forward(model.module[0], points)).data
         assert np.abs(hidden).min() > 1e-3
 
         loss().backward()
@@ -422,21 +430,29 @@ def twin_models(config, dim, seed=0):
     # gradient is correct by symmetry.
     jitter = np.random.default_rng(seed + 1)
     for left, right in zip(models[0].parameters(), models[1].parameters()):
-        left.data += 0.1 * jitter.normal(size=left.shape)
+        left.data += 0.1 * jitter.normal(size=left.data.shape)
         right.data[...] = left.data
     return models
 
 
 def reference_neighbor_bins(model, neighbors):
-    """The neighbours' bins through the autodiff graph in eval mode, as the seed's trainer did."""
+    """The neighbours' bins through the autodiff graph in eval mode."""
     model.eval()
-    probabilities = model.forward_logits(neighbors).softmax(axis=-1).data
+    probabilities = forward_logits(model, neighbors).softmax(axis=-1).data
     model.train()
     return probabilities.argmax(axis=1)
 
 
+def usp_step(config, model, points, neighbor_bins, weights):
+    """The call ``UspTrainer`` makes into the shared step, without the optimiser."""
+    targets = neighbor_bin_distribution(neighbor_bins, config.n_bins, soft=config.soft_labels)
+    return loss_and_gradients(
+        model, points, targets, weights=weights, balance_term=config.balance_term, eta=config.eta
+    )
+
+
 class TestFusedStep:
-    """``UspTrainer``'s hand-written step against ``usp_loss(...).backward()``."""
+    """The hand-written training step against ``usp_loss(...).backward()`` on the tape."""
 
     @pytest.mark.parametrize("dropout", [0.0, 0.1])
     @pytest.mark.parametrize("weighted", [False, True])
@@ -459,12 +475,12 @@ class TestFusedStep:
 
         reference.train()
         loss, expected = usp_loss(
-            reference.forward_logits(points), neighbor_bins, n_bins, config.eta,
+            forward_logits(reference, points), neighbor_bins, n_bins, config.eta,
             weights=weights, soft_labels=soft_labels, balance_term=balance_term,
         )
         loss.backward()
         fused.train()
-        breakdown = UspTrainer(config)._loss_and_gradients(fused, points, neighbor_bins, weights)
+        breakdown = usp_step(config, fused, points, neighbor_bins, weights)
 
         for name in ("total", "quality", "balance"):
             assert getattr(breakdown, name) == pytest.approx(getattr(expected, name), rel=1e-10, abs=1e-15)
@@ -485,13 +501,42 @@ class TestFusedStep:
         rng = np.random.default_rng(2)
         points, neighbor_bins = rng.normal(size=(9, 4)), rng.integers(0, 3, size=(9, 2))
         reference, fused = twin_models(config, 4)
-        loss, expected = usp_loss(reference.forward_logits(points), neighbor_bins, 3, 0.0)
+        loss, expected = usp_loss(forward_logits(reference, points), neighbor_bins, 3, 0.0)
         loss.backward()
-        breakdown = UspTrainer(config)._loss_and_gradients(fused, points, neighbor_bins, None)
+        breakdown = usp_step(config, fused, points, neighbor_bins, None)
         assert breakdown.balance == expected.balance == 0.0
         assert breakdown.total == pytest.approx(expected.total, rel=1e-10)
         for want, got in zip(reference.parameters(), fused.parameters()):
             np.testing.assert_allclose(got.grad, want.grad, rtol=1e-10, atol=1e-14)
+
+    @pytest.mark.parametrize("dropout", [0.0, 0.1])
+    @pytest.mark.parametrize("architecture", ["mlp", "logistic"])
+    def test_one_hot_targets_match_cross_entropy(self, architecture, dropout):
+        """Neural LSH's call: one-hot labels, no balance term, against ``cross_entropy``."""
+        n_bins, batch, dim = 4, 24, 6
+        config = UspConfig(n_bins=n_bins, model=architecture, hidden_dim=7, dropout=dropout)
+        rng = np.random.default_rng(9)
+        points = rng.normal(size=(batch, dim))
+        labels = rng.integers(0, n_bins, size=batch)
+        reference, fused = twin_models(config, dim)
+
+        reference.train()
+        loss = cross_entropy(forward_logits(reference, points), labels)
+        loss.backward()
+        fused.train()
+        breakdown = loss_and_gradients(fused, points, np.eye(n_bins)[labels])
+
+        assert breakdown.balance == 0.0
+        assert breakdown.total == breakdown.quality == pytest.approx(loss.item(), rel=1e-10)
+        for (name, want), (_, got) in zip(
+            reference.module.named_parameters(), fused.module.named_parameters()
+        ):
+            # atol: the first Linear's bias has gradient exactly 0 under batch norm.
+            np.testing.assert_allclose(got.grad, want.grad, rtol=1e-10, atol=1e-14, err_msg=name)
+        for (name, want), (_, got) in zip(
+            reference.module.named_buffers(), fused.module.named_buffers()
+        ):
+            np.testing.assert_allclose(got, want, rtol=1e-13, err_msg=name)
 
     @pytest.mark.parametrize("architecture", ["mlp", "logistic"])
     def test_training_run_assigns_the_same_bins_as_an_autodiff_loop(
@@ -523,7 +568,7 @@ class TestFusedStep:
             )
             optimizer.zero_grad()
             loss, breakdown = usp_loss(
-                reference.forward_logits(batch.points), neighbor_bins, config.n_bins, config.eta
+                forward_logits(reference, batch.points), neighbor_bins, config.n_bins, config.eta
             )
             loss.backward()
             clip_grad_norm(reference.parameters(), config.grad_clip)

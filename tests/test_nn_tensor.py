@@ -1,4 +1,4 @@
-"""Tests for the autodiff engine (repro.nn.tensor).
+"""Tests for the test suite's autodiff oracle (tests/autodiff.py).
 
 Every differentiable op is validated against a central-difference numerical
 gradient; additional tests cover broadcasting, graph traversal, and the API
@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.nn import Tensor, as_tensor, stack_rows
+from autodiff import Tensor, as_tensor, stack_rows
 
 
 def numerical_gradient(fn, value, eps=1e-6):

@@ -7,6 +7,7 @@ a silently empty (or subtly wrong) index.  Covered here:
 
 * truncated / zero-byte / garbage ``arrays.npz``;
 * a sharded deployment missing one shard artifact;
+* a learned index whose ``arrays.npz`` lacks a model parameter or buffer;
 * a manifest whose registry name and recorded class disagree
   (hand-edited or mixed from two artifacts);
 * corrupt JSON manifests, including the attribute-store sidecar.
@@ -78,6 +79,27 @@ class TestMissingArtifacts:
         path = save_kmeans(tmp_path, base)
         (path / "index.json").unlink()
         with pytest.raises(SerializationError, match="not a saved index"):
+            load_index(path)
+
+
+SMALL_LEARNED_INDEXES = {
+    "usp": dict(n_bins=4, k_prime=4, epochs=1, hidden_dim=8, min_batch_size=32, max_batch_size=32),
+    "neural-lsh": dict(n_bins=4, k_prime=4, epochs=1, hidden_dim=8),
+}
+
+
+class TestMissingWeights:
+    @pytest.mark.parametrize("key", ["model.0.weight", "model.__buffer__.1.running_mean"])
+    @pytest.mark.parametrize("name", sorted(SMALL_LEARNED_INDEXES))
+    def test_model_array_missing_from_arrays_npz_raises(self, tmp_path, base, name, key):
+        # Loading would otherwise answer from freshly initialised weights.
+        path = tmp_path / name
+        make_index(name, **SMALL_LEARNED_INDEXES[name]).build(base).save(path)
+        with np.load(path / "arrays.npz") as archive:
+            arrays = {k: archive[k] for k in archive.files if k != key}
+        assert len(arrays) == len(archive.files) - 1
+        np.savez(path / "arrays.npz", **arrays)
+        with pytest.raises(SerializationError, match="missing"):
             load_index(path)
 
 

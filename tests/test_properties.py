@@ -12,10 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.baselines import KMeansIndex, PcaTreeIndex
-from repro.core import neighbor_bin_distribution, usp_loss
+from repro.core import neighbor_bin_distribution
 from repro.core.base import rerank_candidates
 from repro.eval import knn_accuracy, probe_schedule
-from repro.nn import Tensor
+
+from autodiff import Tensor, usp_loss
 
 
 def clustered_points(seed: int, n: int, dim: int) -> np.ndarray:
