@@ -2,23 +2,26 @@
 
 An inverted-file (IVF) index clusters the dataset with a coarse K-means
 quantizer; each query probes the ``n_probes`` nearest cells and scans only
-their points.  ``IVFFlat`` scans raw vectors (exact distances within the
-probed cells); ``IVFPQ`` scans product-quantized residual codes with ADC
-lookup tables and then re-ranks a shortlist exactly, matching the structure
-of ``faiss.IndexIVFPQ``.
+their points.  ``IVFFlat`` is :class:`~repro.baselines.kmeans.KMeansIndex`
+under IVF's knob names (``n_lists`` cells, ``kmeans_iterations`` Lloyd
+iterations, four probes by default), so it answers through the shared
+partition scan with exact distances within the probed cells.  ``IVFPQ``
+scans product-quantized residual codes of the same cells with ADC lookup
+tables and then re-ranks a shortlist exactly, matching the structure of
+``faiss.IndexIVFPQ``.
 """
 
 from __future__ import annotations
 
+import time
 from typing import List, Optional, Tuple
 
 import numpy as np
 
-from ..api.protocol import IndexCapabilities, RegisteredIndex
+from ..api.protocol import IndexCapabilities
 from ..api.registry import register_index
-from ..baselines.kmeans import KMeans
+from ..baselines.kmeans import KMeansIndex, KMeansResult
 from ..utils.distances import squared_euclidean
-from ..utils.exceptions import NotFittedError, ValidationError
 from ..utils.rng import SeedLike
 from ..utils.validation import as_float_matrix, as_query_matrix, check_positive_int
 from .pq import ProductQuantizer
@@ -37,7 +40,7 @@ _IVF_CAPABILITIES = IndexCapabilities(
     capabilities=_IVF_CAPABILITIES,
     description="Inverted-file index with exact in-cell distances",
 )
-class IVFFlatIndex(RegisteredIndex):
+class IVFFlatIndex(KMeansIndex):
     """Inverted file index with exact in-cell distances."""
 
     def __init__(
@@ -48,112 +51,23 @@ class IVFFlatIndex(RegisteredIndex):
         seed: SeedLike = None,
     ) -> None:
         self.n_lists = check_positive_int(n_lists, "n_lists")
-        self.kmeans_iterations = kmeans_iterations
-        self.seed = seed
-        self._base: Optional[np.ndarray] = None
-        self._centroids: Optional[np.ndarray] = None
-        self._lists: Optional[List[np.ndarray]] = None
-        self.build_seconds: float = 0.0
+        super().__init__(n_lists, max_iterations=kmeans_iterations, seed=seed)
+        self.kmeans_iterations = self._kmeans.max_iterations
 
-    # ------------------------------------------------------------------ #
     def build(self, base: np.ndarray) -> "IVFFlatIndex":
-        import time
-
-        start = time.perf_counter()
+        """Cluster ``base`` into ``min(n_lists, n_points)`` cells."""
         base = as_float_matrix(base, name="base")
-        n_lists = min(self.n_lists, base.shape[0])
-        coarse = KMeans(n_lists, max_iterations=self.kmeans_iterations, seed=self.seed)
-        coarse.fit(base)
-        self._base = base
-        self._centroids = coarse.centroids
-        labels = coarse.labels
-        self._lists = [np.where(labels == i)[0] for i in range(n_lists)]
-        self.build_seconds = time.perf_counter() - start
-        return self
-
-    def _require_built(self) -> None:
-        if self._base is None:
-            raise NotFittedError(f"{type(self).__name__} has not been built yet")
-
-    @property
-    def is_built(self) -> bool:
-        return self._base is not None
-
-    @property
-    def dim(self) -> int:
-        self._require_built()
-        return int(self._base.shape[1])
-
-    @property
-    def n_points(self) -> int:
-        self._require_built()
-        return int(self._base.shape[0])
-
-    def list_sizes(self) -> np.ndarray:
-        self._require_built()
-        return np.array([len(lst) for lst in self._lists], dtype=np.int64)
-
-    # ------------------------------------------------------------------ #
-    def _probed_candidates(self, query: np.ndarray, n_probes: int) -> np.ndarray:
-        cell_distances = squared_euclidean(query[None, :], self._centroids)[0]
-        probe_order = np.argsort(cell_distances)[:n_probes]
-        buckets = [self._lists[c] for c in probe_order if len(self._lists[c])]
-        if not buckets:
-            return np.empty(0, dtype=np.int64)
-        return np.concatenate(buckets)
-
-    def query(
-        self, query: np.ndarray, k: int = 10, *, n_probes: int = 4, filter=None
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Approximate ``k`` nearest neighbours of one query."""
-        self._require_built()
-        if filter is not None:
-            ids, dists = self.batch_query(
-                np.atleast_2d(np.asarray(query, dtype=np.float64)),
-                k,
-                n_probes=n_probes,
-                filter=filter,
-            )
-            return ids[0], dists[0]
-        query = np.asarray(query, dtype=np.float64).reshape(-1)
-        if query.shape[0] != self.dim:
-            raise ValidationError("query dimensionality mismatch")
-        n_probes = min(check_positive_int(n_probes, "n_probes"), len(self._lists))
-        candidates = self._probed_candidates(query, n_probes)
-        if candidates.size == 0:
-            return np.full(k, -1, dtype=np.int64), np.full(k, np.inf)
-        distances = squared_euclidean(query[None, :], self._base[candidates])[0]
-        top = min(k, candidates.size)
-        part = np.argpartition(distances, kth=top - 1)[:top]
-        order = part[np.argsort(distances[part], kind="stable")]
-        indices = np.full(k, -1, dtype=np.int64)
-        dists = np.full(k, np.inf)
-        indices[:top] = candidates[order]
-        dists[:top] = np.sqrt(distances[order])
-        return indices, dists
+        self._kmeans.n_clusters = min(self.n_lists, base.shape[0])
+        return super().build(base)
 
     def batch_query(
         self, queries: np.ndarray, k: int = 10, *, n_probes: int = 4, filter=None
     ) -> Tuple[np.ndarray, np.ndarray]:
-        self._require_built()
-        queries = as_query_matrix(queries, self.dim)
-        if filter is not None:
-            return self._filtered_batch_query(queries, k, filter, n_probes=int(n_probes))
-        indices = np.full((queries.shape[0], k), -1, dtype=np.int64)
-        distances = np.full((queries.shape[0], k), np.inf)
-        for i, query in enumerate(queries):
-            indices[i], distances[i] = self.query(query, k, n_probes=n_probes)
-        return indices, distances
+        return super().batch_query(queries, k, n_probes=n_probes, filter=filter)
 
     # ------------------------------------------------------------------ #
-    # persistence
+    # persistence: the cells are saved as ``centroids`` + ``labels``
     # ------------------------------------------------------------------ #
-    def _cell_labels(self) -> np.ndarray:
-        labels = np.empty(self.n_points, dtype=np.int64)
-        for cell, members in enumerate(self._lists):
-            labels[members] = cell
-        return labels
-
     def _state(self):
         config = {
             "n_lists": int(self.n_lists),
@@ -162,18 +76,22 @@ class IVFFlatIndex(RegisteredIndex):
         }
         arrays = {
             "__base__": self._base,
-            "centroids": self._centroids,
-            "labels": self._cell_labels(),
+            "centroids": self.centroids,
+            "labels": self._assignments,
         }
         return config, arrays, {}
 
-    def _restore_lists(self, arrays) -> None:
-        self._base = arrays["__base__"]
-        self._centroids = arrays["centroids"]
-        labels = arrays["labels"]
-        self._lists = [
-            np.where(labels == i)[0] for i in range(self._centroids.shape[0])
-        ]
+    def _restore_cells(self, arrays) -> None:
+        """Adopt saved cells (the format keeps no K-means fit statistics)."""
+        centroids, labels = arrays["centroids"], arrays["labels"]
+        self._kmeans.result = KMeansResult(
+            centroids=centroids,
+            labels=labels,
+            inertia=float("nan"),
+            n_iterations=0,
+            converged=False,
+        )
+        self._finalize_build(arrays["__base__"], labels, centroids.shape[0])
 
     @classmethod
     def _from_state(cls, config, arrays, load_child):
@@ -181,7 +99,7 @@ class IVFFlatIndex(RegisteredIndex):
             int(config["n_lists"]),
             kmeans_iterations=int(config["kmeans_iterations"]),
         )
-        index._restore_lists(arrays)
+        index._restore_cells(arrays)
         index.build_seconds = float(config.get("build_seconds", 0.0))
         return index
 
@@ -209,6 +127,7 @@ class IVFPQIndex(IVFFlatIndex):
         seed: SeedLike = None,
     ) -> None:
         super().__init__(n_lists, kmeans_iterations=kmeans_iterations, seed=seed)
+        self.seed = seed
         self.n_subspaces = check_positive_int(n_subspaces, "n_subspaces")
         self.n_codewords = check_positive_int(n_codewords, "n_codewords")
         self.rerank_factor = check_positive_int(rerank_factor, "rerank_factor")
@@ -217,13 +136,8 @@ class IVFPQIndex(IVFFlatIndex):
 
     def build(self, base: np.ndarray) -> "IVFPQIndex":
         super().build(base)
-        import time
-
         start = time.perf_counter()
-        labels = np.empty(self.n_points, dtype=np.int64)
-        for cell, members in enumerate(self._lists):
-            labels[members] = cell
-        residuals = self._base - self._centroids[labels]
+        residuals = self._base - self.centroids[self._assignments]
         self._pq = ProductQuantizer(
             self.n_subspaces,
             self.n_codewords,
@@ -231,16 +145,14 @@ class IVFPQIndex(IVFFlatIndex):
             seed=self.seed,
         ).fit(residuals)
         self._codes = self._pq.encode(residuals)
-        self._cell_of = labels
         self.build_seconds += time.perf_counter() - start
         return self
 
     def query(
         self, query: np.ndarray, k: int = 10, *, n_probes: int = 4, filter=None
     ) -> Tuple[np.ndarray, np.ndarray]:
+        """ADC scan of the ``n_probes`` nearest cells, then an exact re-rank."""
         self._require_built()
-        if self._pq is None:
-            raise NotFittedError("IVFPQIndex has not been built yet")
         if filter is not None:
             ids, dists = self.batch_query(
                 np.atleast_2d(np.asarray(query, dtype=np.float64)),
@@ -250,17 +162,17 @@ class IVFPQIndex(IVFFlatIndex):
             )
             return ids[0], dists[0]
         query = np.asarray(query, dtype=np.float64).reshape(-1)
-        n_probes = min(check_positive_int(n_probes, "n_probes"), len(self._lists))
-        cell_distances = squared_euclidean(query[None, :], self._centroids)[0]
+        n_probes = min(check_positive_int(n_probes, "n_probes"), self.n_bins)
+        cell_distances = squared_euclidean(query[None, :], self.centroids)[0]
         probe_order = np.argsort(cell_distances)[:n_probes]
 
         candidate_ids: List[np.ndarray] = []
         candidate_scores: List[np.ndarray] = []
         for cell in probe_order:
-            members = self._lists[cell]
+            members = self._lookup[cell]
             if len(members) == 0:
                 continue
-            residual_query = query - self._centroids[cell]
+            residual_query = query - self.centroids[cell]
             scores = self._pq.adc_distances(residual_query, self._codes[members])
             candidate_ids.append(members)
             candidate_scores.append(scores)
@@ -281,6 +193,19 @@ class IVFPQIndex(IVFFlatIndex):
         indices[:top] = shortlist[order]
         dists[:top] = np.sqrt(exact[order])
         return indices, dists
+
+    def batch_query(
+        self, queries: np.ndarray, k: int = 10, *, n_probes: int = 4, filter=None
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        self._require_built()
+        queries = as_query_matrix(queries, self.dim)
+        if filter is not None:
+            return self._filtered_batch_query(queries, k, filter, n_probes=int(n_probes))
+        indices = np.full((queries.shape[0], k), -1, dtype=np.int64)
+        distances = np.full((queries.shape[0], k), np.inf)
+        for i, query in enumerate(queries):
+            indices[i], distances[i] = self.query(query, k, n_probes=n_probes)
+        return indices, distances
 
     # ------------------------------------------------------------------ #
     # persistence
@@ -307,13 +232,12 @@ class IVFPQIndex(IVFFlatIndex):
             rerank_factor=int(config["rerank_factor"]),
             kmeans_iterations=int(config["kmeans_iterations"]),
         )
-        index._restore_lists(arrays)
+        index._restore_cells(arrays)
         codebooks = arrays["pq.codebooks"]
         pq = ProductQuantizer(codebooks.shape[0], codebooks.shape[1])
         pq.codebooks = codebooks
         pq._sub_dim = int(codebooks.shape[2])
         index._pq = pq
         index._codes = arrays["pq.codes"]
-        index._cell_of = arrays["labels"]
         index.build_seconds = float(config.get("build_seconds", 0.0))
         return index

@@ -11,8 +11,9 @@ tractable surrogate:
   points (weighted by the current boosting weights), split at the weighted
   median — i.e. the hyperplane that best explains the "difficult" points;
 * after each tree, a point's weight is multiplied by the number of its k'
-  nearest neighbours that ended up in a different leaf (the same update the
-  paper's own ensembling uses), so the next tree concentrates on them;
+  nearest neighbours that ended up in a different leaf (the paper's own
+  ensembling update, :func:`repro.core.ensemble.boosting_weights`), so the
+  next tree concentrates on them;
 * at query time each tree proposes its leaf candidates and, like the
   paper's Algorithm 4, the most confident tree's candidate set is used.
 """
@@ -26,6 +27,7 @@ import numpy as np
 from ..api.protocol import IndexCapabilities, RegisteredIndex
 from ..api.registry import register_index
 from ..core.base import rerank_candidates
+from ..core.ensemble import boosting_weights
 from ..core.knn_matrix import KnnMatrix, build_knn_matrix
 from ..utils.exceptions import NotFittedError
 from ..utils.rng import SeedLike, spawn_rngs
@@ -40,15 +42,6 @@ class _WeightedPcaTree(HyperplaneTreeIndex):
         super().__init__(depth, seed=seed)
         self._all_weights = np.asarray(weights, dtype=np.float64)
         self._all_points = base
-        # Map rows of a node's point subset back to global weights by value
-        # lookup is fragile; instead weights are passed positionally below.
-        self._weight_lookup = {}
-
-    def build(self, base: np.ndarray) -> "_WeightedPcaTree":
-        # Stash index-aligned weights for split_rule (split_rule only sees
-        # the node's points, so we track indices through a parallel build).
-        self._current_weights = self._all_weights
-        return super().build(base)
 
     def split_rule(
         self, points: np.ndarray, rng: np.random.Generator
@@ -135,9 +128,7 @@ class BoostedSearchForestIndex(RegisteredIndex):
             tree = _WeightedPcaTree(self.depth, weights, base, seed=rngs[t])
             tree.build(base)
             self.trees.append(tree)
-            neighbor_bins = tree.assignments[knn.indices]
-            mismatches = (neighbor_bins != tree.assignments[:, None]).sum(axis=1)
-            weights = weights * mismatches.astype(np.float64)
+            weights = boosting_weights(tree.assignments, knn, weights)
             if weights.sum() <= 0:
                 weights = np.ones(base.shape[0], dtype=np.float64)
         self._base = base

@@ -201,7 +201,7 @@ class KMeansIndex(PartitionIndexBase):
         start = time.perf_counter()
         base = as_float_matrix(base, name="base")
         self._kmeans.fit(base)
-        self._finalize_build(base, self._kmeans.labels, self.n_bins_requested)
+        self._finalize_build(base, self._kmeans.labels, self._kmeans.n_clusters)
         self.build_seconds = time.perf_counter() - start
         return self
 

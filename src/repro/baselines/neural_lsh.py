@@ -16,13 +16,14 @@ Dataset points keep the labels assigned by the graph partitioner; queries
 are routed by the classifier's probability output (supporting multi-probe).
 ``Regression LSH`` is the variant used in the paper's tree experiments: the
 same pipeline applied recursively with two parts per level and a logistic
-regression classifier.
+regression classifier.  It is a :class:`~repro.baselines.trees.BinaryTreeIndex`
+— the hyperplane trees' skeleton — whose nodes are two-bin classifiers.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -37,6 +38,7 @@ from ..utils.exceptions import ValidationError
 from ..utils.rng import resolve_rng, spawn_rngs
 from ..utils.timing import Stopwatch
 from ..utils.validation import as_float_matrix, as_query_matrix, check_positive_int
+from .trees import BinaryTreeIndex
 
 _NEURAL_LSH_CAPABILITIES = IndexCapabilities(
     metrics=("euclidean", "sqeuclidean", "cosine"),
@@ -171,19 +173,6 @@ class NeuralLshIndex(PartitionIndexBase):
         """Classifier training time (excludes graph partitioning)."""
         return self.training_time
 
-    def _keep_router_only(self, dim: int) -> "NeuralLshIndex":
-        """Drop the training rows; keep the classifier that routes queries.
-
-        ``bin_scores`` needs a built index but never reads its data, so a
-        Regression LSH router node holds this empty two-bin state both
-        after ``build`` and after ``load_index``.
-        """
-        self._base = np.empty((0, dim), dtype=np.float64)
-        self._assignments = np.empty(0, dtype=np.int64)
-        self._lookup = [np.empty(0, dtype=np.int64)] * 2
-        self._n_bins = 2
-        return self
-
     def preprocessing_seconds(self) -> float:
         """Graph-partitioning time — the expensive step USP eliminates."""
         return self.partition_seconds
@@ -240,13 +229,17 @@ def _load_classifier(config: NeuralLshConfig, dim: int, state) -> PartitionModel
     capabilities=_NEURAL_LSH_CAPABILITIES,
     description="Regression LSH: recursive 2-way Neural LSH with logistic routers",
 )
-class RegressionLshIndex(PartitionIndexBase):
+class RegressionLshIndex(BinaryTreeIndex):
     """Regression LSH: recursive 2-way Neural LSH with logistic regression.
 
     Used in the paper's tree-based comparison (Figure 6): a binary tree of
     depth ``depth`` where every node partitions its subset's k-NN graph into
     two balanced halves and fits a logistic regression to route queries.
+    Each node keeps only that classifier, a two-bin :class:`PartitionModel`.
     """
+
+    #: smaller nodes are too small to split meaningfully
+    min_split_size = 8
 
     def __init__(
         self,
@@ -257,117 +250,45 @@ class RegressionLshIndex(PartitionIndexBase):
         learning_rate: float = 5e-3,
         seed: int = 0,
     ) -> None:
-        super().__init__()
-        self.depth = check_positive_int(depth, "depth")
+        super().__init__(depth)
         self.k_prime = check_positive_int(k_prime, "k_prime")
         self.epochs = check_positive_int(epochs, "epochs")
         self.learning_rate = float(learning_rate)
         self.seed = int(seed)
-        self._nodes: List[Optional[NeuralLshIndex]] = []
-        self.build_seconds: float = 0.0
 
-    # The tree is stored as an implicit heap: node i has children 2i+1, 2i+2.
     def build(self, base: np.ndarray) -> "RegressionLshIndex":
-        import time
+        self._node_rngs = spawn_rngs(self.seed, 2**self.depth - 1)
+        return super().build(base)
 
-        start = time.perf_counter()
-        base = as_float_matrix(base, name="base")
-        n_leaves = 2**self.depth
-        n_internal = n_leaves - 1
-        self._nodes = [None] * n_internal
-        assignments = np.zeros(base.shape[0], dtype=np.int64)
-        rngs = spawn_rngs(self.seed, n_internal)
-        self._split_recursive(base, np.arange(base.shape[0]), 0, 0, assignments, rngs)
-        self._finalize_build(base, assignments, n_leaves)
-        self.build_seconds = time.perf_counter() - start
-        return self
-
-    def _split_recursive(
-        self,
-        base: np.ndarray,
-        point_indices: np.ndarray,
-        node_id: int,
-        level: int,
-        assignments: np.ndarray,
-        rngs: List[np.random.Generator],
-    ) -> None:
-        n_leaves = 2**self.depth
-        leaves_below = n_leaves // (2**level)
-        if level == self.depth or point_indices.size == 0:
-            return
-        points = base[point_indices]
-        if point_indices.size < 8:
-            # Too small to split meaningfully: everything goes left.
-            left_mask = np.ones(point_indices.size, dtype=bool)
-        else:
-            node_seed = int(rngs[node_id].integers(0, 2**31 - 1))
-            node = NeuralLshIndex(
-                NeuralLshConfig(
-                    n_bins=2,
-                    k_prime=min(self.k_prime, point_indices.size - 1),
-                    model="logistic",
-                    epochs=self.epochs,
-                    learning_rate=self.learning_rate,
-                    seed=node_seed,
-                )
+    def _fit_node(self, node_id: int, points: np.ndarray) -> np.ndarray:
+        """Neural LSH with two bins on the node's points; left is bin 0."""
+        node = NeuralLshIndex(
+            NeuralLshConfig(
+                n_bins=2,
+                k_prime=min(self.k_prime, points.shape[0] - 1),
+                model="logistic",
+                epochs=self.epochs,
+                learning_rate=self.learning_rate,
+                seed=int(self._node_rngs[node_id].integers(0, 2**31 - 1)),
             )
-            node.build(points)
-            left_mask = node.assignments == 0
-            self._nodes[node_id] = node._keep_router_only(base.shape[1])
-        left = point_indices[left_mask]
-        right = point_indices[~left_mask]
-        # Leaf id offsets: left subtree keeps the lower half of leaf ids.
-        half = leaves_below // 2
-        assignments[right] += half
-        if level + 1 == self.depth:
-            return
-        self._split_recursive(base, left, 2 * node_id + 1, level + 1, assignments, rngs)
-        self._split_recursive(base, right, 2 * node_id + 2, level + 1, assignments, rngs)
-
-    def bin_scores(self, queries: np.ndarray) -> np.ndarray:
-        """Leaf probabilities from the product of per-node routing probabilities."""
-        self._require_built()
-        queries = as_query_matrix(queries, self.dim)
-        n_leaves = 2**self.depth
-        scores = np.ones((queries.shape[0], n_leaves), dtype=np.float64)
-        self._score_recursive(queries, 0, 0, 0, n_leaves, scores)
-        return scores
-
-    def _score_recursive(
-        self,
-        queries: np.ndarray,
-        node_id: int,
-        level: int,
-        leaf_start: int,
-        leaf_stop: int,
-        scores: np.ndarray,
-    ) -> None:
-        if level == self.depth:
-            return
-        node = self._nodes[node_id] if node_id < len(self._nodes) else None
-        half = (leaf_stop - leaf_start) // 2
-        if node is None:
-            left_prob = np.full(queries.shape[0], 0.5)
-        else:
-            left_prob = node.bin_scores(queries)[:, 0]
-        scores[:, leaf_start : leaf_start + half] *= left_prob[:, None]
-        scores[:, leaf_start + half : leaf_stop] *= (1.0 - left_prob)[:, None]
-        self._score_recursive(
-            queries, 2 * node_id + 1, level + 1, leaf_start, leaf_start + half, scores
         )
-        self._score_recursive(
-            queries, 2 * node_id + 2, level + 1, leaf_start + half, leaf_stop, scores
-        )
+        node.build(points)
+        self._nodes[node_id] = node.model
+        return node.assignments == 0
+
+    def _left_probability(self, node_id: int, queries: np.ndarray) -> Optional[np.ndarray]:
+        """The node classifier's probability of bin 0."""
+        model = self._nodes[node_id]
+        return None if model is None else model.predict_proba(queries)[:, 0]
 
     def num_parameters(self) -> int:
         self._require_built()
         return int(
-            sum(node.num_parameters() for node in self._nodes if node is not None)
+            sum(model.num_parameters() for model in self._nodes if model is not None)
         )
 
     # ------------------------------------------------------------------ #
-    # persistence: only each node's router model is needed at query time,
-    # so nodes are stored as flat model states and restored router-only
+    # persistence: each node is stored as its classifier's flat state
     # ------------------------------------------------------------------ #
     def _extra_state(self):
         config = {
@@ -377,13 +298,13 @@ class RegressionLshIndex(PartitionIndexBase):
             "learning_rate": float(self.learning_rate),
             "seed": int(self.seed),
             "build_seconds": self.build_seconds,
-            "nodes": [i for i, node in enumerate(self._nodes) if node is not None],
+            "nodes": [i for i, model in enumerate(self._nodes) if model is not None],
         }
         arrays = {}
-        for i, node in enumerate(self._nodes):
-            if node is None:
+        for i, model in enumerate(self._nodes):
+            if model is None:
                 continue
-            for key, value in node.model.state_dict().items():
+            for key, value in model.state_dict().items():
                 arrays[f"node{i}.model.{key}"] = value
         return config, arrays
 
@@ -397,13 +318,11 @@ class RegressionLshIndex(PartitionIndexBase):
             seed=int(config["seed"]),
         )
         dim = int(arrays["__base__"].shape[1])
-        n_internal = 2 ** index.depth - 1
-        index._nodes = [None] * n_internal
+        index._nodes = [None] * (2**index.depth - 1)
         node_config = NeuralLshConfig(n_bins=2, model="logistic")
         for i in config["nodes"]:
             prefix = f"node{i}.model."
-            node = NeuralLshIndex(node_config)
-            node.model = _load_classifier(
+            index._nodes[int(i)] = _load_classifier(
                 node_config,
                 dim,
                 {
@@ -412,6 +331,5 @@ class RegressionLshIndex(PartitionIndexBase):
                     if key.startswith(prefix)
                 },
             )
-            index._nodes[int(i)] = node._keep_router_only(dim)
         index.build_seconds = float(config.get("build_seconds", 0.0))
         return index

@@ -16,12 +16,18 @@ Queries are routed with a soft margin (sigmoid of the signed distance to
 each node's hyperplane); the leaf score is the product of the per-node
 probabilities, which yields a natural multi-probe ordering over leaves —
 the same mechanism every other index in this repository uses.
+
+The tree itself — heap-indexed nodes, the depth-first build and the
+product-of-probabilities leaf scores — is :class:`BinaryTreeIndex`, which
+Regression LSH (:mod:`repro.baselines.neural_lsh`) shares; a tree only
+says how a node splits its points and how it routes a query.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import Any, Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -90,7 +96,80 @@ def unpack_tree_nodes(arrays: dict, prefix: str = "") -> Tuple[List[Optional[_Sp
     return nodes, margin_scales
 
 
-class HyperplaneTreeIndex(PartitionIndexBase):
+class BinaryTreeIndex(PartitionIndexBase):
+    """A binary partition tree of ``depth`` levels with ``2 ** depth`` leaf bins.
+
+    Nodes live in an implicit heap (node ``i`` has children ``2i + 1`` and
+    ``2i + 2``; ``_nodes[i]`` is ``None`` for a node that was never fitted).
+    The left subtree of a node owns the lower half of its leaf ids.  A
+    subclass supplies the two hooks :meth:`_fit_node` and
+    :meth:`_left_probability`.
+    """
+
+    #: nodes with fewer points than this send them all left, unfitted
+    min_split_size: int = 4
+
+    def __init__(self, depth: int) -> None:
+        super().__init__()
+        self.depth = check_positive_int(depth, "depth")
+        self._nodes: List[Optional[Any]] = []
+        self.build_seconds: float = 0.0
+
+    # ------------------------------------------------------------------ #
+    # hooks
+    # ------------------------------------------------------------------ #
+    def _fit_node(self, node_id: int, points: np.ndarray) -> np.ndarray:
+        """Fit node ``node_id`` on its ``points``; return the mask of those going left."""
+        raise NotImplementedError
+
+    def _left_probability(self, node_id: int, queries: np.ndarray) -> Optional[np.ndarray]:
+        """Probability that each query goes left at node ``node_id`` (``None``: 0.5)."""
+        raise NotImplementedError
+
+    # ------------------------------------------------------------------ #
+    def build(self, base: np.ndarray) -> "BinaryTreeIndex":
+        """Fit the nodes depth-first, left subtree before right."""
+        start = time.perf_counter()
+        base = as_float_matrix(base, name="base")
+        n_leaves = 2**self.depth
+        self._nodes = [None] * (n_leaves - 1)
+        assignments = np.zeros(base.shape[0], dtype=np.int64)
+        stack = [(0, np.arange(base.shape[0]))]
+        while stack:
+            node_id, rows = stack.pop()
+            level = (node_id + 1).bit_length() - 1
+            if level == self.depth or rows.size == 0:
+                continue
+            if rows.size < self.min_split_size:
+                left = np.ones(rows.size, dtype=bool)
+            else:
+                left = self._fit_node(node_id, base[rows])
+            assignments[rows[~left]] += n_leaves >> (level + 1)
+            stack.append((2 * node_id + 2, rows[~left]))
+            stack.append((2 * node_id + 1, rows[left]))
+        self._finalize_build(base, assignments, n_leaves)
+        self.build_seconds = time.perf_counter() - start
+        return self
+
+    def bin_scores(self, queries: np.ndarray) -> np.ndarray:
+        """Leaf probabilities: the product of the routing probabilities on each root-leaf path."""
+        self._require_built()
+        queries = as_query_matrix(queries, self.dim)
+        n_leaves = 2**self.depth
+        scores = np.ones((queries.shape[0], n_leaves), dtype=np.float64)
+        for node_id in range(n_leaves - 1):
+            level = (node_id + 1).bit_length() - 1
+            width = n_leaves >> level
+            start = (node_id + 1 - (1 << level)) * width
+            left = self._left_probability(node_id, queries)
+            if left is None:
+                left = np.full(queries.shape[0], 0.5)
+            scores[:, start : start + width // 2] *= left[:, None]
+            scores[:, start + width // 2 : start + width] *= (1.0 - left)[:, None]
+        return scores
+
+
+class HyperplaneTreeIndex(BinaryTreeIndex):
     """Generic binary hyperplane partitioning tree."""
 
     #: Temperature for the soft routing probability at query time; the scale
@@ -98,14 +177,11 @@ class HyperplaneTreeIndex(PartitionIndexBase):
     routing_temperature: float = 0.5
 
     def __init__(self, depth: int = 4, *, seed: SeedLike = None) -> None:
-        super().__init__()
-        self.depth = check_positive_int(depth, "depth")
+        super().__init__(depth)
         if self.depth > 16:
             raise ValidationError("depth > 16 would create too many leaves")
         self._rng = resolve_rng(seed)
-        self._nodes: List[Optional[_SplitNode]] = []
         self._margin_scales: List[float] = []
-        self.build_seconds: float = 0.0
 
     # ------------------------------------------------------------------ #
     # split rules (overridden by subclasses)
@@ -117,84 +193,28 @@ class HyperplaneTreeIndex(PartitionIndexBase):
 
     # ------------------------------------------------------------------ #
     def build(self, base: np.ndarray) -> "HyperplaneTreeIndex":
-        import time
+        self._margin_scales = [1.0] * (2**self.depth - 1)
+        return super().build(base)
 
-        start = time.perf_counter()
-        base = as_float_matrix(base, name="base")
-        n_leaves = 2**self.depth
-        n_internal = n_leaves - 1
-        self._nodes = [None] * n_internal
-        self._margin_scales = [1.0] * n_internal
-        assignments = np.zeros(base.shape[0], dtype=np.int64)
-        self._split(base, np.arange(base.shape[0]), 0, 0, assignments)
-        self._finalize_build(base, assignments, n_leaves)
-        self.build_seconds = time.perf_counter() - start
-        return self
+    def _fit_node(self, node_id: int, points: np.ndarray) -> np.ndarray:
+        normal, offset = self.split_rule(points, self._rng)
+        margins = points @ normal - offset
+        self._nodes[node_id] = _SplitNode(normal=normal, offset=offset)
+        self._margin_scales[node_id] = float(np.std(margins) + 1e-12)
+        left = margins <= 0
+        # Guard against degenerate splits sending everything one way.
+        if left.all() or not left.any():
+            left = margins <= np.median(margins)
+        return left
 
-    def _split(
-        self,
-        base: np.ndarray,
-        point_indices: np.ndarray,
-        node_id: int,
-        level: int,
-        assignments: np.ndarray,
-    ) -> None:
-        if level == self.depth or point_indices.size == 0:
-            return
-        n_leaves_below = 2 ** (self.depth - level)
-        half = n_leaves_below // 2
-        points = base[point_indices]
-        if point_indices.size < 4:
-            left_mask = np.ones(point_indices.size, dtype=bool)
-        else:
-            normal, offset = self.split_rule(points, self._rng)
-            margins = points @ normal - offset
-            self._nodes[node_id] = _SplitNode(normal=normal, offset=offset)
-            self._margin_scales[node_id] = float(np.std(margins) + 1e-12)
-            left_mask = margins <= 0
-            # Guard against degenerate splits sending everything one way.
-            if left_mask.all() or not left_mask.any():
-                median = np.median(margins)
-                left_mask = margins <= median
-        left = point_indices[left_mask]
-        right = point_indices[~left_mask]
-        assignments[right] += half
-        self._split(base, left, 2 * node_id + 1, level + 1, assignments)
-        self._split(base, right, 2 * node_id + 2, level + 1, assignments)
-
-    # ------------------------------------------------------------------ #
-    def bin_scores(self, queries: np.ndarray) -> np.ndarray:
-        """Soft leaf probabilities from the per-node routing sigmoids."""
-        self._require_built()
-        queries = as_query_matrix(queries, self.dim)
-        n_leaves = 2**self.depth
-        scores = np.ones((queries.shape[0], n_leaves), dtype=np.float64)
-        self._score(queries, 0, 0, 0, n_leaves, scores)
-        return scores
-
-    def _score(
-        self,
-        queries: np.ndarray,
-        node_id: int,
-        level: int,
-        leaf_start: int,
-        leaf_stop: int,
-        scores: np.ndarray,
-    ) -> None:
-        if level == self.depth:
-            return
-        half = (leaf_stop - leaf_start) // 2
-        node = self._nodes[node_id] if node_id < len(self._nodes) else None
+    def _left_probability(self, node_id: int, queries: np.ndarray) -> Optional[np.ndarray]:
+        """Sigmoid of the query's margin to the node's hyperplane."""
+        node = self._nodes[node_id]
         if node is None or node.normal is None:
-            left_prob = np.full(queries.shape[0], 0.5)
-        else:
-            margins = queries @ node.normal - node.offset
-            scale = self._margin_scales[node_id] * self.routing_temperature
-            left_prob = 1.0 / (1.0 + np.exp(np.clip(margins / max(scale, 1e-12), -30, 30)))
-        scores[:, leaf_start : leaf_start + half] *= left_prob[:, None]
-        scores[:, leaf_start + half : leaf_stop] *= (1.0 - left_prob)[:, None]
-        self._score(queries, 2 * node_id + 1, level + 1, leaf_start, leaf_start + half, scores)
-        self._score(queries, 2 * node_id + 2, level + 1, leaf_start + half, leaf_stop, scores)
+            return None
+        margins = queries @ node.normal - node.offset
+        scale = self._margin_scales[node_id] * self.routing_temperature
+        return 1.0 / (1.0 + np.exp(np.clip(margins / max(scale, 1e-12), -30, 30)))
 
     def num_parameters(self) -> int:
         """Stored parameters: one hyperplane (normal + offset) per internal node."""

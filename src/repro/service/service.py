@@ -65,11 +65,6 @@ class SearchService(Service):
         this many rows (bounds peak memory of the distance blocks).
     cache_size:
         LRU query-result cache capacity; ``0`` disables caching.
-    cache:
-        A pre-built :class:`QueryCache` to use instead of constructing
-        one from ``cache_size`` — the tenant layer hands services
-        byte-budgeted partitions this way.  Takes precedence over
-        ``cache_size``.
     """
 
     def __init__(
@@ -80,7 +75,6 @@ class SearchService(Service):
         default_request: Optional[QueryRequest] = None,
         batch_size: int = 256,
         cache_size: int = 0,
-        cache: Optional[QueryCache] = None,
     ) -> None:
         self.collection: Optional[Collection] = None
         if isinstance(index, Collection):
@@ -100,9 +94,7 @@ class SearchService(Service):
         self.name = name or getattr(type(index), "_registry_name", None) or type(index).__name__
         self.default_request = default_request or QueryRequest()
         self.batch_size = int(batch_size)
-        self.cache = cache if cache is not None else (
-            QueryCache(cache_size) if cache_size else None
-        )
+        self.cache = QueryCache(cache_size) if cache_size else None
         self.metrics = ServiceMetrics()
         # Set by a hosting SearchServer (or directly) to a repro.obs
         # Tracer; stats() then reports sampling rate and span loss.
@@ -162,7 +154,7 @@ class SearchService(Service):
         capabilities = self.capabilities
         if capabilities is None or capabilities.probe_parameter is None:
             return None
-        n_bins = getattr(self.index, "n_bins", None) or getattr(self.index, "n_lists", None)
+        n_bins = getattr(self.index, "n_bins", None)
         n_points = getattr(self.index, "n_points", None)
         if not n_bins or not n_points:
             return None

@@ -1,5 +1,7 @@
 """Tests for the ANN back-ends: brute force, PQ, AVQ, IVF, HNSW, ScaNN."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,9 @@ from repro.ann import (
     usp_scann,
     vanilla_scann,
 )
+from repro.api import load_index
 from repro.baselines import KMeansIndex
+from repro.datasets import sift_like
 from repro.eval import knn_accuracy
 from repro.utils.exceptions import NotFittedError, ValidationError
 
@@ -130,7 +134,8 @@ class TestIVF:
 
     def test_list_sizes_cover_dataset(self, tiny_dataset):
         index = IVFFlatIndex(8, seed=0).build(tiny_dataset.base)
-        assert index.list_sizes().sum() == tiny_dataset.n_points
+        assert index.bin_sizes().sum() == tiny_dataset.n_points
+        assert index.n_bins == 8
 
     def test_ivfpq_reasonable_recall(self, tiny_dataset):
         index = IVFPQIndex(8, n_subspaces=4, n_codewords=32, rerank_factor=8, seed=0).build(
@@ -138,6 +143,68 @@ class TestIVF:
         )
         indices, _ = index.batch_query(tiny_dataset.queries, 10, n_probes=8)
         assert knn_accuracy(indices, tiny_dataset.ground_truth, 10) > 0.8
+
+    @pytest.mark.parametrize("seed", [7, 23])
+    def test_ivf_flat_is_kmeans_under_ivf_names(self, seed):
+        data = sift_like(n_points=1500, n_queries=40, dim=16, n_clusters=6, seed=seed)
+        ivf = IVFFlatIndex(12, kmeans_iterations=10, seed=seed).build(data.base)
+        kmeans = KMeansIndex(n_bins=12, max_iterations=10, seed=seed).build(data.base)
+        np.testing.assert_array_equal(ivf.centroids, kmeans.centroids)
+        np.testing.assert_array_equal(ivf.assignments, kmeans.assignments)
+        for n_probes in (1, 2, 4, 12):
+            ids, distances = ivf.batch_query(data.queries, 10, n_probes=n_probes)
+            ref_ids, ref_distances = kmeans.batch_query(data.queries, 10, n_probes=n_probes)
+            np.testing.assert_array_equal(ids, ref_ids)
+            if n_probes == 1:
+                np.testing.assert_array_equal(distances, ref_distances)
+            else:
+                np.testing.assert_allclose(distances, ref_distances, rtol=1e-12, atol=0)
+
+    def test_ivf_flat_keeps_its_defaults(self, tiny_dataset):
+        # four probes unless told otherwise, and never more cells than points
+        index = IVFFlatIndex(8, seed=0).build(tiny_dataset.base)
+        four = index.batch_query(tiny_dataset.queries, 10, n_probes=4)
+        np.testing.assert_array_equal(index.batch_query(tiny_dataset.queries, 10)[0], four[0])
+        np.testing.assert_array_equal(index.query(tiny_dataset.queries[0], 10)[0], four[0][0])
+        small = IVFFlatIndex(64, seed=0).build(tiny_dataset.base[:10])
+        assert (small.n_lists, small.n_bins) == (64, 10)
+
+    @pytest.mark.parametrize(
+        "index_cls, params, config_keys, array_keys",
+        [
+            (
+                IVFFlatIndex,
+                {},
+                ["build_seconds", "kmeans_iterations", "n_lists"],
+                ["__base__", "centroids", "labels"],
+            ),
+            (
+                IVFPQIndex,
+                dict(n_subspaces=4, n_codewords=16),
+                ["build_seconds", "kmeans_iterations", "n_codewords", "n_lists", "n_subspaces", "rerank_factor"],
+                ["__base__", "centroids", "labels", "pq.codebooks", "pq.codes"],
+            ),
+        ],
+        ids=["ivf-flat", "ivf-pq"],
+    )
+    def test_saved_format_is_the_inverted_file_one(
+        self, tiny_dataset, tmp_path, index_cls, params, config_keys, array_keys
+    ):
+        index = index_cls(8, seed=0, **params).build(tiny_dataset.base)
+        index.save(tmp_path / "ivf")
+        manifest = json.loads((tmp_path / "ivf" / "index.json").read_text())
+        assert manifest["class"] == index_cls.__name__
+        assert sorted(manifest["config"]) == config_keys
+        with np.load(tmp_path / "ivf" / "arrays.npz") as arrays:
+            assert sorted(arrays.files) == array_keys
+            np.testing.assert_array_equal(arrays["labels"], index.assignments)
+            np.testing.assert_array_equal(arrays["centroids"], index.centroids)
+        loaded = load_index(tmp_path / "ivf")
+        for n_probes in (1, 3):
+            expected = index.batch_query(tiny_dataset.queries, 10, n_probes=n_probes)
+            got = loaded.batch_query(tiny_dataset.queries, 10, n_probes=n_probes)
+            np.testing.assert_array_equal(got[0], expected[0])
+            np.testing.assert_array_equal(got[1], expected[1])
 
     def test_query_dim_mismatch(self, tiny_dataset):
         index = IVFFlatIndex(4, seed=0).build(tiny_dataset.base)

@@ -146,8 +146,11 @@ class TestRegressionLsh:
         for index in (built, loaded):
             nodes = [node for node in index._nodes if node is not None]
             assert len(nodes) == 7
-            assert sum(node._base.shape[0] for node in nodes) == 0
+            # each node is just its two-bin classifier: no index, no rows
+            assert all(type(node) is PartitionModel for node in nodes)
+            assert not any(hasattr(node, "_base") for node in nodes)
             assert all(node.n_bins == 2 and node.dim == 8 for node in nodes)
+            assert index.num_parameters() == 7 * (8 * 2 + 2)
         for n_probes in (1, 3, 8):
             b_ids, b_dist = built.batch_query(queries, 10, n_probes=n_probes)
             l_ids, l_dist = loaded.batch_query(queries, 10, n_probes=n_probes)

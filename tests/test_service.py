@@ -128,6 +128,23 @@ class TestSearchService:
         kwargs = kmeans_service.query_kwargs(QueryRequest(candidate_budget=250))
         assert kwargs == {"n_probes": 2}
 
+    @pytest.mark.parametrize("name", ["ivf-flat", "sharded-ivf", "sharded-kmeans"])
+    def test_candidate_budget_plans_probes_on_ivf(self, name):
+        # 2,000 points over 8 cells (per shard) -> 250 candidates per probe
+        params = {
+            "ivf-flat": dict(n_lists=8, seed=0),
+            "sharded-ivf": dict(n_shards=2, shard_params=dict(n_lists=8, seed=0)),
+            "sharded-kmeans": dict(n_shards=2, shard_params=dict(n_bins=8, seed=0)),
+        }[name]
+        data = sift_like(n_points=2000, n_queries=16, dim=16, n_clusters=4, gt_k=10, seed=5)
+        service = SearchService(make_index(name, **params).build(data.base))
+        request = QueryRequest(k=5, candidate_budget=500)
+        assert service.plan_probes(500) == 2
+        assert service.query_kwargs(request) == service.query_kwargs(QueryRequest(k=5, probes=2)) != {}
+        budgeted = service.search_batch(data.queries, request)
+        explicit = service.search_batch(data.queries, QueryRequest(k=5, probes=2))
+        np.testing.assert_array_equal(budgeted.ids, explicit.ids)
+
     def test_budget_request_matches_explicit_probes(self, kmeans_service, service_dataset):
         budgeted = kmeans_service.search_batch(
             service_dataset.queries, QueryRequest(k=5, candidate_budget=250)
