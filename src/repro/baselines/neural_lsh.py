@@ -16,8 +16,9 @@ Dataset points keep the labels assigned by the graph partitioner; queries
 are routed by the classifier's probability output (supporting multi-probe).
 ``Regression LSH`` is the variant used in the paper's tree experiments: the
 same pipeline applied recursively with two parts per level and a logistic
-regression classifier.  It is a :class:`~repro.baselines.trees.BinaryTreeIndex`
-— the hyperplane trees' skeleton — whose nodes are two-bin classifiers.
+regression classifier: a :class:`~repro.core.hierarchical.PartitionTreeIndex`
+whose nodes are two-bin classifiers.  The USP logistic tree is the same tree
+trained by the same step; only each node's target differs.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ import numpy as np
 from ..api.protocol import IndexCapabilities
 from ..api.registry import register_index
 from ..core.base import PartitionIndexBase
+from ..core.hierarchical import TREE_CAPABILITIES, PartitionTreeIndex
 from ..core.knn_matrix import KnnMatrix, build_knn_matrix
 from ..core.models import PartitionModel, build_logistic_module, build_mlp_module
 from ..core.trainer import loss_and_gradients
@@ -38,7 +40,6 @@ from ..utils.exceptions import ValidationError
 from ..utils.rng import resolve_rng, spawn_rngs
 from ..utils.timing import Stopwatch
 from ..utils.validation import as_float_matrix, as_query_matrix, check_positive_int
-from .trees import BinaryTreeIndex
 
 _NEURAL_LSH_CAPABILITIES = IndexCapabilities(
     metrics=("euclidean", "sqeuclidean", "cosine"),
@@ -226,10 +227,10 @@ def _load_classifier(config: NeuralLshConfig, dim: int, state) -> PartitionModel
 
 @register_index(
     "regression-lsh",
-    capabilities=_NEURAL_LSH_CAPABILITIES,
+    capabilities=TREE_CAPABILITIES,
     description="Regression LSH: recursive 2-way Neural LSH with logistic routers",
 )
-class RegressionLshIndex(BinaryTreeIndex):
+class RegressionLshIndex(PartitionTreeIndex):
     """Regression LSH: recursive 2-way Neural LSH with logistic regression.
 
     Used in the paper's tree-based comparison (Figure 6): a binary tree of
@@ -250,7 +251,8 @@ class RegressionLshIndex(BinaryTreeIndex):
         learning_rate: float = 5e-3,
         seed: int = 0,
     ) -> None:
-        super().__init__(depth)
+        self.depth = check_positive_int(depth, "depth")
+        super().__init__((2,) * self.depth)
         self.k_prime = check_positive_int(k_prime, "k_prime")
         self.epochs = check_positive_int(epochs, "epochs")
         self.learning_rate = float(learning_rate)
@@ -261,7 +263,7 @@ class RegressionLshIndex(BinaryTreeIndex):
         return super().build(base)
 
     def _fit_node(self, node_id: int, points: np.ndarray) -> np.ndarray:
-        """Neural LSH with two bins on the node's points; left is bin 0."""
+        """Neural LSH with two bins on the node's points; its bins are the branches."""
         node = NeuralLshIndex(
             NeuralLshConfig(
                 n_bins=2,
@@ -274,18 +276,15 @@ class RegressionLshIndex(BinaryTreeIndex):
         )
         node.build(points)
         self._nodes[node_id] = node.model
-        return node.assignments == 0
+        return node.assignments
 
-    def _left_probability(self, node_id: int, queries: np.ndarray) -> Optional[np.ndarray]:
-        """The node classifier's probability of bin 0."""
+    def _branch_probabilities(self, node_id: int, queries: np.ndarray) -> Optional[np.ndarray]:
+        """The node classifier's probability of bin 0, and its complement."""
         model = self._nodes[node_id]
-        return None if model is None else model.predict_proba(queries)[:, 0]
-
-    def num_parameters(self) -> int:
-        self._require_built()
-        return int(
-            sum(model.num_parameters() for model in self._nodes if model is not None)
-        )
+        if model is None:
+            return None
+        left = model.predict_proba(queries)[:, 0]
+        return np.column_stack([left, 1.0 - left])
 
     # ------------------------------------------------------------------ #
     # persistence: each node is stored as its classifier's flat state

@@ -17,45 +17,33 @@ each node's hyperplane); the leaf score is the product of the per-node
 probabilities, which yields a natural multi-probe ordering over leaves —
 the same mechanism every other index in this repository uses.
 
-The tree itself — heap-indexed nodes, the depth-first build and the
-product-of-probabilities leaf scores — is :class:`BinaryTreeIndex`, which
-Regression LSH (:mod:`repro.baselines.neural_lsh`) shares; a tree only
-says how a node splits its points and how it routes a query.
+Each tree is a :class:`~repro.core.hierarchical.PartitionTreeIndex` with
+``levels=(2,) * depth`` — the tree hierarchical USP and Regression LSH are
+too — whose nodes are hyperplanes: the points beyond a node's hyperplane
+take branch 1, and a query takes branch 0 with the sigmoid's probability.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
-from typing import Any, Callable, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
-from ..api.protocol import IndexCapabilities
 from ..api.registry import register_index
-from ..core.base import PartitionIndexBase
-from ..utils.exceptions import ValidationError
+from ..core.hierarchical import TREE_CAPABILITIES, PartitionTreeIndex
 from ..utils.rng import SeedLike, resolve_rng
-from ..utils.validation import as_float_matrix, as_query_matrix, check_positive_int
-
-#: A split rule maps (points, rng) to a hyperplane (normal, offset):
-#: points with ``x @ normal <= offset`` go left.
-SplitRule = Callable[[np.ndarray, np.random.Generator], Tuple[np.ndarray, float]]
-
-_TREE_CAPABILITIES = IndexCapabilities(
-    metrics=("euclidean", "sqeuclidean", "cosine"),
-    probe_parameter="n_probes",
-    supports_candidate_sets=True,
-    trainable=True,
-    reports_parameter_count=True,
-    filterable=True,
-)
+from ..utils.validation import check_positive_int
 
 
 @dataclass
 class _SplitNode:
     normal: Optional[np.ndarray]
     offset: float
+
+    def num_parameters(self) -> int:
+        """One hyperplane: the normal and the offset."""
+        return self.normal.size + 1
 
 
 def pack_tree_nodes(
@@ -96,80 +84,7 @@ def unpack_tree_nodes(arrays: dict, prefix: str = "") -> Tuple[List[Optional[_Sp
     return nodes, margin_scales
 
 
-class BinaryTreeIndex(PartitionIndexBase):
-    """A binary partition tree of ``depth`` levels with ``2 ** depth`` leaf bins.
-
-    Nodes live in an implicit heap (node ``i`` has children ``2i + 1`` and
-    ``2i + 2``; ``_nodes[i]`` is ``None`` for a node that was never fitted).
-    The left subtree of a node owns the lower half of its leaf ids.  A
-    subclass supplies the two hooks :meth:`_fit_node` and
-    :meth:`_left_probability`.
-    """
-
-    #: nodes with fewer points than this send them all left, unfitted
-    min_split_size: int = 4
-
-    def __init__(self, depth: int) -> None:
-        super().__init__()
-        self.depth = check_positive_int(depth, "depth")
-        self._nodes: List[Optional[Any]] = []
-        self.build_seconds: float = 0.0
-
-    # ------------------------------------------------------------------ #
-    # hooks
-    # ------------------------------------------------------------------ #
-    def _fit_node(self, node_id: int, points: np.ndarray) -> np.ndarray:
-        """Fit node ``node_id`` on its ``points``; return the mask of those going left."""
-        raise NotImplementedError
-
-    def _left_probability(self, node_id: int, queries: np.ndarray) -> Optional[np.ndarray]:
-        """Probability that each query goes left at node ``node_id`` (``None``: 0.5)."""
-        raise NotImplementedError
-
-    # ------------------------------------------------------------------ #
-    def build(self, base: np.ndarray) -> "BinaryTreeIndex":
-        """Fit the nodes depth-first, left subtree before right."""
-        start = time.perf_counter()
-        base = as_float_matrix(base, name="base")
-        n_leaves = 2**self.depth
-        self._nodes = [None] * (n_leaves - 1)
-        assignments = np.zeros(base.shape[0], dtype=np.int64)
-        stack = [(0, np.arange(base.shape[0]))]
-        while stack:
-            node_id, rows = stack.pop()
-            level = (node_id + 1).bit_length() - 1
-            if level == self.depth or rows.size == 0:
-                continue
-            if rows.size < self.min_split_size:
-                left = np.ones(rows.size, dtype=bool)
-            else:
-                left = self._fit_node(node_id, base[rows])
-            assignments[rows[~left]] += n_leaves >> (level + 1)
-            stack.append((2 * node_id + 2, rows[~left]))
-            stack.append((2 * node_id + 1, rows[left]))
-        self._finalize_build(base, assignments, n_leaves)
-        self.build_seconds = time.perf_counter() - start
-        return self
-
-    def bin_scores(self, queries: np.ndarray) -> np.ndarray:
-        """Leaf probabilities: the product of the routing probabilities on each root-leaf path."""
-        self._require_built()
-        queries = as_query_matrix(queries, self.dim)
-        n_leaves = 2**self.depth
-        scores = np.ones((queries.shape[0], n_leaves), dtype=np.float64)
-        for node_id in range(n_leaves - 1):
-            level = (node_id + 1).bit_length() - 1
-            width = n_leaves >> level
-            start = (node_id + 1 - (1 << level)) * width
-            left = self._left_probability(node_id, queries)
-            if left is None:
-                left = np.full(queries.shape[0], 0.5)
-            scores[:, start : start + width // 2] *= left[:, None]
-            scores[:, start + width // 2 : start + width] *= (1.0 - left)[:, None]
-        return scores
-
-
-class HyperplaneTreeIndex(BinaryTreeIndex):
+class HyperplaneTreeIndex(PartitionTreeIndex):
     """Generic binary hyperplane partitioning tree."""
 
     #: Temperature for the soft routing probability at query time; the scale
@@ -177,9 +92,8 @@ class HyperplaneTreeIndex(BinaryTreeIndex):
     routing_temperature: float = 0.5
 
     def __init__(self, depth: int = 4, *, seed: SeedLike = None) -> None:
-        super().__init__(depth)
-        if self.depth > 16:
-            raise ValidationError("depth > 16 would create too many leaves")
+        self.depth = check_positive_int(depth, "depth")
+        super().__init__((2,) * self.depth)
         self._rng = resolve_rng(seed)
         self._margin_scales: List[float] = []
 
@@ -189,6 +103,7 @@ class HyperplaneTreeIndex(BinaryTreeIndex):
     def split_rule(
         self, points: np.ndarray, rng: np.random.Generator
     ) -> Tuple[np.ndarray, float]:
+        """The node's hyperplane ``(normal, offset)``: points with ``x @ normal <= offset`` go left."""
         raise NotImplementedError
 
     # ------------------------------------------------------------------ #
@@ -205,23 +120,17 @@ class HyperplaneTreeIndex(BinaryTreeIndex):
         # Guard against degenerate splits sending everything one way.
         if left.all() or not left.any():
             left = margins <= np.median(margins)
-        return left
+        return ~left
 
-    def _left_probability(self, node_id: int, queries: np.ndarray) -> Optional[np.ndarray]:
-        """Sigmoid of the query's margin to the node's hyperplane."""
+    def _branch_probabilities(self, node_id: int, queries: np.ndarray) -> Optional[np.ndarray]:
+        """Branch 0 with the sigmoid of the query's margin to the node's hyperplane."""
         node = self._nodes[node_id]
         if node is None or node.normal is None:
             return None
         margins = queries @ node.normal - node.offset
         scale = self._margin_scales[node_id] * self.routing_temperature
-        return 1.0 / (1.0 + np.exp(np.clip(margins / max(scale, 1e-12), -30, 30)))
-
-    def num_parameters(self) -> int:
-        """Stored parameters: one hyperplane (normal + offset) per internal node."""
-        self._require_built()
-        return int(
-            sum(node.normal.size + 1 for node in self._nodes if node is not None)
-        )
+        left = 1.0 / (1.0 + np.exp(np.clip(margins / max(scale, 1e-12), -30, 30)))
+        return np.column_stack([left, 1.0 - left])
 
     # ------------------------------------------------------------------ #
     def _extra_state(self):
@@ -238,7 +147,7 @@ class HyperplaneTreeIndex(BinaryTreeIndex):
 
 @register_index(
     "pca-tree",
-    capabilities=_TREE_CAPABILITIES,
+    capabilities=TREE_CAPABILITIES,
     description="PCA tree: median split along the top principal component",
 )
 class PcaTreeIndex(HyperplaneTreeIndex):
@@ -265,7 +174,7 @@ class PcaTreeIndex(HyperplaneTreeIndex):
 
 @register_index(
     "rp-tree",
-    capabilities=_TREE_CAPABILITIES,
+    capabilities=TREE_CAPABILITIES,
     description="Random-projection tree: random direction, median split",
 )
 class RandomProjectionTreeIndex(HyperplaneTreeIndex):
@@ -282,7 +191,7 @@ class RandomProjectionTreeIndex(HyperplaneTreeIndex):
 
 @register_index(
     "kd-tree",
-    capabilities=_TREE_CAPABILITIES,
+    capabilities=TREE_CAPABILITIES,
     description="Learned KD-tree: axis of maximum variance, median split",
 )
 class KdTreeIndex(HyperplaneTreeIndex):
@@ -300,7 +209,7 @@ class KdTreeIndex(HyperplaneTreeIndex):
 
 @register_index(
     "two-means-tree",
-    capabilities=_TREE_CAPABILITIES,
+    capabilities=TREE_CAPABILITIES,
     description="2-means tree: hyperplane bisecting the two 2-means centroids",
 )
 class TwoMeansTreeIndex(HyperplaneTreeIndex):

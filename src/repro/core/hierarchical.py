@@ -1,51 +1,166 @@
-"""Hierarchical partitioning (Section 4.4.2).
+"""Hierarchical partitioning (Section 4.4.2) and the one partition tree.
 
-For large bin counts the paper trains a tree of small models instead of one
-big model: the root splits the dataset into ``m_1`` bins, each bin is split
-again into ``m_2`` bins, and so on; a query's probability of landing in a
-leaf bin is the product of the per-level probabilities along the path.
-
-The same machinery, instantiated with logistic-regression models and
-branching factor 2, gives the binary partitioning trees compared against
-Regression LSH / PCA trees / random-projection trees in Figure 6.
+For large bin counts the paper trains a tree of small models: the root
+splits the dataset into ``m_1`` bins, each bin is split again into ``m_2``
+bins, and so on; a query's leaf probability is the product of the branch
+probabilities on its path.  :class:`PartitionTreeIndex` is that tree, and
+every tree in the repository is one; they differ only in the node.  A
+:class:`HierarchicalUspIndex` node is a USP model (``levels=(2,) * depth``
+with logistic models is Figure 6's "USP (logistic tree)"), a hyperplane
+tree's node (:mod:`repro.baselines.trees`) is a hyperplane, and a
+Regression LSH node (:mod:`repro.baselines.neural_lsh`) a two-bin classifier.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
-from typing import List, Optional, Sequence, Tuple
+import bisect
+import itertools
+import math
+import time
+from dataclasses import asdict
+from typing import Any, List, Optional, Sequence
 
 import numpy as np
 
 from ..api.protocol import IndexCapabilities
 from ..api.registry import register_index
-from ..utils.exceptions import NotFittedError
+from ..utils.exceptions import ValidationError
 from ..utils.rng import resolve_rng, spawn_rngs
-from ..utils.timing import Stopwatch
 from ..utils.validation import as_float_matrix, as_query_matrix
 from .base import PartitionIndexBase
 from .config import HierarchicalConfig, UspConfig
 from .knn_matrix import build_knn_matrix
-from .models import PartitionModel, build_partition_model
+from .models import build_partition_model
 from .trainer import UspTrainer
 
+#: what every tree index can do
+TREE_CAPABILITIES = IndexCapabilities(
+    metrics=("euclidean", "sqeuclidean", "cosine"),
+    probe_parameter="n_probes",
+    supports_candidate_sets=True,
+    trainable=True,
+    reports_parameter_count=True,
+    filterable=True,
+)
 
-@dataclass
-class _TreeNode:
-    """One internal model of the hierarchy plus its children (if any)."""
 
-    model: Optional[PartitionModel]  # None for degenerate single-bin nodes
-    n_branches: int
-    children: List[Optional["_TreeNode"]]
-    n_parameters: int = 0
+class PartitionTreeIndex(PartitionIndexBase):
+    """A tree with ``levels[l]`` branches per level-``l`` node and ``prod(levels)`` leaf bins.
 
-    def branch_probabilities(self, queries: np.ndarray) -> np.ndarray:
-        """Probability of each query going to each branch of this node."""
-        if self.model is None:
-            return np.ones((queries.shape[0], self.n_branches), dtype=np.float64) / float(
-                self.n_branches
-            )
-        return self.model.predict_proba(queries)
+    Nodes are numbered in level order: level ``l`` holds node ids
+    ``[offsets[l], offsets[l + 1])``, and node ``offsets[l] + p`` has
+    children ``offsets[l + 1] + p * levels[l] + b`` (binary trees are heaps).
+    Branch ``b`` owns the ``b``-th block of its parent's leaf ids, so a leaf
+    id is its path read as a mixed-radix number.  ``_nodes[i]`` is ``None``
+    for a node that was never fitted.  A subclass supplies the two hooks
+    :meth:`_fit_node` and :meth:`_branch_probabilities`.
+    """
+
+    #: nodes with fewer than ``max(2 * m, min_split_size)`` rows are not
+    #: fitted and send every row to branch 0
+    min_split_size: int = 4
+
+    def __init__(self, levels: Sequence[int]) -> None:
+        super().__init__()
+        self.levels = tuple(int(m) for m in levels)
+        nodes_per_level = [math.prod(self.levels[:l]) for l in range(len(self.levels) + 1)]
+        n_leaves = nodes_per_level[-1]
+        if n_leaves > 2**16:
+            raise ValidationError(f"a tree of {n_leaves} leaves is too large (at most 2**16)")
+        # The leaves are level len(levels); a level-l node has widths[l] leaves.
+        self._offsets = [0, *itertools.accumulate(nodes_per_level)]
+        self._widths = [n_leaves // count for count in nodes_per_level]
+        self._nodes: List[Optional[Any]] = []
+        self.build_seconds: float = 0.0
+
+    # ------------------------------------------------------------------ #
+    # hooks
+    # ------------------------------------------------------------------ #
+    def _fit_node(self, node_id: int, points: np.ndarray) -> np.ndarray:
+        """Fit node ``node_id`` on its ``points``; return each point's branch in ``[0, m)``."""
+        raise NotImplementedError
+
+    def _branch_probabilities(self, node_id: int, queries: np.ndarray) -> Optional[np.ndarray]:
+        """``(n_queries, m)`` branch probabilities at node ``node_id`` (``None``: uniform)."""
+        raise NotImplementedError
+
+    # ------------------------------------------------------------------ #
+    # node numbering
+    # ------------------------------------------------------------------ #
+    def _level(self, node_id: int) -> int:
+        return bisect.bisect_right(self._offsets, node_id) - 1
+
+    def _first_child(self, node_id: int) -> int:
+        level = self._level(node_id)
+        return self._offsets[level + 1] + (node_id - self._offsets[level]) * self.levels[level]
+
+    def _rows_per_node(self) -> np.ndarray:
+        """Number of base rows under every node, indexed by node id (leaves last)."""
+        per_leaf = np.bincount(self._assignments, minlength=self._n_bins)
+        return np.concatenate([per_leaf.reshape(-1, width).sum(axis=1) for width in self._widths])
+
+    # ------------------------------------------------------------------ #
+    def build(self, base: np.ndarray) -> "PartitionTreeIndex":
+        """Fit the nodes depth-first, branch 0's subtree first."""
+        start = time.perf_counter()
+        base = as_float_matrix(base, name="base")
+        depth = len(self.levels)
+        self._nodes = [None] * self._offsets[depth]
+        assignments = np.zeros(base.shape[0], dtype=np.int64)
+        stack = [(0, np.arange(base.shape[0]))]
+        while stack:
+            node_id, rows = stack.pop()
+            level = self._level(node_id)
+            m = self.levels[level]
+            if rows.size < max(2 * m, self.min_split_size):
+                labels = np.zeros(rows.size, dtype=np.int64)
+            else:
+                labels = self._fit_node(node_id, base[rows])
+            first_child = self._first_child(node_id)
+            for branch in reversed(range(m)):
+                child_rows = rows[labels == branch]
+                assignments[child_rows] += branch * self._widths[level + 1]
+                if child_rows.size and level + 1 < depth:
+                    stack.append((first_child + branch, child_rows))
+        self._finalize_build(base, assignments, self._widths[0])
+        self.build_seconds = time.perf_counter() - start
+        return self
+
+    def bin_scores(self, queries: np.ndarray) -> np.ndarray:
+        """Leaf probabilities: the product of the branch probabilities on each root-leaf path.
+
+        Multiplied bottom-up, ``p_root * (p_child * (...))``.  A node without
+        a model routes uniformly, and a subtree with no rows spreads its
+        branch's probability evenly over its leaves.
+        """
+        self._require_built()
+        queries = as_query_matrix(queries, self.dim)
+        n_queries = queries.shape[0]
+        rows = self._rows_per_node()
+        scores = np.ones((n_queries, self._n_bins), dtype=np.float64)
+        for level in reversed(range(len(self.levels))):
+            m, width = self.levels[level], self._widths[level + 1]
+            first = self._offsets[level + 1]
+            # A subtree with no rows keeps its columns at 1, so its leaves
+            # stay at 1 until the ancestor with rows multiplies in p / width.
+            probs = np.ones((n_queries, self._offsets[level + 2] - first))
+            for node_id in range(self._offsets[level], first):
+                if not rows[node_id]:
+                    continue
+                node_probs = self._branch_probabilities(node_id, queries)
+                if node_probs is None:
+                    node_probs = np.full((n_queries, m), 1.0 / m)
+                column = (node_id - self._offsets[level]) * m
+                empty = rows[first + column : first + column + m] == 0
+                probs[:, column : column + m] = node_probs / np.where(empty, width, 1)
+            blocks = scores.reshape(n_queries, -1, width)
+            blocks *= probs[:, :, None]
+        return scores
+
+    def num_parameters(self) -> int:
+        """Learned parameters over every fitted node."""
+        self._require_built()
+        return int(sum(node.num_parameters() for node in self._nodes if node is not None))
 
 
 def _make_hierarchical_usp(
@@ -63,197 +178,96 @@ def _make_hierarchical_usp(
 @register_index(
     "usp-hierarchical",
     factory=_make_hierarchical_usp,
-    capabilities=IndexCapabilities(
-        metrics=("euclidean", "sqeuclidean", "cosine"),
-        probe_parameter="n_probes",
-        supports_candidate_sets=True,
-        trainable=True,
-        reports_parameter_count=True,
-        filterable=True,
-    ),
+    capabilities=TREE_CAPABILITIES,
     description="Tree of USP partition models (Section 4.4.2)",
 )
-class HierarchicalUspIndex(PartitionIndexBase):
+class HierarchicalUspIndex(PartitionTreeIndex):
     """A tree of USP partition models producing ``prod(levels)`` leaf bins."""
 
     def __init__(self, config: Optional[HierarchicalConfig] = None) -> None:
-        super().__init__()
         self.config = config or HierarchicalConfig()
+        super().__init__(self.config.levels)
         self.metric = self.config.base.metric
-        self._root: Optional[_TreeNode] = None
-        self.build_seconds: float = 0.0
         self.training_time: float = 0.0
 
-    # ------------------------------------------------------------------ #
-    # offline phase
-    # ------------------------------------------------------------------ #
     def build(self, base: np.ndarray) -> "HierarchicalUspIndex":
-        """Recursively train the model tree and assign every point to a leaf."""
-        base = as_float_matrix(base, name="base")
-        stopwatch = Stopwatch()
+        """Train the model tree and assign every point to a leaf."""
         self.training_time = 0.0
-        with stopwatch.section("build"):
-            rng = resolve_rng(self.config.base.seed)
-            point_indices = np.arange(base.shape[0])
-            self._root, assignments = self._build_node(
-                base, point_indices, level=0, rng=rng
-            )
-            self._finalize_build(base, assignments, self.config.total_bins)
-        self.build_seconds = stopwatch.totals()["build"]
-        return self
+        self._rngs = {0: resolve_rng(self.config.base.seed)}
+        return super().build(base)
 
-    def _build_node(
-        self,
-        base: np.ndarray,
-        point_indices: np.ndarray,
-        level: int,
-        rng: np.random.Generator,
-    ) -> Tuple[_TreeNode, np.ndarray]:
-        """Train the node for ``point_indices`` and return (node, leaf ids).
+    def _node_rng(self, node_id: int) -> np.random.Generator:
+        """Node ``node_id``'s generator.
 
-        The returned leaf ids are *local* to this subtree: in
-        ``[0, prod(levels[level:]))``, one per entry of ``point_indices``.
+        A node draws its training seed first, then one seed that spawns its
+        children's generators.  The spawn happens when a child first needs
+        one, so a node that was never fitted still spawns them.
         """
-        levels = self.config.levels
-        branches = levels[level]
-        subtree_bins = int(np.prod(levels[level:]))
-        child_bins = subtree_bins // branches
-        points = base[point_indices]
+        if node_id not in self._rngs:
+            level = self._level(node_id)
+            m = self.levels[level - 1]
+            parent = self._offsets[level - 1] + (node_id - self._offsets[level]) // m
+            seed = int(self._node_rng(parent).integers(0, 2**31 - 1))
+            for branch, rng in enumerate(spawn_rngs(seed, m)):
+                self._rngs[self._first_child(parent) + branch] = rng
+        return self._rngs[node_id]
 
-        node, branch_assignment = self._train_single_level(points, branches, rng)
-
-        if level == len(levels) - 1:
-            return node, branch_assignment.astype(np.int64)
-
-        leaf_assignment = np.zeros(len(point_indices), dtype=np.int64)
-        child_rngs = spawn_rngs(int(rng.integers(0, 2**31 - 1)), branches)
-        for branch in range(branches):
-            mask = branch_assignment == branch
-            offset = branch * child_bins
-            if not mask.any():
-                node.children[branch] = None
-                continue
-            child_node, child_leaves = self._build_node(
-                base, point_indices[mask], level + 1, child_rngs[branch]
-            )
-            node.children[branch] = child_node
-            leaf_assignment[mask] = offset + child_leaves
-        return node, leaf_assignment
-
-    def _train_single_level(
-        self, points: np.ndarray, branches: int, rng: np.random.Generator
-    ) -> Tuple[_TreeNode, np.ndarray]:
-        """Train one model splitting ``points`` into ``branches`` bins."""
-        n = points.shape[0]
-        # Degenerate subsets: too few points to learn a split — put
-        # everything in branch 0 and use uniform probabilities at query time.
-        if n < max(2 * branches, 4):
-            node = _TreeNode(model=None, n_branches=branches, children=[None] * branches)
-            return node, np.zeros(n, dtype=np.int64)
-
+    def _fit_node(self, node_id: int, points: np.ndarray) -> np.ndarray:
+        """Train a USP model splitting the node's points into its branches."""
         base_config = self.config.base
-        k_prime = min(base_config.k_prime, n - 1)
         config = base_config.with_updates(
-            n_bins=branches,
-            k_prime=k_prime,
-            seed=int(rng.integers(0, 2**31 - 1)),
+            n_bins=self.levels[self._level(node_id)],
+            k_prime=min(base_config.k_prime, points.shape[0] - 1),
+            seed=int(self._node_rng(node_id).integers(0, 2**31 - 1)),
         )
-        knn = build_knn_matrix(points, k_prime, metric=config.metric)
-        trainer = UspTrainer(config)
-        model, history = trainer.train(points, knn)
+        knn = build_knn_matrix(points, config.k_prime, metric=config.metric)
+        model, history = UspTrainer(config).train(points, knn)
         self.training_time += history.seconds
-        assignment = model.predict_bins(points)
-        node = _TreeNode(
-            model=model,
-            n_branches=branches,
-            children=[None] * branches,
-            n_parameters=model.num_parameters(),
-        )
-        return node, assignment
+        self._nodes[node_id] = model
+        return model.predict_bins(points)
 
-    # ------------------------------------------------------------------ #
-    # online phase
-    # ------------------------------------------------------------------ #
-    def bin_scores(self, queries: np.ndarray) -> np.ndarray:
-        """Leaf probabilities: the product of branch probabilities on the path."""
-        if self._root is None:
-            raise NotFittedError("HierarchicalUspIndex has not been built yet")
-        queries = as_query_matrix(queries, self.dim)
-        return self._scores_for_node(self._root, queries, level=0)
-
-    def _scores_for_node(
-        self, node: _TreeNode, queries: np.ndarray, level: int
-    ) -> np.ndarray:
-        levels = self.config.levels
-        branches = levels[level]
-        subtree_bins = int(np.prod(levels[level:]))
-        child_bins = subtree_bins // branches
-        branch_probs = node.branch_probabilities(queries)
-        if level == len(levels) - 1:
-            return branch_probs
-        scores = np.zeros((queries.shape[0], subtree_bins), dtype=np.float64)
-        for branch in range(branches):
-            child = node.children[branch]
-            start = branch * child_bins
-            stop = start + child_bins
-            if child is None:
-                # Empty/degenerate branch: spread its probability uniformly
-                # over the leaves below it so ranking still works.
-                scores[:, start:stop] = branch_probs[:, branch : branch + 1] / child_bins
-                continue
-            child_scores = self._scores_for_node(child, queries, level + 1)
-            scores[:, start:stop] = branch_probs[:, branch : branch + 1] * child_scores
-        return scores
-
-    # ------------------------------------------------------------------ #
-    # introspection
-    # ------------------------------------------------------------------ #
-    def num_parameters(self) -> int:
-        """Total learnable parameters over every model in the tree."""
-        if self._root is None:
-            raise NotFittedError("HierarchicalUspIndex has not been built yet")
-        total = 0
-        stack = [self._root]
-        while stack:
-            node = stack.pop()
-            total += node.n_parameters
-            stack.extend(child for child in node.children if child is not None)
-        return int(total)
+    def _branch_probabilities(self, node_id: int, queries: np.ndarray) -> Optional[np.ndarray]:
+        model = self._nodes[node_id]
+        return None if model is None else model.predict_proba(queries)
 
     def depth(self) -> int:
         """Number of levels in the hierarchy."""
-        return len(self.config.levels)
+        return len(self.levels)
 
     def training_seconds(self) -> float:
         """Total wall-clock seconds spent training tree models."""
         return self.training_time
 
     # ------------------------------------------------------------------ #
-    # persistence: the node tree is flattened into path-keyed entries
-    # ("root", "root-2", "root-2-0", ...) so it fits the npz + JSON format
+    # persistence: every node with rows is stored under its path ("root",
+    # "root-2", "root-2-0", ...) so it fits the npz + JSON format
     # ------------------------------------------------------------------ #
     def _extra_state(self):
+        rows = self._rows_per_node()
         nodes: List[dict] = []
         arrays: dict = {}
-        stack = [("root", self._root)]
+        stack = [("root", 0)]
         while stack:
-            path, node = stack.pop()
+            path, node_id = stack.pop()
+            level, model = self._level(node_id), self._nodes[node_id]
             nodes.append(
                 {
                     "path": path,
-                    "n_branches": int(node.n_branches),
-                    "n_parameters": int(node.n_parameters),
-                    "has_model": node.model is not None,
+                    "n_branches": self.levels[level],
+                    "n_parameters": 0 if model is None else model.num_parameters(),
+                    "has_model": model is not None,
                 }
             )
-            if node.model is not None:
-                for key, value in node.model.state_dict().items():
+            if model is not None:
+                for key, value in model.state_dict().items():
                     arrays[f"tree.{path}.{key}"] = value
-            for branch, child in enumerate(node.children):
-                if child is not None:
-                    stack.append((f"{path}-{branch}", child))
+            if level + 1 < len(self.levels):
+                first_child = self._first_child(node_id)
+                for branch in range(self.levels[level]):
+                    if rows[first_child + branch]:
+                        stack.append((f"{path}-{branch}", first_child + branch))
         config = {
-            "levels": list(self.config.levels),
+            "levels": list(self.levels),
             "base": asdict(self.config.base),
             "nodes": nodes,
             "build_seconds": self.build_seconds,
@@ -264,42 +278,26 @@ class HierarchicalUspIndex(PartitionIndexBase):
     @classmethod
     def _restore(cls, config, arrays, load_child):
         base_config = UspConfig(**config["base"])
-        hier_config = HierarchicalConfig(
-            levels=tuple(int(level) for level in config["levels"]), base=base_config
+        index = cls(
+            HierarchicalConfig(levels=tuple(int(m) for m in config["levels"]), base=base_config)
         )
-        index = cls(hier_config)
         dim = int(arrays["__base__"].shape[1])
-        by_path = {}
-        # Parents sort before their children ("root" < "root-2" < "root-2-0").
-        for meta in sorted(config["nodes"], key=lambda m: len(m["path"])):
-            path = meta["path"]
-            branches = int(meta["n_branches"])
-            model = None
-            if meta["has_model"]:
-                model = build_partition_model(
-                    dim, base_config.with_updates(n_bins=branches)
-                )
-                prefix = f"tree.{path}."
-                model.load_state_dict(
-                    {
-                        key[len(prefix) :]: value
-                        for key, value in arrays.items()
-                        if key.startswith(prefix)
-                    }
-                )
-                model.eval()
-            node = _TreeNode(
-                model=model,
-                n_branches=branches,
-                children=[None] * branches,
-                n_parameters=int(meta["n_parameters"]),
+        index._nodes = [None] * index._offsets[len(index.levels)]
+        for meta in config["nodes"]:
+            if not meta["has_model"]:
+                continue
+            node_id = 0
+            for branch in meta["path"].split("-")[1:]:
+                node_id = index._first_child(node_id) + int(branch)
+            model = build_partition_model(
+                dim, base_config.with_updates(n_bins=int(meta["n_branches"]))
             )
-            by_path[path] = node
-            if path == "root":
-                index._root = node
-            else:
-                parent_path, branch = path.rsplit("-", 1)
-                by_path[parent_path].children[int(branch)] = node
+            prefix = f"tree.{meta['path']}."
+            model.load_state_dict(
+                {key[len(prefix) :]: value for key, value in arrays.items() if key.startswith(prefix)}
+            )
+            model.eval()
+            index._nodes[node_id] = model
         index.build_seconds = float(config.get("build_seconds", 0.0))
         index.training_time = float(config.get("training_time", 0.0))
         return index

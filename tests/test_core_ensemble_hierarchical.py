@@ -229,3 +229,12 @@ class TestHierarchicalUspIndex:
         index = HierarchicalUspIndex(config).build(points)
         indices, _ = index.batch_query(points[:3], k=3, n_probes=16)
         assert (indices >= 0).all()
+        # a node is fitted exactly when it holds at least max(2 * 4, 4) rows
+        rows = index._rows_per_node()
+        assert [node is not None for node in index._nodes] == [
+            bool(rows[i] >= 8) for i in range(len(index._nodes))
+        ]
+        np.testing.assert_allclose(index.bin_scores(points).sum(axis=1), 1.0, rtol=0, atol=1e-12)
+        # probing every leaf is exact search
+        exact = np.argsort(((points[:3, None] - points[None]) ** 2).sum(axis=2), axis=1)[:, :3]
+        np.testing.assert_array_equal(indices, exact)
