@@ -22,10 +22,42 @@ from ..utils.validation import as_float_matrix, as_query_matrix, check_positive_
 
 
 def _nearest_positions(dists: np.ndarray, k: int) -> np.ndarray:
-    """Positions of the ``k`` smallest ``dists``, nearest first, ties in input order."""
-    top = min(k, dists.size)
-    part = np.argpartition(dists, kth=top - 1)[:top]
-    return part[np.argsort(dists[part], kind="stable")]
+    """Positions of the ``k`` smallest ``dists``, nearest first, ties in input order.
+
+    Always ``np.argsort(dists, kind="stable")[:k]``, but only the ``k``
+    selected entries are sorted.  ``argpartition`` picks arbitrarily among
+    entries tied with the ``k``-th smallest, so when the ``k+1``-th smallest
+    ties it the full stable sort decides, as in
+    :meth:`PartitionIndexBase.top_bins`.
+    """
+    if k >= dists.size:
+        return np.argsort(dists, kind="stable")
+    part = np.argpartition(dists, k)
+    top = np.sort(part[:k])
+    chosen = dists[top]
+    if dists[part[k]] <= chosen.max():
+        return np.argsort(dists, kind="stable")[:k]
+    return top[np.argsort(chosen, kind="stable")]
+
+
+def _nearest_columns(dists: np.ndarray, k: int) -> np.ndarray:
+    """:func:`_nearest_positions` of every row of a 2-D ``dists``, by the same rule.
+
+    Always ``np.argsort(dists, axis=1, kind="stable")[:, :k]``.  On a
+    single row it costs ~3× the 1-D version, which is why
+    :func:`rerank_candidates`, called once per query, keeps that one.
+    """
+    if k >= dists.shape[1]:
+        return np.argsort(dists, axis=1, kind="stable")
+    rows = np.arange(dists.shape[0])[:, None]
+    part = np.argpartition(dists, k, axis=1)
+    top = np.sort(part[:, :k], axis=1)
+    chosen = dists[rows, top]
+    nearest = top[rows, np.argsort(chosen, axis=1, kind="stable")]
+    tied = dists[rows[:, 0], part[:, k]] <= chosen.max(axis=1)
+    if tied.any():
+        nearest[tied] = np.argsort(dists[tied], axis=1, kind="stable")[:, :k]
+    return nearest
 
 
 def rerank_candidates(
@@ -39,8 +71,9 @@ def rerank_candidates(
     """Exactly re-rank per-query candidate index lists against ``base``.
 
     Given the candidate set of each query, compute exact distances and
-    keep the best ``k``.  Rows are padded with ``-1`` / ``inf`` when fewer
-    than ``k`` candidates are available.  Used by ``filter=`` queries, the
+    keep the best ``k``; an exact distance tie goes to the earlier
+    candidate.  Rows are padded with ``-1`` / ``inf`` when fewer than
+    ``k`` candidates are available.  Used by ``filter=`` queries, the
     ensemble, the boosted forest and the quantized re-rank; the unfiltered
     :meth:`PartitionIndexBase.batch_query` gives the same answers without
     the gather.
@@ -64,20 +97,26 @@ class _BinMajorLayout:
     """The base rows regrouped bin after bin, with the metric's per-row constant.
 
     Bin ``b`` owns layout rows ``[bounds[b], bounds[b + 1])``, which are
-    ``base[lookup[b]]`` byte for byte.  ``euclidean`` / ``sqeuclidean``
-    keep the rows and their squared norms; ``cosine`` keeps the rows
-    already divided by their norms.  Scoring a query against one bin is
-    then one matrix-vector product over a contiguous slice — the same BLAS
-    call on the same bytes as :func:`rerank_candidates` on that bin's
-    gathered rows, minus the gather and the norm recomputation.
+    ``base[ids[bounds[b]:bounds[b + 1]]]`` byte for byte, ``ids`` being the
+    concatenated ``lookup`` buckets.  ``euclidean`` / ``sqeuclidean`` keep
+    the rows and their squared norms; ``cosine`` keeps the rows already
+    divided by their norms.
+
+    :meth:`search` walks the probed bins, not the queries: every query that
+    probes bin ``b`` is scored against ``b``'s contiguous row range in one
+    stacked call, and keeps its best ``k`` rows of ``b`` in a per-query pool
+    that one stable sort merges.  The stacked call is one matrix-vector
+    product per query on exactly the bytes :func:`rerank_candidates` would
+    gather for that bin — not one matrix product for the group, whose
+    rounding would depend on how many queries share the bin.
     """
 
     def __init__(self, base: np.ndarray, lookup: Sequence[np.ndarray], metric: str) -> None:
         get_metric(metric)  # unknown names fail exactly as in rerank_candidates
         self.metric = metric
-        self.lookup = lookup
-        self.bounds = np.concatenate([[0], np.cumsum([len(b) for b in lookup])]).tolist()
-        rows = base[np.concatenate(lookup)]
+        self.bounds = np.concatenate([[0], np.cumsum([len(b) for b in lookup])]).astype(np.int64)
+        self.ids = np.concatenate(lookup)
+        rows = base[self.ids]
         if metric == "cosine":
             self.rows, self.norms = unit_rows(rows), None
         else:
@@ -89,36 +128,48 @@ class _BinMajorLayout:
         """The ``k`` nearest rows of each query's ``ranked`` bins, as base ids.
 
         Same distances, selection and padding as :func:`rerank_candidates`
-        over the concatenated ``lookup`` buckets of each row of ``ranked``.
+        over the concatenated ``lookup`` buckets of each row of ``ranked``:
+        the pool keeps probe rank ``r``'s candidates in columns
+        ``[r·k', (r+1)·k')``, in their gathered order, so the stable merge
+        breaks distance ties by gathered position too.
         """
-        rows, norms, bounds, lookup = self.rows, self.norms, self.bounds, self.lookup
+        rows, norms, bounds, ids = self.rows, self.norms, self.bounds, self.ids
+        n_queries, n_probes = ranked.shape
         if norms is None:
             queries = unit_rows(queries)
         else:
             query_norms = squared_norms(queries)
-        out_indices = np.full((queries.shape[0], k), -1, dtype=np.int64)
-        out_distances = np.full((queries.shape[0], k), np.inf, dtype=np.float64)
-        for i, bins in enumerate(ranked.tolist()):
-            query = queries[i : i + 1]
-            parts = []
-            for b in bins:
-                dots = (query @ rows[bounds[b] : bounds[b + 1]].T)[0]
-                if norms is None:
-                    parts.append(1.0 - dots)
-                else:
-                    parts.append(query_norms[i] + norms[bounds[b] : bounds[b + 1]] - 2.0 * dots)
-            dists = parts[0] if len(parts) == 1 else np.concatenate(parts)
-            if dists.size == 0:
+        width = min(k, int(np.diff(bounds)[ranked].max(initial=0)))  # k'
+        pool_shape = (n_queries, max(k, n_probes * width))
+        pool_ids = np.full(pool_shape, -1, dtype=np.int64)
+        pool_distances = np.full(pool_shape, np.inf, dtype=np.float64)
+        # (query, probe rank) pairs as flat positions of ``ranked``, grouped by bin
+        pairs = np.argsort(ranked, axis=None, kind="stable")
+        probed = ranked.ravel()[pairs]
+        starts = np.flatnonzero(np.diff(probed, prepend=-1))
+        for group, b in zip(np.split(pairs, starts[1:]), probed[starts].tolist()):
+            lo, hi = bounds[b], bounds[b + 1]
+            if lo == hi:
                 continue
-            if norms is not None:
+            qi, rank = np.divmod(group, n_probes)
+            dots = (queries[qi][:, None, :] @ rows[lo:hi].T)[:, 0, :]
+            if norms is None:
+                dists = 1.0 - dots
+            else:
+                dists = query_norms[qi, None] + norms[lo:hi] - 2.0 * dots
                 np.maximum(dists, 0.0, out=dists)
                 if self.metric == "euclidean":
                     np.sqrt(dists, out=dists)
-            ids = lookup[bins[0]] if len(bins) == 1 else np.concatenate([lookup[b] for b in bins])
-            nearest = _nearest_positions(dists, k)
-            out_indices[i, : nearest.size] = ids[nearest]
-            out_distances[i, : nearest.size] = dists[nearest]
-        return out_indices, out_distances
+            nearest = _nearest_columns(dists, width)
+            columns = rank[:, None] * width + np.arange(nearest.shape[1])
+            pool_ids[qi[:, None], columns] = ids[lo:hi][nearest]
+            pool_distances[qi[:, None], columns] = dists[np.arange(len(qi))[:, None], nearest]
+        if n_probes == 1:  # one block per query: already the answer
+            return pool_ids, pool_distances
+        order = np.argsort(pool_distances, axis=1, kind="stable")[:, :k]
+        return np.take_along_axis(pool_ids, order, axis=1), np.take_along_axis(
+            pool_distances, order, axis=1
+        )
 
 
 class PartitionIndexBase(RegisteredIndex):
@@ -287,10 +338,10 @@ class PartitionIndexBase(RegisteredIndex):
         selective (pre-filter) — disallowed ids never reach the distance
         kernel either way.
 
-        Unfiltered, each query is scored in place against its probed bins'
-        row ranges of the bin-major layout (built on the first such call),
-        with the answers :func:`rerank_candidates` gives on
-        :meth:`candidate_sets`.
+        Unfiltered, the probed bins' row ranges of the bin-major layout
+        (built on the first such call) are scanned bin by bin, each once
+        for all the queries that probe it, with the answers
+        :func:`rerank_candidates` gives on :meth:`candidate_sets`.
         """
         self._require_built()
         queries = as_query_matrix(queries, self.dim)

@@ -11,7 +11,10 @@ must give what the gather-based :func:`rerank_candidates` gives on
   bit differently);
 
 and it pins what the gather never guaranteed: a (query, id) distance does
-not depend on how many bins were probed.
+not depend on how many bins were probed.  The scan walks bins, not
+queries, so a query's answer must not depend on which other queries share
+its batch.  Exact distance ties go to the lower gathered position, as in a
+stable sort over the concatenated candidate sets.
 """
 
 from __future__ import annotations
@@ -21,12 +24,15 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import repro.core.base as core_base
 from repro.api import RegisteredIndex, get_spec, load_index, make_index
 from repro.core import PartitionIndexBase, rerank_candidates
 from repro.datasets import sift_like
-from repro.utils.distances import squared_euclidean
+from repro.utils.distances import get_metric, squared_euclidean
 from test_api_registry import TINY_PARAMS
 
 METRICS = ("euclidean", "sqeuclidean", "cosine")
@@ -205,3 +211,151 @@ def test_saved_index_has_no_layout_and_answers_the_same(data, name, tmp_path):
     ids, distances = loaded.batch_query(data.queries, K, n_probes=2)
     np.testing.assert_array_equal(ids, expected[0])
     np.testing.assert_array_equal(distances, expected[1])
+
+
+# ---------------------------------------------------------------------- #
+# tie order and batch shape
+# ---------------------------------------------------------------------- #
+@settings(max_examples=200, deadline=None)
+@given(
+    dists=hnp.arrays(
+        np.float64,
+        st.tuples(st.integers(1, 4), st.integers(1, 40)),
+        elements=st.integers(0, 4).map(float),
+    ),
+    k=st.integers(1, 45),
+)
+def test_selection_is_the_stable_argsort(dists, k):
+    # few distinct values: ties inside the top k and at its boundary
+    expected = np.argsort(dists, axis=1, kind="stable")[:, :k]
+    np.testing.assert_array_equal(core_base._nearest_columns(dists, k), expected)
+    for row, want in zip(dists, expected):
+        np.testing.assert_array_equal(core_base._nearest_positions(row, k), want)
+
+
+def _hand_index(sizes, metric="euclidean"):
+    """A :class:`_HandBins` index with ``sizes[b]`` rows in bin ``b``, shuffled
+    so no bin's rows are contiguous in the base."""
+    rng = np.random.default_rng(0)
+    anchors = rng.integers(0, 8, size=(len(sizes), 4)).astype(np.float64) * 4
+    assignments = np.repeat(np.arange(len(sizes)), sizes)
+    base = anchors[assignments] + rng.normal(size=(len(assignments), 4))
+    order = rng.permutation(len(assignments))
+    index = _HandBins(anchors).build(base[order], assignments[order])
+    index.metric = metric
+    return index
+
+
+def _stable_reference(index, queries, k, n_probes):
+    """Exact distances over the gathered candidates, stable-sorted."""
+    ids = np.full((len(queries), k), -1, dtype=np.int64)
+    distances = np.full((len(queries), k), np.inf)
+    for q, candidates in enumerate(index.candidate_sets(queries, n_probes)):
+        d = get_metric(index.metric)(queries[q : q + 1], index._base[candidates])[0]
+        best = np.argsort(d, kind="stable")[:k]
+        ids[q, : best.size], distances[q, : best.size] = candidates[best], d[best]
+    return ids, distances
+
+
+@pytest.mark.parametrize("metric", ["euclidean", "sqeuclidean"])
+def test_exact_ties_keep_the_lower_gathered_position(metric):
+    # integer grid points with duplicates, dealt to bins at random: distances
+    # are exact and tie within a bin and across probed bins
+    rng = np.random.default_rng(21)
+    grid = rng.integers(0, 3, size=(150, 4)).astype(np.float64)
+    base = np.vstack([grid, grid[::3]])
+    index = _HandBins(rng.integers(0, 3, size=(4, 4)).astype(np.float64))
+    index.build(base, rng.integers(0, 4, size=len(base)))
+    index.metric = metric
+    queries = np.vstack([base[:12], rng.integers(0, 3, size=(12, 4)), index.anchors])
+    for n_probes in (1, 2, index.n_bins):
+        ids, distances = index.batch_query(queries, K, n_probes=n_probes)
+        expected = _stable_reference(index, queries, K, n_probes)
+        np.testing.assert_array_equal(ids, expected[0])
+        np.testing.assert_array_equal(distances, expected[1])
+        gathered = _gathered(index, queries, K, n_probes)
+        np.testing.assert_array_equal(ids, gathered[0])
+        np.testing.assert_array_equal(distances, gathered[1])
+        assert all(len(set(row)) < K for row in distances.tolist())  # every answer ties
+
+
+@pytest.mark.parametrize("metric", METRICS)
+def test_permuting_a_batch_permutes_its_answers(built, data, metric):
+    index = built["kmeans"]
+    index.metric = metric
+    queries = np.vstack([data.queries, data.base[:20]])
+    order = np.random.default_rng(3).permutation(len(queries))
+    try:
+        for n_probes in (1, 2, index.n_bins):
+            ids, distances = index.batch_query(queries, K, n_probes=n_probes)
+            shuffled = index.batch_query(queries[order], K, n_probes=n_probes)
+            np.testing.assert_array_equal(shuffled[0], ids[order])
+            np.testing.assert_array_equal(shuffled[1], distances[order])
+            alone = index.batch_query(queries[5:6], K, n_probes=n_probes)
+            np.testing.assert_array_equal(alone[0], ids[5:6])
+            np.testing.assert_array_equal(alone[1], distances[5:6])
+    finally:
+        index.metric = "euclidean"
+
+
+@pytest.mark.parametrize("metric", METRICS)
+def test_a_batch_that_probes_one_bin(metric):
+    index = _hand_index([30, 20, 25], metric=metric)
+    rng = np.random.default_rng(8)
+    queries = index.anchors[1] + 0.1 * rng.normal(size=(9, index.dim))
+    assert (index.top_bins(queries, 1) == 1).all()
+    ids, distances = index.batch_query(queries, K)
+    expected = _gathered(index, queries, K, 1)
+    np.testing.assert_array_equal(ids, expected[0])
+    np.testing.assert_array_equal(distances, expected[1])
+    assert np.isin(ids, index.points_in_bin(1)).all()
+
+
+@pytest.mark.parametrize("metric", METRICS)
+def test_a_one_row_bin(metric):
+    index = _hand_index([20, 1, 15], metric=metric)
+    queries = index.anchors + 0.01
+    ids, distances = index.batch_query(queries, K)
+    assert ids[1, 0] == index.points_in_bin(1)[0] and (ids[1, 1:] == -1).all()
+    for n_probes in (1, 2, 3):
+        expected = _gathered(index, queries, K, n_probes)
+        got = index.batch_query(queries, K, n_probes=n_probes)
+        np.testing.assert_array_equal(got[0], expected[0])
+        if n_probes == 1:
+            np.testing.assert_array_equal(got[1], expected[1])
+        else:
+            np.testing.assert_allclose(got[1], expected[1], rtol=1e-12, atol=0)
+
+
+def test_underfull_bins_pad_only_after_every_real_id():
+    index = _hand_index([3, 2, 0, 4, 5])
+    queries = np.vstack([index.anchors, index.anchors + 0.5])
+    ids, distances = index.batch_query(queries, K, n_probes=2)
+    sizes = index.bin_sizes()[index.top_bins(queries, 2)].sum(axis=1)
+    for row, row_distances, size in zip(ids, distances, sizes):
+        assert (row[:size] >= 0).all() and (row[size:] == -1).all()
+        assert np.isfinite(row_distances[:size]).all() and np.isinf(row_distances[size:]).all()
+    assert (sizes < K).all()
+
+
+@pytest.mark.parametrize("n_probes", [1, 2, 3])
+def test_k_beyond_the_dataset_pads(n_probes):
+    index = _hand_index([2, 1, 2])
+    ids, distances = index.batch_query(index.anchors, 8, n_probes=n_probes)
+    assert ids.shape == distances.shape == (3, 8)
+    assert (ids[:, 5:] == -1).all() and np.isinf(distances[:, 5:]).all()
+    if n_probes == 3:
+        assert all(sorted(row[:5]) == list(range(5)) for row in ids.tolist())
+
+
+@pytest.mark.parametrize("metric", METRICS)
+@pytest.mark.parametrize("name", PARTITION_BACKENDS)
+def test_probing_every_bin_is_brute_force(built, data, name, metric):
+    index = built[name]
+    index.metric = metric
+    try:
+        ids, _ = index.batch_query(data.queries, K, n_probes=index.n_bins)
+    finally:
+        index.metric = "euclidean"
+    exact = get_metric(metric)(data.queries, data.base)
+    np.testing.assert_array_equal(ids, np.argsort(exact, axis=1, kind="stable")[:, :K])
