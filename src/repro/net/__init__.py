@@ -11,8 +11,10 @@ socket with the behaviours production traffic needs:
   Prometheus-text ``/metrics``, and ``/healthz``.
 * :class:`AdmissionController` / :class:`Deadline` — bounded admission
   (typed 429 + ``Retry-After`` shed), per-request deadlines carried into
-  the thread-pooled execution path (504, queued vs. execution stage),
-  and drain-then-stop shutdown.
+  the execution path (504, queued vs. execution stage), and
+  drain-then-stop shutdown.  Jobs run on the server's thread pool,
+  except a cheap ``/query``, which runs on the event loop when that
+  delays nothing.
 * A typed error taxonomy (:mod:`repro.net.errors`) mapping the library's
   exceptions to stable 4xx/5xx JSON bodies.
 * :class:`AsyncHttpClient` / :func:`request_json` — stdlib clients used

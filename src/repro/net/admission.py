@@ -2,11 +2,17 @@
 
 The server admits a request through :class:`AdmissionController` before
 any work happens.  The model is *S executing slots + a bounded waiting
-room*: up to ``max_concurrency`` requests execute on the thread pool at
-once, up to ``queue_limit`` more wait for a slot, and anything beyond
-that is shed immediately with a typed 429 carrying a ``Retry-After``
-estimate — load the server cannot serve promptly is refused at the door,
-not buffered into unbounded latency.
+room*: up to ``max_concurrency`` requests execute at once (on the thread
+pool, or a cheap ``/query`` on the event loop itself), up to
+``queue_limit`` more wait for a slot, and anything beyond that is shed
+immediately with a typed 429 carrying a ``Retry-After`` estimate — load
+the server cannot serve promptly is refused at the door, not buffered
+into unbounded latency.
+
+The controller also keeps an exponentially-weighted average of each
+endpoint's execution time (weight 0.2, starting at 0.05 s).  It feeds
+the ``Retry-After`` estimate, and it tells the server when a ``/query``
+is cheap enough to run on the event loop instead of the thread pool.
 
 Deadlines ride along as :class:`Deadline` objects: a request whose
 deadline passes while it is *queued* never starts (504,
@@ -23,7 +29,7 @@ from __future__ import annotations
 
 import asyncio
 import time
-from typing import Optional
+from typing import Dict, Optional
 
 from ..utils.exceptions import ValidationError
 from .errors import DeadlineExpired, Draining, ShedLoad
@@ -65,6 +71,12 @@ class Deadline:
         return f"Deadline(seconds={self.seconds}, remaining={self.remaining})"
 
 
+#: weight of the newest sample in the per-endpoint execution-time EWMA
+EXEC_EWMA_WEIGHT = 0.2
+#: execution-time estimate of an endpoint that has not run yet (seconds)
+EXEC_SECONDS_START = 0.05
+
+
 class AdmissionController:
     """Bounded request admission in front of the executor.
 
@@ -89,9 +101,8 @@ class AdmissionController:
         self.admitted_total = 0
         self.shed_total = 0
         self.draining = False
-        # Exponentially-weighted execution-time average feeding the
-        # Retry-After estimate on shed responses.
-        self._avg_exec_seconds = 0.05
+        # Exponentially-weighted execution-time average, per endpoint.
+        self._exec_seconds: Dict[str, float] = {}
         self._slots: Optional[asyncio.Semaphore] = None
         self._idle: Optional[asyncio.Event] = None
 
@@ -109,13 +120,17 @@ class AdmissionController:
         """Requests currently held by the controller (waiting + active)."""
         return self.waiting + self.active
 
-    def retry_after_estimate(self) -> float:
+    def exec_seconds(self, endpoint: str) -> float:
+        """Recent execution time of ``endpoint`` (EWMA, seconds)."""
+        return self._exec_seconds.get(endpoint, EXEC_SECONDS_START)
+
+    def retry_after_estimate(self, endpoint: str) -> float:
         """When a shed client should retry: queue drain time at recent speed."""
         backlog = self.waiting + self.active
-        estimate = self._avg_exec_seconds * (backlog + 1) / self.max_concurrency
+        estimate = self.exec_seconds(endpoint) * (backlog + 1) / self.max_concurrency
         return min(max(estimate, 0.05), 30.0)
 
-    async def admit(self, deadline: Deadline) -> None:
+    async def admit(self, deadline: Deadline, endpoint: str) -> None:
         """Wait for an execution slot (or shed / expire trying).
 
         Raises :class:`Draining` when the server is shutting down,
@@ -128,7 +143,7 @@ class AdmissionController:
         if self.draining:
             raise Draining(
                 "server is draining; no new requests are admitted",
-                retry_after=self.retry_after_estimate(),
+                retry_after=self.retry_after_estimate(endpoint),
             )
         # Shed only when the request would actually have to wait: a free
         # execution slot admits immediately even with queue_limit=0.
@@ -137,7 +152,7 @@ class AdmissionController:
             raise ShedLoad(
                 f"admission queue full ({self.active} executing, "
                 f"{self.waiting} queued, limit {self.queue_limit})",
-                retry_after=self.retry_after_estimate(),
+                retry_after=self.retry_after_estimate(endpoint),
             )
         self.waiting += 1
         self._idle.clear()
@@ -163,12 +178,15 @@ class AdmissionController:
             self.waiting -= 1
             self._maybe_idle()
 
-    def release(self, exec_seconds: Optional[float] = None) -> None:
-        """Return an execution slot; feeds the Retry-After estimator."""
+    def release(self, endpoint: str, exec_seconds: Optional[float] = None) -> None:
+        """Return ``endpoint``'s execution slot; feeds its execution-time EWMA."""
         self.active -= 1
         self._slots.release()
         if exec_seconds is not None:
-            self._avg_exec_seconds += 0.2 * (float(exec_seconds) - self._avg_exec_seconds)
+            average = self.exec_seconds(endpoint)
+            self._exec_seconds[endpoint] = average + EXEC_EWMA_WEIGHT * (
+                float(exec_seconds) - average
+            )
         self._maybe_idle()
 
     def _maybe_idle(self) -> None:

@@ -1,7 +1,8 @@
 """Serving-layer observability: counters, histograms, Prometheus text.
 
 The HTTP layer keeps its own counters — requests by endpoint × status,
-deadline expiries by stage, queue-wait and request-latency histograms —
+deadline expiries by stage, ``/query`` executions by path (event loop
+or thread pool), queue-wait and request-latency histograms —
 and renders them with the admission controller's sheds and queue gauges
 and the wrapped :meth:`SearchService.stats` counters as one Prometheus
 text-format (version 0.0.4) page, so the numbers operators scrape are
@@ -29,6 +30,9 @@ from ..obs.metrics import (
     emit_labeled_histogram as _labeled_histogram,
 )
 
+#: where a ``/query`` job can execute
+QUERY_PATHS = ("executor", "inline")
+
 
 class ServerMetrics:
     """Counters behind ``GET /metrics`` (thread-safe: the executor and the
@@ -39,6 +43,8 @@ class ServerMetrics:
         self.requests_total: Dict[Tuple[str, int], int] = {}
         self.draining_refused_total = 0
         self.deadline_expired_total: Dict[str, int] = {}
+        # Where each /query ran: on the event loop or the thread pool.
+        self.query_executions_total: Dict[str, int] = dict.fromkeys(QUERY_PATHS, 0)
         self.request_seconds = Histogram(LATENCY_BUCKETS)
         self.queue_seconds = Histogram(LATENCY_BUCKETS)
         self.queue_depth_observed = Histogram(DEPTH_BUCKETS)
@@ -64,6 +70,11 @@ class ServerMetrics:
         with self._lock:
             self.queue_seconds.observe(queue_seconds)
             self.queue_depth_observed.observe(queue_depth)
+
+    def observe_query_path(self, path: str) -> None:
+        """One ``/query`` executed ``"inline"`` or on the ``"executor"``."""
+        with self._lock:
+            self.query_executions_total[path] += 1
 
     def observe_draining_refusal(self) -> None:
         with self._lock:
@@ -98,6 +109,7 @@ class ServerMetrics:
                 "errors_total": dict(sorted(self.errors_by_endpoint().items())),
                 "draining_refused_total": self.draining_refused_total,
                 "deadline_expired_total": dict(self.deadline_expired_total),
+                "query_executions_total": dict(self.query_executions_total),
                 "requests_observed": self.request_seconds.total,
                 "request_seconds_sum": self.request_seconds.sum,
                 "p50_request_seconds": self.request_seconds.percentile(50),
@@ -177,6 +189,15 @@ class ServerMetrics:
                 [
                     ({"stage": stage}, count)
                     for stage, count in sorted(self.deadline_expired_total.items())
+                ],
+            )
+            _counter(
+                lines,
+                "repro_http_query_executions_total",
+                "/query executions, by path (inline on the event loop or on the executor).",
+                [
+                    ({"path": path}, count)
+                    for path, count in sorted(self.query_executions_total.items())
                 ],
             )
             _gauge(

@@ -9,7 +9,10 @@ in-process call never needed:
 * **admission control** — at most ``max_concurrency`` requests execute
   (on the server's own thread pool; NumPy releases the GIL inside the
   kernels) while up to ``queue_limit`` wait; anything beyond is shed
-  with a typed 429 + ``Retry-After`` *response*, never a dropped socket;
+  with a typed 429 + ``Retry-After`` *response*, never a dropped socket.
+  A cheap one-vector ``/query`` skips the pool and runs on the event
+  loop when that cannot delay other work (see
+  :meth:`SearchServer._runs_inline`);
 * **deadlines** — ``X-Deadline-Ms`` (or the configured default) is
   carried into the executor: expiry while queued cancels the work before
   it starts, expiry mid-request stops it at the next micro-batch
@@ -63,6 +66,7 @@ from __future__ import annotations
 
 import asyncio
 import contextvars
+import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -123,6 +127,8 @@ class ServerConfig:
 
     ``max_concurrency`` is both the executor width and the number of
     admission slots; ``queue_limit`` bounds the waiting room beyond it.
+    A cheap ``/query`` may execute on the event loop instead of the
+    executor, but it still holds one of those slots while it runs.
     ``default_deadline_seconds`` applies when a request sends no
     ``X-Deadline-Ms`` header (``None`` = no implicit deadline); batch
     execution re-checks it every ``batch_size`` rows of the serving
@@ -253,6 +259,8 @@ class SearchServer:
         )
         self._connections: set = set()
         self._busy: set = set()
+        # connections whose latest work request was a mutation
+        self._writers: set = set()
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._thread: Optional[threading.Thread] = None
         self._thread_error: Optional[BaseException] = None
@@ -439,6 +447,10 @@ class SearchServer:
                     # collapse trace ids so the endpoint label (and the
                     # stage histogram it feeds) stays bounded-cardinality
                     endpoint_name = "debug/traces/:id"
+                if endpoint_name in MUTATION_ENDPOINTS:
+                    self._writers.add(task)
+                elif endpoint_name in WORK_ENDPOINTS:
+                    self._writers.discard(task)
                 trace = self.tracer.begin(
                     f"http.{endpoint_name}",
                     traceparent=request.headers.get(TRACEPARENT_HEADER),
@@ -487,6 +499,7 @@ class SearchServer:
             pass
         finally:
             self._connections.discard(task)
+            self._writers.discard(task)
             writer.close()
             try:
                 await writer.wait_closed()
@@ -571,7 +584,7 @@ class SearchServer:
             # drain; in-flight requests admitted earlier still complete.
             raise Draining(
                 f"server is draining; /{endpoint} is not accepting new requests",
-                retry_after=self.admission.retry_after_estimate(),
+                retry_after=self.admission.retry_after_estimate(endpoint),
             )
         deadline = self._deadline_for(request)
         body = request.json()
@@ -582,13 +595,21 @@ class SearchServer:
         depth_at_admission = self.admission.depth
         waited_from = time.monotonic()
         with span("admission.queue", depth=depth_at_admission):
-            await self.admission.admit(deadline)
+            await self.admission.admit(deadline, endpoint)
         queue_seconds = time.monotonic() - waited_from
         self.metrics.observe_admission(queue_seconds, depth_at_admission)
         executing_from = time.monotonic()
         try:
+            inline = self._runs_inline(endpoint)
+            if endpoint == "query":
+                self.metrics.observe_query_path("inline" if inline else "executor")
             loop = asyncio.get_running_loop()
-            if current_trace() is not None:
+            if inline:
+                # No hop: the loop task already runs in the request's
+                # context, so the job's spans land under this one.
+                with span("execute", endpoint=endpoint):
+                    payload = job()
+            elif current_trace() is not None:
                 # Carry the trace into the worker thread: the copied
                 # context makes spans opened by the job (service, shard,
                 # quant layers) children of this request's trace.
@@ -600,9 +621,35 @@ class SearchServer:
             else:
                 payload = await loop.run_in_executor(self._executor, job)
         finally:
-            self.admission.release(exec_seconds=time.monotonic() - executing_from)
+            self.admission.release(
+                endpoint, exec_seconds=time.monotonic() - executing_from
+            )
         with span("serialize"):
             return HttpResponse.json(payload)
+
+    def _runs_inline(self, endpoint: str) -> bool:
+        """Whether an admitted job may run on the event loop itself.
+
+        Only a ``/query`` whose recent execution time is below one GIL
+        switch interval: it holds the loop no longer than a GIL-holding
+        executor job already could.  It must also delay nothing the
+        executor path would not:
+
+        * no open connection's latest work request is a mutation.  That
+          covers every mutation waiting or executing, and also a writer
+          between two requests: a durable write spends its job in fsync,
+          which reads should overlap, and a busy loop would not even read
+          the writer's next request;
+        * every open connection could hold a slot, so running inline
+          never stands in for queueing or a 429.
+        """
+        admission = self.admission
+        return (
+            endpoint == "query"
+            and admission.exec_seconds(endpoint) < sys.getswitchinterval()
+            and len(self._connections) <= admission.max_concurrency
+            and not self._writers
+        )
 
     def _all_services(self) -> Dict[str, SearchService]:
         if self.router is not None:
@@ -673,7 +720,8 @@ class SearchServer:
         body: Dict[str, Any],
         deadline: Deadline,
     ):
-        """A zero-argument callable executed on the thread pool.
+        """A zero-argument callable executed on the thread pool (or, for a
+        cheap ``/query``, on the event loop: see :meth:`_runs_inline`).
 
         Everything request-shaped is validated *before* admission, so a
         malformed request never occupies a queue slot; the returned job

@@ -7,6 +7,9 @@ scales live.
 
 from __future__ import annotations
 
+import socket
+import time
+
 import numpy as np
 import pytest
 
@@ -63,3 +66,32 @@ def blob_points(rng: np.random.Generator) -> np.ndarray:
 @pytest.fixture(scope="session")
 def blob_labels() -> np.ndarray:
     return np.repeat(np.arange(3), 60)
+
+
+def wait_for_connections(server, count: int) -> None:
+    """Wait until a running ``SearchServer`` has exactly ``count`` open connections."""
+    stop_at = time.monotonic() + 10.0
+    while len(server._connections) != count:
+        assert time.monotonic() < stop_at, f"open connections never reached {count}"
+        time.sleep(0.005)
+
+
+@pytest.fixture()
+def idle_connections():
+    """Open idle sockets to a running ``SearchServer``; closed at teardown.
+
+    ``open(server, n)`` waits for the server's earlier connections to
+    close, then returns once it has accepted all ``n``: its open
+    connections are then exactly these.
+    """
+    sockets = []
+
+    def open_(server, n: int) -> None:
+        wait_for_connections(server, 0)
+        for _ in range(n):
+            sockets.append(socket.create_connection((server.host, server.port)))
+        wait_for_connections(server, n)
+
+    yield open_
+    for sock in sockets:
+        sock.close()

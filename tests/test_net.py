@@ -12,7 +12,9 @@ The guarantees under test:
   refused with 503, and collection-backed services checkpoint.
 """
 
+import http.client
 import json
+import sys
 import threading
 import time
 import urllib.error
@@ -503,21 +505,220 @@ class TestAdmissionControl:
     def test_admission_controller_unit(self):
         async def scenario():
             controller = AdmissionController(1, 0)
-            await controller.admit(Deadline(None))
+            await controller.admit(Deadline(None), "query")
             with pytest.raises(ShedLoad):
-                await controller.admit(Deadline(None))
+                await controller.admit(Deadline(None), "add")
             with pytest.raises(DeadlineExpired):
                 # queue_limit=0 still sheds, so use a waiting-room of 1
                 waiting = AdmissionController(1, 1)
-                await waiting.admit(Deadline(None))
-                await waiting.admit(Deadline(0.05))
-            controller.release(exec_seconds=0.01)
+                await waiting.admit(Deadline(None), "query")
+                await waiting.admit(Deadline(0.05), "add")
+            # the execution-time EWMA is per endpoint: weight 0.2, start 0.05 s
+            assert controller.exec_seconds("query") == controller.exec_seconds("add") == 0.05
+            controller.release("query", exec_seconds=0.01)
+            assert controller.exec_seconds("query") == pytest.approx(0.042)
+            assert controller.exec_seconds("add") == 0.05
             assert controller.depth == 0
             assert await controller.drain(timeout=1.0) is True
 
         import asyncio
 
         asyncio.run(scenario())
+
+
+# ---------------------------------------------------------------------- #
+# where a /query executes: the event loop or the thread pool
+# ---------------------------------------------------------------------- #
+LOOP_THREAD = "repro-net"
+
+
+class ThreadRecordingIndex(BruteForceIndex):
+    """Brute force that records the thread running each ``batch_query``.
+
+    ``delay`` slows every query; ``add`` only sleeps ``add_delay`` and
+    assigns no ids, which is enough to hold a mutation in flight.
+    """
+
+    capabilities = replace(BruteForceIndex.capabilities, mutable=True)
+    delay = 0.0
+    add_delay = 0.0
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.threads = []
+
+    def batch_query(self, queries, k=10, *, filter=None):
+        self.threads.append(threading.current_thread().name)
+        if self.delay:
+            time.sleep(self.delay)
+        return super().batch_query(queries, k, filter=filter)
+
+    def add(self, vectors):
+        time.sleep(self.add_delay)
+        return np.empty(0, dtype=np.int64)
+
+
+def recording_server(base, *, delay=0.0, add_delay=0.0, **config_kwargs):
+    index = ThreadRecordingIndex()
+    index.delay = delay
+    index.add_delay = add_delay
+    index.build(base)
+    # no cache: every /query reaches batch_query
+    service = SearchService(index, cache_size=0)
+    return SearchServer(service, config=ServerConfig(port=0, **config_kwargs)), index
+
+
+def warm_query_estimate(server, payload, *, limit=200):
+    """Send /query until its execution-time estimate is below one switch interval."""
+    for _ in range(limit):
+        if server.admission.exec_seconds("query") < sys.getswitchinterval():
+            return
+        status, _ = request_json(server.url + "/query", method="POST", body=payload)
+        assert status == 200
+    raise AssertionError("the /query estimate never fell below the switch interval")
+
+
+def query_thread(server, index, payload):
+    """Send one /query; return the thread that ran it and the answer."""
+    status, body = request_json(server.url + "/query", method="POST", body=payload)
+    assert status == 200, body
+    return index.threads[-1], body
+
+
+class TestInlineQuery:
+    def test_cold_runs_on_executor_warm_runs_on_loop_bitwise_equal(self, data):
+        base, queries = data
+        payload = {"vector": queries[0].tolist(), "request": {"k": 5}}
+        server, index = recording_server(base)
+        with server:
+            # before any estimate exists the job starts on the executor
+            thread, cold = query_thread(server, index, payload)
+            assert thread.startswith("net-exec")
+            warm_query_estimate(server, payload)
+            thread, warm = query_thread(server, index, payload)
+            assert thread == LOOP_THREAD
+            assert warm["ids"] == cold["ids"]
+            assert warm["distances"] == cold["distances"]
+
+            status, stats = request_json(server.url + "/stats")
+            paths = stats["server"]["query_executions_total"]
+            assert paths["inline"] >= 1 and paths["executor"] >= 1
+            assert paths["inline"] + paths["executor"] == len(index.threads)
+            assert paths["inline"] == index.threads.count(LOOP_THREAD)
+            status, text = request_json(server.url + "/metrics")
+        assert f'repro_http_query_executions_total{{path="inline"}} {paths["inline"]}' in text
+        assert 'repro_http_query_executions_total{path="executor"}' in text
+        assert server.drain_clean is True
+
+    def test_slow_mutation_in_flight_sends_query_to_executor(self, data):
+        base, queries = data
+        payload = {"vector": queries[1].tolist(), "request": {"k": 3}}
+        server, index = recording_server(base, add_delay=0.5, max_concurrency=2)
+        with server:
+            warm_query_estimate(server, payload)
+            writer = threading.Thread(
+                target=request_json,
+                args=(server.url + "/add",),
+                kwargs={"method": "POST", "body": {"vectors": base[:1].tolist()}},
+            )
+            writer.start()
+            wait_until(lambda: server.admission.active == 1)
+            thread, _ = query_thread(server, index, payload)
+            assert thread.startswith("net-exec")
+            writer.join(timeout=10)
+            assert not writer.is_alive()
+            # the write acknowledged and its connection closed: reads are
+            # back on the loop
+            wait_until(lambda: not server._connections)
+            thread, _ = query_thread(server, index, payload)
+            assert thread == LOOP_THREAD
+
+    def test_open_writer_connection_keeps_queries_on_executor(self, data):
+        base, queries = data
+        payload = {"vector": queries[1].tolist(), "request": {"k": 3}}
+        server, index = recording_server(base, max_concurrency=2)
+        with server:
+            warm_query_estimate(server, payload)
+            writer = http.client.HTTPConnection(server.host, server.port, timeout=30)
+            try:
+                # a keep-alive writer between two requests: its next write
+                # could arrive while an inline query held the loop
+                writer.request("POST", "/add", body=json.dumps({"vectors": base[:1].tolist()}))
+                assert writer.getresponse().read() and server._writers
+                thread, _ = query_thread(server, index, payload)
+                assert thread.startswith("net-exec")
+                # the same connection reads now: it no longer counts as a writer
+                writer.request("POST", "/query", body=json.dumps(payload))
+                assert json.loads(writer.getresponse().read())["ids"]
+                wait_until(lambda: len(server._connections) == 1)
+                thread, _ = query_thread(server, index, payload)
+                assert thread == LOOP_THREAD
+            finally:
+                writer.close()
+
+    def test_more_connections_than_slots_sends_query_to_executor(self, data, idle_connections):
+        base, queries = data
+        payload = {"vector": queries[2].tolist(), "request": {"k": 3}}
+        server, index = recording_server(base, max_concurrency=2)
+        with server:
+            warm_query_estimate(server, payload)
+            idle_connections(server, 2)
+            # two idle sockets + this request's own > two slots
+            thread, _ = query_thread(server, index, payload)
+            assert thread.startswith("net-exec")
+
+    def test_batch_query_always_runs_on_executor(self, data):
+        base, queries = data
+        payload = {"vector": queries[3].tolist(), "request": {"k": 3}}
+        server, index = recording_server(base)
+        with server:
+            warm_query_estimate(server, payload)
+            status, _ = request_json(
+                server.url + "/batch_query", method="POST",
+                body={"vectors": queries[3:4].tolist(), "request": {"k": 3}},
+            )
+            assert status == 200
+            assert index.threads[-1].startswith("net-exec")
+
+    def test_slow_index_stays_on_executor(self, data):
+        base, queries = data
+        payload = {"vector": queries[4].tolist(), "request": {"k": 3}}
+        # 20 ms per query: four switch intervals
+        server, index = recording_server(base, delay=0.02)
+        with server:
+            for _ in range(12):
+                thread, _ = query_thread(server, index, payload)
+                assert thread.startswith("net-exec")
+            assert server.admission.exec_seconds("query") >= sys.getswitchinterval()
+
+    def test_burst_on_warm_cheap_index_ends_in_typed_responses(self, data):
+        base, queries = data
+        payload = {"vector": queries[5].tolist(), "request": {"k": 3}}
+        server, _ = recording_server(base, max_concurrency=1, queue_limit=1)
+        results = []
+        with server:
+            warm_query_estimate(server, payload)
+            barrier = threading.Barrier(8)
+
+            def one():
+                barrier.wait()
+                results.append(http_call(server.url + "/query", method="POST", body=payload))
+
+            threads = [threading.Thread(target=one) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+                assert not thread.is_alive()
+        # more connections than max_concurrency + queue_limit, and every
+        # one of them got a typed HTTP response
+        assert len(results) == 8
+        for status, headers, body in results:
+            assert status in (200, 429), body
+            if status == 429:
+                assert body["error"]["code"] == "overloaded"
+                assert "Retry-After" in headers
+        assert server.drain_clean is True
 
 
 class TestDrain:

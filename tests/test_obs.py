@@ -21,6 +21,7 @@ The guarantees under test:
 """
 
 import json
+import sys
 import time
 import urllib.error
 import urllib.request
@@ -453,9 +454,30 @@ def tenant_server(data):
 
 
 class TestHttpTracing:
-    def test_one_request_produces_one_retrievable_stage_tree(self, tenant_server, data):
+    @pytest.mark.parametrize("path", ["executor", "inline"])
+    def test_one_request_produces_one_retrievable_stage_tree(
+        self, tenant_server, data, idle_connections, path
+    ):
         _, queries = data
-        body = {"vector": queries[0].tolist(), "request": {"k": 5}}
+        # a vector of its own per path: a cache hit would skip the scan
+        vector = queries[0] if path == "executor" else queries[3]
+        body = {"vector": vector.tolist(), "request": {"k": 5}}
+        server = tenant_server
+        # warm the /query estimate below one switch interval, so only the
+        # connection count decides the path
+        warm = {"vector": queries[4].tolist(), "request": {"k": 5}}
+        for _ in range(200):
+            if server.admission.exec_seconds("query") < sys.getswitchinterval():
+                break
+            request_json(
+                server.url + "/query", method="POST", body=warm,
+                headers={"X-Tenant": "acme"},
+            )
+        # executor: idle sockets fill every slot, so this request's own
+        # connection is one too many; inline: no other connection is open
+        n_idle = server.admission.max_concurrency if path == "executor" else 0
+        idle_connections(server, n_idle)
+        executions_before = dict(server.metrics.query_executions_total)
         wall_start = time.perf_counter()
         status, headers, wire = http_call(
             tenant_server.url + "/query",
@@ -465,6 +487,8 @@ class TestHttpTracing:
         )
         wall_seconds = time.perf_counter() - wall_start
         assert status == 200
+        executions = server.metrics.query_executions_total
+        assert executions[path] == executions_before[path] + 1
         trace_id = headers.get("X-Trace-Id")
         assert trace_id, "traced responses must carry X-Trace-Id"
 
@@ -482,6 +506,7 @@ class TestHttpTracing:
             "execute",
             "tenant.acl_quota",
             "service.search",
+            "shard.scan",
             "quant.scan",
             "quant.rerank",
             "serialize",
@@ -501,6 +526,22 @@ class TestHttpTracing:
         assert sum(s["duration_seconds"] for s in direct) <= (
             root["duration_seconds"] + 1e-3
         )
+        # the same tree on both paths: execute under the root, and the
+        # service, shard and quant spans under execute
+        by_id = {s["span_id"]: s for s in payload["spans"]}
+        execute = next(s for s in payload["spans"] if s["name"] == "execute")
+        assert execute["parent_id"] == root["span_id"]
+
+        def under_execute(row):
+            while row["parent_id"] in by_id:
+                row = by_id[row["parent_id"]]
+                if row is execute:
+                    return True
+            return False
+
+        for row in payload["spans"]:
+            if row["name"].split(".")[0] in ("tenant", "service", "shard", "quant"):
+                assert under_execute(row), row["name"]
 
     def test_debug_traces_listing_and_jsonl_and_unknown_id(self, tenant_server, data):
         _, queries = data
