@@ -16,48 +16,15 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from ..api.protocol import RegisteredIndex
-from ..utils.distances import get_metric, squared_norms, unit_rows
+from ..utils.distances import (
+    get_metric,
+    nearest_columns,
+    nearest_positions,
+    squared_norms,
+    unit_rows,
+)
 from ..utils.exceptions import NotFittedError, ValidationError
 from ..utils.validation import as_float_matrix, as_query_matrix, check_positive_int
-
-
-def _nearest_positions(dists: np.ndarray, k: int) -> np.ndarray:
-    """Positions of the ``k`` smallest ``dists``, nearest first, ties in input order.
-
-    Always ``np.argsort(dists, kind="stable")[:k]``, but only the ``k``
-    selected entries are sorted.  ``argpartition`` picks arbitrarily among
-    entries tied with the ``k``-th smallest, so when the ``k+1``-th smallest
-    ties it the full stable sort decides, as in
-    :meth:`PartitionIndexBase.top_bins`.
-    """
-    if k >= dists.size:
-        return np.argsort(dists, kind="stable")
-    part = np.argpartition(dists, k)
-    top = np.sort(part[:k])
-    chosen = dists[top]
-    if dists[part[k]] <= chosen.max():
-        return np.argsort(dists, kind="stable")[:k]
-    return top[np.argsort(chosen, kind="stable")]
-
-
-def _nearest_columns(dists: np.ndarray, k: int) -> np.ndarray:
-    """:func:`_nearest_positions` of every row of a 2-D ``dists``, by the same rule.
-
-    Always ``np.argsort(dists, axis=1, kind="stable")[:, :k]``.  On a
-    single row it costs ~3× the 1-D version, which is why
-    :func:`rerank_candidates`, called once per query, keeps that one.
-    """
-    if k >= dists.shape[1]:
-        return np.argsort(dists, axis=1, kind="stable")
-    rows = np.arange(dists.shape[0])[:, None]
-    part = np.argpartition(dists, k, axis=1)
-    top = np.sort(part[:, :k], axis=1)
-    chosen = dists[rows, top]
-    nearest = top[rows, np.argsort(chosen, axis=1, kind="stable")]
-    tied = dists[rows[:, 0], part[:, k]] <= chosen.max(axis=1)
-    if tied.any():
-        nearest[tied] = np.argsort(dists[tied], axis=1, kind="stable")[:, :k]
-    return nearest
 
 
 def rerank_candidates(
@@ -87,7 +54,7 @@ def rerank_candidates(
         if candidates.size == 0:
             continue
         dists = metric_fn(queries[i : i + 1], base[candidates])[0]
-        nearest = _nearest_positions(dists, k)
+        nearest = nearest_positions(dists, k)
         out_indices[i, : nearest.size] = candidates[nearest]
         out_distances[i, : nearest.size] = dists[nearest]
     return out_indices, out_distances
@@ -160,7 +127,7 @@ class _BinMajorLayout:
                 np.maximum(dists, 0.0, out=dists)
                 if self.metric == "euclidean":
                     np.sqrt(dists, out=dists)
-            nearest = _nearest_columns(dists, width)
+            nearest = nearest_columns(dists, width)
             columns = rank[:, None] * width + np.arange(nearest.shape[1])
             pool_ids[qi[:, None], columns] = ids[lo:hi][nearest]
             pool_distances[qi[:, None], columns] = dists[np.arange(len(qi))[:, None], nearest]

@@ -8,7 +8,7 @@ distance to every row is a **gather + sum** —
 * :meth:`~repro.ann.ProductQuantizer.distance_tables` builds one
   ``(n_subspaces, n_codewords)`` LUT per query (squared distance of the
   query's sub-vector to every codeword);
-* each scan tile accumulates ``lut[s][codes[start:stop, s]]`` across
+* each scan tile accumulates ``lut[s][codes[rows, s]]`` across
   subspaces into its ``(queries, rows)`` score matrix — pure vectorised
   indexing into ``float32`` tables, never touching a raw vector.
 
@@ -20,7 +20,7 @@ contiguous) so every gather streams sequentially.  A row costs
 
 from __future__ import annotations
 
-from typing import Any, Dict, Mapping, Optional, Tuple
+from typing import Any, Dict, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
@@ -115,19 +115,15 @@ class PqAdcIndex(QuantizedIndexBase):
         return tile_rows(32 * n_queries)
 
     def _tile_scores(
-        self, encoded_queries: np.ndarray, start: int, stop: int
+        self, encoded_queries: np.ndarray, rows: Union[slice, np.ndarray]
     ) -> np.ndarray:
-        """ADC scores of rows ``[start, stop)``: gather each LUT along the codes."""
-        shape = (encoded_queries.shape[0], stop - start)
+        """ADC scores of the tile's ``rows``: gather each LUT along the codes."""
+        codes = self._codes_t[:, rows]
+        shape = (encoded_queries.shape[0], codes.shape[1])
         scores = np.zeros(shape, dtype=np.float32)
         gathered = np.empty(shape, dtype=np.float32)
         for subspace in range(self.n_subspaces):
-            np.take(
-                encoded_queries[:, subspace, :],
-                self._codes_t[subspace, start:stop],
-                axis=1,
-                out=gathered,
-            )
+            np.take(encoded_queries[:, subspace, :], codes[subspace], axis=1, out=gathered)
             scores += gathered
         return scores
 

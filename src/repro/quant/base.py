@@ -2,12 +2,12 @@
 
 Every quantized backend follows the same online shape:
 
-1. **scan** — score *all* rows against each query using only the
-   compressed codes, one tile at a time (subclass hook
+1. **scan** — score every row the query may return against each query
+   using only the compressed codes, one tile at a time (subclass hook
    :meth:`_tile_scores`); the raw vectors are never touched.  A tile is
-   a query range x a row range whose float32 score matrix holds at most
-   :data:`SCAN_TILE` elements, so no full ``(queries, n)`` matrix is
-   ever materialised;
+   a query range x a run of rows whose float32 score matrix holds at
+   most :data:`SCAN_TILE` elements, so no full ``(queries, n)`` matrix
+   is ever materialised;
 2. **over-fetch** — keep the best ``rerank`` candidates per query
    (default ``rerank_factor * k``, the recall/cost knob surfaced as the
    registry's ``probe_parameter``) as a running top-``rerank`` set: the
@@ -15,7 +15,7 @@ Every quantized backend follows the same online shape:
    the rows strictly below the current ``rerank``-th score, merged in
    with one stable sort.  Ties always keep the smallest row id, so the
    candidates are exactly the first ``rerank`` columns of a stable
-   argsort of the full score matrix, whatever the tile shape;
+   argsort of the scores the tiles computed;
 3. **re-rank** — compute exact distances for just those candidates
    against the stored full-precision vectors and return the top ``k``.
 
@@ -25,11 +25,12 @@ The re-rank source is either the resident ``float32`` copy kept from
 faults in only their pages, so a loaded index serves collections whose
 full-precision footprint exceeds resident memory.
 
-Filtering is **inline over code rows**: a resolved boolean mask sets the
-scores of disallowed rows to ``+inf`` before candidate selection, so
-they can never reach the re-rank; when the surviving subset fits inside
-the re-rank budget entirely, the scan is skipped and the subset is
-re-ranked exactly — brute-force-over-subset by construction.
+Filtering **selects before it scores**: a resolved boolean mask becomes
+the ascending list of allowed row ids, and the tiles walk that list, so
+a disallowed row is never scored and can never reach the re-rank.  When
+the allowed subset fits inside the re-rank budget entirely, the scan is
+skipped and the subset is re-ranked exactly — brute-force-over-subset by
+construction.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from __future__ import annotations
 import math
 import os
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
@@ -122,10 +123,10 @@ class QuantizedIndexBase(RegisteredIndex):
       base matrix into compressed codes;
     * :meth:`_encode_queries` — turn (metric-adjusted) queries into the
       operand the tile kernel consumes, one leading row per query;
-    * :meth:`_tile_scores` — approximate float32 scores of the rows
-      ``[start, stop)`` for encoded queries, monotone in distance
-      (smaller = closer) up to a per-query constant, computed from the
-      codes alone;
+    * :meth:`_tile_scores` — approximate float32 scores of a tile's
+      ``rows`` (a ``slice`` of consecutive rows, or an ascending int64
+      id array) for encoded queries, monotone in distance (smaller =
+      closer) up to a per-query constant, computed from the codes alone;
     * :meth:`_tile_rows` — rows per tile for a query count, from the
       float32 elements one row of a tile costs the kernel;
     * :meth:`_codec_state` / :meth:`_restore_codec` — persistence of the
@@ -161,7 +162,7 @@ class QuantizedIndexBase(RegisteredIndex):
         raise NotImplementedError
 
     def _tile_scores(
-        self, encoded_queries: np.ndarray, start: int, stop: int
+        self, encoded_queries: np.ndarray, rows: Union[slice, np.ndarray]
     ) -> np.ndarray:  # pragma: no cover
         raise NotImplementedError
 
@@ -282,23 +283,23 @@ class QuantizedIndexBase(RegisteredIndex):
         only affects which candidates survive the scan.
 
         ``filter=`` (predicate / boolean mask / id allowlist) is applied
-        inline over the code rows: disallowed rows are scored ``+inf``
-        before candidate selection.  When the allowed subset fits inside
-        the budget the scan is skipped entirely and the subset is
-        re-ranked exactly.
+        before the scan: only the allowed rows are scored.  When the
+        allowed subset fits inside the budget the scan is skipped
+        entirely and the subset is re-ranked exactly.
         """
         self._require_built()
         queries = as_query_matrix(np.atleast_2d(queries), self.dim)
         k = min(check_positive_int(k, "k"), self.n_points)
         budget = self._rerank_budget(k, rerank)
         n_queries = queries.shape[0]
-        mask = None
+        allowed = None
         if filter is not None:
             from ..filter.planner import filter_row_count, resolve_filter
 
             mask = resolve_filter(filter, self, filter_row_count(self))
-        if mask is not None:
-            allowed = np.flatnonzero(mask)
+            if mask is not None:
+                allowed = np.flatnonzero(mask)
+        if allowed is not None:
             if allowed.size == 0:
                 return (
                     np.full((n_queries, k), -1, dtype=np.int64),
@@ -322,12 +323,12 @@ class QuantizedIndexBase(RegisteredIndex):
                     )
         with span(
             "quant.scan",
-            rows=int(self.n_points),
             budget=int(budget),
             kernel=getattr(type(self), "_registry_name", type(self).__name__),
         ) as scan_span:
-            candidates, tiles, survivors = self._scan(queries, budget, mask)
-            scan_span.set(tiles=tiles, survivors=survivors)
+            candidates, tiles, survivors = self._scan(queries, budget, allowed)
+            scanned = self.n_points if allowed is None else allowed.size
+            scan_span.set(rows=int(scanned) if tiles else 0, tiles=tiles, survivors=survivors)
         with span(
             "quant.rerank",
             candidates=int(budget),
@@ -338,50 +339,47 @@ class QuantizedIndexBase(RegisteredIndex):
             )
 
     def _scan(
-        self, queries: np.ndarray, budget: int, mask: Optional[np.ndarray]
+        self, queries: np.ndarray, budget: int, allowed: Optional[np.ndarray]
     ) -> Tuple[np.ndarray, int, int]:
         """Stage 1: top-``budget`` candidate rows per query, by code scores.
 
-        Returns ``(ids, tiles, survivors)``: ``ids`` is ``(queries,
-        budget)`` in (score, row id) order — the first ``budget`` columns
-        of a stable argsort of the full score matrix — ``tiles`` counts the
-        tiles scored and ``survivors`` the rows that passed a tile's
-        selection threshold.  Tiles whose rows the mask disallows entirely
-        are never scored.
+        ``allowed`` is ``None`` (every row) or the ascending ids of the rows
+        a filter allows; only those rows are scored, ``row_step`` of them
+        per tile.  Returns ``(ids, tiles, survivors)``: ``ids`` is
+        ``(queries, budget)`` in (score, row id) order — the first
+        ``budget`` columns of a stable argsort of the scored rows — ``tiles``
+        counts the tiles scored and ``survivors`` the rows that passed a
+        tile's selection threshold.
         """
-        n = self.n_points
+        n = self.n_points if allowed is None else allowed.size
         n_queries = queries.shape[0]
         if budget >= n:
-            ids = np.broadcast_to(np.arange(n, dtype=np.int64), (n_queries, n))
-            return ids, 0, 0
+            ids = np.arange(n, dtype=np.int64) if allowed is None else allowed
+            return np.broadcast_to(ids, (n_queries, n)), 0, 0
         adjusted = self._encode_input(queries)
         # Query ranges stop at sqrt(SCAN_TILE) so a tile is never much
         # narrower than it is tall.
         query_step = min(n_queries, math.isqrt(SCAN_TILE))
         row_step = self._tile_rows(query_step)
+        # Selection runs on positions in the scanned row list; allowed ids
+        # ascend, so position order is id order and the tie rule holds.
         out = np.empty((n_queries, budget), dtype=np.int64)
         tiles = survivors = 0
         for q_start, q_stop in iter_blocks(n_queries, query_step):
             encoded = self._encode_queries(adjusted[q_start:q_stop])
             rows = q_stop - q_start
-            # Top-budget per query as of the last merge, (scores, ids) in
-            # (score, row id) order, and the survivors found since.  Merging
-            # only once the survivors could refill every query keeps the
-            # merge count logarithmic in the tiles; the stale bound just
+            # Top-budget per query as of the last merge, (scores, positions)
+            # in (score, position) order, and the survivors found since.
+            # Merging only once the survivors could refill every query keeps
+            # the merge count logarithmic in the tiles; the stale bound just
             # lets a few more rows through.
             best = None
             pending: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
             pending_size = 0
             for start, stop in iter_blocks(n, row_step):
-                blocked = None
-                if mask is not None:
-                    blocked = np.flatnonzero(~mask[start:stop])
-                    if blocked.size == stop - start:
-                        continue
-                scores = self._tile_scores(encoded, start, stop)
+                tile = slice(start, stop) if allowed is None else allowed[start:stop]
+                scores = self._tile_scores(encoded, tile)
                 tiles += 1
-                if blocked is not None and blocked.size:
-                    scores[:, blocked] = np.inf
                 width = stop - start
                 if best is None and width >= budget:
                     # Seed: each query's budget-th score in this tile bounds
@@ -422,6 +420,8 @@ class QuantizedIndexBase(RegisteredIndex):
             if pending:
                 best = _merge_top(best, pending, rows, budget)
             out[q_start:q_stop] = best[1]
+        if allowed is not None:
+            out = allowed[out]
         return out, tiles, survivors
 
     # ------------------------------------------------------------------ #

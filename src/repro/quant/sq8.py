@@ -28,7 +28,7 @@ test-suite pins the kernel against.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Mapping, Tuple
+from typing import Any, Dict, Mapping, Tuple, Union
 
 import numpy as np
 
@@ -137,12 +137,12 @@ class Sq8Index(QuantizedIndexBase):
         return tile_rows(max(n_queries, 8 * self.dim))
 
     def _tile_scores(
-        self, encoded_queries: np.ndarray, start: int, stop: int
+        self, encoded_queries: np.ndarray, rows: Union[slice, np.ndarray]
     ) -> np.ndarray:
-        """``||x̂||² - 2 q·(x̂ - offset)`` for rows ``[start, stop)``."""
-        block = self._codes[start:stop].astype(np.float32)
+        """``||x̂||² - 2 q·(x̂ - offset)`` for the tile's ``rows``."""
+        block = self._codes[rows].astype(np.float32)
         scores = encoded_queries @ block.T
-        scores += self._code_norms[start:stop]
+        scores += self._code_norms[rows]
         return scores
 
     # ------------------------------------------------------------------ #

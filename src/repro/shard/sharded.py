@@ -496,11 +496,13 @@ class ShardedIndex(RegisteredIndex):
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Exact global top-k over per-shard results.
 
-        Exactly equidistant candidates are ordered by smallest id — a
-        deterministic tie-break a monolithic scan does not promise (its
-        tie order falls out of ``argpartition``), so result *sets* always
-        match an unsharded index but tie *ordering* can differ on data
-        containing duplicate vectors.
+        Exactly equidistant candidates are ordered by smallest id.  That
+        holds for the whole answer as long as every part kept the
+        smallest ids among its own ties — as the brute-force scans of
+        shards and of the pending buffer (``pairwise_topk``) do.  A shard
+        backend that breaks ties otherwise still yields the same result
+        *set* as an unsharded index on continuous data, but on duplicate
+        vectors its tie order decides which copies reach the merge.
         """
         if not parts:
             return (

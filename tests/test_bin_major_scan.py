@@ -32,7 +32,12 @@ import repro.core.base as core_base
 from repro.api import RegisteredIndex, get_spec, load_index, make_index
 from repro.core import PartitionIndexBase, rerank_candidates
 from repro.datasets import sift_like
-from repro.utils.distances import get_metric, squared_euclidean
+from repro.utils.distances import (
+    get_metric,
+    nearest_columns,
+    nearest_positions,
+    squared_euclidean,
+)
 from test_api_registry import TINY_PARAMS
 
 METRICS = ("euclidean", "sqeuclidean", "cosine")
@@ -228,9 +233,9 @@ def test_saved_index_has_no_layout_and_answers_the_same(data, name, tmp_path):
 def test_selection_is_the_stable_argsort(dists, k):
     # few distinct values: ties inside the top k and at its boundary
     expected = np.argsort(dists, axis=1, kind="stable")[:, :k]
-    np.testing.assert_array_equal(core_base._nearest_columns(dists, k), expected)
+    np.testing.assert_array_equal(nearest_columns(dists, k), expected)
     for row, want in zip(dists, expected):
-        np.testing.assert_array_equal(core_base._nearest_positions(row, k), want)
+        np.testing.assert_array_equal(nearest_positions(row, k), want)
 
 
 def _hand_index(sizes, metric="euclidean"):

@@ -17,11 +17,13 @@ The central guarantees:
 * **kernel fidelity** — ``distance_tables`` batched == single-query,
   and the int32 reference kernel is exact on the code grid;
 * **tiled selection** — stage 1 returns exactly the first ``budget``
-  columns of a stable argsort of the full score matrix for any tile
-  shape, budget and filter mask, so ties keep the smallest row ids.
+  columns of a stable argsort of the scores of the allowed rows for any
+  tile shape, budget and filter mask, so ties keep the smallest row ids;
+  a filtered scan scores each allowed row once and no other row.
 """
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -34,7 +36,7 @@ from repro.eval import recall_at_k
 from repro.quant import Sq8Index, VectorStore
 from repro.quant import base as quant_base
 from repro.quant.memmap_store import HEADER_FILE, VECTORS_FILE
-from repro.utils.distances import get_metric, pairwise_topk
+from repro.utils.distances import get_metric, iter_blocks, pairwise_topk
 from repro.utils.exceptions import (
     ConfigurationError,
     SerializationError,
@@ -483,7 +485,7 @@ class TestKernels:
         q8 = grid.quantize_queries(query)[0]
         operand = q8.astype(np.float32)[None, :]
         tiled = np.concatenate(
-            [grid._tile_scores(operand, start, min(start + 64, 300)) for start in range(0, 300, 64)],
+            [grid._tile_scores(operand, slice(start, start + 64)) for start in range(0, 300, 64)],
             axis=1,
         )
         np.testing.assert_array_equal(tiled[0] - grid._code_norms, grid.int32_dot(query))
@@ -496,7 +498,7 @@ class TestKernels:
         base = rng.normal(size=(150, 12))
         index = Sq8Index().build(base)
         queries = rng.normal(size=(4, 12))
-        scores = index._tile_scores(index._encode_queries(queries), 0, 150)
+        scores = index._tile_scores(index._encode_queries(queries), slice(0, 150))
         decoded = index._codec.decode(index._codes)
         exact = get_metric("sqeuclidean")(queries, decoded)
         q_norms = np.einsum("ij,ij->i", queries, queries)
@@ -567,37 +569,93 @@ def _mask_for(kind, n, rng):
 # tiled stage 1: selection, tie-break and counters
 # ---------------------------------------------------------------------- #
 class TestTiledScan:
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=60, deadline=None)
     @given(
         seed=st.integers(min_value=0, max_value=2**16),
         backend=st.sampled_from(sorted(QUANT_BACKENDS)),
         tile=st.sampled_from([256, 4096, 1 << 21]),
         budget_kind=st.sampled_from(["small", "wide", "n-1"]),
         mask_kind=st.sampled_from(["none", "random", "blank-tiles", "sparse-first-tile"]),
+        data=st.sampled_from(["grid", "float-1", "float-7"]),
     )
     def test_selection_matches_stable_argsort_of_full_scores(
-        self, seed, backend, tile, budget_kind, mask_kind
+        self, seed, backend, tile, budget_kind, mask_kind, data
     ):
         # SCAN_TILE=256 leaves 1-4 rows per tile, fewer than any budget.
         rng = np.random.default_rng(seed)
         n, dim = 150, 8
-        base = _grid_base(rng, n, dim)
-        queries = rng.integers(0, 8, size=(4, dim)).astype(np.float64)
+        if data == "grid":
+            base = _grid_base(rng, n, dim)
+            queries = rng.integers(0, 8, size=(4, dim)).astype(np.float64)
+        else:
+            base = rng.normal(size=(n, dim))
+            queries = rng.normal(size=(int(data.split("-")[1]), dim))
         index = _build(backend, base)
         budget = {"small": 3, "wide": 17, "n-1": n - 1}[budget_kind]
         mask = _mask_for(mask_kind, n, rng)
         # batch_query re-ranks a subset that fits the budget without a scan
         assume(mask is None or mask.sum() > budget)
+        allowed = None if mask is None else np.flatnonzero(mask)
         encoded = index._encode_queries(index._encode_input(queries))
-        full = index._tile_scores(encoded, 0, n)
-        if mask is not None:
-            full[:, ~mask] = np.inf
-        expected = np.argsort(full, axis=1, kind="stable")[:, :budget]
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(quant_base, "SCAN_TILE", tile)
-            ids, tiles, survivors = index._scan(queries, budget, mask)
+            ids, tiles, survivors = index._scan(queries, budget, allowed)
+            step = index._tile_rows(min(len(queries), math.isqrt(tile)))
+        if data == "grid":
+            # exact integer scores: every tile shape gives the same bits,
+            # so the reference is the whole unmasked score matrix
+            full = index._tile_scores(encoded, slice(0, n))
+            if mask is not None:
+                full[:, ~mask] = np.inf
+            expected = np.argsort(full, axis=1, kind="stable")[:, :budget]
+        else:
+            # float scores round by tile shape (a one-row SGEMV by a row's
+            # place in its tile), so the reference scores the allowed rows
+            # in the scan's own tiles
+            scanned = np.arange(n) if allowed is None else allowed
+            scored = np.hstack(
+                [
+                    index._tile_scores(
+                        encoded,
+                        slice(start, stop) if allowed is None else allowed[start:stop],
+                    )
+                    for start, stop in iter_blocks(scanned.size, step)
+                ]
+            )
+            expected = scanned[np.argsort(scored, axis=1, kind="stable")[:, :budget]]
         np.testing.assert_array_equal(ids, expected)
         assert tiles >= 1 and survivors >= budget * len(queries)
+
+    @pytest.mark.parametrize("backend", sorted(QUANT_BACKENDS))
+    def test_filtered_scan_scores_only_allowed_rows(self, backend, monkeypatch):
+        # A 16,384-element tile takes 128 queries at a time (4 pq-adc or
+        # 128 sq8 rows per tile), so 150 queries make two query blocks;
+        # each must score every allowed row exactly once and never a
+        # disallowed one.
+        monkeypatch.setattr(quant_base, "SCAN_TILE", 16_384)
+        rng = np.random.default_rng(9)
+        n, dim = 300, 8
+        index = _build(backend, rng.normal(size=(n, dim)))
+        queries = rng.normal(size=(150, dim))
+        mask = rng.random(n) < 0.3
+        mask[:50] = False
+        allowed = np.flatnonzero(mask)
+        scored = []
+        tile_scores = index._tile_scores
+
+        def spy(encoded, rows):
+            scored.append((encoded.shape[0], np.arange(n)[rows]))
+            return tile_scores(encoded, rows)
+
+        monkeypatch.setattr(index, "_tile_scores", spy)
+        ids, _ = index.batch_query(queries, 5, rerank=20, filter=mask)
+        assert np.isin(ids, allowed).all()
+        blocks = {}
+        for query_rows, rows in scored:
+            blocks.setdefault(query_rows, []).append(rows)
+        assert sorted(blocks) == [22, 128]
+        for tiles in blocks.values():
+            np.testing.assert_array_equal(np.concatenate(tiles), allowed)
 
     def test_scan_span_carries_deterministic_counters(self, monkeypatch):
         from repro.obs import Tracer, TracingConfig, activate, deactivate
@@ -619,7 +677,24 @@ class TestTiledScan:
         payload = tracer.finish(trace)
         (scan,) = [s for s in payload["spans"] if s["name"] == "quant.scan"]
         # exact integer scores make both counters machine-independent
+        assert scan["attributes"]["rows"] == 2000
         assert scan["attributes"]["tiles"] == 16
         assert scan["attributes"]["survivors"] == 1234
         assert scan["attributes"]["budget"] == 40
         assert index._scan(queries, 40, None)[1:] == (16, 1234)
+
+        # A filter shrinks the scan to its allowed rows: 1,000 of them make
+        # 8 tiles of 128.
+        mask = np.arange(2000) % 2 == 1
+        trace = tracer.begin("test.root")
+        token = activate(trace)
+        try:
+            index.batch_query(queries, 10, filter=mask)
+        finally:
+            deactivate(token)
+        payload = tracer.finish(trace)
+        (scan,) = [s for s in payload["spans"] if s["name"] == "quant.scan"]
+        assert scan["attributes"]["rows"] == 1000
+        assert scan["attributes"]["tiles"] == 8
+        assert scan["attributes"]["survivors"] == 1053
+        assert index._scan(queries, 40, np.flatnonzero(mask))[1:] == (8, 1053)

@@ -5,10 +5,8 @@ The central guarantees:
 * **merge correctness** — a ``ShardedIndex`` over ``bruteforce`` shards
   returns exactly the neighbours a single ``bruteforce`` index returns
   on the concatenated data, for any shard count and metric (property
-  test over random datasets; continuous random vectors make exact
-  distance ties measure-zero — on data with duplicate vectors the merge
-  guarantees the same neighbour *set* with ids-ascending tie order,
-  while a monolithic scan's tie order is arbitrary);
+  test over random datasets); on duplicate vectors, shards and the
+  pending buffer alike keep the smallest ids among equidistant rows;
 * **mutability** — ``add`` / ``remove`` / ``compact`` change query
   results immediately, keep global ids stable, and survive save/load;
 * **deployment persistence** — a sharded deployment round-trips through
@@ -293,6 +291,22 @@ class TestMutation:
         assert mutable_index.n_pending == 0 and mutable_index.n_tombstones == 0
         recompacted, _ = mutable_index.batch_query(shard_dataset.queries, 10)
         np.testing.assert_array_equal(expected, recompacted)
+
+    def test_pending_duplicates_keep_the_smallest_ids(self, mutable_index, shard_dataset):
+        """Copies of one vector in the pending buffer tie; the smallest ids win."""
+        rng = np.random.default_rng(2)
+        # Integer coordinates keep every copy's distance exactly 0.0, and
+        # nothing built is as close.
+        vector = np.round(shard_dataset.base.max(axis=0)) + 10.0
+        added = np.repeat(vector[None, :], 40, axis=0)
+        noise = rng.permutation(40)[:15]
+        added[noise] += rng.normal(size=(15, shard_dataset.dim))
+        new_ids = mutable_index.add(added)
+        copies = np.delete(new_ids, noise)
+        for k in (1, 4, 10, 24, 25):
+            ids, distances = mutable_index.batch_query(vector, k)
+            np.testing.assert_array_equal(ids[0], copies[:k])
+            assert (distances[0] == 0.0).all()
 
     def test_many_small_adds_stay_exact_through_store_growth(self, shard_dataset):
         """Streaming one-row add() calls (amortised store growth) stay exact."""

@@ -140,6 +140,22 @@ class TestPairwiseTopk:
         idx_b, _ = pairwise_topk(queries, points, 4, block_size=1000)
         np.testing.assert_array_equal(idx_a, idx_b)
 
+    def test_ties_keep_the_smallest_ids(self):
+        # 30 copies of one row tie at the k-th distance: the answer is the
+        # first k columns of a stable argsort, so the smallest ids win.
+        rng = np.random.default_rng(8)
+        for trial in range(50):
+            points = rng.normal(size=(60, 4))
+            copies = rng.choice(60, size=30, replace=False)
+            points[copies] = points[copies[0]]
+            queries = np.vstack([points[copies[0]], rng.normal(size=(3, 4))])
+            for k in (1, 5, 29, 31):
+                idx, dist = pairwise_topk(queries, points, k)
+                full = euclidean(queries, points)
+                expected = np.argsort(full, axis=1, kind="stable")[:, :k]
+                np.testing.assert_array_equal(idx, expected)
+                np.testing.assert_array_equal(dist, np.take_along_axis(full, expected, axis=1))
+
     @settings(max_examples=25, deadline=None)
     @given(
         arrays(np.float64, (12, 3), elements=st.floats(-100, 100)),
