@@ -16,14 +16,9 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from ..api.protocol import RegisteredIndex
-from ..utils.distances import (
-    get_metric,
-    nearest_columns,
-    nearest_positions,
-    squared_norms,
-    unit_rows,
-)
+from ..utils.distances import get_metric, squared_norms, unit_rows
 from ..utils.exceptions import NotFittedError, ValidationError
+from ..utils.topk import select
 from ..utils.validation import as_float_matrix, as_query_matrix, check_positive_int
 
 
@@ -54,7 +49,7 @@ def rerank_candidates(
         if candidates.size == 0:
             continue
         dists = metric_fn(queries[i : i + 1], base[candidates])[0]
-        nearest = nearest_positions(dists, k)
+        nearest = select(dists, k)
         out_indices[i, : nearest.size] = candidates[nearest]
         out_distances[i, : nearest.size] = dists[nearest]
     return out_indices, out_distances
@@ -127,13 +122,13 @@ class _BinMajorLayout:
                 np.maximum(dists, 0.0, out=dists)
                 if self.metric == "euclidean":
                     np.sqrt(dists, out=dists)
-            nearest = nearest_columns(dists, width)
+            nearest = select(dists, width)
             columns = rank[:, None] * width + np.arange(nearest.shape[1])
             pool_ids[qi[:, None], columns] = ids[lo:hi][nearest]
             pool_distances[qi[:, None], columns] = dists[np.arange(len(qi))[:, None], nearest]
         if n_probes == 1:  # one block per query: already the answer
             return pool_ids, pool_distances
-        order = np.argsort(pool_distances, axis=1, kind="stable")[:, :k]
+        order = select(pool_distances, k)
         return np.take_along_axis(pool_ids, order, axis=1), np.take_along_axis(
             pool_distances, order, axis=1
         )
@@ -247,33 +242,8 @@ class PartitionIndexBase(RegisteredIndex):
         return np.argsort(-scores, axis=1, kind="stable")
 
     def top_bins(self, queries: np.ndarray, n_probes: int) -> np.ndarray:
-        """The ``n_probes`` most probable bins per query, best first.
-
-        Online-phase hot path: selects the top bins with ``argpartition``
-        (O(m) per query) and only orders that small subset, instead of
-        sorting all ``m`` bin scores as :meth:`ranked_bins` does.  The
-        result is always identical to ``ranked_bins(...)[:, :n_probes]``:
-        rows whose selection boundary falls inside a run of tied scores
-        (where argpartition's choice is arbitrary) fall back to the full
-        stable sort so ties keep resolving towards the lower bin id.
-        """
-        scores = self.bin_scores(queries)
-        n_bins = scores.shape[1]
-        n_probes = min(int(n_probes), n_bins)
-        if n_probes >= n_bins:
-            return np.argsort(-scores, axis=1, kind="stable")
-        top = np.argpartition(-scores, n_probes - 1, axis=1)[:, :n_probes]
-        top.sort(axis=1)
-        top_scores = np.take_along_axis(scores, top, axis=1)
-        order = np.argsort(-top_scores, axis=1, kind="stable")
-        ranked = np.take_along_axis(top, order, axis=1)
-        threshold = np.take_along_axis(scores, ranked[:, -1:], axis=1)
-        ambiguous = (scores >= threshold).sum(axis=1) > n_probes
-        if ambiguous.any():
-            ranked[ambiguous] = np.argsort(
-                -scores[ambiguous], axis=1, kind="stable"
-            )[:, :n_probes]
-        return ranked
+        """``ranked_bins(queries)[:, :n_probes]``, without ranking every bin."""
+        return select(-self.bin_scores(queries), n_probes)
 
     def candidate_sets(self, queries: np.ndarray, n_probes: int = 1) -> List[np.ndarray]:
         """Candidate point indices for each query from its top ``n_probes`` bins."""

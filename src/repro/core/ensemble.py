@@ -21,6 +21,7 @@ from ..api.registry import register_index
 from ..utils.exceptions import NotFittedError
 from ..utils.rng import spawn_rngs
 from ..utils.timing import Stopwatch
+from ..utils.topk import select
 from ..utils.validation import as_float_matrix, as_query_matrix, check_positive_int
 from .base import rerank_candidates
 from .config import EnsembleConfig, UspConfig
@@ -193,14 +194,13 @@ class UspEnsembleIndex(RegisteredIndex):
                 for i in range(queries.shape[0])
             ]
         # One model pass per member gives both its confidence and its bin
-        # ranking; buckets are gathered from the chosen member only.  The
-        # stable sort is what ``top_bins`` is defined to equal.
+        # ranking; buckets are gathered from the chosen member only.
         scores = [member.bin_scores(queries) for member in self.members]
         best = np.column_stack([s.max(axis=1) for s in scores]).argmax(axis=1)
         candidates: List[np.ndarray] = [np.empty(0, dtype=np.int64)] * queries.shape[0]
         for m, member in enumerate(self.members):
             chosen = np.flatnonzero(best == m)
-            ranked = np.argsort(-scores[m][chosen], axis=1, kind="stable")[:, :n_probes]
+            ranked = select(-scores[m][chosen], n_probes)
             for i, bins in zip(chosen, ranked):
                 candidates[i] = np.concatenate([member.points_in_bin(b) for b in bins])
         return candidates

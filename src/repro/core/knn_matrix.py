@@ -22,6 +22,7 @@ import numpy as np
 
 from ..utils.distances import iter_blocks, pairwise_topk
 from ..utils.exceptions import ValidationError
+from ..utils.topk import select
 from ..utils.validation import as_float_matrix, check_positive_int
 
 
@@ -93,7 +94,7 @@ def _nearest_by_exact_distance(
         cand = candidates[start:stop]
         diff = points[cand] - points[rows[start:stop], None, :]
         dist = np.einsum("rcd,rcd->rc", diff, diff)
-        order = np.argsort(dist, axis=1, kind="stable")[:, :k]
+        order = select(dist, k)
         ids[start:stop] = np.take_along_axis(cand, order, axis=1)
         squared[start:stop] = np.take_along_axis(dist, order, axis=1)
     return ids, squared

@@ -10,10 +10,9 @@
   thread (BLAS already uses the cores inside each scan) and gather with an
   exact global top-k merge over the shard-local results (re-ranked
   distances, local ids remapped to global ids), so a sharded exact
-  backend returns exactly what the unsharded backend would — identically
-  on duplicate-free data; among *exactly* equidistant neighbours the
-  merge breaks ties deterministically by smallest id, whereas a single
-  brute-force scan's tie order is an argpartition artefact;
+  backend returns exactly what the unsharded backend would; *exactly*
+  equidistant neighbours go to the smallest id, as in a single
+  brute-force scan (:func:`~repro.utils.topk.merge`);
 * the index is *mutable*: ``add`` appends vectors to an exactly-scanned
   pending buffer, ``remove`` tombstones ids, and ``compact`` folds both
   back into freshly rebuilt shards once they pass a threshold — the
@@ -37,6 +36,7 @@ from ..obs.trace import span
 from ..api.registry import get_spec, register_index
 from ..utils.distances import pairwise_topk
 from ..utils.exceptions import ConfigurationError, NotFittedError, ValidationError
+from ..utils.topk import merge
 from ..utils.validation import as_float_matrix, as_query_matrix, check_positive_int
 from .partitioner import Partitioner, make_partitioner, partitioner_from_state
 
@@ -494,42 +494,16 @@ class ShardedIndex(RegisteredIndex):
         n_queries: int,
         k: int,
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Exact global top-k over per-shard results.
-
-        Exactly equidistant candidates are ordered by smallest id.  That
-        holds for the whole answer as long as every part kept the
-        smallest ids among its own ties — as the brute-force scans of
-        shards and of the pending buffer (``pairwise_topk``) do.  A shard
-        backend that breaks ties otherwise still yields the same result
-        *set* as an unsharded index on continuous data, but on duplicate
-        vectors its tie order decides which copies reach the merge.
-        """
+        """Exact global top-k over per-shard results; tombstoned or padded entries never win."""
         if not parts:
-            return (
-                np.full((n_queries, k), -1, dtype=np.int64),
-                np.full((n_queries, k), np.inf),
-            )
+            return np.full((n_queries, k), -1, dtype=np.int64), np.full((n_queries, k), np.inf)
         ids = np.hstack([part[0] for part in parts]).astype(np.int64, copy=False)
         distances = np.hstack([np.asarray(part[1], dtype=np.float64) for part in parts])
-        # Tombstoned or padded entries never win the merge.
         invalid = (ids < 0) | ~self._alive[np.clip(ids, 0, self._alive.shape[0] - 1)]
         if invalid.any():
             ids = np.where(invalid, -1, ids)
             distances = np.where(invalid, np.inf, distances)
-        if ids.shape[1] < k:
-            pad = k - ids.shape[1]
-            ids = np.pad(ids, ((0, 0), (0, pad)), constant_values=-1)
-            distances = np.pad(distances, ((0, 0), (0, pad)), constant_values=np.inf)
-        # Stable two-pass sort: order by id first, then by distance, which
-        # yields ascending distance with deterministic id tie-breaks.
-        by_id = np.argsort(ids, axis=1, kind="stable")
-        ids = np.take_along_axis(ids, by_id, axis=1)
-        distances = np.take_along_axis(distances, by_id, axis=1)
-        by_distance = np.argsort(distances, axis=1, kind="stable")[:, :k]
-        return (
-            np.take_along_axis(ids, by_distance, axis=1),
-            np.take_along_axis(distances, by_distance, axis=1),
-        )
+        return merge(ids, distances, k)
 
     def batch_query(
         self,

@@ -12,6 +12,8 @@ from typing import Callable, Iterator, Tuple
 
 import numpy as np
 
+from .topk import select
+
 #: Default number of rows per block for blocked pairwise computations.
 DEFAULT_BLOCK_SIZE = 1024
 
@@ -89,46 +91,6 @@ def iter_blocks(n: int, block_size: int = DEFAULT_BLOCK_SIZE) -> Iterator[Tuple[
         yield start, min(start + block_size, n)
 
 
-def nearest_positions(dists: np.ndarray, k: int) -> np.ndarray:
-    """Positions of the ``k`` smallest ``dists``, nearest first, ties in input order.
-
-    Always ``np.argsort(dists, kind="stable")[:k]``, but only the ``k``
-    selected entries are sorted.  ``argpartition`` picks arbitrarily among
-    entries tied with the ``k``-th smallest, so when the ``k+1``-th smallest
-    ties it the full stable sort decides, as in
-    :meth:`repro.core.base.PartitionIndexBase.top_bins`.
-    """
-    if k >= dists.size:
-        return np.argsort(dists, kind="stable")
-    part = np.argpartition(dists, k)
-    top = np.sort(part[:k])
-    chosen = dists[top]
-    if dists[part[k]] <= chosen.max():
-        return np.argsort(dists, kind="stable")[:k]
-    return top[np.argsort(chosen, kind="stable")]
-
-
-def nearest_columns(dists: np.ndarray, k: int) -> np.ndarray:
-    """:func:`nearest_positions` of every row of a 2-D ``dists``, by the same rule.
-
-    Always ``np.argsort(dists, axis=1, kind="stable")[:, :k]``.  On a
-    single row it costs ~3× the 1-D version, which is why
-    :func:`repro.core.base.rerank_candidates`, called once per query,
-    keeps that one.
-    """
-    if k >= dists.shape[1]:
-        return np.argsort(dists, axis=1, kind="stable")
-    rows = np.arange(dists.shape[0])[:, None]
-    part = np.argpartition(dists, k, axis=1)
-    top = np.sort(part[:, :k], axis=1)
-    chosen = dists[rows, top]
-    nearest = top[rows, np.argsort(chosen, axis=1, kind="stable")]
-    tied = dists[rows[:, 0], part[:, k]] <= chosen.max(axis=1)
-    if tied.any():
-        nearest[tied] = np.argsort(dists[tied], axis=1, kind="stable")[:, :k]
-    return nearest
-
-
 def pairwise_topk(
     queries: np.ndarray,
     points: np.ndarray,
@@ -159,7 +121,7 @@ def pairwise_topk(
     -------
     (indices, distances):
         Both of shape ``(len(queries), k)``, sorted by increasing distance;
-        equidistant rows keep the smaller index (:func:`nearest_columns`).
+        equidistant rows keep the smaller index (:func:`~repro.utils.topk.select`).
     """
     queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
@@ -177,7 +139,7 @@ def pairwise_topk(
             rows = np.arange(start, stop)
             cols = rows[rows < n_points]
             block[np.arange(cols.shape[0]), cols] = np.inf
-        nearest = nearest_columns(block, k)
+        nearest = select(block, k)
         all_idx[start:stop] = nearest
         all_dist[start:stop] = np.take_along_axis(block, nearest, axis=1)
     return all_idx, all_dist

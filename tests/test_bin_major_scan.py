@@ -26,18 +26,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from hypothesis.extra import numpy as hnp
 
 import repro.core.base as core_base
 from repro.api import RegisteredIndex, get_spec, load_index, make_index
 from repro.core import PartitionIndexBase, rerank_candidates
 from repro.datasets import sift_like
-from repro.utils.distances import (
-    get_metric,
-    nearest_columns,
-    nearest_positions,
-    squared_euclidean,
-)
+from repro.utils.distances import get_metric, squared_euclidean
+from repro.utils.topk import merge, select
 from test_api_registry import TINY_PARAMS
 
 METRICS = ("euclidean", "sqeuclidean", "cosine")
@@ -223,19 +218,43 @@ def test_saved_index_has_no_layout_and_answers_the_same(data, name, tmp_path):
 # ---------------------------------------------------------------------- #
 @settings(max_examples=200, deadline=None)
 @given(
-    dists=hnp.arrays(
-        np.float64,
-        st.tuples(st.integers(1, 4), st.integers(1, 40)),
-        elements=st.integers(0, 4).map(float),
-    ),
+    rows=st.integers(1, 4),
+    # past both whole-sort thresholds: 256 entries in 1-D, 3·k columns in 2-D
+    width=st.integers(0, 40) | st.integers(250, 600),
     k=st.integers(1, 45),
+    levels=st.sampled_from([1, 2, 5, 50, 10_000]),
+    seed=st.integers(0, 2**32 - 1),
 )
-def test_selection_is_the_stable_argsort(dists, k):
+def test_selection_is_the_stable_argsort(rows, width, k, levels, seed):
     # few distinct values: ties inside the top k and at its boundary
+    rng = np.random.default_rng(seed)
+    dists = rng.integers(0, levels, size=(rows, width)).astype(np.float64)
     expected = np.argsort(dists, axis=1, kind="stable")[:, :k]
-    np.testing.assert_array_equal(nearest_columns(dists, k), expected)
+    np.testing.assert_array_equal(select(dists, k), expected)
     for row, want in zip(dists, expected):
-        np.testing.assert_array_equal(nearest_positions(row, k), want)
+        np.testing.assert_array_equal(select(row, k), want)
+
+    # merge: (score, id) order, rows padded with -1 / inf up to k columns
+    ids = np.stack([rng.permutation(2 * width)[:width] for _ in range(rows)])
+    dead = rng.random((rows, width)) < 0.2
+    ids[dead], dists[dead] = -1, np.inf
+    got_ids, got_scores = merge(ids, dists, k)
+    pad = max(0, k - width)
+    for r in range(rows):
+        row_ids = np.concatenate([ids[r], np.full(pad, -1)])
+        row_scores = np.concatenate([dists[r], np.full(pad, np.inf)])
+        order = np.lexsort((row_ids, row_scores))[:k]
+        np.testing.assert_array_equal(got_ids[r], row_ids[order])
+        np.testing.assert_array_equal(got_scores[r], row_scores[order])
+
+    # integer-valued bin scores: top_bins is the head of ranked_bins
+    if width:
+        anchors = rng.integers(0, 3, size=(width, 2)).astype(np.float64)
+        queries = rng.integers(0, 3, size=(rows, 2)).astype(np.float64)
+        index = _HandBins(anchors)
+        np.testing.assert_array_equal(
+            index.top_bins(queries, k), index.ranked_bins(queries)[:, :k]
+        )
 
 
 def _hand_index(sizes, metric="euclidean"):

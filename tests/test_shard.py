@@ -308,6 +308,29 @@ class TestMutation:
             np.testing.assert_array_equal(ids[0], copies[:k])
             assert (distances[0] == 0.0).all()
 
+    def test_copies_across_shards_with_one_tombstoned_match_bruteforce(self):
+        """Copies of one vector in different shards tie across the merge; with
+        one copy removed, the answers are a monolithic scan's over the live rows."""
+        rng = np.random.default_rng(3)
+        # Integer grid coordinates: every distance is exact and many tie.
+        base = rng.integers(0, 3, size=(90, 4)).astype(np.float64)
+        vector = np.full(4, 10.0)  # off the grid: only its copies lie at distance 0
+        base[[5, 40, 41, 70, 88]] = vector  # dealt round-robin to shards 2, 1, 2, 1, 1
+        index = make_index("sharded-bruteforce", n_shards=3, compact_threshold=None).build(base)
+        removed = np.array([41, 12])
+        index.remove(removed)
+        live = np.setdiff1d(np.arange(base.shape[0]), removed)
+        single = make_index("bruteforce").build(base[live])
+        queries = np.vstack([vector, base[:7], rng.integers(0, 3, size=(5, 4))])
+        for k in (1, 3, 4, 10, 30):
+            expected, expected_distances = single.batch_query(queries, k)
+            ids, distances = index.batch_query(queries, k)
+            np.testing.assert_array_equal(ids, live[expected])
+            np.testing.assert_array_equal(distances, expected_distances)
+        ids, distances = index.batch_query(vector, 5)
+        np.testing.assert_array_equal(ids[0, :4], [5, 40, 70, 88])
+        assert (distances[0, :4] == 0.0).all() and distances[0, 4] > 0.0
+
     def test_many_small_adds_stay_exact_through_store_growth(self, shard_dataset):
         """Streaming one-row add() calls (amortised store growth) stay exact."""
         base, extra = shard_dataset.base[:100], shard_dataset.base[100:160]
