@@ -35,8 +35,7 @@ lazily, so ``import repro`` stays cheap):
 
 Naming convention: *indexes build, codecs fit* — every index exposes
 ``build``; the quantizers (:class:`repro.ann.ProductQuantizer`,
-:class:`repro.ann.AnisotropicQuantizer`) keep ``fit``.  The old spellings
-survive as thin aliases that raise :class:`DeprecationWarning`.
+:class:`repro.ann.AnisotropicQuantizer`) keep ``fit``.
 """
 
 from __future__ import annotations

@@ -103,17 +103,6 @@ class AnisotropicQuantizer:
         self.codebooks = codebooks
         return self
 
-    def build(self, points: np.ndarray) -> "AnisotropicQuantizer":
-        """Deprecated alias for :meth:`fit` (codecs fit, indexes build)."""
-        import warnings
-
-        warnings.warn(
-            "AnisotropicQuantizer.build() is deprecated; use fit()",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.fit(points)
-
     def _require_fitted(self) -> None:
         if self.codebooks is None:
             raise NotFittedError("AnisotropicQuantizer has not been fitted yet")

@@ -74,17 +74,6 @@ class ProductQuantizer:
         self.codebooks = codebooks
         return self
 
-    def build(self, points: np.ndarray) -> "ProductQuantizer":
-        """Deprecated alias for :meth:`fit` (codecs fit, indexes build)."""
-        import warnings
-
-        warnings.warn(
-            "ProductQuantizer.build() is deprecated; use fit()",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.fit(points)
-
     def _require_fitted(self) -> None:
         if self.codebooks is None:
             raise NotFittedError("ProductQuantizer has not been fitted yet")

@@ -296,7 +296,6 @@ register_index(
     cls=ScannSearcher,
     capabilities=_SCANN_CAPABILITIES,
     description="Vanilla ScaNN: full anisotropic-quantized scan + re-rank",
-    aliases=("vanilla-scann",),
 )(vanilla_scann)
 
 register_index(
@@ -304,7 +303,6 @@ register_index(
     cls=ScannSearcher,
     capabilities=_SCANN_CAPABILITIES,
     description="K-means partitioning in front of the ScaNN codec",
-    aliases=("scann-kmeans",),
 )(kmeans_scann)
 
 register_index(
@@ -312,5 +310,4 @@ register_index(
     cls=ScannSearcher,
     capabilities=_SCANN_CAPABILITIES,
     description="The paper's USP + ScaNN pipeline (single model or ensemble)",
-    aliases=("scann-usp",),
 )(usp_scann)

@@ -220,9 +220,8 @@ def basic_index_stats(index) -> Dict[str, Any]:
 class RegisteredIndex(PersistentIndexMixin):
     """Mixin inherited by every concrete index class.
 
-    Provides the protocol's ``query()`` and ``stats()``, ``save``/``load``
-    persistence (via :class:`PersistentIndexMixin`), and the deprecated
-    ``fit`` alias kept for callers written against the pre-registry API.
+    Provides the protocol's ``query()`` and ``stats()`` and ``save``/``load``
+    persistence (via :class:`PersistentIndexMixin`).
     """
 
     #: populated by :func:`repro.api.registry.register_index`
@@ -300,12 +299,3 @@ class RegisteredIndex(PersistentIndexMixin):
                 "columns": self._attributes.columns(),
             }
         return stats
-
-    def fit(self, base: np.ndarray, **kwargs):
-        """Deprecated alias for :meth:`build` (indexes build, codecs fit)."""
-        warnings.warn(
-            f"{type(self).__name__}.fit() is deprecated; use build()",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.build(base, **kwargs)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import importlib
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional
 
 from ..utils.exceptions import ConfigurationError
 from .protocol import IndexCapabilities
@@ -31,7 +31,6 @@ _BUILTIN_MODULES: Dict[str, str] = {
     "neural-lsh": "repro.baselines.neural_lsh",
     "regression-lsh": "repro.baselines.neural_lsh",
     "cross-polytope-lsh": "repro.baselines.lsh",
-    "hyperplane-lsh": "repro.baselines.lsh",
     "pca-tree": "repro.baselines.trees",
     "rp-tree": "repro.baselines.trees",
     "kd-tree": "repro.baselines.trees",
@@ -46,8 +45,6 @@ _BUILTIN_MODULES: Dict[str, str] = {
     "usp-scann": "repro.ann.scann",
     "sharded": "repro.shard.sharded",
     "sharded-bruteforce": "repro.shard.sharded",
-    "sharded-kmeans": "repro.shard.sharded",
-    "sharded-ivf": "repro.shard.sharded",
     "sq8": "repro.quant.sq8",
     "pq-adc": "repro.quant.adc",
     "sharded-sq8": "repro.shard.sharded",
@@ -64,11 +61,9 @@ class IndexSpec:
     capabilities: IndexCapabilities
     description: str = ""
     defaults: Mapping[str, Any] = field(default_factory=dict)
-    aliases: Tuple[str, ...] = ()
 
 
 _REGISTRY: Dict[str, IndexSpec] = {}
-_ALIASES: Dict[str, str] = {}
 
 
 def register_index(
@@ -79,7 +74,6 @@ def register_index(
     cls: Optional[type] = None,
     factory: Optional[Callable[..., Any]] = None,
     defaults: Optional[Mapping[str, Any]] = None,
-    aliases: Tuple[str, ...] = (),
 ):
     """Class/factory decorator adding an entry to the index registry.
 
@@ -109,7 +103,6 @@ def register_index(
             capabilities=capabilities or IndexCapabilities(),
             description=description,
             defaults=dict(defaults or {}),
-            aliases=tuple(aliases),
         )
         if name in _REGISTRY and _REGISTRY[name].cls is not spec.cls:
             raise ConfigurationError(
@@ -117,8 +110,6 @@ def register_index(
                 f"{_REGISTRY[name].cls.__name__}"
             )
         _REGISTRY[name] = spec
-        for alias in spec.aliases:
-            _ALIASES[alias] = name
         # The first registration wins: composite entries (e.g. the three
         # ScaNN configurations) share one class and one saved-index name.
         if target_cls.__dict__.get("_registry_name") is None:
@@ -127,10 +118,6 @@ def register_index(
         return target
 
     return decorator
-
-
-def _canonical(name: str) -> str:
-    return _ALIASES.get(name, name)
 
 
 def _ensure_registered(name: str) -> None:
@@ -147,15 +134,14 @@ def _ensure_all_registered() -> None:
 
 
 def get_spec(name: str) -> IndexSpec:
-    """Resolve a registry key (or alias) to its :class:`IndexSpec`."""
-    key = _canonical(name)
-    _ensure_registered(key)
+    """Resolve a registry key to its :class:`IndexSpec`."""
+    _ensure_registered(name)
     try:
-        return _REGISTRY[key]
+        return _REGISTRY[name]
     except KeyError:
         _ensure_all_registered()
-        if _canonical(name) in _REGISTRY:
-            return _REGISTRY[_canonical(name)]
+        if name in _REGISTRY:
+            return _REGISTRY[name]
         known = ", ".join(sorted(set(_REGISTRY) | set(_BUILTIN_MODULES)))
         raise ConfigurationError(
             f"unknown index {name!r}; available indexes: {known}"
@@ -175,7 +161,7 @@ def make_index(name: str, **params):
 
 
 def available_indexes() -> List[str]:
-    """Sorted canonical names of every registered index."""
+    """Sorted names of every registered index."""
     _ensure_all_registered()
     return sorted(_REGISTRY)
 
@@ -187,7 +173,6 @@ def index_info(name: str) -> Dict[str, Any]:
         "name": spec.name,
         "class": spec.cls.__name__,
         "description": spec.description,
-        "aliases": list(spec.aliases),
         "defaults": dict(spec.defaults),
         "capabilities": spec.capabilities.as_dict(),
     }

@@ -3,7 +3,7 @@
 from .kmeans import KMeans, KMeansIndex, KMeansResult, kmeans_plus_plus_init
 from .graph_partition import GraphPartitionResult, partition_knn_graph
 from .neural_lsh import NeuralLshConfig, NeuralLshIndex, RegressionLshIndex
-from .lsh import CrossPolytopeLshIndex, HyperplaneLshIndex
+from .lsh import CrossPolytopeLshIndex
 from .trees import (
     HyperplaneTreeIndex,
     KdTreeIndex,
@@ -24,7 +24,6 @@ __all__ = [
     "NeuralLshIndex",
     "RegressionLshIndex",
     "CrossPolytopeLshIndex",
-    "HyperplaneLshIndex",
     "HyperplaneTreeIndex",
     "KdTreeIndex",
     "PcaTreeIndex",

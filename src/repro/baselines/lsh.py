@@ -1,16 +1,13 @@
-"""Data-oblivious LSH baselines: cross-polytope LSH and hyperplane LSH.
+"""Data-oblivious LSH baseline: cross-polytope LSH (Andoni et al. 2015).
 
-These represent the classical, distribution-independent space partitions
-the paper compares against (and beats): they hash points with random
-projections and therefore cannot adapt their bin boundaries to the data.
+It represents the classical, distribution-independent space partitions the
+paper compares against (and beats): it hashes points with a random
+projection and therefore cannot adapt its bin boundaries to the data.
 
-* :class:`CrossPolytopeLshIndex` — Andoni et al. 2015.  A point is hashed to
-  the index (and sign) of its largest coordinate after a random rotation,
-  giving ``2 * n_projections`` bins.  Multi-probe ranks bins by the signed
-  coordinate values, which is the natural probing sequence.
-* :class:`HyperplaneLshIndex` — classic sign-random-projection hashing with
-  ``n_hyperplanes`` hyperplanes and ``2 ** n_hyperplanes`` bins; multi-probe
-  flips the lowest-margin bits first.
+:class:`CrossPolytopeLshIndex` hashes a point to the index (and sign) of its
+largest coordinate after a random rotation, giving ``2 * n_projections``
+bins.  Multi-probe ranks bins by the signed coordinate values, which is the
+natural probing sequence.
 """
 
 from __future__ import annotations
@@ -114,91 +111,6 @@ class CrossPolytopeLshIndex(PartitionIndexBase):
     def _restore(cls, config, arrays, load_child):
         index = cls(int(config["n_bins"]))
         index._rotation = arrays["rotation"]
-        index._center = arrays["center"]
-        index.build_seconds = float(config.get("build_seconds", 0.0))
-        return index
-
-
-@register_index(
-    "hyperplane-lsh",
-    capabilities=_LSH_CAPABILITIES,
-    description="Sign-random-projection LSH with multi-probe bit flips",
-)
-class HyperplaneLshIndex(PartitionIndexBase):
-    """Sign-random-projection LSH with ``2 ** n_hyperplanes`` bins."""
-
-    def __init__(self, n_hyperplanes: int = 4, *, seed: SeedLike = None) -> None:
-        super().__init__()
-        self.n_hyperplanes = check_positive_int(n_hyperplanes, "n_hyperplanes")
-        if self.n_hyperplanes > 20:
-            raise ValidationError("n_hyperplanes > 20 would create too many bins")
-        self._rng = resolve_rng(seed)
-        self._hyperplanes: Optional[np.ndarray] = None
-        self._center: Optional[np.ndarray] = None
-        self.build_seconds: float = 0.0
-
-    @property
-    def n_bins_requested(self) -> int:
-        return 2**self.n_hyperplanes
-
-    def build(self, base: np.ndarray) -> "HyperplaneLshIndex":
-        import time
-
-        start = time.perf_counter()
-        base = as_float_matrix(base, name="base")
-        self._center = base.mean(axis=0)
-        self._hyperplanes = self._rng.normal(size=(base.shape[1], self.n_hyperplanes))
-        self._hyperplanes /= np.linalg.norm(self._hyperplanes, axis=0, keepdims=True)
-        assignments = self._hash(base)
-        self._finalize_build(base, assignments, self.n_bins_requested)
-        self.build_seconds = time.perf_counter() - start
-        return self
-
-    def _margins(self, points: np.ndarray) -> np.ndarray:
-        return (np.atleast_2d(points) - self._center) @ self._hyperplanes
-
-    def _hash(self, points: np.ndarray) -> np.ndarray:
-        bits = (self._margins(points) > 0).astype(np.int64)
-        weights = 1 << np.arange(self.n_hyperplanes, dtype=np.int64)
-        return bits @ weights
-
-    def bin_scores(self, queries: np.ndarray) -> np.ndarray:
-        """Score bins by how little margin must be flipped to reach them.
-
-        The score of bucket ``b`` for query ``q`` is the negated sum of
-        |margin| over the hyperplanes where ``b`` disagrees with ``q``'s own
-        hash — i.e. the standard multi-probe perturbation ordering.
-        """
-        self._require_built()
-        queries = as_query_matrix(queries, self.dim)
-        margins = self._margins(queries)  # (n_q, h)
-        n_bins = self.n_bins_requested
-        bits = np.zeros((n_bins, self.n_hyperplanes), dtype=np.float64)
-        for plane in range(self.n_hyperplanes):
-            bits[:, plane] = (np.arange(n_bins) >> plane) & 1
-        query_bits = (margins > 0).astype(np.float64)  # (n_q, h)
-        abs_margin = np.abs(margins)
-        # disagreement[i, b, plane] = 1 if bucket b differs from query i's bit.
-        disagreement = np.abs(query_bits[:, None, :] - bits[None, :, :])
-        cost = (disagreement * abs_margin[:, None, :]).sum(axis=2)
-        return -cost
-
-    def num_parameters(self) -> int:
-        self._require_built()
-        return int(self._hyperplanes.size + self._center.size)
-
-    # ------------------------------------------------------------------ #
-    def _extra_state(self):
-        config = {
-            "n_hyperplanes": int(self.n_hyperplanes),
-            "build_seconds": self.build_seconds,
-        }
-        return config, {"hyperplanes": self._hyperplanes, "center": self._center}
-
-    @classmethod
-    def _restore(cls, config, arrays, load_child):
-        index = cls(int(config["n_hyperplanes"]))
-        index._hyperplanes = arrays["hyperplanes"]
         index._center = arrays["center"]
         index.build_seconds = float(config.get("build_seconds", 0.0))
         return index

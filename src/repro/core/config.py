@@ -119,18 +119,10 @@ class EnsembleConfig:
 
     n_models: int = 3
     base: UspConfig = field(default_factory=UspConfig)
-    #: How queries pick candidates: "best" = single most confident model
-    #: (paper's Algorithm 4); "union" = union of every model's candidates
-    #: (extension, higher recall at larger candidate sets).
-    combination: str = "best"
 
     def __post_init__(self) -> None:
         if self.n_models < 1:
             raise ConfigurationError(f"n_models must be >= 1, got {self.n_models}")
-        if self.combination not in ("best", "union"):
-            raise ConfigurationError(
-                f"combination must be 'best' or 'union', got {self.combination!r}"
-            )
 
 
 @dataclass(frozen=True)

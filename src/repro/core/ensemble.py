@@ -6,7 +6,7 @@ multiplied by the number of its ``k'`` nearest neighbours that the model
 separated from it, so later models focus on the points earlier models
 placed badly.  At query time each model reports a confidence (its highest
 bin probability); the candidate set of the most confident model is searched
-(Algorithm 4).  A "union" combination mode is provided as an extension.
+(Algorithm 4).
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 
 from ..api.protocol import IndexCapabilities, RegisteredIndex
 from ..api.registry import register_index
-from ..utils.exceptions import NotFittedError
+from ..utils.exceptions import NotFittedError, SerializationError
 from ..utils.rng import spawn_rngs
 from ..utils.timing import Stopwatch
 from ..utils.topk import select
@@ -54,14 +54,11 @@ def _make_usp_ensemble(
     config: Optional[EnsembleConfig] = None,
     *,
     n_models: int = 3,
-    combination: str = "best",
     **params,
 ) -> "UspEnsembleIndex":
-    """Registry factory: flat USP params plus ``n_models``/``combination``."""
+    """Registry factory: flat USP params plus ``n_models``."""
     if config is None:
-        config = EnsembleConfig(
-            n_models=n_models, base=UspConfig(**params), combination=combination
-        )
+        config = EnsembleConfig(n_models=n_models, base=UspConfig(**params))
     return UspEnsembleIndex(config)
 
 
@@ -95,13 +92,13 @@ class UspEnsembleIndex(RegisteredIndex):
     ) -> None:
         if config is None:
             config = EnsembleConfig(
-                n_models=n_models or 3, base=base_config or UspConfig()
+                n_models=3 if n_models is None else n_models,
+                base=base_config or UspConfig(),
             )
         elif n_models is not None or base_config is not None:
             config = EnsembleConfig(
-                n_models=n_models or config.n_models,
+                n_models=config.n_models if n_models is None else n_models,
                 base=base_config or config.base,
-                combination=config.combination,
             )
         self.config = config
         self.metric = config.base.metric
@@ -183,16 +180,10 @@ class UspEnsembleIndex(RegisteredIndex):
         return self.confidences(queries).argmax(axis=1)
 
     def candidate_sets(self, queries: np.ndarray, n_probes: int = 1) -> List[np.ndarray]:
-        """Candidate set per query, combined across members per the config."""
+        """Candidate set per query from its most confident member (Algorithm 4)."""
         self._require_built()
         queries = as_query_matrix(queries, self.dim)
         check_positive_int(n_probes, "n_probes")
-        if self.config.combination == "union":
-            per_member = [member.candidate_sets(queries, n_probes) for member in self.members]
-            return [
-                np.unique(np.concatenate([per_member[m][i] for m in range(self.n_models)]))
-                for i in range(queries.shape[0])
-            ]
         # One model pass per member gives both its confidence and its bin
         # ranking; buckets are gathered from the chosen member only.
         scores = [member.bin_scores(queries) for member in self.members]
@@ -236,7 +227,6 @@ class UspEnsembleIndex(RegisteredIndex):
     def _state(self):
         config = {
             "n_models": int(len(self.members)),
-            "combination": self.config.combination,
             "base": asdict(self.config.base),
             "build_seconds": self.build_seconds,
         }
@@ -248,10 +238,16 @@ class UspEnsembleIndex(RegisteredIndex):
 
     @classmethod
     def _from_state(cls, config, arrays, load_child):
+        # Older saves record the query mode; only Algorithm 4's "best" remains.
+        mode = config.get("combination", "best")
+        if mode != "best":
+            raise SerializationError(
+                f"saved ensemble uses the removed {mode!r} combination mode; "
+                "only the most-confident-member query ('best') is supported"
+            )
         ensemble_config = EnsembleConfig(
             n_models=int(config["n_models"]),
             base=UspConfig(**config["base"]),
-            combination=str(config["combination"]),
         )
         index = cls(ensemble_config)
         index.members = [

@@ -4,7 +4,6 @@ from .metrics import (
     average_candidate_size,
     candidate_recall,
     knn_accuracy,
-    recall_at_k,
 )
 from .sweep import (
     FilterSweepPoint,
@@ -37,7 +36,6 @@ __all__ = [
     "average_candidate_size",
     "candidate_recall",
     "knn_accuracy",
-    "recall_at_k",
     "FilterSweepPoint",
     "SweepCurve",
     "SweepPoint",

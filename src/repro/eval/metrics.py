@@ -45,11 +45,6 @@ def knn_accuracy(retrieved: np.ndarray, ground_truth: np.ndarray, k: int) -> flo
     return hits / float(retrieved.shape[0] * k)
 
 
-def recall_at_k(retrieved: np.ndarray, ground_truth: np.ndarray, k: int) -> float:
-    """Alias of :func:`knn_accuracy` (the two coincide when both lists have k items)."""
-    return knn_accuracy(retrieved, ground_truth, k)
-
-
 def candidate_recall(
     candidate_sets: Sequence[np.ndarray], ground_truth: np.ndarray, k: int
 ) -> float:

@@ -12,8 +12,8 @@ backends allowed):
   assigning base vectors to shards and routing later additions.
 
 Registered under ``sharded`` (plus the ``sharded-bruteforce`` /
-``sharded-kmeans`` / ``sharded-ivf`` configurations), so the usual
-surface applies end to end::
+``sharded-sq8`` configurations), so the usual surface applies end to
+end::
 
     index = make_index("sharded", n_shards=4, spec="kmeans",
                        shard_params={"n_bins": 16, "seed": 0}).build(base)

@@ -85,7 +85,6 @@ def _instantiate_child(name: str, params: Mapping[str, Any], metric: str):
     "sharded",
     capabilities=_SHARDED_CAPABILITIES,
     description="Composite index: N child shards with scatter-gather top-k merge",
-    aliases=("shard",),
 )
 class ShardedIndex(RegisteredIndex):
     """One logical index served from ``n_shards`` child indexes.
@@ -798,18 +797,6 @@ _register_config(
     "sharded-bruteforce",
     "Sharded exact scan: distributed gold standard (merge is provably exact)",
     spec="bruteforce",
-)
-_register_config(
-    "sharded-kmeans",
-    "Sharded K-means partitions: per-shard Voronoi cells with a probes knob",
-    spec="kmeans",
-    partitioner="kmeans",
-)
-_register_config(
-    "sharded-ivf",
-    "Sharded IVF-flat: per-shard inverted lists, kmeans-routed shards",
-    spec="ivf-flat",
-    partitioner="kmeans",
 )
 _register_config(
     "sharded-sq8",

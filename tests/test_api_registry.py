@@ -41,7 +41,6 @@ TINY_PARAMS = {
     "neural-lsh": dict(n_bins=4, k_prime=4, epochs=2, hidden_dim=16, seed=0),
     "regression-lsh": dict(depth=2, epochs=2, seed=0),
     "cross-polytope-lsh": dict(n_bins=4, seed=0),
-    "hyperplane-lsh": dict(n_hyperplanes=2, seed=0),
     "pca-tree": dict(depth=2, seed=0),
     "rp-tree": dict(depth=2, seed=0),
     "kd-tree": dict(depth=2, seed=0),
@@ -56,8 +55,6 @@ TINY_PARAMS = {
     "usp-scann": dict(config=UspConfig(**_TINY_USP), n_subspaces=4, n_codewords=8, seed=0),
     "sharded": dict(n_shards=2),
     "sharded-bruteforce": dict(n_shards=3),
-    "sharded-kmeans": dict(n_shards=2, shard_params=dict(n_bins=2, seed=0)),
-    "sharded-ivf": dict(n_shards=2, shard_params=dict(n_lists=2, seed=0)),
     "sq8": dict(rerank_factor=4),
     "pq-adc": dict(n_subspaces=4, n_codewords=16, seed=0),
     "sharded-sq8": dict(n_shards=2),
@@ -86,10 +83,6 @@ class TestRegistry:
         with pytest.raises(ConfigurationError, match="unknown index"):
             make_index("definitely-not-an-index")
 
-    def test_aliases_resolve(self):
-        info = index_info("scann-usp")
-        assert info["name"] == "usp-scann"
-
     def test_capabilities_attached_to_classes(self):
         index = make_index("kmeans", n_bins=4)
         assert isinstance(type(index).capabilities, IndexCapabilities)
@@ -117,18 +110,6 @@ class TestProtocol:
         assert stats["dim"] == api_dataset.dim
         assert stats["name"] == "kmeans"
         assert stats["capabilities"]["probe_parameter"] == "n_probes"
-
-    def test_fit_alias_is_deprecated(self, api_dataset):
-        index = make_index("kmeans", n_bins=4, seed=0)
-        with pytest.warns(DeprecationWarning, match="use build"):
-            index.fit(api_dataset.base)
-        assert index.is_built
-
-    def test_quantizer_build_alias_is_deprecated(self, api_dataset):
-        from repro.ann import ProductQuantizer
-
-        with pytest.warns(DeprecationWarning, match="use fit"):
-            ProductQuantizer(4, 4, seed=0).build(api_dataset.base)
 
 
 class TestProbeKnobWarning:

@@ -8,7 +8,6 @@ import pytest
 from repro.baselines import (
     BoostedSearchForestIndex,
     CrossPolytopeLshIndex,
-    HyperplaneLshIndex,
     KdTreeIndex,
     NeuralLshConfig,
     NeuralLshIndex,
@@ -177,27 +176,6 @@ class TestLsh:
         index = CrossPolytopeLshIndex(8, seed=0).build(tiny_dataset.base)
         scores = index.bin_scores_raw(tiny_dataset.base)
         np.testing.assert_array_equal(index.assignments, scores.argmax(axis=1))
-
-    def test_hyperplane_lsh_bucket_count(self, tiny_dataset):
-        index = HyperplaneLshIndex(3, seed=0).build(tiny_dataset.base)
-        assert index.n_bins == 8
-        assert index.assignments.max() < 8
-
-    def test_hyperplane_lsh_multiprobe_monotone(self, tiny_dataset):
-        index = HyperplaneLshIndex(3, seed=0).build(tiny_dataset.base)
-        one = index.candidate_sets(tiny_dataset.queries, 1)
-        two = index.candidate_sets(tiny_dataset.queries, 2)
-        assert all(len(b) >= len(a) for a, b in zip(one, two))
-
-    def test_hyperplane_lsh_own_bucket_ranked_first(self, tiny_dataset):
-        index = HyperplaneLshIndex(3, seed=0).build(tiny_dataset.base)
-        # A base point used as query should rank its own bucket first.
-        ranked = index.ranked_bins(tiny_dataset.base[:20])
-        np.testing.assert_array_equal(ranked[:, 0], index.assignments[:20])
-
-    def test_too_many_hyperplanes_rejected(self):
-        with pytest.raises(ValidationError):
-            HyperplaneLshIndex(25)
 
 
 TREE_CLASSES = [PcaTreeIndex, RandomProjectionTreeIndex, KdTreeIndex, TwoMeansTreeIndex]

@@ -1,5 +1,7 @@
 """Tests for the boosted ensemble and hierarchical partitioning."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -12,8 +14,9 @@ from repro.core import (
     boosting_weights,
     rerank_candidates,
 )
+from repro.api import load_index
 from repro.eval import candidate_recall, knn_accuracy
-from repro.utils.exceptions import ConfigurationError, NotFittedError
+from repro.utils.exceptions import ConfigurationError, NotFittedError, SerializationError
 
 
 @pytest.fixture(scope="module")
@@ -26,8 +29,12 @@ class TestEnsembleConfig:
     def test_invalid_values(self):
         with pytest.raises(ConfigurationError):
             EnsembleConfig(n_models=0)
-        with pytest.raises(ConfigurationError):
-            EnsembleConfig(combination="vote")
+
+    def test_zero_models_rejected_by_both_constructor_paths(self):
+        with pytest.raises(ConfigurationError, match="n_models"):
+            UspEnsembleIndex(n_models=0)
+        with pytest.raises(ConfigurationError, match="n_models"):
+            UspEnsembleIndex(EnsembleConfig(n_models=2), n_models=0)
 
 
 class TestBoostingWeights:
@@ -84,34 +91,22 @@ class TestUspEnsembleIndex:
             )[0]
             np.testing.assert_array_equal(candidates[i], member_candidates)
 
-    @pytest.mark.parametrize("combination", ["best", "union"])
     @pytest.mark.parametrize("n_probes", [1, 2, 9])
     def test_answers_equal_every_member_asked_separately(
-        self, ensemble_index, tiny_dataset, combination, n_probes, monkeypatch
+        self, ensemble_index, tiny_dataset, n_probes, monkeypatch
     ):
         """Bitwise the seed's answers: each member's own ``candidate_sets`` and
         ``confidence``, combined outside the ensemble, then re-ranked."""
         queries = tiny_dataset.queries
         members = ensemble_index.members
         per_member = [member.candidate_sets(queries, n_probes) for member in members]
-        if combination == "union":
-            expected = [
-                np.unique(np.concatenate([sets[i] for sets in per_member]))
-                for i in range(len(queries))
-            ]
-        else:
-            best = np.column_stack([m.confidence(queries) for m in members]).argmax(axis=1)
-            assert len(set(best.tolist())) == 2  # both members get chosen
-            expected = [per_member[int(best[i])][i] for i in range(len(queries))]
+        best = np.column_stack([m.confidence(queries) for m in members]).argmax(axis=1)
+        assert len(set(best.tolist())) == 2  # both members get chosen
+        expected = [per_member[int(best[i])][i] for i in range(len(queries))]
         expected_ids, expected_distances = rerank_candidates(
             tiny_dataset.base, queries, expected, 10, metric=ensemble_index.metric
         )
 
-        monkeypatch.setattr(
-            ensemble_index,
-            "config",
-            EnsembleConfig(n_models=2, base=ensemble_index.config.base, combination=combination),
-        )
         passes = []
         for member in members:
             monkeypatch.setattr(
@@ -132,17 +127,27 @@ class TestUspEnsembleIndex:
         batch_indices, _ = ensemble_index.batch_query(tiny_dataset.queries, k=5, n_probes=2)
         assert batch_indices.shape == (tiny_dataset.n_queries, 5)
 
-    def test_union_combination_gives_larger_candidates(self, tiny_dataset, tiny_knn, fast_usp_config):
-        base_config = fast_usp_config.with_updates(epochs=3)
-        best = UspEnsembleIndex(
-            EnsembleConfig(n_models=2, base=base_config, combination="best")
-        ).build(tiny_dataset.base, knn=tiny_knn)
-        union = UspEnsembleIndex(
-            EnsembleConfig(n_models=2, base=base_config, combination="union")
-        ).build(tiny_dataset.base, knn=tiny_knn)
-        best_sizes = [len(c) for c in best.candidate_sets(tiny_dataset.queries[:10], 1)]
-        union_sizes = [len(c) for c in union.candidate_sets(tiny_dataset.queries[:10], 1)]
-        assert np.mean(union_sizes) >= np.mean(best_sizes)
+    @staticmethod
+    def _save_with_combination(index, path, mode):
+        """Save ``index``, then write ``mode`` into its config as older saves did."""
+        index.save(path)
+        manifest = path / "index.json"
+        metadata = json.loads(manifest.read_text())
+        metadata["config"]["combination"] = mode
+        manifest.write_text(json.dumps(metadata))
+
+    def test_saved_best_combination_loads_bitwise(self, ensemble_index, tiny_dataset, tmp_path):
+        self._save_with_combination(ensemble_index, tmp_path / "ens", "best")
+        reloaded = load_index(tmp_path / "ens")
+        ids, distances = ensemble_index.batch_query(tiny_dataset.queries, 10, n_probes=2)
+        re_ids, re_distances = reloaded.batch_query(tiny_dataset.queries, 10, n_probes=2)
+        np.testing.assert_array_equal(ids, re_ids)
+        np.testing.assert_array_equal(distances, re_distances)
+
+    def test_saved_union_combination_is_rejected(self, ensemble_index, tmp_path):
+        self._save_with_combination(ensemble_index, tmp_path / "ens", "union")
+        with pytest.raises(SerializationError, match="'union'"):
+            load_index(tmp_path / "ens")
 
     def test_ensemble_not_worse_than_single_member(self, ensemble_index, tiny_dataset):
         queries = tiny_dataset.queries

@@ -56,18 +56,43 @@ def test_readme_snippet_executes(block_id):
     exec(compile(source, f"README.md[python #{block_id}]", "exec"), namespace)
 
 
+#: the README table's capability columns, in order
+_TABLE_CAPABILITIES = (
+    "supports_candidate_sets",
+    "trainable",
+    "exact",
+    "shardable",
+    "mutable",
+    "filterable",
+)
+
+
+def _registry_row(name: str) -> str:
+    from repro.api import index_info
+
+    info = index_info(name)
+    flags = " | ".join(
+        "yes" if info["capabilities"][column] else "-" for column in _TABLE_CAPABILITIES
+    )
+    return f"| `{name}` | `{info['class']}` | {flags} | {info['description']} |"
+
+
 def test_readme_backend_table_matches_registry():
-    """The index table is generated from the registry — keep them in sync."""
+    """The index table is the registry, row for row and in both directions."""
     from repro.api import available_indexes
 
-    text = README.read_text()
-    missing = [
-        name for name in available_indexes() if f"| `{name}` |" not in text
-    ]
-    assert not missing, (
-        f"README backend table is stale; missing registry entries: {missing} "
-        "(regenerate the table from available_indexes()/index_info())"
+    section = README.read_text().split("## Index back-ends", 1)[1].split("\n## ", 1)[0]
+    rows = {
+        match.group(1): match.group(0)
+        for match in re.finditer(r"^\| `([^`]+)` \|.*$", section, re.MULTILINE)
+    }
+    expected = {name: _registry_row(name) for name in available_indexes()}
+    assert sorted(rows) == sorted(expected), (
+        f"README backend table rows {sorted(set(rows) - set(expected))} are not "
+        f"registered; registry entries {sorted(set(expected) - set(rows))} have no row"
     )
+    stale = {name: (rows[name], row) for name, row in expected.items() if rows[name] != row}
+    assert not stale, f"README backend table rows differ from index_info(): {stale}"
 
 
 def test_docs_name_no_missing_file():

@@ -17,7 +17,6 @@ from repro.eval import (
     format_table,
     knn_accuracy,
     probe_schedule,
-    recall_at_k,
     run_table2,
     run_table5,
     speedup_at_accuracy,
@@ -46,10 +45,6 @@ class TestKnnAccuracy:
         retrieved = np.array([[3, 1, 2]])
         gt = np.array([[1, 2, 3]])
         assert knn_accuracy(retrieved, gt, 3) == pytest.approx(1.0)
-
-    def test_recall_alias(self):
-        gt = np.array([[1, 2]])
-        assert recall_at_k(gt, gt, 2) == knn_accuracy(gt, gt, 2)
 
     def test_shape_validation(self):
         with pytest.raises(ValidationError):

@@ -414,7 +414,6 @@ FILTERABLE_FAST_BACKENDS = [
     ("ivf-flat", dict(n_lists=8, seed=0), dict(n_probes=4)),
     ("hnsw", {}, {}),
     ("pca-tree", dict(depth=3), dict(n_probes=2)),
-    ("hyperplane-lsh", dict(n_hyperplanes=3, seed=0), dict(n_probes=2)),
     ("sharded-bruteforce", dict(n_shards=3), {}),
     ("sq8", {}, {}),
     ("pq-adc", dict(n_subspaces=4, n_codewords=16, seed=0), {}),

@@ -32,7 +32,7 @@ from hypothesis import strategies as st
 
 from repro.api import load_index, make_index
 from repro.datasets import sift_like
-from repro.eval import recall_at_k
+from repro.eval import knn_accuracy
 from repro.quant import Sq8Index, VectorStore
 from repro.quant import base as quant_base
 from repro.quant.memmap_store import HEADER_FILE, VECTORS_FILE
@@ -145,7 +145,7 @@ class TestTwoStageExactness:
             for sharded in (False, True):
                 index = _build(backend, data.base, sharded=sharded, **realistic[backend])
                 ids, _ = index.batch_query(data.queries, 10)
-                recall = recall_at_k(ids, data.ground_truth, 10)
+                recall = knn_accuracy(ids, data.ground_truth, 10)
                 assert recall >= 0.9, (backend, sharded, recall)
 
     def test_rerank_knob_trades_recall_monotonically(self):
@@ -156,7 +156,7 @@ class TestTwoStageExactness:
         recalls = []
         for rerank in (10, 40, 400):
             ids, _ = index.batch_query(data.queries, 10, rerank=rerank)
-            recalls.append(recall_at_k(ids, data.ground_truth, 10))
+            recalls.append(knn_accuracy(ids, data.ground_truth, 10))
         assert recalls[0] <= recalls[1] <= recalls[2]
         assert recalls[-1] == 1.0  # saturated budget == brute force
 

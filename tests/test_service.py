@@ -128,14 +128,20 @@ class TestSearchService:
         kwargs = kmeans_service.query_kwargs(QueryRequest(candidate_budget=250))
         assert kwargs == {"n_probes": 2}
 
-    @pytest.mark.parametrize("name", ["ivf-flat", "sharded-ivf", "sharded-kmeans"])
-    def test_candidate_budget_plans_probes_on_ivf(self, name):
+    @pytest.mark.parametrize("label", ["ivf-flat", "sharded-ivf", "sharded-kmeans"])
+    def test_candidate_budget_plans_probes_on_ivf(self, label):
         # 2,000 points over 8 cells (per shard) -> 250 candidates per probe
-        params = {
-            "ivf-flat": dict(n_lists=8, seed=0),
-            "sharded-ivf": dict(n_shards=2, shard_params=dict(n_lists=8, seed=0)),
-            "sharded-kmeans": dict(n_shards=2, shard_params=dict(n_bins=8, seed=0)),
-        }[name]
+        name, params = {
+            "ivf-flat": ("ivf-flat", dict(n_lists=8, seed=0)),
+            "sharded-ivf": ("sharded", dict(
+                spec="ivf-flat", partitioner="kmeans", n_shards=2,
+                shard_params=dict(n_lists=8, seed=0),
+            )),
+            "sharded-kmeans": ("sharded", dict(
+                spec="kmeans", partitioner="kmeans", n_shards=2,
+                shard_params=dict(n_bins=8, seed=0),
+            )),
+        }[label]
         data = sift_like(n_points=2000, n_queries=16, dim=16, n_clusters=4, gt_k=10, seed=5)
         service = SearchService(make_index(name, **params).build(data.base))
         request = QueryRequest(k=5, candidate_budget=500)

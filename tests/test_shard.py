@@ -491,7 +491,10 @@ class TestPersistence:
     def test_registry_load_dispatches_by_name(self, shard_dataset, tmp_path):
         from repro.api.persistence import saved_index_name
 
-        index = make_index("sharded-kmeans", n_shards=2, shard_params=dict(n_bins=4, seed=0))
+        index = make_index(
+            "sharded", spec="kmeans", partitioner="kmeans", n_shards=2,
+            shard_params=dict(n_bins=4, seed=0),
+        )
         index.build(shard_dataset.base)
         index.save(tmp_path / "by-name")
         assert saved_index_name(tmp_path / "by-name") == "sharded"
@@ -507,7 +510,8 @@ class TestPersistence:
 class TestServingIntegration:
     def test_service_translates_probes_for_the_composite(self, shard_dataset):
         index = make_index(
-            "sharded-kmeans", n_shards=2, shard_params=dict(n_bins=4, seed=0)
+            "sharded", spec="kmeans", partitioner="kmeans", n_shards=2,
+            shard_params=dict(n_bins=4, seed=0),
         ).build(shard_dataset.base)
         service = SearchService(index)
         assert service.query_kwargs(QueryRequest(probes=2)) == {"probes": 2}
