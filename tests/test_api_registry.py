@@ -60,6 +60,38 @@ TINY_PARAMS = {
     "sharded-sq8": dict(n_shards=2),
 }
 
+#: every configuration the registry-driven tests build, as id -> (registry
+#: name, parameters): each registry entry, plus sharded K-means and IVF-flat
+#: shards, which are ``make_index("sharded", ...)`` with a kmeans router
+CONFIGURATIONS = {
+    **{name: (name, params) for name, params in TINY_PARAMS.items()},
+    "sharded-kmeans": (
+        "sharded",
+        dict(spec="kmeans", partitioner="kmeans", n_shards=2, shard_params=dict(n_bins=2, seed=0)),
+    ),
+    "sharded-ivf": (
+        "sharded",
+        dict(spec="ivf-flat", partitioner="kmeans", n_shards=2, shard_params=dict(n_lists=2, seed=0)),
+    ),
+}
+
+#: names the registry no longer answers to (aliases and deleted entries)
+REMOVED_NAMES = (
+    "shard",
+    "vanilla-scann",
+    "scann-kmeans",
+    "scann-usp",
+    "hyperplane-lsh",
+    "sharded-kmeans",
+    "sharded-ivf",
+)
+
+
+def make_configuration(config_id):
+    """The unbuilt index of one :data:`CONFIGURATIONS` entry."""
+    name, params = CONFIGURATIONS[config_id]
+    return make_index(name, **params)
+
 
 @pytest.fixture(scope="module")
 def api_dataset():
@@ -82,6 +114,14 @@ class TestRegistry:
     def test_unknown_name_raises_with_suggestions(self):
         with pytest.raises(ConfigurationError, match="unknown index"):
             make_index("definitely-not-an-index")
+
+    @pytest.mark.parametrize("name", REMOVED_NAMES)
+    def test_removed_name_is_unknown(self, name):
+        assert name not in available_indexes()
+        with pytest.raises(ConfigurationError, match="unknown index"):
+            make_index(name)
+        with pytest.raises(ConfigurationError, match="unknown index"):
+            index_info(name)
 
     def test_capabilities_attached_to_classes(self):
         index = make_index("kmeans", n_bins=4)
@@ -148,15 +188,15 @@ class TestProbeKnobWarning:
             assert kmeans.capabilities.query_kwargs(3) == {"n_probes": 3}
 
 
-@pytest.mark.parametrize("name", sorted(TINY_PARAMS))
+@pytest.mark.parametrize("config_id", sorted(CONFIGURATIONS))
 class TestSaveLoadRoundTrip:
-    def test_roundtrip_identical_queries(self, name, api_dataset, tmp_path):
-        index = make_index(name, **TINY_PARAMS[name]).build(api_dataset.base)
-        path = tmp_path / name
+    def test_roundtrip_identical_queries(self, config_id, api_dataset, tmp_path):
+        index = make_configuration(config_id).build(api_dataset.base)
+        path = tmp_path / config_id
         index.save(path)
         reloaded = load_index(path)
         assert type(reloaded) is type(index)
-        kwargs = _query_kwargs(name)
+        kwargs = _query_kwargs(CONFIGURATIONS[config_id][0])
         indices, distances = index.batch_query(api_dataset.queries, 5, **kwargs)
         re_indices, re_distances = reloaded.batch_query(api_dataset.queries, 5, **kwargs)
         np.testing.assert_array_equal(indices, re_indices)

@@ -28,7 +28,7 @@ from repro.replica import Follower, Primary, ReplicaGroup, SessionToken
 from repro.service import QueryRequest, Router, SearchService
 from repro.store import Collection
 from repro.tenant import TenantConfig, TenantGateway, TenantRegistry
-from test_api_registry import TINY_PARAMS
+from test_api_registry import CONFIGURATIONS, make_configuration
 
 DIM = 16
 N = 300
@@ -52,10 +52,10 @@ def _frozen_clock() -> float:
 @pytest.fixture(scope="module")
 def built_indexes():
     base = _base()
-    return {name: make_index(name, **params).build(base) for name, params in TINY_PARAMS.items()}
+    return {config_id: make_configuration(config_id).build(base) for config_id in CONFIGURATIONS}
 
 
-@pytest.mark.parametrize("name", sorted(TINY_PARAMS))
+@pytest.mark.parametrize("name", sorted(CONFIGURATIONS))
 @settings(max_examples=6, deadline=None)
 @given(
     seed=st.integers(0, 2**16),

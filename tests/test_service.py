@@ -28,7 +28,7 @@ from repro.service import (
 )
 from repro.utils.exceptions import ConfigurationError, SerializationError, ValidationError
 
-from test_api_registry import TINY_PARAMS
+from test_api_registry import CONFIGURATIONS, make_configuration
 
 
 @pytest.fixture(scope="module")
@@ -301,13 +301,13 @@ class TestCacheFreshness:
         assert before.ids[0] not in after.ids
 
 
-@pytest.mark.parametrize("name", sorted(TINY_PARAMS))
+@pytest.mark.parametrize("name", sorted(CONFIGURATIONS))
 class TestThreadedMatchesSerial:
     """Concurrency correctness: callers on several threads at once (what the
     HTTP server's executor does) must each get the single-thread answer."""
 
     def test_threaded_bitwise_identical_to_serial(self, name, service_dataset):
-        index = make_index(name, **TINY_PARAMS[name]).build(service_dataset.base)
+        index = make_configuration(name).build(service_dataset.base)
         service = SearchService(index, batch_size=4)
         request = QueryRequest(k=5, probes=2)
         serial = service.search_batch(service_dataset.queries, request)
