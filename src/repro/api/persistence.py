@@ -142,7 +142,7 @@ class PersistentIndexMixin:
         sequence this way, so an index artifact knows *which* durable
         state it materialises without the loader growing new parameters.
         """
-        if not getattr(self, "is_built", False):
+        if not self.is_built:
             raise SerializationError(
                 f"cannot save {type(self).__name__}: the index has not been built"
             )
@@ -180,7 +180,7 @@ class PersistentIndexMixin:
         index whose store was detached (or saving a store-less index over
         an old directory) must not resurrect outdated metadata on load.
         """
-        store = getattr(self, "_attributes", None)
+        store = self._attributes
         if store is None:
             (path / ATTRIBUTES_FILE).unlink(missing_ok=True)
             (path / ATTRIBUTES_ARRAYS_FILE).unlink(missing_ok=True)
@@ -194,8 +194,7 @@ class PersistentIndexMixin:
             rows = filter_row_count(self)
         except Exception:
             rows = None
-        capabilities = getattr(type(self), "capabilities", None)
-        mutable = bool(getattr(capabilities, "mutable", False))
+        mutable = type(self).capabilities.mutable
         if rows is not None and (
             store.n_rows > rows or (store.n_rows != rows and not mutable)
         ):

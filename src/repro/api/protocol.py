@@ -152,10 +152,19 @@ class MutableIndex(AnnIndex, Protocol):
     Mutable indexes additionally expose a monotonically increasing
     ``version`` counter bumped on every ``add`` / ``remove`` / ``compact``,
     which the serving layer folds into its result-cache keys so cached
-    answers never outlive the data they were computed from.
+    answers never outlive the data they were computed from.  The serving
+    and storage layers read the remaining members directly: the
+    ``n_pending`` / ``n_tombstones`` gauges and their ``mutation_pressure``
+    ratio ``(pending + tombstoned) / live`` (when to compact),
+    ``total_rows`` (the id the next ``add`` assigns, journaled with it)
+    and :meth:`contains` (which ids a ``remove`` may name).
     """
 
     version: int
+    n_pending: int
+    n_tombstones: int
+    total_rows: int
+    mutation_pressure: float
 
     def add(self, vectors: np.ndarray) -> np.ndarray:  # pragma: no cover
         """Insert vectors; returns the global ids assigned to them."""
@@ -167,6 +176,10 @@ class MutableIndex(AnnIndex, Protocol):
 
     def compact(self):  # pragma: no cover
         """Fold pending adds and tombstones into a rebuilt structure."""
+        ...
+
+    def contains(self, ids) -> np.ndarray:  # pragma: no cover
+        """Boolean per id: assigned and not tombstoned (out of range: False)."""
         ...
 
 
@@ -211,9 +224,7 @@ def basic_index_stats(index) -> Dict[str, Any]:
             stats[method] = fn()
         except Exception:
             pass
-    capabilities = getattr(type(index), "capabilities", None)
-    if isinstance(capabilities, IndexCapabilities):
-        stats["capabilities"] = capabilities.as_dict()
+    stats["capabilities"] = type(index).capabilities.as_dict()
     return stats
 
 
@@ -250,7 +261,7 @@ class RegisteredIndex(PersistentIndexMixin):
             # *immutable* built index would silently exclude the tail ids
             # from every filtered result (mutable indexes may legally lag
             # behind until AttributeStore.extend catches up).
-            if getattr(self, "is_built", False) and not self.capabilities.mutable:
+            if self.is_built and not self.capabilities.mutable:
                 try:
                     rows = int(self.n_points)
                 except Exception:

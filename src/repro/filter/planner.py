@@ -53,7 +53,7 @@ def resolve_filter(filter_spec: Any, index: Any, n_rows: int) -> Optional[np.nda
     if filter_spec is None:
         return None
     if isinstance(filter_spec, Predicate):
-        store = getattr(index, "attributes", None)
+        store = index.attributes
         if not isinstance(store, AttributeStore):
             raise ValidationError(
                 f"{type(index).__name__} has no attribute store; call "
@@ -69,8 +69,7 @@ def resolve_filter(filter_spec: Any, index: Any, n_rows: int) -> Optional[np.nda
             # indexes (vectors added before AttributeStore.extend caught
             # up); on an immutable index a short store is a caller bug
             # that would silently exclude the tail ids from every result.
-            capabilities = getattr(type(index), "capabilities", None)
-            if not bool(getattr(capabilities, "mutable", False)):
+            if not type(index).capabilities.mutable:
                 raise ValidationError(
                     f"attribute store has {store.n_rows} rows but "
                     f"{type(index).__name__} has {n_rows}; rebuild the store "
@@ -191,17 +190,13 @@ class FilterPlanner:
         selectivity = n_allowed / max(n_rows, 1)
         if n_allowed == 0:
             return FilterPlan("empty", 0.0, 0)
-        capabilities = getattr(type(index), "capabilities", None)
+        capabilities = type(index).capabilities
         has_vectors = _index_vectors(index) is not None
         # An exact index's query *is* a scan, so the subset scan is its
         # filtered query at every selectivity, not just low ones.
-        exact = bool(getattr(capabilities, "exact", False))
-        if has_vectors and (exact or selectivity <= self.prefilter_selectivity):
+        if has_vectors and (capabilities.exact or selectivity <= self.prefilter_selectivity):
             return FilterPlan("prefilter", selectivity, n_allowed)
-        supports_inline = bool(
-            getattr(capabilities, "supports_candidate_sets", False)
-        ) and hasattr(index, "candidate_sets")
-        if supports_inline and has_vectors:
+        if capabilities.supports_candidate_sets and has_vectors:
             return FilterPlan("inline", selectivity, n_allowed)
         fetch = min(
             n_rows,
@@ -312,8 +307,7 @@ class FilterPlanner:
         """Mask candidate sets before the exact re-rank."""
         from ..core.base import rerank_candidates  # local: core imports filter
 
-        capabilities = getattr(type(index), "capabilities", None)
-        knob = getattr(capabilities, "probe_parameter", None) or "n_probes"
+        knob = type(index).capabilities.probe_parameter or "n_probes"
         n_probes = int(kwargs.get(knob, 1))
         candidates = index.candidate_sets(queries, n_probes)
         filtered = [c[mask[c]] for c in candidates]

@@ -264,25 +264,6 @@ class SearchServer:
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._thread: Optional[threading.Thread] = None
         self._thread_error: Optional[BaseException] = None
-        self._share_tracer()
-
-    def _share_tracer(self) -> None:
-        """Hand this server's tracer to every hosted stats surface.
-
-        Services, tenant registries, and replica groups report the trace
-        sampling rate and dropped-span counts from their ``stats()``
-        when a tracer is attached; sharing one tracer keeps those
-        numbers consistent with ``/debug/traces``.
-        """
-        targets = list(self._all_services().values())
-        if self.tenants is not None:
-            targets.append(self.tenants)
-        for target in targets:
-            if getattr(target, "tracer", None) is None:
-                try:
-                    target.tracer = self.tracer
-                except AttributeError:
-                    pass
 
     # ------------------------------------------------------------------ #
     # lifecycle
@@ -354,7 +335,7 @@ class SearchServer:
                     self.tenants.namespace(name) for name in self.tenants.namespaces()
                 )
             for service in targets:
-                if getattr(service, "collection", None) is not None:
+                if service.collection is not None:
                     try:
                         await loop.run_in_executor(None, service.collection.checkpoint)
                     except Exception:
@@ -651,7 +632,7 @@ class SearchServer:
             and not self._writers
         )
 
-    def _all_services(self) -> Dict[str, SearchService]:
+    def _all_services(self) -> Dict[str, Service]:
         if self.router is not None:
             return {name: self.router.service(name) for name in self.router.names()}
         if self.service is not None:

@@ -12,8 +12,9 @@ The single home for the telemetry every layer shares:
   :class:`TraceStore` ring buffer (served from ``/debug/traces``,
   exportable as JSONL) and a :class:`SlowQueryLog` keeping the worst-N
   span trees.
-* :mod:`repro.obs.metrics` — the histogram/Prometheus primitives that
-  previously lived in ``repro.net.metrics`` (which re-exports them), and
+* :mod:`repro.obs.metrics` — the histogram/Prometheus primitives
+  (``repro.net.metrics`` imports the ones the server's ``/metrics`` page
+  needs, the emitters under private aliases, and exports none), and
   :func:`lint_prometheus_text` enforcing the exposition-format contract.
 """
 

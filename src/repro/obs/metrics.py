@@ -1,11 +1,12 @@
 """Shared telemetry primitives: histograms, Prometheus text, format lint.
 
 This module is the single home for the metric machinery every layer
-shares.  It grew out of ``repro.net.metrics`` (which still re-exports
-everything here for compatibility): fixed-bucket cumulative histograms
-with Prometheus ``le`` semantics, the exposition-format helpers
-(``format_value`` / ``escape_label_value`` / ``format_labels``), the
-family emitters used to build ``/metrics`` pages, and a lint pass
+shares (``repro.net.metrics`` imports what the server's ``/metrics``
+page needs, the emitters under private aliases): fixed-bucket
+cumulative histograms with Prometheus ``le`` semantics, the
+exposition-format helpers (``format_value`` / ``escape_label_value`` /
+``format_labels``), the family emitters used to build ``/metrics``
+pages, and a lint pass
 (:func:`lint_prometheus_text`) that enforces the text-format contract —
 counters end in ``_total``, one ``# HELP``/``# TYPE`` block per family,
 label values escaped — so a hostile tenant name or a sloppy rename can't

@@ -53,7 +53,7 @@ class Follower:
         auto_resync: bool = True,
         service_kwargs: Optional[Dict[str, Any]] = None,
     ) -> None:
-        if not getattr(collection, "read_only", False):
+        if not collection.read_only:
             raise ValidationError(
                 f"collection {collection.name!r} is writable; followers must "
                 "open their copy read-only (the stream is the one writer)"

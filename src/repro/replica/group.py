@@ -91,7 +91,6 @@ class ReplicaGroup(Service):
         self.name = str(name) if name else primary.name
         self.staleness_budget_seconds = float(staleness_budget_seconds)
         self.poll_interval_seconds = float(poll_interval_seconds)
-        self._service_kwargs = dict(service_kwargs)
         self._primary_service = SearchService(
             primary.collection, name=self.name, **service_kwargs
         )
@@ -103,8 +102,6 @@ class ReplicaGroup(Service):
         self.session_waits = 0
         self.session_redirects = 0
         self.writes = 0
-        # Shared Tracer, injected by the hosting SearchServer (if any).
-        self.tracer = None
         for follower in followers:
             self.add_follower(follower)
 
@@ -140,6 +137,10 @@ class ReplicaGroup(Service):
     @property
     def batch_size(self) -> int:
         return self._primary_service.batch_size
+
+    def resolve_request(self, request=None, **overrides):
+        """The primary service's resolution: its default request applies."""
+        return self._primary_service.resolve_request(request, **overrides)
 
     # ------------------------------------------------------------------ #
     # read dispatch
@@ -262,8 +263,6 @@ class ReplicaGroup(Service):
             "followers": [follower.stats() for follower in followers],
             "max_lag_seq": max((f.lag for f in followers), default=0),
         }
-        if self.tracer is not None:
-            stats["tracing"] = self.tracer.stats()
         return stats
 
     def service_config(self) -> Dict[str, Any]:

@@ -35,7 +35,7 @@ class Primary:
     """Stream one collection's acknowledged writes to pulling followers."""
 
     def __init__(self, collection, *, name: Optional[str] = None) -> None:
-        if getattr(collection, "read_only", False):
+        if collection.read_only:
             raise ValidationError(
                 f"collection {collection.name!r} is read-only; a replication "
                 "primary needs the writable copy"

@@ -9,8 +9,10 @@ one":
 * :class:`SearchService` — wraps any built :class:`repro.api.AnnIndex`
   with micro-batching, an optional LRU result cache, and
   latency/throughput/recall counters via ``stats()``;
-* :class:`Service` — the ``search`` / ``search_batch`` / ``stats`` /
-  ``service_config`` protocol every host checks before serving a target;
+* :class:`Service` — the protocol every host checks before serving a
+  target, and whose members (``name``, ``collection``, ``capabilities``,
+  ``dim``, ``batch_size``, ``resolve_request``, ``cache_tag``) it then
+  reads directly;
 * :class:`Router` — hosts multiple named services (multi-dataset /
   multi-index deployments) with capability-based or round-robin dispatch
   and whole-deployment ``save`` / ``Router.load``.
@@ -26,7 +28,7 @@ Example
 """
 
 from .cache import QueryCache
-from .metrics import ServiceMetrics, batch_recall
+from .metrics import ServiceMetrics
 from .request import BatchResult, QueryRequest, QueryResult, Service
 from .router import Router
 from .service import SearchService
@@ -34,7 +36,6 @@ from .service import SearchService
 __all__ = [
     "QueryCache",
     "ServiceMetrics",
-    "batch_recall",
     "BatchResult",
     "QueryRequest",
     "QueryResult",

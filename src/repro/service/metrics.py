@@ -14,31 +14,6 @@ from typing import Any, Deque, Dict, Optional
 
 import numpy as np
 
-from ..utils.exceptions import ValidationError
-
-
-def batch_recall(retrieved: np.ndarray, ground_truth: np.ndarray, k: int) -> float:
-    """Fraction of true k-NN present among the k returned ids (Eq. 1).
-
-    Local reimplementation of :func:`repro.eval.metrics.knn_accuracy` so the
-    serving layer does not import the evaluation harness (which itself runs
-    on top of the serving layer).
-    """
-    retrieved = np.asarray(retrieved)
-    ground_truth = np.asarray(ground_truth)
-    if retrieved.shape[0] != ground_truth.shape[0]:
-        raise ValidationError(
-            "retrieved and ground_truth must have one row per query "
-            f"(got {retrieved.shape[0]} vs {ground_truth.shape[0]})"
-        )
-    retrieved = retrieved[:, :k]
-    ground_truth = ground_truth[:, :k]
-    hits = 0
-    for row_retrieved, row_truth in zip(retrieved, ground_truth):
-        truth = set(int(x) for x in row_truth)
-        hits += sum(1 for x in row_retrieved if int(x) in truth)
-    return hits / float(retrieved.shape[0] * k)
-
 
 class ServiceMetrics:
     """Thread-safe accumulator behind ``SearchService.stats()``."""

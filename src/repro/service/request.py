@@ -22,12 +22,16 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, Iterator, Mapping, Optional, Protocol, runtime_checkable
+from typing import TYPE_CHECKING, Any, Dict, Iterator, Mapping, Optional, Protocol, runtime_checkable
 
 import numpy as np
 
 from ..filter.predicate import Predicate, predicate_from_dict
 from ..utils.exceptions import ValidationError
+
+if TYPE_CHECKING:
+    from ..api.protocol import IndexCapabilities
+    from ..store.collection import Collection
 
 
 def _freeze(value: Any) -> Any:
@@ -353,10 +357,28 @@ class Service(Protocol):
     :class:`~repro.tenant.TenantGateway` and
     :class:`~repro.replica.ReplicaGroup` subclass it; the router, the
     tenant registry and the HTTP server check ``isinstance(target,
-    Service)`` before hosting one.  Implementers write
-    :meth:`search_batch`; :meth:`search` is defined here once, as its
-    one-row case.
+    Service)`` before hosting one and then read its members directly:
+
+    * ``name`` — how the target is addressed and reported;
+    * ``collection`` — the durable :class:`~repro.store.Collection`
+      behind it (checkpointed on drain), or ``None``;
+    * ``capabilities`` — the served index's
+      :class:`~repro.api.IndexCapabilities` (capability routing);
+    * ``dim`` — the query dimension, ``None`` when unknown;
+    * ``batch_size`` — the rows one ``search_batch`` call should carry
+      (the HTTP layer checks deadlines between such chunks).
+
+    Implementers write :meth:`search_batch`; :meth:`search` is defined
+    here once, as its one-row case, and :meth:`resolve_request` /
+    :meth:`cache_tag` have defaults for targets without a default
+    request or a freshness tag.
     """
+
+    name: str
+    collection: Optional[Collection]
+    capabilities: IndexCapabilities
+    dim: Optional[int]
+    batch_size: int
 
     def search(
         self, query: np.ndarray, request: Optional[QueryRequest] = None, **kwargs
@@ -385,6 +407,21 @@ class Service(Protocol):
         ground_truth: Optional[np.ndarray] = None,
         **overrides,
     ) -> BatchResult: ...
+
+    def resolve_request(
+        self, request: Optional[QueryRequest] = None, **overrides
+    ) -> QueryRequest:
+        """``request`` (or the target's default one) with ``overrides`` applied."""
+        merged = request if request is not None else QueryRequest()
+        return merged.with_updates(**overrides) if overrides else merged
+
+    def cache_tag(self) -> Optional[tuple]:
+        """Identity of the data a cached answer was computed from.
+
+        ``None`` means the target cannot vouch that a cached answer is
+        still fresh, so callers must not cache in front of it.
+        """
+        return None
 
     def stats(self) -> Dict[str, Any]: ...
 

@@ -172,18 +172,14 @@ class Router:
         dim: Optional[int],
     ) -> bool:
         capabilities = service.capabilities
-        if metric is not None:
-            if capabilities is None or not capabilities.supports_metric(metric):
-                return False
-        if exact is not None:
-            if capabilities is None or capabilities.exact != exact:
-                return False
-        if mutable is not None:
-            if capabilities is None or capabilities.mutable != mutable:
-                return False
-        if filterable is not None:
-            if capabilities is None or capabilities.filterable != filterable:
-                return False
+        if metric is not None and not capabilities.supports_metric(metric):
+            return False
+        if exact is not None and capabilities.exact != exact:
+            return False
+        if mutable is not None and capabilities.mutable != mutable:
+            return False
+        if filterable is not None and capabilities.filterable != filterable:
+            return False
         if dim is not None and service.dim not in (None, dim):
             return False
         return True

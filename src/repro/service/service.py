@@ -40,7 +40,7 @@ from ..store.collection import Collection, is_collection_dir
 from ..utils.exceptions import ValidationError
 from ..utils.validation import as_query_matrix
 from .cache import QueryCache, read_through
-from .metrics import ServiceMetrics, batch_recall
+from .metrics import ServiceMetrics
 from .request import BatchResult, QueryRequest, Service
 
 
@@ -96,13 +96,10 @@ class SearchService(Service):
         self.batch_size = int(batch_size)
         self.cache = QueryCache(cache_size) if cache_size else None
         self.metrics = ServiceMetrics()
-        # Set by a hosting SearchServer (or directly) to a repro.obs
-        # Tracer; stats() then reports sampling rate and span loss.
-        self.tracer = None
         # Serialises stats() assembly against cache invalidation so one
         # snapshot never mixes pre- and post-mutation counters.
         self._stats_lock = threading.Lock()
-        self._cache_tag = self._index_cache_tag()
+        self._cache_tag = self.cache_tag()
 
     # ------------------------------------------------------------------ #
     # construction helpers
@@ -121,9 +118,8 @@ class SearchService(Service):
         return cls(load_index(path), **kwargs)
 
     @property
-    def capabilities(self) -> Optional[IndexCapabilities]:
-        capabilities = getattr(type(self.index), "capabilities", None)
-        return capabilities if isinstance(capabilities, IndexCapabilities) else None
+    def capabilities(self) -> IndexCapabilities:
+        return type(self.index).capabilities
 
     @property
     def dim(self) -> Optional[int]:
@@ -151,8 +147,7 @@ class SearchService(Service):
         probed bin); returns ``None`` for indexes without a probe knob or
         without a known bin count.
         """
-        capabilities = self.capabilities
-        if capabilities is None or capabilities.probe_parameter is None:
+        if self.capabilities.probe_parameter is None:
             return None
         n_bins = getattr(self.index, "n_bins", None)
         n_points = getattr(self.index, "n_points", None)
@@ -168,13 +163,12 @@ class SearchService(Service):
         probes = request.probes
         if probes is None and request.candidate_budget is not None:
             probes = self.plan_probes(request.candidate_budget)
-        if probes is not None and capabilities is not None:
+        if probes is not None:
             kwargs.update(capabilities.query_kwargs(probes))
         if request.filter is not None:
-            # Indexes without a capabilities descriptor are treated as
-            # unfilterable: a clear error here beats an opaque TypeError
-            # from batch_query deep inside the batch path.
-            if capabilities is None or not capabilities.filterable:
+            # A clear error here beats an opaque TypeError from
+            # batch_query deep inside the batch path.
+            if not capabilities.filterable:
                 raise ValidationError(
                     f"index {type(self.index).__name__} does not support "
                     "filtered queries (capabilities.filterable is not set)"
@@ -209,7 +203,7 @@ class SearchService(Service):
         object.__setattr__(request, "_allowlist_mask_cache", (rows, mask))
         return mask
 
-    def _index_cache_tag(self) -> tuple:
+    def cache_tag(self) -> tuple:
         """Index-side identity of a cached answer: metric, version, attributes.
 
         The request's own :meth:`QueryRequest.cache_key` covers ``k``,
@@ -231,14 +225,10 @@ class SearchService(Service):
         land under old-tag keys no later lookup can hit.
         """
         metric = getattr(self.index, "metric", None)
-        version = getattr(self.index, "version", 0)
+        version = self.index.version if self.capabilities.mutable else 0
         store = getattr(self.index, "attributes", None)
-        store_tag = (
-            None
-            if store is None
-            else (int(getattr(store, "token", id(store))), int(getattr(store, "version", 0)))
-        )
-        return (None if metric is None else str(metric), int(version or 0), store_tag)
+        store_tag = None if store is None else (store.token, store.version)
+        return (None if metric is None else str(metric), int(version), store_tag)
 
     def _request_cache(self) -> Optional[QueryCache]:
         """The result cache, invalidated first if the index has mutated.
@@ -250,7 +240,7 @@ class SearchService(Service):
         if self.cache is None:
             return None
         with self._stats_lock:
-            tag = self._index_cache_tag()
+            tag = self.cache_tag()
             if tag != self._cache_tag:
                 self.cache.clear()
                 self._cache_tag = tag
@@ -282,16 +272,12 @@ class SearchService(Service):
         return ids, distances
 
     def close(self) -> None:
-        """Close the served index, if it has anything to close.
+        """A no-op, kept so a service can be used as a context manager.
 
-        The service owns no threads; this forwards to the index's own
-        ``close()`` when there is one.  A served
-        :class:`~repro.store.Collection` stays open: whoever created it
-        closes it.  Idempotent.
+        The service owns no threads, files or sockets, and no index holds
+        any either.  A served :class:`~repro.store.Collection` stays open:
+        whoever created it closes it.
         """
-        close = getattr(self.index, "close", None)
-        if callable(close):
-            close()
 
     def __enter__(self) -> "SearchService":
         return self
@@ -353,7 +339,10 @@ class SearchService(Service):
         if ground_truth is not None:
             ground_truth = np.asarray(ground_truth)
             k = min(request.k, ids.shape[1], ground_truth.shape[1])
-            recall = batch_recall(ids, ground_truth, k)
+            # local import: repro.eval runs on top of this module
+            from ..eval.metrics import knn_accuracy
+
+            recall = knn_accuracy(ids, ground_truth, k)
             self.metrics.observe_recall(recall, queries.shape[0])
         return BatchResult(
             ids=ids,
@@ -371,8 +360,7 @@ class SearchService(Service):
         """The object a mutation goes to: the collection, else the index."""
         if self.collection is not None:
             return self.collection
-        capabilities = self.capabilities
-        if capabilities is None or not capabilities.mutable:
+        if not self.capabilities.mutable:
             raise ValidationError(
                 f"service {self.name!r} serves an immutable "
                 f"{type(self.index).__name__}; mutation endpoints need a "
@@ -453,29 +441,20 @@ class SearchService(Service):
                 # Byte gauge at the top level so the tenant layer's global
                 # budget (and /metrics) can meter it without digging.
                 stats["cache_bytes"] = stats["cache"]["cache_bytes"]
-            mutation: Dict[str, Any] = {}
-            for gauge in ("n_pending", "n_tombstones"):
-                try:
-                    value = getattr(self.index, gauge)
-                except Exception:
-                    continue
-                if value is not None:
-                    mutation[gauge] = int(value)
-            if mutation:
+            if self.capabilities.mutable:
                 # Derive the pressure ratio from the gauges *this*
                 # snapshot read rather than re-reading the index's own
                 # property, which a concurrent compact() could have
                 # already reset.
-                try:
-                    live = int(self.index.n_points)
-                except Exception:
-                    live = None
-                if live is not None:
-                    mutation["n_live"] = live
-                    mutation["mutation_pressure"] = (
-                        mutation.get("n_pending", 0) + mutation.get("n_tombstones", 0)
-                    ) / max(live, 1)
-                stats["mutation"] = mutation
+                pending = int(self.index.n_pending)
+                tombstones = int(self.index.n_tombstones)
+                live = int(self.index.n_points)
+                stats["mutation"] = {
+                    "n_pending": pending,
+                    "n_tombstones": tombstones,
+                    "n_live": live,
+                    "mutation_pressure": (pending + tombstones) / max(live, 1),
+                }
             if self.collection is not None:
                 stats["collection"] = {
                     "name": self.collection.name,
@@ -490,8 +469,6 @@ class SearchService(Service):
                 stats["index"] = self.index.stats()
             except Exception:
                 stats["index"] = {"class": type(self.index).__name__}
-            if self.tracer is not None:
-                stats["tracing"] = self.tracer.stats()
             return stats
 
     def reset_stats(self) -> None:

@@ -387,8 +387,8 @@ class ShardedIndex(RegisteredIndex):
         """
         if probes is None:
             return {}
-        capabilities = getattr(type(child), "capabilities", None)
-        if capabilities is None or capabilities.probe_parameter is None:
+        capabilities = type(child).capabilities
+        if capabilities.probe_parameter is None:
             return {}
         return capabilities.query_kwargs(probes)
 
@@ -435,20 +435,18 @@ class ShardedIndex(RegisteredIndex):
             with span("shard.scan", shard=shard, rows=int(members.shape[0])):
                 if local_mask is None:
                     local_ids, distances = child.batch_query(queries, local_k, **kwargs)
+                elif type(child).capabilities.filterable:
+                    local_ids, distances = child.batch_query(
+                        queries, local_k, filter=local_mask, **kwargs
+                    )
                 else:
-                    capabilities = getattr(type(child), "capabilities", None)
-                    if capabilities is not None and capabilities.filterable:
-                        local_ids, distances = child.batch_query(
-                            queries, local_k, filter=local_mask, **kwargs
-                        )
-                    else:
-                        # Unregistered/legacy shard backend: apply the generic
-                        # planner on its behalf so the merge stays exact.
-                        from ..filter.planner import DEFAULT_PLANNER
+                    # A backend registered without filter support: apply the
+                    # generic planner on its behalf so the merge stays exact.
+                    from ..filter.planner import DEFAULT_PLANNER
 
-                        local_ids, distances = DEFAULT_PLANNER.filtered_search(
-                            child, queries, local_k, local_mask, query_kwargs=kwargs
-                        )
+                    local_ids, distances = DEFAULT_PLANNER.filtered_search(
+                        child, queries, local_k, local_mask, query_kwargs=kwargs
+                    )
             valid = local_ids >= 0
             global_ids = np.where(
                 valid, members[np.clip(local_ids, 0, members.shape[0] - 1)], -1

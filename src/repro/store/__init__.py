@@ -33,7 +33,7 @@ Example
 
 from ..utils.exceptions import BootstrapRequired, ReadOnlyError
 from .collection import COLLECTION_FILE, Collection, is_collection_dir
-from .maintenance import MaintenanceLoop, mutation_pressure
+from .maintenance import MaintenanceLoop
 from .snapshot import (
     CURRENT_FILE,
     GENERATIONS_DIR,
@@ -51,7 +51,6 @@ __all__ = [
     "ReadOnlyError",
     "is_collection_dir",
     "MaintenanceLoop",
-    "mutation_pressure",
     "CURRENT_FILE",
     "GENERATIONS_DIR",
     "generation_name",

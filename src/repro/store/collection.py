@@ -132,13 +132,12 @@ class Collection:
             raise ValidationError(
                 f"unknown sync mode {sync!r}; expected one of {SYNC_MODES}"
             )
-        capabilities = getattr(type(index), "capabilities", None)
-        if not getattr(capabilities, "mutable", False):
+        if not type(index).capabilities.mutable:
             raise ValidationError(
                 f"collections need a mutable index; {type(index).__name__} "
                 "does not declare capabilities.mutable"
             )
-        if not getattr(index, "is_built", False):
+        if not index.is_built:
             raise ValidationError(
                 f"collections need a built index; build() this "
                 f"{type(index).__name__} first"
@@ -265,7 +264,7 @@ class Collection:
     # ------------------------------------------------------------------ #
     @property
     def is_built(self) -> bool:
-        return bool(getattr(self.index, "is_built", False))
+        return self.index.is_built
 
     @property
     def last_seq(self) -> int:
@@ -300,7 +299,7 @@ class Collection:
     @property
     def attributes(self):
         """The index's attached :class:`repro.filter.AttributeStore` (or None)."""
-        return getattr(self.index, "attributes", None)
+        return self.index.attributes
 
     def stats(self) -> Dict[str, Any]:
         """Durability gauges plus the owned index's own ``stats()``."""
@@ -367,7 +366,7 @@ class Collection:
                 raise ValidationError(
                     f"added vectors have dim {vectors.shape[1]}, collection has {dim}"
                 )
-            start = getattr(self.index, "total_rows", None)
+            start = self.index.total_rows
             rows = None
             if attributes is not None:
                 rows = self._canonical_rows(attributes, expected=vectors.shape[0])
@@ -375,19 +374,18 @@ class Collection:
                 # store describes id i.  If the store lags behind the
                 # index, extending it now would attach this batch's
                 # metadata to *older* ids.
-                if start is not None and self.attributes.n_rows != int(start):
+                if self.attributes.n_rows != start:
                     raise ValidationError(
                         f"attribute store has {self.attributes.n_rows} rows but "
-                        f"new ids start at {int(start)}; catch the store up "
+                        f"new ids start at {start}; catch the store up "
                         "with set_attributes() before adding with attributes"
                     )
             record: Dict[str, Any] = {
                 "seq": self._last_seq + 1,
                 "op": "add",
                 "n": int(vectors.shape[0]),
+                "start_id": start,
             }
-            if start is not None:
-                record["start_id"] = int(start)
             if rows is not None:
                 record["rows"] = rows
             self._append(record, {"vectors": vectors})
@@ -400,15 +398,12 @@ class Collection:
             ids = np.unique(np.asarray(ids, dtype=np.int64).reshape(-1))
             if ids.size == 0:
                 return 0
-            contains = getattr(self.index, "contains", None)
-            if contains is not None:
-                alive = np.asarray(contains(ids), dtype=bool)
-                if not alive.all():
-                    missing = ids[~alive]
-                    raise ValidationError(
-                        f"ids not present (unknown or already removed): "
-                        f"{missing[:8].tolist()}"
-                    )
+            alive = np.asarray(self.index.contains(ids), dtype=bool)
+            if not alive.all():
+                raise ValidationError(
+                    f"ids not present (unknown or already removed): "
+                    f"{ids[~alive][:8].tolist()}"
+                )
             record = {"seq": self._last_seq + 1, "op": "remove"}
             self._append(record, {"ids": ids})
             return self._apply_remove(record, ids)
@@ -425,11 +420,11 @@ class Collection:
             self._check_writable()
             canonical = self._canonical_rows(rows, expected=None)
             count = len(next(iter(canonical.values())))
-            total = getattr(self.index, "total_rows", None)
-            if total is not None and self.attributes.n_rows + count > int(total):
+            total = self.index.total_rows
+            if self.attributes.n_rows + count > total:
                 raise ValidationError(
                     f"extending the attribute store by {count} rows would pass "
-                    f"the index ({self.attributes.n_rows} + {count} > {int(total)} "
+                    f"the index ({self.attributes.n_rows} + {count} > {total} "
                     "ids); attribute rows describe already-added vectors"
                 )
             record = {

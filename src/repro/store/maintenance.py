@@ -23,19 +23,6 @@ from typing import Any, Dict, Optional
 from ..utils.exceptions import ValidationError
 
 
-def mutation_pressure(index) -> Optional[float]:
-    """(pending + tombstoned) / live for a mutable index, else ``None``."""
-    pending = getattr(index, "n_pending", None)
-    tombstones = getattr(index, "n_tombstones", None)
-    if pending is None or tombstones is None:
-        return None
-    try:
-        live = int(index.n_points)
-    except Exception:
-        return None
-    return (int(pending) + int(tombstones)) / max(live, 1)
-
-
 class MaintenanceLoop:
     """Drive checkpoints and compaction from mutation-pressure gauges.
 
@@ -103,9 +90,9 @@ class MaintenanceLoop:
         return {
             "wal_ops": int(self.collection.wal_ops),
             "wal_bytes": int(self.collection.wal_bytes),
-            "n_pending": int(getattr(index, "n_pending", 0) or 0),
-            "n_tombstones": int(getattr(index, "n_tombstones", 0) or 0),
-            "mutation_pressure": mutation_pressure(index),
+            "n_pending": int(index.n_pending),
+            "n_tombstones": int(index.n_tombstones),
+            "mutation_pressure": float(index.mutation_pressure),
         }
 
     def run_once(self) -> Dict[str, Any]:
@@ -121,11 +108,9 @@ class MaintenanceLoop:
             "checkpointed": False,
             "gauges": gauges,
         }
-        pressure = gauges["mutation_pressure"]
         if (
             self.compact_pressure is not None
-            and pressure is not None
-            and pressure > self.compact_pressure
+            and gauges["mutation_pressure"] > self.compact_pressure
         ):
             self.collection.compact()
             self.compactions += 1
@@ -153,7 +138,7 @@ class MaintenanceLoop:
         self._stop.clear()
         self._thread = threading.Thread(
             target=self._loop,
-            name=f"maintenance-{getattr(self.collection, 'name', 'collection')}",
+            name=f"maintenance-{self.collection.name}",
             daemon=True,
         )
         self._thread.start()
@@ -184,7 +169,7 @@ class MaintenanceLoop:
 
     def __repr__(self) -> str:
         return (
-            f"MaintenanceLoop(collection={getattr(self.collection, 'name', '?')!r}, "
+            f"MaintenanceLoop(collection={self.collection.name!r}, "
             f"checkpoint_ops={self.checkpoint_ops}, "
             f"compact_pressure={self.compact_pressure}, runs={self.runs})"
         )

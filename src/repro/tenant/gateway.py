@@ -21,8 +21,9 @@ Three policies are enforced on the way through:
 * **Cache partition** — an optional private result cache charged against
   the registry's global :class:`~repro.tenant.cache.CacheBudget`.  The
   partition is only consulted when the delegate can vouch for freshness
-  (it exposes ``_index_cache_tag``); gateways over replica groups skip
-  it and lean on the per-replica service caches instead.
+  (its :meth:`~repro.service.Service.cache_tag` is not ``None``, which
+  holds for a ``SearchService``); gateways over replica groups skip it
+  and lean on the per-replica service caches instead.
 """
 
 from __future__ import annotations
@@ -66,7 +67,7 @@ class TenantGateway(Service):
         self.name = str(name)
         self.service = service
         self.config = config or TenantConfig()
-        self.namespace = namespace or getattr(service, "name", None)
+        self.namespace = namespace or service.name
         self.cache = cache
         self._budget = budget
         self.query_bucket = (
@@ -90,29 +91,31 @@ class TenantGateway(Service):
         self._quota_denials = 0
         self._latency_sum = 0.0
         self._delegate_tag: Any = None
-        # Shared Tracer, injected by the hosting SearchServer (if any).
-        self.tracer = None
 
     # ------------------------------------------------------------------ #
-    # delegate passthroughs (what hosts duck-type against)
+    # delegate passthroughs (the Service members hosts read)
     # ------------------------------------------------------------------ #
     @property
     def collection(self):
-        return getattr(self.service, "collection", None)
+        return self.service.collection
 
     @property
     def capabilities(self):
-        return getattr(self.service, "capabilities", None)
+        return self.service.capabilities
 
     @property
     def dim(self) -> Optional[int]:
-        return getattr(self.service, "dim", None)
+        return self.service.dim
 
     @property
     def batch_size(self) -> int:
-        # Falls back to the service default: the HTTP layer uses this as
-        # its deadline-check chunk size, which must never be zero.
-        return int(getattr(self.service, "batch_size", 0) or 256)
+        return self.service.batch_size
+
+    def resolve_request(
+        self, request: Optional[QueryRequest] = None, **overrides
+    ) -> QueryRequest:
+        """The delegate's resolution (its default request), before the ACL."""
+        return self.service.resolve_request(request, **overrides)
 
     # ------------------------------------------------------------------ #
     # ACL injection
@@ -129,13 +132,7 @@ class TenantGateway(Service):
         they are rejected for ACL-bearing tenants rather than silently
         widening the tenant's view.
         """
-        resolve = getattr(self.service, "resolve_request", None)
-        if callable(resolve):
-            request = resolve(request, **overrides)
-        else:
-            request = request if request is not None else QueryRequest()
-            if overrides:
-                request = request.with_updates(**overrides)
+        request = self.resolve_request(request, **overrides)
         acl = self.config.acl
         if acl is None:
             return request
@@ -189,26 +186,21 @@ class TenantGateway(Service):
     def _partition(self) -> Optional[QueryCache]:
         """The tenant's cache partition, cleared if the delegate mutated.
 
-        Only delegates that expose ``_index_cache_tag`` (plain services)
-        can vouch that cached entries are fresh; anything else (replica
-        groups route reads across lagging followers) gets no gateway
-        cache.
+        Only a delegate whose :meth:`~repro.service.Service.cache_tag` is
+        not ``None`` (a plain service) can vouch that cached entries are
+        fresh; anything else (replica groups route reads across lagging
+        followers) gets no gateway cache.
         """
         if self.cache is None:
             return None
-        tag_fn = getattr(self.service, "_index_cache_tag", None)
-        if not callable(tag_fn):
+        tag = self.service.cache_tag()
+        if tag is None:
             return None
-        tag = tag_fn()
         with self._lock:
             if tag != self._delegate_tag:
                 self.cache.clear()
                 self._delegate_tag = tag
         return self.cache
-
-    def _reconcile_budget(self) -> None:
-        if self._budget is not None:
-            self._budget.reconcile()
 
     # ------------------------------------------------------------------ #
     # serving surface (search() is the one-row case, from Service)
@@ -246,8 +238,8 @@ class TenantGateway(Service):
         ids, distances, gateway_hits = read_through(
             cache, queries, request.cache_key() + (self._delegate_tag,), from_delegate
         )
-        if gateway_hits < n:
-            self._reconcile_budget()
+        if gateway_hits < n and self._budget is not None:
+            self._budget.reconcile()
         elapsed = time.perf_counter() - start
         self._observe_query(n, elapsed, hits=gateway_hits + inner_hits)
         return BatchResult(
@@ -315,8 +307,6 @@ class TenantGateway(Service):
             snapshot["write_bucket"] = self.write_bucket.stats()
         if self.cache is not None:
             snapshot["cache"] = self.cache.stats()
-        if self.tracer is not None:
-            snapshot["tracing"] = self.tracer.stats()
         return snapshot
 
     def service_config(self) -> Dict[str, Any]:

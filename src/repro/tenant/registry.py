@@ -59,21 +59,6 @@ class TenantRegistry:
         self._namespaces: Dict[str, object] = {}
         self._tenants: Dict[str, TenantGateway] = {}
         self._lock = threading.Lock()
-        self._tracer = None
-
-    @property
-    def tracer(self):
-        """Shared Tracer, injected by the hosting SearchServer (if any)."""
-        return self._tracer
-
-    @tracer.setter
-    def tracer(self, tracer) -> None:
-        self._tracer = tracer
-        with self._lock:
-            gateways = list(self._tenants.values())
-        for gateway in gateways:
-            if gateway.tracer is None:
-                gateway.tracer = tracer
 
     @staticmethod
     def _check_name(name: str, kind: str) -> str:
@@ -150,8 +135,6 @@ class TenantRegistry:
             clock=self._clock,
             vectors_used=vectors_used,
         )
-        if self._tracer is not None:
-            gateway.tracer = self._tracer
         with self._lock:
             if name in self._tenants:  # lost a provisioning race
                 if self.budget is not None:
@@ -213,8 +196,6 @@ class TenantRegistry:
         }
         if self.budget is not None:
             payload["cache_budget"] = self.budget.stats()
-        if self._tracer is not None:
-            payload["tracing"] = self._tracer.stats()
         return payload
 
     def __repr__(self) -> str:

@@ -536,12 +536,19 @@ class ThreadRecordingIndex(BruteForceIndex):
     """Brute force that records the thread running each ``batch_query``.
 
     ``delay`` slows every query; ``add`` only sleeps ``add_delay`` and
-    assigns no ids, which is enough to hold a mutation in flight.
+    assigns no ids, which is enough to hold a mutation in flight.  As it
+    declares ``mutable=True``, it keeps the rest of the
+    :class:`~repro.api.MutableIndex` contract: nothing is ever pending or
+    tombstoned.
     """
 
     capabilities = replace(BruteForceIndex.capabilities, mutable=True)
     delay = 0.0
     add_delay = 0.0
+    version = 0
+    n_pending = 0
+    n_tombstones = 0
+    mutation_pressure = 0.0
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -556,6 +563,20 @@ class ThreadRecordingIndex(BruteForceIndex):
     def add(self, vectors):
         time.sleep(self.add_delay)
         return np.empty(0, dtype=np.int64)
+
+    def remove(self, ids):
+        return 0
+
+    def compact(self):
+        return self
+
+    @property
+    def total_rows(self):
+        return self.n_points
+
+    def contains(self, ids):
+        ids = np.asarray(ids)
+        return (ids >= 0) & (ids < self.n_points)
 
 
 def recording_server(base, *, delay=0.0, add_delay=0.0, **config_kwargs):

@@ -327,19 +327,18 @@ class TestThreadedMatchesSerial:
 
 
 class TestClose:
-    def test_context_manager_closes_the_index_pool(self, service_dataset):
-        """Leaving the ``with`` block calls the served index's own ``close()``.
+    def test_context_manager_does_not_close_the_index(self, service_dataset):
+        """Leaving the ``with`` block calls nothing on the served index.
 
-        No registered index owns a pool (or anything else to close) any
-        more; the forwarding is for index types that do.
+        ``close()`` is a no-op: no index owns anything to close, and the
+        service does not call an index's own ``close()``.
         """
         index = make_index("bruteforce").build(service_dataset.base)
         closed = []
         index.close = lambda: closed.append(True)
         with SearchService(index, batch_size=4) as service:
             before = service.search_batch(service_dataset.queries, k=3)
-            assert not closed
-        assert closed == [True]
+        assert closed == []
         # the service holds nothing of its own: closed, it still serves
         after = service.search_batch(service_dataset.queries, k=3)
         np.testing.assert_array_equal(before.ids, after.ids)

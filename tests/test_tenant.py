@@ -633,7 +633,7 @@ class TestTenantRegistry:
             router.add_service("bogus", object())
 
     def test_gateway_over_replica_group(self, tmp_path):
-        # The delegate is duck-typed: a ReplicaGroup serves reads through
+        # The delegate is any Service: a ReplicaGroup serves reads through
         # followers, writes through the primary — with tenant policy on top.
         from repro.replica import Follower, Primary, ReplicaGroup
         from repro.shard import ShardedIndex
