@@ -49,8 +49,10 @@ def main() -> None:
         print(f"\nat {accuracy:.0%} accuracy: USP+ScaNN is {vs_vanilla:.2f}x the throughput of vanilla ScaNN, "
               f"{vs_kmeans:.2f}x that of K-means+ScaNN")
     print("\n(The paper reports ~40% faster 10-NN retrieval than K-means+ScaNN on the "
-          "full-scale datasets; at this reduced scale the per-query Python overhead "
-          "compresses the gap — see docs/benchmarks.md.)")
+          "full-scale datasets. All three pipelines run one bin-major ADC scan, so what "
+          "separates them is how many codes the partition makes each query score; at this "
+          "reduced scale the exact re-rank every pipeline pays alike is a large share of a "
+          "query — see benchmarks/results/figure7_sift_pipelines.txt.)")
 
 
 if __name__ == "__main__":

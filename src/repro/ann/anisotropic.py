@@ -15,16 +15,15 @@ codeword *assignment* uses the anisotropic distortion, and the codebook
 *update* solves the corresponding weighted least-squares problem
 approximately by averaging (exact for the isotropic part; the anisotropic
 correction primarily changes the assignment boundaries, which is where the
-ranking benefit comes from).
+ranking benefit comes from).  The codebooks have plain PQ's shape, so
+decoding and ADC lookup tables are :class:`ProductQuantizer`'s.
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
-from ..utils.exceptions import NotFittedError, ValidationError
+from ..utils.exceptions import ValidationError
 from ..utils.rng import SeedLike
 from ..utils.validation import as_float_matrix, check_positive_int
 from .pq import ProductQuantizer
@@ -46,7 +45,7 @@ def anisotropic_distortion(
     return eta * parallel_sq + orthogonal_sq
 
 
-class AnisotropicQuantizer:
+class AnisotropicQuantizer(ProductQuantizer):
     """Product quantizer trained with the anisotropic (score-aware) loss.
 
     Parameters
@@ -69,15 +68,11 @@ class AnisotropicQuantizer:
         iterations: int = 10,
         seed: SeedLike = None,
     ) -> None:
-        self.n_subspaces = check_positive_int(n_subspaces, "n_subspaces")
-        self.n_codewords = check_positive_int(n_codewords, "n_codewords")
+        super().__init__(n_subspaces, n_codewords, seed=seed)
         if eta < 1.0:
             raise ValidationError(f"eta must be >= 1, got {eta}")
         self.eta = float(eta)
         self.iterations = check_positive_int(iterations, "iterations")
-        self.seed = seed
-        self.codebooks: Optional[np.ndarray] = None
-        self._sub_dim: Optional[int] = None
 
     # ------------------------------------------------------------------ #
     def fit(self, points: np.ndarray) -> "AnisotropicQuantizer":
@@ -102,14 +97,6 @@ class AnisotropicQuantizer:
             codebooks = self._update(points, codes, codebooks)
         self.codebooks = codebooks
         return self
-
-    def _require_fitted(self) -> None:
-        if self.codebooks is None:
-            raise NotFittedError("AnisotropicQuantizer has not been fitted yet")
-
-    def _subvector(self, points: np.ndarray, subspace: int) -> np.ndarray:
-        start = subspace * self._sub_dim
-        return points[:, start : start + self._sub_dim]
 
     def _assign(self, points: np.ndarray, codebooks: np.ndarray) -> np.ndarray:
         """Assign each sub-vector to the codeword minimising the anisotropic loss."""
@@ -156,27 +143,6 @@ class AnisotropicQuantizer:
         """Quantize points under the anisotropic assignment rule."""
         self._require_fitted()
         return self._assign(as_float_matrix(points), self.codebooks)
-
-    def decode(self, codes: np.ndarray) -> np.ndarray:
-        """Reconstruct approximate vectors from codes."""
-        self._require_fitted()
-        codes = np.asarray(codes, dtype=np.int64)
-        parts = [self.codebooks[s][codes[:, s]] for s in range(self.n_subspaces)]
-        return np.concatenate(parts, axis=1)
-
-    def adc_distances(self, query: np.ndarray, codes: np.ndarray) -> np.ndarray:
-        """Approximate squared Euclidean distances via ADC lookup tables."""
-        self._require_fitted()
-        query = np.asarray(query, dtype=np.float64).reshape(-1)
-        codes = np.asarray(codes, dtype=np.int64)
-        total = np.zeros(codes.shape[0], dtype=np.float64)
-        for s in range(self.n_subspaces):
-            start = s * self._sub_dim
-            sub_query = query[start : start + self._sub_dim]
-            diff = self.codebooks[s] - sub_query
-            table = np.einsum("ij,ij->i", diff, diff)
-            total += table[codes[:, s]]
-        return total
 
     def anisotropic_error(self, points: np.ndarray) -> float:
         """Mean anisotropic distortion of ``points`` under this codec."""

@@ -6,24 +6,26 @@ their points.  ``IVFFlat`` is :class:`~repro.baselines.kmeans.KMeansIndex`
 under IVF's knob names (``n_lists`` cells, ``kmeans_iterations`` Lloyd
 iterations, four probes by default), so it answers through the shared
 partition scan with exact distances within the probed cells.  ``IVFPQ``
-scans product-quantized residual codes of the same cells with ADC lookup
-tables and then re-ranks a shortlist exactly, matching the structure of
-``faiss.IndexIVFPQ``.
+puts an ``IVFFlat`` in front of the partitioned ADC scan of
+:mod:`repro.quant.partitioned`: it product-quantizes each row's residual
+to its cell's centroid, scores the probed cells' codes with LUTs built
+for ``query - centroid`` and re-ranks a shortlist exactly, matching the
+structure of ``faiss.IndexIVFPQ``.
 """
 
 from __future__ import annotations
 
 import time
-from typing import List, Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from ..api.protocol import IndexCapabilities
 from ..api.registry import register_index
 from ..baselines.kmeans import KMeansIndex, KMeansResult
-from ..utils.distances import squared_euclidean
+from ..quant.partitioned import PartitionedAdcIndex
 from ..utils.rng import SeedLike
-from ..utils.validation import as_float_matrix, as_query_matrix, check_positive_int
+from ..utils.validation import as_float_matrix, check_positive_int
 from .pq import ProductQuantizer
 
 _IVF_CAPABILITIES = IndexCapabilities(
@@ -109,12 +111,17 @@ class IVFFlatIndex(KMeansIndex):
     capabilities=_IVF_CAPABILITIES,
     description="IVF with product-quantized residuals (the FAISS baseline)",
 )
-class IVFPQIndex(IVFFlatIndex):
+class IVFPQIndex(PartitionedAdcIndex):
     """IVF with product-quantized residuals and exact re-ranking.
 
-    ``rerank_factor * k`` ADC candidates are re-ranked with exact distances,
-    as FAISS does when refinement is enabled.
+    An :class:`IVFFlatIndex` holds the cells; each row is encoded as its
+    residual to its cell's centroid, and ``rerank_factor * k`` ADC
+    candidates are re-ranked with exact distances, as FAISS does when
+    refinement is enabled.
     """
+
+    residual = True
+    default_probes = 4
 
     def __init__(
         self,
@@ -126,101 +133,61 @@ class IVFPQIndex(IVFFlatIndex):
         kmeans_iterations: int = 25,
         seed: SeedLike = None,
     ) -> None:
-        super().__init__(n_lists, kmeans_iterations=kmeans_iterations, seed=seed)
-        self.seed = seed
-        self.n_subspaces = check_positive_int(n_subspaces, "n_subspaces")
-        self.n_codewords = check_positive_int(n_codewords, "n_codewords")
-        self.rerank_factor = check_positive_int(rerank_factor, "rerank_factor")
-        self._pq: Optional[ProductQuantizer] = None
-        self._codes: Optional[np.ndarray] = None
+        super().__init__(
+            IVFFlatIndex(n_lists, kmeans_iterations=kmeans_iterations, seed=seed),
+            n_subspaces=n_subspaces,
+            n_codewords=n_codewords,
+            kmeans_iterations=kmeans_iterations,
+            rerank_factor=rerank_factor,
+            seed=seed,
+        )
 
     def build(self, base: np.ndarray) -> "IVFPQIndex":
-        super().build(base)
+        """Cluster ``base`` into cells (afresh on every build), then encode the residuals."""
         start = time.perf_counter()
-        residuals = self._base - self.centroids[self._assignments]
-        self._pq = ProductQuantizer(
-            self.n_subspaces,
-            self.n_codewords,
-            kmeans_iterations=self.kmeans_iterations,
-            seed=self.seed,
-        ).fit(residuals)
-        self._codes = self._pq.encode(residuals)
-        self.build_seconds += time.perf_counter() - start
+        self.partitioner.build(base)
+        super().build(base)
+        self.build_seconds = time.perf_counter() - start
         return self
 
-    def query(
-        self, query: np.ndarray, k: int = 10, *, n_probes: int = 4, filter=None
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """ADC scan of the ``n_probes`` nearest cells, then an exact re-rank."""
-        self._require_built()
-        if filter is not None:
-            ids, dists = self.batch_query(
-                np.atleast_2d(np.asarray(query, dtype=np.float64)),
-                k,
-                n_probes=n_probes,
-                filter=filter,
-            )
-            return ids[0], dists[0]
-        query = np.asarray(query, dtype=np.float64).reshape(-1)
-        n_probes = min(check_positive_int(n_probes, "n_probes"), self.n_bins)
-        cell_distances = squared_euclidean(query[None, :], self.centroids)[0]
-        probe_order = np.argsort(cell_distances)[:n_probes]
+    def _train_codes(self, base: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        residuals = base - self.centroids[self.assignments]
+        pq = ProductQuantizer(
+            self.n_subspaces, self.n_codewords, kmeans_iterations=self.kmeans_iterations, seed=self.seed
+        ).fit(residuals)
+        return pq.codebooks, pq.encode(residuals)
 
-        candidate_ids: List[np.ndarray] = []
-        candidate_scores: List[np.ndarray] = []
-        for cell in probe_order:
-            members = self._lookup[cell]
-            if len(members) == 0:
-                continue
-            residual_query = query - self.centroids[cell]
-            scores = self._pq.adc_distances(residual_query, self._codes[members])
-            candidate_ids.append(members)
-            candidate_scores.append(scores)
-        if not candidate_ids:
-            return np.full(k, -1, dtype=np.int64), np.full(k, np.inf)
-        ids = np.concatenate(candidate_ids)
-        scores = np.concatenate(candidate_scores)
+    @property
+    def centroids(self) -> np.ndarray:
+        """Cell centroids."""
+        return self.partitioner.centroids
 
-        shortlist_size = min(len(ids), max(k, self.rerank_factor * k))
-        part = np.argpartition(scores, kth=shortlist_size - 1)[:shortlist_size]
-        shortlist = ids[part]
-        exact = squared_euclidean(query[None, :], self._base[shortlist])[0]
-        top = min(k, shortlist.size)
-        best = np.argpartition(exact, kth=top - 1)[:top]
-        order = best[np.argsort(exact[best], kind="stable")]
-        indices = np.full(k, -1, dtype=np.int64)
-        dists = np.full(k, np.inf)
-        indices[:top] = shortlist[order]
-        dists[:top] = np.sqrt(exact[order])
-        return indices, dists
+    @property
+    def assignments(self) -> np.ndarray:
+        """Cell id of every base point."""
+        return self.partitioner.assignments
 
-    def batch_query(
-        self, queries: np.ndarray, k: int = 10, *, n_probes: int = 4, filter=None
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        self._require_built()
-        queries = as_query_matrix(queries, self.dim)
-        if filter is not None:
-            return self._filtered_batch_query(queries, k, filter, n_probes=int(n_probes))
-        indices = np.full((queries.shape[0], k), -1, dtype=np.int64)
-        distances = np.full((queries.shape[0], k), np.inf)
-        for i, query in enumerate(queries):
-            indices[i], distances[i] = self.query(query, k, n_probes=n_probes)
-        return indices, distances
+    @property
+    def n_bins(self) -> int:
+        """Number of cells (what ``probes`` and candidate budgets count in)."""
+        return self.partitioner.n_bins
 
     # ------------------------------------------------------------------ #
-    # persistence
+    # persistence: IVF's cells plus the residual codec
     # ------------------------------------------------------------------ #
     def _state(self):
-        config, arrays, children = super()._state()
+        self._require_built()
+        config, arrays, children = self.partitioner._state()
         config.update(
             {
                 "n_subspaces": int(self.n_subspaces),
                 "n_codewords": int(self.n_codewords),
                 "rerank_factor": int(self.rerank_factor),
+                "build_seconds": self.build_seconds,
             }
         )
         arrays["pq.codebooks"] = self._pq.codebooks
-        arrays["pq.codes"] = self._codes
+        arrays["pq.codes"] = self._saved_codes()
         return config, arrays, children
 
     @classmethod
@@ -232,12 +199,7 @@ class IVFPQIndex(IVFFlatIndex):
             rerank_factor=int(config["rerank_factor"]),
             kmeans_iterations=int(config["kmeans_iterations"]),
         )
-        index._restore_cells(arrays)
-        codebooks = arrays["pq.codebooks"]
-        pq = ProductQuantizer(codebooks.shape[0], codebooks.shape[1])
-        pq.codebooks = codebooks
-        pq._sub_dim = int(codebooks.shape[2])
-        index._pq = pq
-        index._codes = arrays["pq.codes"]
+        index.partitioner._restore_cells(arrays)
+        index._restore(arrays["__base__"], arrays["pq.codebooks"], arrays["pq.codes"])
         index.build_seconds = float(config.get("build_seconds", 0.0))
         return index

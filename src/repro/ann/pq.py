@@ -76,7 +76,7 @@ class ProductQuantizer:
 
     def _require_fitted(self) -> None:
         if self.codebooks is None:
-            raise NotFittedError("ProductQuantizer has not been fitted yet")
+            raise NotFittedError(f"{type(self).__name__} has not been fitted yet")
 
     def _subvector(self, points: np.ndarray, subspace: int) -> np.ndarray:
         start = subspace * self._sub_dim

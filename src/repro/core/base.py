@@ -55,83 +55,123 @@ def rerank_candidates(
     return out_indices, out_distances
 
 
+def bin_major(lookup: Sequence[np.ndarray]) -> Tuple[np.ndarray, np.ndarray]:
+    """``(bounds, ids)``: the ``lookup`` buckets concatenated bin after bin.
+
+    Bin ``b`` owns positions ``[bounds[b], bounds[b + 1])`` of ``ids``.
+    """
+    bounds = np.concatenate([[0], np.cumsum([len(b) for b in lookup])]).astype(np.int64)
+    return bounds, np.concatenate(lookup)
+
+
+def scan_bins(
+    ranked: np.ndarray,
+    bounds: np.ndarray,
+    ids: np.ndarray,
+    k: int,
+    score: Callable[[np.ndarray, int, slice], np.ndarray],
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The ``k`` best-scored rows of each query's ``ranked`` bins, as ``(ids, scores)``.
+
+    The first ``k`` of a stable argsort of each query's scores over its
+    concatenated bins, padded with ``-1`` / ``inf``.  The (query, probe
+    rank) pairs are grouped by bin once, and ``score(queries, b, rows)``
+    scores bin ``b``'s layout ``rows`` (a ``slice``) for all the queries
+    that probe it, smaller = better.  Each query keeps the bin's rows in
+    the pool block of its probe rank, and one stable sort per pool row
+    merges the blocks.  At one probe a block is the bin's sorted best
+    ``k``: the answer.  At more, a bin of up to ``k'`` rows fills its
+    block unsorted, in gathered order, and a larger one keeps its best
+    ``k``; ``k'`` is the largest probed bin of at most ``3k`` rows (at
+    least ``min(k, largest probed bin)``), since below ``3k`` a
+    selection sorts whole rows (:func:`repro.utils.topk.select`).
+    """
+    n_queries, n_probes = ranked.shape
+    sizes = np.diff(bounds)[ranked]
+    width = min(k, int(sizes.max(initial=0)))  # k'
+    if n_probes > 1:
+        width = max(width, int(sizes[sizes <= 3 * k].max(initial=0)))
+    pool_shape = (n_queries, n_probes, max(width, -(-k // n_probes)))  # >= k columns
+    pool_ids = np.full(pool_shape, -1, dtype=np.int64)
+    pool_scores = np.full(pool_shape, np.inf, dtype=np.float64)
+    pairs = np.argsort(ranked, axis=None, kind="stable")
+    probed = ranked.ravel()[pairs]
+    starts = np.flatnonzero(np.diff(probed, prepend=-1))
+    for group, b in zip(np.split(pairs, starts[1:]), probed[starts].tolist()):
+        lo, hi = bounds[b], bounds[b + 1]
+        if lo == hi:
+            continue
+        qi, rank = np.divmod(group, n_probes)
+        scores = score(qi, b, slice(lo, hi))
+        if n_probes > 1 and hi - lo <= width:
+            block_ids, block_scores = ids[lo:hi], scores
+        else:
+            nearest = select(scores, min(k, width))
+            block_ids = ids[lo:hi][nearest]
+            block_scores = np.take_along_axis(scores, nearest, axis=1)
+        pool_ids[qi, rank, : block_scores.shape[1]] = block_ids
+        pool_scores[qi, rank, : block_scores.shape[1]] = block_scores
+    pool_ids = pool_ids.reshape(n_queries, -1)
+    pool_scores = pool_scores.reshape(n_queries, -1)
+    if n_probes == 1:  # one block per query, already in order: the answer
+        return pool_ids, pool_scores
+    order = select(pool_scores, k)
+    return np.take_along_axis(pool_ids, order, axis=1), np.take_along_axis(pool_scores, order, axis=1)
+
+
 class _BinMajorLayout:
     """The base rows regrouped bin after bin, with the metric's per-row constant.
 
     Bin ``b`` owns layout rows ``[bounds[b], bounds[b + 1])``, which are
-    ``base[ids[bounds[b]:bounds[b + 1]]]`` byte for byte, ``ids`` being the
-    concatenated ``lookup`` buckets.  ``euclidean`` / ``sqeuclidean`` keep
-    the rows and their squared norms; ``cosine`` keeps the rows already
-    divided by their norms.
+    ``base[ids[bounds[b]:bounds[b + 1]]]`` byte for byte (see
+    :func:`bin_major`).  ``euclidean`` / ``sqeuclidean`` keep the rows and
+    their squared norms; ``cosine`` keeps the rows already divided by
+    their norms.
 
-    :meth:`search` walks the probed bins, not the queries: every query that
-    probes bin ``b`` is scored against ``b``'s contiguous row range in one
-    stacked call, and keeps its best ``k`` rows of ``b`` in a per-query pool
-    that one stable sort merges.  The stacked call is one matrix-vector
-    product per query on exactly the bytes :func:`rerank_candidates` would
-    gather for that bin — not one matrix product for the group, whose
-    rounding would depend on how many queries share the bin.
+    :meth:`scan` walks the probed bins, not the queries (see
+    :func:`scan_bins`): every query that probes bin ``b`` is scored
+    against ``b``'s contiguous row range in one stacked call.  The stacked
+    call is one matrix-vector product per query on exactly the bytes
+    :func:`rerank_candidates` would gather for that bin — not one matrix
+    product for the group, whose rounding would depend on how many
+    queries share the bin.
     """
 
     def __init__(self, base: np.ndarray, lookup: Sequence[np.ndarray], metric: str) -> None:
         get_metric(metric)  # unknown names fail exactly as in rerank_candidates
         self.metric = metric
-        self.bounds = np.concatenate([[0], np.cumsum([len(b) for b in lookup])]).astype(np.int64)
-        self.ids = np.concatenate(lookup)
+        self.bounds, self.ids = bin_major(lookup)
         rows = base[self.ids]
         if metric == "cosine":
             self.rows, self.norms = unit_rows(rows), None
         else:
             self.rows, self.norms = rows, squared_norms(rows)
 
-    def search(
+    def scan(
         self, queries: np.ndarray, ranked: np.ndarray, k: int
     ) -> Tuple[np.ndarray, np.ndarray]:
         """The ``k`` nearest rows of each query's ``ranked`` bins, as base ids.
 
         Same distances, selection and padding as :func:`rerank_candidates`
-        over the concatenated ``lookup`` buckets of each row of ``ranked``:
-        the pool keeps probe rank ``r``'s candidates in columns
-        ``[r·k', (r+1)·k')``, in their gathered order, so the stable merge
-        breaks distance ties by gathered position too.
+        over the concatenated ``lookup`` buckets of each row of ``ranked``.
         """
-        rows, norms, bounds, ids = self.rows, self.norms, self.bounds, self.ids
-        n_queries, n_probes = ranked.shape
+        rows, norms = self.rows, self.norms
         if norms is None:
             queries = unit_rows(queries)
         else:
             query_norms = squared_norms(queries)
-        width = min(k, int(np.diff(bounds)[ranked].max(initial=0)))  # k'
-        pool_shape = (n_queries, max(k, n_probes * width))
-        pool_ids = np.full(pool_shape, -1, dtype=np.int64)
-        pool_distances = np.full(pool_shape, np.inf, dtype=np.float64)
-        # (query, probe rank) pairs as flat positions of ``ranked``, grouped by bin
-        pairs = np.argsort(ranked, axis=None, kind="stable")
-        probed = ranked.ravel()[pairs]
-        starts = np.flatnonzero(np.diff(probed, prepend=-1))
-        for group, b in zip(np.split(pairs, starts[1:]), probed[starts].tolist()):
-            lo, hi = bounds[b], bounds[b + 1]
-            if lo == hi:
-                continue
-            qi, rank = np.divmod(group, n_probes)
-            dots = (queries[qi][:, None, :] @ rows[lo:hi].T)[:, 0, :]
+
+        def distances(qi: np.ndarray, b: int, block: slice) -> np.ndarray:
+            dots = (queries[qi][:, None, :] @ rows[block].T)[:, 0, :]
             if norms is None:
-                dists = 1.0 - dots
-            else:
-                dists = query_norms[qi, None] + norms[lo:hi] - 2.0 * dots
-                np.maximum(dists, 0.0, out=dists)
-                if self.metric == "euclidean":
-                    np.sqrt(dists, out=dists)
-            nearest = select(dists, width)
-            columns = rank[:, None] * width + np.arange(nearest.shape[1])
-            pool_ids[qi[:, None], columns] = ids[lo:hi][nearest]
-            pool_distances[qi[:, None], columns] = dists[np.arange(len(qi))[:, None], nearest]
-        if n_probes == 1:  # one block per query: already the answer
-            return pool_ids, pool_distances
-        order = select(pool_distances, k)
-        return np.take_along_axis(pool_ids, order, axis=1), np.take_along_axis(
-            pool_distances, order, axis=1
-        )
+                return 1.0 - dots
+            dists = query_norms[qi, None] + norms[block] - 2.0 * dots
+            np.maximum(dists, 0.0, out=dists)
+            if self.metric == "euclidean":
+                np.sqrt(dists, out=dists)
+            return dists
+
+        return scan_bins(ranked, self.bounds, self.ids, k, distances)
 
 
 class PartitionIndexBase(RegisteredIndex):
@@ -287,7 +327,7 @@ class PartitionIndexBase(RegisteredIndex):
             return self._filtered_batch_query(queries, k, filter, n_probes=int(n_probes))
         n_probes = min(check_positive_int(n_probes, "n_probes"), self.n_bins)
         ranked = self.top_bins(queries, n_probes)
-        return self._bin_major_layout().search(queries, ranked, int(k))
+        return self._bin_major_layout().scan(queries, ranked, int(k))
 
     def _bin_major_layout(self) -> _BinMajorLayout:
         """The bin-major rows for the current metric, built on first use.

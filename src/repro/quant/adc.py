@@ -20,17 +20,19 @@ contiguous) so every gather streams sequentially.  A row costs
 
 from __future__ import annotations
 
-from typing import Any, Dict, Mapping, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Any, Dict, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
 from ..api.protocol import IndexCapabilities
 from ..api.registry import register_index
-from ..ann.pq import ProductQuantizer
 from ..utils.exceptions import ConfigurationError
 from ..utils.rng import SeedLike
 from ..utils.validation import check_positive_int
 from .base import QuantizedIndexBase, tile_rows
+
+if TYPE_CHECKING:
+    from ..ann.pq import ProductQuantizer
 
 
 @register_index(
@@ -93,6 +95,8 @@ class PqAdcIndex(QuantizedIndexBase):
     # codec hooks
     # ------------------------------------------------------------------ #
     def _fit_codec(self, encoded_base: np.ndarray) -> None:
+        from ..ann.pq import ProductQuantizer  # local: repro.ann's pipelines subclass this index
+
         self._pq = ProductQuantizer(
             self.n_subspaces,
             self.n_codewords,
@@ -152,6 +156,8 @@ class PqAdcIndex(QuantizedIndexBase):
         self._validate_codes_shape(codes_t.T)
         self._codes_t = np.ascontiguousarray(codes_t)
         codebooks = np.asarray(arrays["codebooks"], dtype=np.float64)
+        from ..ann.pq import ProductQuantizer
+
         pq = ProductQuantizer(
             self.n_subspaces,
             self.n_codewords,

