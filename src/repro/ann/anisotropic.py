@@ -26,7 +26,7 @@ import numpy as np
 from ..utils.exceptions import ValidationError
 from ..utils.rng import SeedLike
 from ..utils.validation import as_float_matrix, check_positive_int
-from .pq import ProductQuantizer
+from .pq import ProductQuantizer, _squared_distances
 
 
 def anisotropic_distortion(
@@ -78,13 +78,7 @@ class AnisotropicQuantizer(ProductQuantizer):
     def fit(self, points: np.ndarray) -> "AnisotropicQuantizer":
         """Alternate anisotropic assignment and codebook refitting."""
         points = as_float_matrix(points)
-        dim = points.shape[1]
-        if dim % self.n_subspaces != 0:
-            raise ValidationError(
-                f"dimensionality {dim} is not divisible by n_subspaces={self.n_subspaces}"
-            )
-        self._sub_dim = dim // self.n_subspaces
-        n_codewords = min(self.n_codewords, points.shape[0])
+        n_codewords = self._set_geometry(points)
 
         # Warm start from a plain product quantizer.
         warm = ProductQuantizer(
@@ -105,11 +99,7 @@ class AnisotropicQuantizer(ProductQuantizer):
         for s in range(self.n_subspaces):
             chunk = self._subvector(points, s)
             cb = codebooks[s]
-            residual_sq = (
-                np.einsum("ij,ij->i", chunk, chunk)[:, None]
-                - 2.0 * chunk @ cb.T
-                + np.einsum("ij,ij->i", cb, cb)[None, :]
-            )
+            residual_sq = _squared_distances(chunk, cb)
             # Parallel component of the residual w.r.t. the sub-vector itself.
             norms = np.linalg.norm(chunk, axis=1, keepdims=True)
             directions = np.divide(

@@ -172,6 +172,11 @@ class IVFPQIndex(PartitionedAdcIndex):
         """Number of cells (what ``probes`` and candidate budgets count in)."""
         return self.partitioner.n_bins
 
+    @property
+    def n_lists(self) -> int:
+        """Requested cell count (``n_bins`` is the built one, at most ``n_points``)."""
+        return self.partitioner.n_lists
+
     # ------------------------------------------------------------------ #
     # persistence: IVF's cells plus the residual codec
     # ------------------------------------------------------------------ #

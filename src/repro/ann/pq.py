@@ -19,6 +19,15 @@ from ..utils.rng import SeedLike, spawn_rngs
 from ..utils.validation import as_float_matrix, check_positive_int
 
 
+def _squared_distances(chunk: np.ndarray, codebook: np.ndarray) -> np.ndarray:
+    """Squared distances of every sub-vector of ``chunk`` to every codeword."""
+    return (
+        np.einsum("ij,ij->i", chunk, chunk)[:, None]
+        - 2.0 * chunk @ codebook.T
+        + np.einsum("ij,ij->i", codebook, codebook)[None, :]
+    )
+
+
 class ProductQuantizer:
     """Split-and-quantize codec with ADC distance estimation.
 
@@ -53,13 +62,7 @@ class ProductQuantizer:
     def fit(self, points: np.ndarray) -> "ProductQuantizer":
         """Train one K-means codebook per subspace."""
         points = as_float_matrix(points)
-        dim = points.shape[1]
-        if dim % self.n_subspaces != 0:
-            raise ValidationError(
-                f"dimensionality {dim} is not divisible by n_subspaces={self.n_subspaces}"
-            )
-        self._sub_dim = dim // self.n_subspaces
-        n_codewords = min(self.n_codewords, points.shape[0])
+        n_codewords = self._set_geometry(points)
         rngs = spawn_rngs(self.seed, self.n_subspaces)
         codebooks = np.empty(
             (self.n_subspaces, n_codewords, self._sub_dim), dtype=np.float64
@@ -73,6 +76,16 @@ class ProductQuantizer:
             codebooks[s] = model.centroids
         self.codebooks = codebooks
         return self
+
+    def _set_geometry(self, points: np.ndarray) -> int:
+        """Split ``points``' dimensions into the subspaces; the codebook size they allow."""
+        dim = points.shape[1]
+        if dim % self.n_subspaces != 0:
+            raise ValidationError(
+                f"dimensionality {dim} is not divisible by n_subspaces={self.n_subspaces}"
+            )
+        self._sub_dim = dim // self.n_subspaces
+        return min(self.n_codewords, points.shape[0])
 
     def _require_fitted(self) -> None:
         if self.codebooks is None:
@@ -89,15 +102,7 @@ class ProductQuantizer:
         points = as_float_matrix(points)
         codes = np.empty((points.shape[0], self.n_subspaces), dtype=np.int32)
         for s in range(self.n_subspaces):
-            chunk = self._subvector(points, s)
-            # Squared distances chunk -> codewords of this subspace.
-            cb = self.codebooks[s]
-            d = (
-                np.einsum("ij,ij->i", chunk, chunk)[:, None]
-                - 2.0 * chunk @ cb.T
-                + np.einsum("ij,ij->i", cb, cb)[None, :]
-            )
-            codes[:, s] = d.argmin(axis=1)
+            codes[:, s] = _squared_distances(self._subvector(points, s), self.codebooks[s]).argmin(axis=1)
         return codes
 
     def decode(self, codes: np.ndarray) -> np.ndarray:

@@ -18,7 +18,7 @@ import numpy as np
 from ..api.protocol import RegisteredIndex
 from ..utils.distances import get_metric, squared_norms, unit_rows
 from ..utils.exceptions import NotFittedError, ValidationError
-from ..utils.topk import select
+from ..utils.topk import WHOLE_SORT_PER_K, select
 from ..utils.validation import as_float_matrix, as_query_matrix, check_positive_int
 
 
@@ -82,15 +82,16 @@ def scan_bins(
     merges the blocks.  At one probe a block is the bin's sorted best
     ``k``: the answer.  At more, a bin of up to ``k'`` rows fills its
     block unsorted, in gathered order, and a larger one keeps its best
-    ``k``; ``k'`` is the largest probed bin of at most ``3k`` rows (at
-    least ``min(k, largest probed bin)``), since below ``3k`` a
-    selection sorts whole rows (:func:`repro.utils.topk.select`).
+    ``k``; ``k'`` is the largest probed bin that
+    :func:`repro.utils.topk.select` would sort whole rather than partition
+    (at most ``WHOLE_SORT_PER_K · k`` rows; at least ``min(k, largest
+    probed bin)``).
     """
     n_queries, n_probes = ranked.shape
     sizes = np.diff(bounds)[ranked]
     width = min(k, int(sizes.max(initial=0)))  # k'
     if n_probes > 1:
-        width = max(width, int(sizes[sizes <= 3 * k].max(initial=0)))
+        width = max(width, int(sizes[sizes <= WHOLE_SORT_PER_K * k].max(initial=0)))
     pool_shape = (n_queries, n_probes, max(width, -(-k // n_probes)))  # >= k columns
     pool_ids = np.full(pool_shape, -1, dtype=np.int64)
     pool_scores = np.full(pool_shape, np.inf, dtype=np.float64)
@@ -108,7 +109,7 @@ def scan_bins(
         else:
             nearest = select(scores, min(k, width))
             block_ids = ids[lo:hi][nearest]
-            block_scores = np.take_along_axis(scores, nearest, axis=1)
+            block_scores = scores[np.arange(len(qi))[:, None], nearest]
         pool_ids[qi, rank, : block_scores.shape[1]] = block_ids
         pool_scores[qi, rank, : block_scores.shape[1]] = block_scores
     pool_ids = pool_ids.reshape(n_queries, -1)

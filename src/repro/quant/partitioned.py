@@ -78,7 +78,7 @@ class PartitionedAdcIndex(PqAdcIndex):
         Any ``(n_subspaces, n_codewords, sub_dim)`` codebooks (PQ or
         anisotropic) are scored by ``pq-adc``'s LUT gather-sum.
         """
-        self._base = self._vectors = as_float_matrix(base, name="base")
+        self._base = as_float_matrix(base, name="base")  # the float64 re-rank rows
         self._n_points, self._dim = self._base.shape
         p = self.partitioner
         if p is None:
@@ -110,7 +110,7 @@ class PartitionedAdcIndex(PqAdcIndex):
         partitioner = self.partitioner
         if partitioner is None:
             candidates = list(self._scan(queries, budget, None)[0])
-            return rerank_candidates(self._vectors, queries, candidates, k, metric=self.metric)
+            return rerank_candidates(self._base, queries, candidates, k, metric=self.metric)
         n_probes = min(check_positive_int(n_probes, "n_probes"), partitioner.n_bins)
         luts = None if self.residual else self._encode_queries(queries)
 
@@ -121,7 +121,12 @@ class PartitionedAdcIndex(PqAdcIndex):
 
         ranked = partitioner.top_bins(queries, n_probes)
         ids, _ = scan_bins(ranked, self._bounds, self._ids, budget, scores)
-        return rerank_candidates(self._vectors, queries, [row[row >= 0] for row in ids], k, metric=self.metric)
+        return rerank_candidates(self._base, queries, [row[row >= 0] for row in ids], k, metric=self.metric)
+
+    def stats(self):
+        stats = super().stats()
+        stats.pop("float32_bytes", None)  # the re-rank rows are the resident float64 ``_base``
+        return stats
 
     # the subclasses' saved layouts keep ``__base__`` in arrays.npz: no vector store
     def save(self, path, *, manifest_extra=None):

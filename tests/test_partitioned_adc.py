@@ -118,6 +118,22 @@ def test_a_partitioner_built_on_another_base_is_rejected():
             ScannSearcher(partitioner, **codec).build(data.base)
 
 
+@pytest.mark.parametrize("name", PIPELINES)
+def test_stats_count_the_float64_base_once(name):
+    data = sift_like(n_points=300, n_queries=5, dim=16, n_clusters=4, seed=5)
+    index = make_index(name, **TINY_PARAMS[name]).build(data.base)
+    stats = index.stats()
+    assert "float32_bytes" not in stats and stats["rerank_source"] == "resident"
+    assert data.base.nbytes < stats["resident_bytes"] < 2 * data.base.nbytes
+    assert stats["code_bytes"] == data.n_points * index.n_subspaces
+
+
+def test_ivf_pq_keeps_its_cell_count():
+    index = make_index("ivf-pq", **dict(TINY_PARAMS["ivf-pq"], n_lists=500))
+    index.build(sift_like(n_points=300, n_queries=5, dim=16, n_clusters=4, seed=5).base)
+    assert (index.n_lists, index.n_bins) == (500, 300)
+
+
 def test_usp_scann_takes_no_ensemble():
     with pytest.raises(TypeError):
         usp_scann(ensemble=object())
