@@ -6,7 +6,6 @@ fraction, and hierarchical-vs-flat partitioning, using candidate recall at
 one probe as the common quality measure.
 """
 
-import numpy as np
 from conftest import run_once
 
 from repro.api import make_index
@@ -17,7 +16,7 @@ from repro.core import (
     build_knn_matrix,
 )
 from repro.datasets import sift_like
-from repro.eval import candidate_recall, format_table
+from repro.eval import candidate_stats, format_table
 
 
 def _ablation_dataset():
@@ -25,9 +24,7 @@ def _ablation_dataset():
 
 
 def _quality(index, dataset, n_probes=1):
-    candidates = index.candidate_sets(dataset.queries, n_probes)
-    recall = candidate_recall(candidates, dataset.ground_truth, 10)
-    size = float(np.mean([len(c) for c in candidates]))
+    size, recall = candidate_stats(index, dataset.queries, dataset.ground_truth, 10, n_probes)
     return recall, size
 
 

@@ -31,7 +31,9 @@ def test_table4_candidate_size_reduction(benchmark, sift_dataset, report):
         title="Table 4 — candidate set reduction at 85% 10-NN accuracy (SIFT-like, 16 bins)",
     )
     report("table4_candidate_reduction", text)
-    # Paper shape: USP needs a smaller (or at worst equal) candidate set than
-    # both baselines at the matched accuracy.
+    # The paper has USP's candidate set smaller than both baselines'.  The
+    # bound is looser: it accepts USP up to 10% *larger* than either.  The
+    # committed text measures USP 34.9% smaller than Neural LSH but 7.8%
+    # larger than K-means, inside the bound and against the paper's sign.
     assert results["Neural LSH"] > -0.10
     assert results["K-means"] > -0.10

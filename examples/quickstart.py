@@ -19,7 +19,7 @@ import numpy as np
 from repro.api import available_indexes, load_index, make_index
 from repro.core import UspConfig, UspIndex
 from repro.datasets import sift_like
-from repro.eval import average_candidate_size, knn_accuracy
+from repro.eval import candidate_stats, knn_accuracy
 from repro.filter import Eq, Range, random_attribute_store
 from repro.service import QueryRequest, SearchService
 
@@ -44,12 +44,13 @@ def main() -> None:
           f"{index.num_parameters()} parameters, bin sizes: {index.bin_sizes().tolist()}")
 
     # 3. Online phase: answer queries with increasing probe counts (Algorithm 2).
+    #    |C| is the rows of the probed bins: bin arithmetic, no id lists.
     print(f"\n{'probes':>6} {'avg |C|':>9} {'10-NN accuracy':>15}")
     for n_probes in (1, 2, 4, 8, 16):
-        candidates = index.candidate_sets(data.queries, n_probes)
+        size, _ = candidate_stats(index, data.queries, data.ground_truth, 10, n_probes)
         retrieved, _ = index.batch_query(data.queries, k=10, n_probes=n_probes)
         accuracy = knn_accuracy(retrieved, data.ground_truth, 10)
-        print(f"{n_probes:>6} {average_candidate_size(candidates):>9.0f} {accuracy:>15.3f}")
+        print(f"{n_probes:>6} {size:>9.0f} {accuracy:>15.3f}")
 
     # 4. A single query, the way an application would issue it.
     query = data.queries[0]

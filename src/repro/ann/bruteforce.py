@@ -14,6 +14,7 @@ from ..api.protocol import IndexCapabilities, RegisteredIndex
 from ..api.registry import register_index
 from ..utils.distances import pairwise_topk
 from ..utils.exceptions import NotFittedError
+from ..utils.topk import pad
 from ..utils.validation import as_float_matrix, as_query_matrix, check_positive_int
 
 
@@ -71,14 +72,17 @@ class BruteForceIndex(RegisteredIndex):
         """
         self._require_built()
         queries = as_query_matrix(queries, self.dim)
-        k = min(check_positive_int(k, "k"), self.n_points)
+        k = check_positive_int(k, "k")
         if filter is not None:
             # The planner picks prefilter at every selectivity for exact
             # indexes — the subset scan is this index's scan.
             return self._filtered_batch_query(queries, k, filter)
-        return pairwise_topk(
+        ids, distances = pairwise_topk(
             queries, self._base, k, metric=self.metric, block_size=self.block_size
         )
+        if k > ids.shape[1]:  # k > n: the clipped answer, padded like every index's
+            return pad(ids, distances, k)
+        return ids, distances
 
     # ------------------------------------------------------------------ #
     def _state(self):

@@ -16,6 +16,7 @@ structure of ``faiss.IndexIVFPQ``.
 from __future__ import annotations
 
 import time
+from dataclasses import replace
 from typing import Tuple
 
 import numpy as np
@@ -39,7 +40,7 @@ _IVF_CAPABILITIES = IndexCapabilities(
 
 @register_index(
     "ivf-flat",
-    capabilities=_IVF_CAPABILITIES,
+    capabilities=replace(_IVF_CAPABILITIES, routed=True),
     description="Inverted-file index with exact in-cell distances",
 )
 class IVFFlatIndex(KMeansIndex):

@@ -47,10 +47,11 @@ class IndexCapabilities:
         :meth:`query_kwargs` for probes on a knobless index is *not*
         silently dropped: it warns once per capabilities value so callers
         learn their accuracy/cost dial is a no-op on that back-end.
-    supports_candidate_sets:
-        True when the index exposes ``candidate_sets(queries, n_probes)``
-        (every space-partitioning method; required by the sweep harness
-        and by the ScaNN pipeline).
+    routed:
+        True when the index has ``route(queries, n_probes)``: its answers
+        are scans of ranked bins (every space-partitioning method and the
+        ensembles).  The sweep harness reads |C| from the routed bins, and
+        the filter planner scans them restricted to the allowed rows.
     trainable:
         True when the offline phase learns parameters from the data
         (models, centroids, hyperplanes) rather than drawing them blindly.
@@ -84,7 +85,7 @@ class IndexCapabilities:
 
     metrics: Tuple[str, ...] = ("euclidean",)
     probe_parameter: Optional[str] = "n_probes"
-    supports_candidate_sets: bool = False
+    routed: bool = False
     trainable: bool = False
     reports_parameter_count: bool = False
     exact: bool = False

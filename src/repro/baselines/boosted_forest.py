@@ -14,8 +14,9 @@ tractable surrogate:
   nearest neighbours that ended up in a different leaf (the paper's own
   ensembling update, :func:`repro.core.ensemble.boosting_weights`), so the
   next tree concentrates on them;
-* at query time each tree proposes its leaf candidates and, like the
-  paper's Algorithm 4, the most confident tree's candidate set is used.
+* at query time, like the paper's Algorithm 4, each query searches the
+  bins of the tree most confident about it
+  (:class:`~repro.core.ensemble.BestMemberIndex`).
 """
 
 from __future__ import annotations
@@ -24,14 +25,12 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from ..api.protocol import IndexCapabilities, RegisteredIndex
+from ..api.protocol import IndexCapabilities
 from ..api.registry import register_index
-from ..core.base import rerank_candidates
-from ..core.ensemble import boosting_weights
+from ..core.ensemble import BestMemberIndex, boosting_weights
 from ..core.knn_matrix import KnnMatrix, build_knn_matrix
-from ..utils.exceptions import NotFittedError
 from ..utils.rng import SeedLike, spawn_rngs
-from ..utils.validation import as_float_matrix, as_query_matrix, check_positive_int
+from ..utils.validation import as_float_matrix, check_positive_int
 from .trees import HyperplaneTreeIndex, pack_tree_nodes, unpack_tree_nodes
 
 
@@ -86,15 +85,15 @@ class _WeightedPcaTree(HyperplaneTreeIndex):
     capabilities=IndexCapabilities(
         metrics=("euclidean",),
         probe_parameter="n_probes",
-        supports_candidate_sets=True,
+        routed=True,
         trainable=True,
         reports_parameter_count=True,
         filterable=True,
     ),
     description="Boosted Search Forest: re-weighted hyperplane trees (Li et al. 2011)",
 )
-class BoostedSearchForestIndex(RegisteredIndex):
-    """Ensemble of boosted hyperplane trees with confidence-based querying."""
+class BoostedSearchForestIndex(BestMemberIndex):
+    """Boosted hyperplane trees; each query searches its most confident tree's bins."""
 
     def __init__(
         self,
@@ -109,7 +108,7 @@ class BoostedSearchForestIndex(RegisteredIndex):
         self.k_prime = check_positive_int(k_prime, "k_prime")
         self.seed = seed
         self.metric = "euclidean"
-        self.trees: List[HyperplaneTreeIndex] = []
+        self.members: List[HyperplaneTreeIndex] = []
         self._base: Optional[np.ndarray] = None
         self.build_seconds: float = 0.0
 
@@ -123,11 +122,11 @@ class BoostedSearchForestIndex(RegisteredIndex):
             knn = build_knn_matrix(base, min(self.k_prime, base.shape[0] - 1))
         rngs = spawn_rngs(self.seed, self.n_trees)
         weights = np.ones(base.shape[0], dtype=np.float64)
-        self.trees = []
+        self.members = []
         for t in range(self.n_trees):
             tree = _WeightedPcaTree(self.depth, weights, base, seed=rngs[t])
             tree.build(base)
-            self.trees.append(tree)
+            self.members.append(tree)
             weights = boosting_weights(tree.assignments, knn, weights)
             if weights.sum() <= 0:
                 weights = np.ones(base.shape[0], dtype=np.float64)
@@ -136,69 +135,20 @@ class BoostedSearchForestIndex(RegisteredIndex):
         return self
 
     # ------------------------------------------------------------------ #
-    def _require_built(self) -> None:
-        if not self.trees or self._base is None:
-            raise NotFittedError("BoostedSearchForestIndex has not been built yet")
-
-    @property
-    def is_built(self) -> bool:
-        return bool(self.trees)
-
-    @property
-    def dim(self) -> int:
-        self._require_built()
-        return int(self._base.shape[1])
-
-    @property
-    def n_points(self) -> int:
-        self._require_built()
-        return int(self._base.shape[0])
-
-    @property
-    def n_bins(self) -> int:
-        self._require_built()
-        return self.trees[0].n_bins
-
-    def candidate_sets(self, queries: np.ndarray, n_probes: int = 1) -> List[np.ndarray]:
-        """Candidate set of the most confident tree for each query."""
-        self._require_built()
-        queries = as_query_matrix(queries, self.dim)
-        per_tree = [tree.candidate_sets(queries, n_probes) for tree in self.trees]
-        confidences = np.column_stack(
-            [tree.bin_scores(queries).max(axis=1) for tree in self.trees]
-        )
-        best = confidences.argmax(axis=1)
-        return [per_tree[int(best[i])][i] for i in range(queries.shape[0])]
-
-    def batch_query(
-        self, queries: np.ndarray, k: int = 10, *, n_probes: int = 1, filter=None
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        self._require_built()
-        queries = as_query_matrix(queries, self.dim)
-        if filter is not None:
-            return self._filtered_batch_query(queries, k, filter, n_probes=int(n_probes))
-        candidates = self.candidate_sets(queries, n_probes)
-        return rerank_candidates(self._base, queries, candidates, k, metric=self.metric)
-
-    def num_parameters(self) -> int:
-        self._require_built()
-        return int(sum(tree.num_parameters() for tree in self.trees))
-
-    # ------------------------------------------------------------------ #
     # persistence: each tree's hyperplanes + assignments are stored flat;
     # restored trees are plain HyperplaneTreeIndex routers (split rules are
     # only needed during build)
     # ------------------------------------------------------------------ #
     def _state(self):
         config = {
-            "n_trees": int(len(self.trees)),
+            "n_trees": int(len(self.members)),
             "depth": int(self.depth),
             "k_prime": int(self.k_prime),
             "metric": self.metric,
             "build_seconds": self.build_seconds,
         }
         arrays = {"__base__": self._base}
-        for t, tree in enumerate(self.trees):
+        for t, tree in enumerate(self.members):
             arrays[f"tree{t}.assignments"] = tree.assignments
             for key, value in pack_tree_nodes(
                 tree._nodes, tree._margin_scales, self.dim
@@ -215,14 +165,14 @@ class BoostedSearchForestIndex(RegisteredIndex):
         )
         index.metric = str(config["metric"])
         base = arrays["__base__"]
-        index.trees = []
+        index.members = []
         for t in range(int(config["n_trees"])):
             tree = HyperplaneTreeIndex(int(config["depth"]))
             tree._nodes, tree._margin_scales = unpack_tree_nodes(arrays, f"tree{t}.")
             tree._finalize_build(
                 base, arrays[f"tree{t}.assignments"], 2 ** int(config["depth"])
             )
-            index.trees.append(tree)
+            index.members.append(tree)
         index._base = base
         index.build_seconds = float(config.get("build_seconds", 0.0))
         return index

@@ -165,7 +165,7 @@ class KMeans:
     capabilities=IndexCapabilities(
         metrics=("euclidean", "sqeuclidean", "cosine"),
         probe_parameter="n_probes",
-        supports_candidate_sets=True,
+        routed=True,
         trainable=True,
         reports_parameter_count=True,
         shardable=True,

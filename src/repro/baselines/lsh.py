@@ -26,7 +26,7 @@ from ..utils.validation import as_float_matrix, as_query_matrix, check_positive_
 _LSH_CAPABILITIES = IndexCapabilities(
     metrics=("euclidean", "sqeuclidean", "cosine"),
     probe_parameter="n_probes",
-    supports_candidate_sets=True,
+    routed=True,
     trainable=False,  # data-oblivious: random projections, no learning
     reports_parameter_count=True,
     filterable=True,

@@ -44,7 +44,7 @@ from ..utils.validation import as_float_matrix, as_query_matrix, check_positive_
 _NEURAL_LSH_CAPABILITIES = IndexCapabilities(
     metrics=("euclidean", "sqeuclidean", "cosine"),
     probe_parameter="n_probes",
-    supports_candidate_sets=True,
+    routed=True,
     trainable=True,
     reports_parameter_count=True,
     filterable=True,

@@ -7,10 +7,16 @@ most probable bins into a candidate set, and brute-force search within it.
 :class:`PartitionIndexBase` implements that shared online phase once; each
 method only supplies how bins are ranked for a query (and how the dataset
 was assigned to bins during the offline phase).
+
+Every partitioned answer is a *route* — the partition that answers, the
+batch rows it answers and their ranked bins (:meth:`PartitionIndexBase.route`;
+an ensemble routes each query to its most confident member) — scanned
+bin by bin by :func:`scan_routes`.
 """
 
 from __future__ import annotations
 
+import copy
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -35,10 +41,10 @@ def rerank_candidates(
     Given the candidate set of each query, compute exact distances and
     keep the best ``k``; an exact distance tie goes to the earlier
     candidate.  Rows are padded with ``-1`` / ``inf`` when fewer than
-    ``k`` candidates are available.  Used by ``filter=`` queries, the
-    ensemble, the boosted forest and the quantized re-rank; the unfiltered
-    :meth:`PartitionIndexBase.batch_query` gives the same answers without
-    the gather.
+    ``k`` candidates are available.  The quantized indexes re-rank their
+    shortlists with it; on :meth:`PartitionIndexBase.candidate_sets` it is
+    the tests' oracle for :func:`scan_routes`, which gives the same
+    answers without the gather.
     """
     metric_fn = get_metric(metric)
     queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
@@ -174,6 +180,40 @@ class _BinMajorLayout:
 
         return scan_bins(ranked, self.bounds, self.ids, k, distances)
 
+    def restricted(self, allowed: np.ndarray) -> "_BinMajorLayout":
+        """This layout without the rows whose ids ``allowed`` (a boolean mask) excludes."""
+        keep = allowed[self.ids]
+        layout = copy.copy(self)
+        layout.bounds = np.concatenate([[0], np.cumsum(keep)])[self.bounds]
+        layout.ids, layout.rows = self.ids[keep], self.rows[keep]
+        layout.norms = None if self.norms is None else self.norms[keep]
+        return layout
+
+
+#: one partition's share of a batch: ``(partition, query_rows, ranked_bins)``
+Route = Tuple["PartitionIndexBase", np.ndarray, np.ndarray]
+
+
+def scan_routes(
+    routes: Sequence[Route], queries: np.ndarray, k: int, allowed: Optional[np.ndarray] = None
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The ``k`` nearest rows of each query's routed bins, as ``(ids, distances)``.
+
+    Each route's partition scans its bin-major layout for its query rows;
+    ``allowed`` (a boolean mask over base ids) first removes the rows it
+    excludes from the layout, so they never reach the distance kernel.
+    Row ``i`` is what :func:`rerank_candidates` gives on the ``allowed``
+    members of its route's concatenated ranked bins.
+    """
+    ids = np.full((queries.shape[0], k), -1, dtype=np.int64)
+    distances = np.full((queries.shape[0], k), np.inf)
+    for partition, rows, ranked in routes:
+        layout = partition._bin_major_layout()
+        if allowed is not None:
+            layout = layout.restricted(allowed)
+        ids[rows], distances[rows] = layout.scan(queries[rows], ranked, k)
+    return ids, distances
+
 
 class PartitionIndexBase(RegisteredIndex):
     """Base class: stores the dataset, bin assignments, and a lookup table.
@@ -286,19 +326,17 @@ class PartitionIndexBase(RegisteredIndex):
         """``ranked_bins(queries)[:, :n_probes]``, without ranking every bin."""
         return select(-self.bin_scores(queries), n_probes)
 
-    def candidate_sets(self, queries: np.ndarray, n_probes: int = 1) -> List[np.ndarray]:
-        """Candidate point indices for each query from its top ``n_probes`` bins."""
+    def route(self, queries: np.ndarray, n_probes: int) -> List[Route]:
+        """One route: every query to its top ``n_probes`` bins (see :func:`scan_routes`)."""
         self._require_built()
         queries = as_query_matrix(queries, self.dim)
         n_probes = min(check_positive_int(n_probes, "n_probes"), self.n_bins)
-        ranked = self.top_bins(queries, n_probes)
-        candidates: List[np.ndarray] = []
-        for row in ranked:
-            buckets = [self._lookup[bin_id] for bin_id in row]
-            candidates.append(
-                np.concatenate(buckets) if buckets else np.empty(0, dtype=np.int64)
-            )
-        return candidates
+        return [(self, np.arange(queries.shape[0]), self.top_bins(queries, n_probes))]
+
+    def candidate_sets(self, queries: np.ndarray, n_probes: int = 1) -> List[np.ndarray]:
+        """Each query's routed bins as one concatenated id list (the tests' oracle)."""
+        ((_, _, ranked),) = self.route(queries, n_probes)
+        return [np.concatenate([self._lookup[b] for b in row]) for row in ranked]
 
     def batch_query(
         self, queries: np.ndarray, k: int = 10, *, n_probes: int = 1, filter=None
@@ -310,16 +348,16 @@ class PartitionIndexBase(RegisteredIndex):
         fewer than ``k`` points.
 
         ``filter=`` restricts results to ids satisfying a predicate /
-        mask / allowlist: the :class:`repro.filter.FilterPlanner` masks
-        the candidate sets before the exact re-rank (inline), or
+        mask / allowlist: the :class:`repro.filter.FilterPlanner` scans
+        the layout restricted to the allowed rows (inline), or
         brute-forces the surviving subset when the predicate is highly
         selective (pre-filter) — disallowed ids never reach the distance
         kernel either way.
 
-        Unfiltered, the probed bins' row ranges of the bin-major layout
-        (built on the first such call) are scanned bin by bin, each once
-        for all the queries that probe it, with the answers
-        :func:`rerank_candidates` gives on :meth:`candidate_sets`.
+        The probed bins' row ranges of the bin-major layout (built on the
+        first scan) are scanned bin by bin, each once for all the queries
+        that probe it, with the answers :func:`rerank_candidates` gives on
+        :meth:`candidate_sets`.
         """
         self._require_built()
         queries = as_query_matrix(queries, self.dim)

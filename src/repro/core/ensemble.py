@@ -5,8 +5,9 @@ starts with weight 1; after each model is trained, a point's weight is
 multiplied by the number of its ``k'`` nearest neighbours that the model
 separated from it, so later models focus on the points earlier models
 placed badly.  At query time each model reports a confidence (its highest
-bin probability); the candidate set of the most confident model is searched
-(Algorithm 4).
+bin score); the bins of the most confident model are searched
+(Algorithm 4).  :class:`BestMemberIndex` is that query rule over any
+partition members; the boosted search forest shares it.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from ..utils.rng import spawn_rngs
 from ..utils.timing import Stopwatch
 from ..utils.topk import select
 from ..utils.validation import as_float_matrix, as_query_matrix, check_positive_int
-from .base import rerank_candidates
+from .base import PartitionIndexBase, Route, scan_routes
 from .config import EnsembleConfig, UspConfig
 from .index import UspIndex
 from .knn_matrix import KnnMatrix, build_knn_matrix
@@ -50,6 +51,87 @@ def boosting_weights(
     return mismatches * previous_weights
 
 
+class BestMemberIndex(RegisteredIndex):
+    """Algorithm 4: each query is answered by its most confident member alone.
+
+    ``members`` are partition indexes over one base (``_base``).  A
+    member's confidence in a query is its highest bin score.  One
+    :meth:`~repro.core.base.PartitionIndexBase.bin_scores` pass per member
+    over the whole batch gives both the confidences and the chosen
+    member's bin ranking, so a query's answer is, bit for bit, the row the
+    chosen member's own ``batch_query`` gives it.  Subclasses train the
+    members.
+    """
+
+    metric: str = "euclidean"
+    members: List[PartitionIndexBase]
+    _base: Optional[np.ndarray]
+
+    def _require_built(self) -> None:
+        if not self.members or self._base is None:
+            raise NotFittedError(f"{type(self).__name__} has not been built yet")
+
+    @property
+    def is_built(self) -> bool:
+        return bool(self.members) and self._base is not None
+
+    @property
+    def dim(self) -> int:
+        self._require_built()
+        return int(self._base.shape[1])
+
+    @property
+    def n_points(self) -> int:
+        self._require_built()
+        return int(self._base.shape[0])
+
+    @property
+    def n_bins(self) -> int:
+        self._require_built()
+        return self.members[0].n_bins
+
+    def num_parameters(self) -> int:
+        """Total stored parameters across all members."""
+        self._require_built()
+        return int(sum(member.num_parameters() for member in self.members))
+
+    def confidences(self, queries: np.ndarray) -> np.ndarray:
+        """Confidence value of every member for every query: ``(n_q, members)``."""
+        self._require_built()
+        queries = as_query_matrix(queries, self.dim)
+        return np.column_stack([member.bin_scores(queries).max(axis=1) for member in self.members])
+
+    def best_members(self, queries: np.ndarray) -> np.ndarray:
+        """Index of the most confident member per query (Algorithm 4, step 4)."""
+        return self.confidences(queries).argmax(axis=1)
+
+    def route(self, queries: np.ndarray, n_probes: int) -> List[Route]:
+        """One route per chosen member: its queries and their top ``n_probes`` bins."""
+        self._require_built()
+        queries = as_query_matrix(queries, self.dim)
+        n_probes = check_positive_int(n_probes, "n_probes")
+        scores = [member.bin_scores(queries) for member in self.members]
+        best = np.column_stack([s.max(axis=1) for s in scores]).argmax(axis=1)
+        routes: List[Route] = []
+        for m, member in enumerate(self.members):
+            rows = np.flatnonzero(best == m)
+            if rows.size:
+                ranked = select(-scores[m][rows], min(n_probes, member.n_bins))
+                routes.append((member, rows, ranked))
+        return routes
+
+    def batch_query(
+        self, queries: np.ndarray, k: int = 10, *, n_probes: int = 1, filter=None
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Approximate ``k``-NN of each query within its most confident member's bins."""
+        self._require_built()
+        queries = as_query_matrix(queries, self.dim)
+        check_positive_int(k, "k")
+        if filter is not None:
+            return self._filtered_batch_query(queries, k, filter, n_probes=int(n_probes))
+        return scan_routes(self.route(queries, n_probes), queries, int(k))
+
+
 def _make_usp_ensemble(
     config: Optional[EnsembleConfig] = None,
     *,
@@ -68,19 +150,18 @@ def _make_usp_ensemble(
     capabilities=IndexCapabilities(
         metrics=("euclidean", "sqeuclidean", "cosine"),
         probe_parameter="n_probes",
-        supports_candidate_sets=True,
+        routed=True,
         trainable=True,
         reports_parameter_count=True,
         filterable=True,
     ),
     description="Boosted ensemble of USP partitions (Algorithms 3 and 4)",
 )
-class UspEnsembleIndex(RegisteredIndex):
-    """Ensemble of :class:`UspIndex` members with boosting weights.
+class UspEnsembleIndex(BestMemberIndex):
+    """Boosted :class:`UspIndex` members (Algorithm 3), queried by Algorithm 4.
 
-    The public API mirrors :class:`~repro.core.base.PartitionIndexBase`
-    (``build`` / ``query`` / ``batch_query`` / ``candidate_sets``) so the
-    evaluation harness can treat single models and ensembles uniformly.
+    It routes like a single partition index, so the evaluation harness
+    reads |C| and the candidate ceiling from the chosen member's bins.
     """
 
     def __init__(
@@ -140,81 +221,11 @@ class UspEnsembleIndex(RegisteredIndex):
         return self
 
     # ------------------------------------------------------------------ #
-    # online phase (Algorithm 4)
+    # introspection
     # ------------------------------------------------------------------ #
-    def _require_built(self) -> None:
-        if not self.members or self._base is None:
-            raise NotFittedError("UspEnsembleIndex has not been built yet")
-
-    @property
-    def is_built(self) -> bool:
-        return bool(self.members) and self._base is not None
-
     @property
     def n_models(self) -> int:
         return len(self.members)
-
-    @property
-    def dim(self) -> int:
-        self._require_built()
-        return int(self._base.shape[1])
-
-    @property
-    def n_points(self) -> int:
-        self._require_built()
-        return int(self._base.shape[0])
-
-    @property
-    def n_bins(self) -> int:
-        self._require_built()
-        return self.members[0].n_bins
-
-    def confidences(self, queries: np.ndarray) -> np.ndarray:
-        """Confidence value of every member for every query: ``(n_q, e)``."""
-        self._require_built()
-        queries = as_query_matrix(queries, self.dim)
-        return np.column_stack([member.confidence(queries) for member in self.members])
-
-    def best_members(self, queries: np.ndarray) -> np.ndarray:
-        """Index of the most confident member per query (Algorithm 4, step 4)."""
-        return self.confidences(queries).argmax(axis=1)
-
-    def candidate_sets(self, queries: np.ndarray, n_probes: int = 1) -> List[np.ndarray]:
-        """Candidate set per query from its most confident member (Algorithm 4)."""
-        self._require_built()
-        queries = as_query_matrix(queries, self.dim)
-        check_positive_int(n_probes, "n_probes")
-        # One model pass per member gives both its confidence and its bin
-        # ranking; buckets are gathered from the chosen member only.
-        scores = [member.bin_scores(queries) for member in self.members]
-        best = np.column_stack([s.max(axis=1) for s in scores]).argmax(axis=1)
-        candidates: List[np.ndarray] = [np.empty(0, dtype=np.int64)] * queries.shape[0]
-        for m, member in enumerate(self.members):
-            chosen = np.flatnonzero(best == m)
-            ranked = select(-scores[m][chosen], n_probes)
-            for i, bins in zip(chosen, ranked):
-                candidates[i] = np.concatenate([member.points_in_bin(b) for b in bins])
-        return candidates
-
-    def batch_query(
-        self, queries: np.ndarray, k: int = 10, *, n_probes: int = 1, filter=None
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Approximate ``k``-NN for each query via the ensemble candidate sets."""
-        self._require_built()
-        queries = as_query_matrix(queries, self.dim)
-        check_positive_int(k, "k")
-        if filter is not None:
-            return self._filtered_batch_query(queries, k, filter, n_probes=int(n_probes))
-        candidates = self.candidate_sets(queries, n_probes)
-        return rerank_candidates(self._base, queries, candidates, k, metric=self.metric)
-
-    # ------------------------------------------------------------------ #
-    # introspection
-    # ------------------------------------------------------------------ #
-    def num_parameters(self) -> int:
-        """Total learnable parameters across all members."""
-        self._require_built()
-        return int(sum(member.num_parameters() for member in self.members))
 
     def training_seconds(self) -> float:
         """Total wall-clock training time across members (Table 3)."""

@@ -37,7 +37,7 @@ from .trainer import UspTrainer
 TREE_CAPABILITIES = IndexCapabilities(
     metrics=("euclidean", "sqeuclidean", "cosine"),
     probe_parameter="n_probes",
-    supports_candidate_sets=True,
+    routed=True,
     trainable=True,
     reports_parameter_count=True,
     filterable=True,

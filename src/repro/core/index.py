@@ -36,7 +36,7 @@ def _make_usp(config: Optional[UspConfig] = None, **params) -> "UspIndex":
     capabilities=IndexCapabilities(
         metrics=("euclidean", "sqeuclidean", "cosine"),
         probe_parameter="n_probes",
-        supports_candidate_sets=True,
+        routed=True,
         trainable=True,
         reports_parameter_count=True,
         filterable=True,
@@ -116,10 +116,6 @@ class UspIndex(PartitionIndexBase):
             raise NotFittedError("UspIndex has not been built yet")
         queries = as_query_matrix(queries, self.dim)
         return self.model.predict_proba(queries)
-
-    def confidence(self, queries: np.ndarray) -> np.ndarray:
-        """Highest bin probability per query (ensemble confidence, Alg. 4)."""
-        return self.bin_scores(queries).max(axis=1)
 
     # ------------------------------------------------------------------ #
     # introspection

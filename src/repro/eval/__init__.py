@@ -1,10 +1,6 @@
 """Evaluation harness: metrics, sweeps, experiment runners, reporting."""
 
-from .metrics import (
-    average_candidate_size,
-    candidate_recall,
-    knn_accuracy,
-)
+from .metrics import candidate_stats, knn_accuracy
 from .sweep import (
     FilterSweepPoint,
     SweepCurve,
@@ -33,8 +29,7 @@ from .experiments import (
 )
 
 __all__ = [
-    "average_candidate_size",
-    "candidate_recall",
+    "candidate_stats",
     "knn_accuracy",
     "FilterSweepPoint",
     "SweepCurve",

@@ -2,13 +2,14 @@
 
 The paper's primary metric is k-NN accuracy (Eq. 1): the fraction of the
 true ``k`` nearest neighbours present among the ``k`` points an algorithm
-returns.  ``candidate_recall`` measures the ceiling imposed by a candidate
-set before re-ranking (used to analyse partition quality in isolation).
+returns.  :func:`candidate_stats` measures the partition itself: the
+candidate set size |C| (the paper's x-axis) and the ceiling that set puts
+on any re-ranking.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Tuple
 
 import numpy as np
 
@@ -45,28 +46,25 @@ def knn_accuracy(retrieved: np.ndarray, ground_truth: np.ndarray, k: int) -> flo
     return hits / float(retrieved.shape[0] * k)
 
 
-def candidate_recall(
-    candidate_sets: Sequence[np.ndarray], ground_truth: np.ndarray, k: int
-) -> float:
-    """Fraction of true k-NN contained in each query's candidate set.
+def candidate_stats(
+    index, queries: np.ndarray, ground_truth: np.ndarray, k: int, n_probes: int
+) -> Tuple[float, float]:
+    """Mean |C| and the candidate ceiling of a routed index at ``n_probes``.
 
-    This is the best accuracy any re-ranking step could achieve, i.e. the
+    A query's candidate set is the rows of its routed bins
+    (``index.route``), so |C| is the sum of their sizes, and a true
+    neighbour is a candidate exactly when its bin is among them.  The
+    ceiling is the fraction of the true ``k`` nearest neighbours that are
+    candidates: the best accuracy any re-ranking could reach, i.e. the
     quality of the partition itself.
     """
     ground_truth = np.asarray(ground_truth)
-    if len(candidate_sets) != ground_truth.shape[0]:
-        raise ValidationError("need one candidate set per query")
     if ground_truth.shape[1] < k:
         raise ValidationError(f"ground truth has fewer than k={k} columns")
+    sizes = np.zeros(ground_truth.shape[0], dtype=np.int64)
     hits = 0
-    for candidates, truth in zip(candidate_sets, ground_truth[:, :k]):
-        candidate_set = set(int(x) for x in np.asarray(candidates).reshape(-1))
-        hits += sum(1 for x in truth if int(x) in candidate_set)
-    return hits / float(ground_truth.shape[0] * k)
-
-
-def average_candidate_size(candidate_sets: Sequence[np.ndarray]) -> float:
-    """Mean candidate-set size |C| over queries (the paper's x-axis)."""
-    if not len(candidate_sets):
-        raise ValidationError("candidate_sets must be non-empty")
-    return float(np.mean([len(np.asarray(c).reshape(-1)) for c in candidate_sets]))
+    for partition, rows, ranked in index.route(queries, n_probes):
+        sizes[rows] = partition.bin_sizes()[ranked].sum(axis=1)
+        truth_bins = partition.assignments[ground_truth[rows, :k]]
+        hits += int((truth_bins[:, :, None] == ranked[:, None, :]).any(axis=2).sum())
+    return float(sizes.mean()), hits / float(ground_truth.shape[0] * k)

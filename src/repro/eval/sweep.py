@@ -1,10 +1,12 @@
 """Accuracy-versus-cost sweeps — the curves behind every figure.
 
-Figures 5 and 6 plot 10-NN accuracy against the average candidate set size,
-generated by probing successively more of the most probable bins.  Figure 7
-plots accuracy against query throughput for full ANN pipelines.  This
-module produces both kinds of curves from any index that follows the shared
-``candidate_sets`` / ``batch_query`` protocol.
+Figures 5 and 6 plot 10-NN accuracy against the average candidate set size
+|C|, generated by probing successively more of the most probable bins.
+Figure 7 plots accuracy against query throughput for full ANN pipelines.
+This module produces both kinds of curves.  A candidate curve needs a
+``routed`` index: |C| and the candidate ceiling are bin arithmetic over the
+bins its ``route`` picks (:func:`repro.eval.metrics.candidate_stats`), the
+same bins its ``batch_query`` scans.
 
 All query execution (and therefore all timing) goes through
 :class:`repro.service.SearchService`, so the throughput each curve reports
@@ -22,7 +24,7 @@ import numpy as np
 from ..datasets.ann import AnnDataset
 from ..service import QueryRequest, SearchService
 from ..utils.exceptions import ValidationError
-from .metrics import average_candidate_size, candidate_recall, knn_accuracy
+from .metrics import candidate_stats, knn_accuracy
 
 
 @dataclass
@@ -154,25 +156,25 @@ def accuracy_candidate_curve(
 
     ``index`` is either a built index instance, a registry name (e.g.
     ``"usp"``, built on ``dataset.base`` with ``index_params``), or a
-    :class:`~repro.service.SearchService`.  It must expose
-    ``candidate_sets(queries, n_probes)`` and
-    ``batch_query(queries, k, n_probes=...)`` (every partition index and
-    ensemble in this library does); queries execute through the serving
-    layer so timings match the deployed path.
+    :class:`~repro.service.SearchService`.  It must be ``routed`` (every
+    partition index and ensemble in this library is); queries execute
+    through the serving layer so timings match the deployed path.
     """
     name = index if isinstance(index, str) else None
     service = resolve_service(index, dataset.base, index_params)
     index = service.index
+    if not type(index).capabilities.routed:
+        raise ValidationError(
+            f"{type(index).__name__} does not route queries to bins, so it has "
+            "no candidate set size; candidate curves need a partition index or ensemble"
+        )
     if probes is None:
-        n_bins = getattr(index, "n_bins", 16)
-        probes = probe_schedule(int(n_bins))
+        probes = probe_schedule(index.n_bins)
     curve = SweepCurve(method=method or name or type(index).__name__)
     queries = dataset.queries
     ground_truth = dataset.ground_truth_for(k)
     for n_probes in probes:
-        candidates = index.candidate_sets(queries, n_probes)
-        size = average_candidate_size(candidates)
-        ceiling = candidate_recall(candidates, ground_truth, k)
+        size, ceiling = candidate_stats(index, queries, ground_truth, k, n_probes)
         batch = service.search_batch(queries, QueryRequest(k=k, probes=int(n_probes)))
         accuracy = knn_accuracy(batch.ids, ground_truth, k)
         qps = batch.queries_per_second if measure_time else None

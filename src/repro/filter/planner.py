@@ -8,9 +8,9 @@ selectivity and index capability:
 * **prefilter** — selectivity is low: brute-force scan only the surviving
   subset (exact; cheaper than probing a structure that will discard most
   of what it finds);
-* **inline** — the index exposes ``candidate_sets``: intersect each
-  candidate set with the mask *before* the exact re-rank, so disallowed
-  ids never reach the distance kernel;
+* **inline** — the index is ``routed``: scan its routed bins with the
+  disallowed rows removed from the bin-major layout first, so they never
+  reach the distance kernel;
 * **postfilter** — anything else (graph / codec indexes): over-fetch
   ``k' > k`` results, drop disallowed ids, and retry with a
   multiplicatively larger ``k'`` until every query has ``k`` survivors or
@@ -30,6 +30,7 @@ import numpy as np
 
 from ..utils.distances import DEFAULT_BLOCK_SIZE, pairwise_topk
 from ..utils.exceptions import ValidationError
+from ..utils.topk import pad
 from .attributes import AttributeStore
 from .predicate import Predicate
 
@@ -196,7 +197,7 @@ class FilterPlanner:
         # filtered query at every selectivity, not just low ones.
         if has_vectors and (capabilities.exact or selectivity <= self.prefilter_selectivity):
             return FilterPlan("prefilter", selectivity, n_allowed)
-        if capabilities.supports_candidate_sets and has_vectors:
+        if capabilities.routed:
             return FilterPlan("inline", selectivity, n_allowed)
         fetch = min(
             n_rows,
@@ -238,12 +239,10 @@ class FilterPlanner:
                     f"cannot force 'prefilter' on {type(index).__name__}: "
                     "the index does not expose its raw vectors"
                 )
-            if strategy == "inline" and not (
-                hasattr(index, "candidate_sets") and _index_vectors(index) is not None
-            ):
+            if strategy == "inline" and not type(index).capabilities.routed:
                 raise ValidationError(
                     f"cannot force 'inline' on {type(index).__name__}: "
-                    "the index does not expose candidate_sets"
+                    "the index has no bins to route queries to"
                 )
         queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
         kwargs = dict(query_kwargs or {})
@@ -264,7 +263,7 @@ class FilterPlanner:
             # A *forced* strategy is still honoured — callers forcing
             # "prefilter" contract an exact scan at every selectivity.
             ids, distances = index.batch_query(queries, width, **kwargs)
-            return _pad(ids, distances, k)
+            return pad(ids, distances, k)
         plan = self.plan(index, mask, width)
         chosen = plan.strategy if strategy is None else strategy
         if plan.strategy == "empty" or chosen == "empty":
@@ -278,7 +277,7 @@ class FilterPlanner:
             ids, distances = self._inline(index, queries, width, mask, kwargs)
         else:
             ids, distances = self._postfilter(index, queries, width, mask, kwargs, plan)
-        return _pad(ids, distances, k)
+        return pad(ids, distances, k)
 
     def _prefilter(
         self, index: Any, queries: np.ndarray, k: int, mask: np.ndarray
@@ -294,7 +293,7 @@ class FilterPlanner:
             # honour the index's own memory bound when it configures one
             block_size=int(getattr(index, "block_size", 0) or DEFAULT_BLOCK_SIZE),
         )
-        return _pad(allowed[local_ids], distances, k)
+        return pad(allowed[local_ids], distances, k)
 
     def _inline(
         self,
@@ -304,16 +303,11 @@ class FilterPlanner:
         mask: np.ndarray,
         kwargs: Dict[str, Any],
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Mask candidate sets before the exact re-rank."""
-        from ..core.base import rerank_candidates  # local: core imports filter
+        """Scan the routed bins with only the allowed rows in the layout."""
+        from ..core.base import scan_routes  # local: core imports filter
 
-        knob = type(index).capabilities.probe_parameter or "n_probes"
-        n_probes = int(kwargs.get(knob, 1))
-        candidates = index.candidate_sets(queries, n_probes)
-        filtered = [c[mask[c]] for c in candidates]
-        return rerank_candidates(
-            _index_vectors(index), queries, filtered, k, metric=_index_metric(index)
-        )
+        routes = index.route(queries, int(kwargs.get("n_probes", 1)))
+        return scan_routes(routes, queries, k, allowed=mask)
 
     def _postfilter(
         self,
@@ -351,19 +345,6 @@ class FilterPlanner:
             remaining = remaining[~done]
             fetch = min(n_rows, int(np.ceil(fetch * self.growth)))
         return out_ids, out_distances
-
-
-def _pad(
-    ids: np.ndarray, distances: np.ndarray, k: int
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Widen result arrays to ``k`` columns with -1 / inf padding."""
-    short = k - ids.shape[1]
-    if short <= 0:
-        return ids.astype(np.int64, copy=False), distances
-    return (
-        np.pad(ids.astype(np.int64, copy=False), ((0, 0), (0, short)), constant_values=-1),
-        np.pad(distances, ((0, 0), (0, short)), constant_values=np.inf),
-    )
 
 
 #: shared default planner used by every backend's ``filter=`` path

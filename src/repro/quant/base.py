@@ -289,7 +289,8 @@ class QuantizedIndexBase(RegisteredIndex):
         """
         self._require_built()
         queries = as_query_matrix(np.atleast_2d(queries), self.dim)
-        k = min(check_positive_int(k, "k"), self.n_points)
+        # k > n: the budget clips to n and the re-rank pads to k columns
+        k = check_positive_int(k, "k")
         budget = self._rerank_budget(k, rerank)
         n_queries = queries.shape[0]
         allowed = None

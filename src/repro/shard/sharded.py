@@ -43,7 +43,6 @@ from .partitioner import Partitioner, make_partitioner, partitioner_from_state
 _SHARDED_CAPABILITIES = IndexCapabilities(
     metrics=("euclidean", "sqeuclidean", "cosine"),
     probe_parameter="probes",
-    supports_candidate_sets=False,
     trainable=False,
     exact=False,
     shardable=False,
@@ -543,40 +542,6 @@ class ShardedIndex(RegisteredIndex):
             if pending is not None:
                 parts.append(pending)
             return self._merge_topk(parts, queries.shape[0], k)
-
-    def candidate_sets(self, queries: np.ndarray, n_probes: int = 1) -> List[np.ndarray]:
-        """Union of per-shard candidate sets, remapped to live global ids.
-
-        Available when every shard backend supports ``candidate_sets``
-        (partition shards); used by the sweep harness for sharded curves.
-        """
-        self._require_built()
-        queries = as_query_matrix(np.atleast_2d(queries), self.dim)
-        shards, shard_ids, pending = self._serve_state
-        if pending.shape[0]:
-            pending = pending[self._alive[pending]]
-        per_shard: List[List[np.ndarray]] = []
-        for child, members in zip(shards, shard_ids):
-            if child is None or members.shape[0] == 0:
-                continue
-            if not hasattr(child, "candidate_sets"):
-                raise ValidationError(
-                    f"shard backend {type(child).__name__} does not expose "
-                    "candidate_sets; sharded candidate curves need partition shards"
-                )
-            per_shard.append(
-                [members[local] for local in child.candidate_sets(queries, n_probes)]
-            )
-        merged: List[np.ndarray] = []
-        for row in range(queries.shape[0]):
-            parts = [shard_rows[row] for shard_rows in per_shard]
-            if pending.shape[0]:
-                parts.append(pending)
-            candidates = (
-                np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
-            )
-            merged.append(candidates[self._alive[candidates]])
-        return merged
 
     # ------------------------------------------------------------------ #
     # mutation: add / remove / compact

@@ -59,15 +59,24 @@ def _select_rows(dists: np.ndarray, k: int) -> np.ndarray:
     return nearest
 
 
+def pad(ids: np.ndarray, scores: np.ndarray, k: int) -> Tuple[np.ndarray, np.ndarray]:
+    """``(ids, scores)`` widened to ``k`` columns with ``-1`` / ``inf`` pairs."""
+    short = k - ids.shape[1]
+    ids = ids.astype(np.int64, copy=False)
+    if short <= 0:
+        return ids, scores
+    return (
+        np.pad(ids, ((0, 0), (0, short)), constant_values=-1),
+        np.pad(scores, ((0, 0), (0, short)), constant_values=np.inf),
+    )
+
+
 def merge(ids: np.ndarray, scores: np.ndarray, k: int) -> Tuple[np.ndarray, np.ndarray]:
     """The ``k`` smallest (score, id) pairs of every row, as ``(ids, scores)``.
 
     Equal scores keep the smaller id.  Rows narrower than ``k`` are first
     padded with ``-1`` / ``inf`` pairs.
     """
-    pad = k - ids.shape[1]
-    if pad > 0:
-        ids = np.pad(ids, ((0, 0), (0, pad)), constant_values=-1)
-        scores = np.pad(scores, ((0, 0), (0, pad)), constant_values=np.inf)
+    ids, scores = pad(ids, scores, k)
     order = np.lexsort((ids, scores))[:, :k]
     return np.take_along_axis(ids, order, axis=1), np.take_along_axis(scores, order, axis=1)

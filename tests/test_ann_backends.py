@@ -41,10 +41,12 @@ class TestBruteForce:
         with pytest.raises(NotFittedError):
             BruteForceIndex().query(np.zeros(4), 3)
 
-    def test_k_clipped_to_dataset(self):
+    def test_k_beyond_the_dataset_pads(self):
         index = BruteForceIndex().build(np.eye(4))
-        indices, _ = index.batch_query(np.eye(4), 100)
-        assert indices.shape == (4, 4)
+        indices, distances = index.batch_query(np.eye(4), 100)
+        assert indices.shape == distances.shape == (4, 100)
+        assert (np.sort(indices[:, :4], axis=1) == np.arange(4)).all()
+        assert (indices[:, 4:] == -1).all() and np.isinf(distances[:, 4:]).all()
 
 
 class TestProductQuantizer:

@@ -126,7 +126,7 @@ class TestRegistry:
     def test_capabilities_attached_to_classes(self):
         index = make_index("kmeans", n_bins=4)
         assert isinstance(type(index).capabilities, IndexCapabilities)
-        assert type(index).capabilities.supports_candidate_sets
+        assert type(index).capabilities.routed
 
     def test_index_info_shape(self):
         info = index_info("usp")
@@ -150,6 +150,20 @@ class TestProtocol:
         assert stats["dim"] == api_dataset.dim
         assert stats["name"] == "kmeans"
         assert stats["capabilities"]["probe_parameter"] == "n_probes"
+
+
+@pytest.mark.parametrize("name", sorted(TINY_PARAMS))
+def test_k_beyond_the_dataset_pads_on_every_entry(name, api_dataset):
+    """``k > n`` answers ``(n_q, k)``: real ids first, unique, then ``-1`` / ``inf``."""
+    index = make_index(name, **TINY_PARAMS[name]).build(api_dataset.base)
+    n = api_dataset.n_points
+    ids, distances = index.batch_query(api_dataset.queries, n + 5)
+    assert ids.shape == distances.shape == (api_dataset.n_queries, n + 5)
+    assert (ids[:, n:] == -1).all() and np.isinf(distances[:, n:]).all()
+    for row, row_distances in zip(ids, distances):
+        real = row[row >= 0]
+        assert (row[: real.size] >= 0).all() and np.unique(real).size == real.size
+        assert (real < n).all() and np.isinf(row_distances[real.size :]).all()
 
 
 class TestProbeKnobWarning:

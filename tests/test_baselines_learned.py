@@ -19,7 +19,7 @@ from repro.baselines import (
 from repro.baselines.neural_lsh import _build_classifier_module
 from repro.core import PartitionModel
 from repro.datasets import sift_like
-from repro.eval import candidate_recall, knn_accuracy
+from repro.eval import candidate_stats, knn_accuracy
 from repro.nn import Adam, EpochBatchIterator
 from repro.utils.exceptions import ValidationError
 from repro.utils.rng import resolve_rng
@@ -202,12 +202,8 @@ class TestHyperplaneTrees:
     def test_two_means_better_than_random_projection_on_clustered_data(self, tiny_dataset):
         two_means = TwoMeansTreeIndex(depth=3, seed=0).build(tiny_dataset.base)
         rp = RandomProjectionTreeIndex(depth=3, seed=0).build(tiny_dataset.base)
-        tm_recall = candidate_recall(
-            two_means.candidate_sets(tiny_dataset.queries, 1), tiny_dataset.ground_truth, 10
-        )
-        rp_recall = candidate_recall(
-            rp.candidate_sets(tiny_dataset.queries, 1), tiny_dataset.ground_truth, 10
-        )
+        _, tm_recall = candidate_stats(two_means, tiny_dataset.queries, tiny_dataset.ground_truth, 10, 1)
+        _, rp_recall = candidate_stats(rp, tiny_dataset.queries, tiny_dataset.ground_truth, 10, 1)
         assert tm_recall >= rp_recall - 0.05
 
     def test_depth_validation(self):
@@ -238,27 +234,22 @@ class TestBoostedSearchForest:
         forest = BoostedSearchForestIndex(n_trees=2, depth=2, seed=0).build(
             tiny_dataset.base, knn=tiny_knn
         )
-        assert (forest.trees[0].assignments != forest.trees[1].assignments).any()
+        assert (forest.members[0].assignments != forest.members[1].assignments).any()
 
     def test_forest_recall_at_least_single_tree(self, tiny_dataset, tiny_knn):
         forest = BoostedSearchForestIndex(n_trees=3, depth=2, seed=0).build(
             tiny_dataset.base, knn=tiny_knn
         )
-        forest_recall = candidate_recall(
-            forest.candidate_sets(tiny_dataset.queries, 1), tiny_dataset.ground_truth, 10
-        )
-        single_recall = candidate_recall(
-            forest.trees[0].candidate_sets(tiny_dataset.queries, 1),
-            tiny_dataset.ground_truth,
-            10,
-        )
+        queries, truth = tiny_dataset.queries, tiny_dataset.ground_truth
+        _, forest_recall = candidate_stats(forest, queries, truth, 10, 1)
+        _, single_recall = candidate_stats(forest.members[0], queries, truth, 10, 1)
         assert forest_recall >= single_recall - 0.05
 
     def test_num_parameters(self, tiny_dataset, tiny_knn):
         forest = BoostedSearchForestIndex(n_trees=2, depth=2, seed=0).build(
             tiny_dataset.base, knn=tiny_knn
         )
-        assert forest.num_parameters() == sum(t.num_parameters() for t in forest.trees)
+        assert forest.num_parameters() == sum(t.num_parameters() for t in forest.members)
 
     def test_not_built_error(self):
         from repro.utils.exceptions import NotFittedError

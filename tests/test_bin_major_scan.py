@@ -153,17 +153,19 @@ def test_unfiltered_queries_never_gather(built, data, name, monkeypatch):
     np.testing.assert_array_equal(distances, expected[1])
 
 
-def test_layout_is_built_on_the_first_unfiltered_query_only(data):
+def test_layout_is_built_on_the_first_scan_only(data):
     index = make_index("kmeans", **TINY_PARAMS["kmeans"]).build(data.base)
     assert index._layout is None
     index.candidate_sets(data.queries, 2)
-    index.batch_query(data.queries, K, filter=np.arange(0, 300, 7))
+    index.batch_query(data.queries, K, filter=np.arange(0, 300, 50))  # a prefilter
     assert index._layout is None
-    index.batch_query(data.queries, K)
+    index.batch_query(data.queries, K, filter=np.arange(0, 300, 7))  # an inline scan
     assert index._layout is not None
     ensemble = make_index("usp-ensemble", **TINY_PARAMS["usp-ensemble"]).build(data.base)
-    ensemble.batch_query(data.queries, K, n_probes=2)
     assert all(member._layout is None for member in ensemble.members)
+    ensemble.batch_query(data.queries, K, n_probes=2)
+    chosen = set(ensemble.best_members(data.queries).tolist())
+    assert {m for m, member in enumerate(ensemble.members) if member._layout is not None} == chosen
 
 
 def test_concurrent_first_queries_agree(data):

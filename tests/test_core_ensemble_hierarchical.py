@@ -12,10 +12,9 @@ from repro.core import (
     UspConfig,
     UspEnsembleIndex,
     boosting_weights,
-    rerank_candidates,
 )
 from repro.api import load_index
-from repro.eval import candidate_recall, knn_accuracy
+from repro.eval import candidate_stats, knn_accuracy
 from repro.utils.exceptions import ConfigurationError, NotFittedError, SerializationError
 
 
@@ -81,31 +80,28 @@ class TestUspEnsembleIndex:
         assert conf.shape == (tiny_dataset.n_queries, 2)
         assert conf.min() > 0 and conf.max() <= 1.0
 
-    def test_best_member_candidate_selected(self, ensemble_index, tiny_dataset):
-        queries = tiny_dataset.queries[:5]
+    def test_each_query_is_routed_to_its_best_member(self, ensemble_index, tiny_dataset):
+        queries = tiny_dataset.queries
         best = ensemble_index.best_members(queries)
-        candidates = ensemble_index.candidate_sets(queries, 1)
-        for i in range(5):
-            member_candidates = ensemble_index.members[int(best[i])].candidate_sets(
-                queries[i : i + 1], 1
-            )[0]
-            np.testing.assert_array_equal(candidates[i], member_candidates)
+        routes = ensemble_index.route(queries, 2)
+        covered = np.concatenate([rows for _, rows, _ in routes])
+        np.testing.assert_array_equal(np.sort(covered), np.arange(len(queries)))
+        for member, rows, ranked in routes:
+            m = ensemble_index.members.index(member)
+            assert (best[rows] == m).all()
+            np.testing.assert_array_equal(ranked, member.top_bins(queries, 2)[rows])
 
     @pytest.mark.parametrize("n_probes", [1, 2, 9])
-    def test_answers_equal_every_member_asked_separately(
+    def test_answers_equal_the_chosen_members_own_rows(
         self, ensemble_index, tiny_dataset, n_probes, monkeypatch
     ):
-        """Bitwise the seed's answers: each member's own ``candidate_sets`` and
-        ``confidence``, combined outside the ensemble, then re-ranked."""
+        """Bit for bit, each answer row is the row the chosen member's own
+        full-batch ``batch_query`` gives that query."""
         queries = tiny_dataset.queries
         members = ensemble_index.members
-        per_member = [member.candidate_sets(queries, n_probes) for member in members]
-        best = np.column_stack([m.confidence(queries) for m in members]).argmax(axis=1)
+        best = np.column_stack([m.bin_scores(queries).max(axis=1) for m in members]).argmax(axis=1)
         assert len(set(best.tolist())) == 2  # both members get chosen
-        expected = [per_member[int(best[i])][i] for i in range(len(queries))]
-        expected_ids, expected_distances = rerank_candidates(
-            tiny_dataset.base, queries, expected, 10, metric=ensemble_index.metric
-        )
+        own = [member.batch_query(queries, 10, n_probes=n_probes) for member in members]
 
         passes = []
         for member in members:
@@ -113,13 +109,11 @@ class TestUspEnsembleIndex:
                 member, "bin_scores",
                 lambda q, scores=member.bin_scores: passes.append(1) or scores(q),
             )
-        candidates = ensemble_index.candidate_sets(queries, n_probes)
-        assert len(passes) == len(members)  # one model pass per member
-        for got, want in zip(candidates, expected):
-            np.testing.assert_array_equal(got, want)
         ids, distances = ensemble_index.batch_query(queries, 10, n_probes=n_probes)
-        np.testing.assert_array_equal(ids, expected_ids)
-        np.testing.assert_array_equal(distances, expected_distances)
+        assert len(passes) == len(members)  # one model pass per member
+        for i, m in enumerate(best):
+            np.testing.assert_array_equal(ids[i], own[m][0][i])
+            np.testing.assert_array_equal(distances[i], own[m][1][i])
 
     def test_query_and_batch_query(self, ensemble_index, tiny_dataset):
         indices, distances = ensemble_index.query(tiny_dataset.queries[0], k=5, n_probes=2)
@@ -150,11 +144,9 @@ class TestUspEnsembleIndex:
             load_index(tmp_path / "ens")
 
     def test_ensemble_not_worse_than_single_member(self, ensemble_index, tiny_dataset):
-        queries = tiny_dataset.queries
-        single = ensemble_index.members[0].candidate_sets(queries, 1)
-        combined = ensemble_index.candidate_sets(queries, 1)
-        single_recall = candidate_recall(single, tiny_dataset.ground_truth, 10)
-        combined_recall = candidate_recall(combined, tiny_dataset.ground_truth, 10)
+        queries, truth = tiny_dataset.queries, tiny_dataset.ground_truth
+        _, single_recall = candidate_stats(ensemble_index.members[0], queries, truth, 10, 1)
+        _, combined_recall = candidate_stats(ensemble_index, queries, truth, 10, 1)
         assert combined_recall >= single_recall - 0.05
 
     def test_introspection(self, ensemble_index):

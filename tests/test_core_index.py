@@ -14,7 +14,7 @@ from repro.core import (
     build_partition_model,
     rerank_candidates,
 )
-from repro.eval import candidate_recall, knn_accuracy
+from repro.eval import candidate_stats, knn_accuracy
 from repro.nn import Linear, Sequential
 from repro.utils.exceptions import ConfigurationError, NotFittedError, ValidationError
 
@@ -281,11 +281,12 @@ class TestUspIndex:
     def test_partition_beats_random_candidate_sets(self, built_usp_index, tiny_dataset):
         """The learned partition's candidate recall must beat a random partition's."""
         rng = np.random.default_rng(0)
-        candidates = built_usp_index.candidate_sets(tiny_dataset.queries, 1)
-        learned = candidate_recall(candidates, tiny_dataset.ground_truth, 10)
+        _, learned = candidate_stats(
+            built_usp_index, tiny_dataset.queries, tiny_dataset.ground_truth, 10, 1
+        )
         random_assignment = rng.integers(0, 4, size=tiny_dataset.n_points)
         random_recall = []
-        for i, c in enumerate(candidates):
+        for i in range(tiny_dataset.n_queries):
             bucket = np.where(random_assignment == rng.integers(0, 4))[0]
             random_recall.append(
                 len(set(bucket) & set(tiny_dataset.ground_truth[i, :10])) / 10

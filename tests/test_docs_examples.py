@@ -58,7 +58,7 @@ def test_readme_snippet_executes(block_id):
 
 #: the README table's capability columns, in order
 _TABLE_CAPABILITIES = (
-    "supports_candidate_sets",
+    "routed",
     "trainable",
     "exact",
     "shardable",

@@ -8,9 +8,8 @@ from repro.eval import (
     SweepCurve,
     SweepPoint,
     accuracy_candidate_curve,
-    average_candidate_size,
     benchmark_dataset,
-    candidate_recall,
+    candidate_stats,
     default_usp_config,
     format_curves,
     format_frontier_summary,
@@ -54,21 +53,22 @@ class TestKnnAccuracy:
 
 
 class TestCandidateMetrics:
-    def test_candidate_recall(self):
-        candidates = [np.array([1, 2, 3]), np.array([9])]
-        gt = np.array([[1, 2], [4, 5]])
-        assert candidate_recall(candidates, gt, 2) == pytest.approx(0.5)
+    def test_candidate_stats_is_bin_arithmetic(self):
+        # four points in two bins; query 0 ranks bin 0 first, query 1 bin 1
+        index = KMeansIndex(2, seed=0).build(np.array([[0.0], [0.1], [0.2], [9.0]]))
+        queries = np.array([[0.05], [9.1]])
+        gt = np.array([[0, 3], [3, 2]])
+        near_bin = index.assignments[0]
+        assert index.bin_sizes()[near_bin] == 3
+        size, ceiling = candidate_stats(index, queries, gt, 2, 1)
+        assert size == pytest.approx(2.0)  # |C| = 3 and 1
+        assert ceiling == pytest.approx(0.5)  # 0 and 3 are candidates, 3 and 2 are not
+        assert candidate_stats(index, queries, gt, 2, 2) == (4.0, 1.0)
 
-    def test_average_candidate_size(self):
-        assert average_candidate_size([np.arange(4), np.arange(8)]) == pytest.approx(6.0)
-
-    def test_empty_candidate_sets_rejected(self):
+    def test_candidate_stats_rejects_short_ground_truth(self):
+        index = KMeansIndex(2, seed=0).build(np.array([[0.0], [0.1], [0.2], [9.0]]))
         with pytest.raises(ValidationError):
-            average_candidate_size([])
-
-    def test_candidate_recall_length_check(self):
-        with pytest.raises(ValidationError):
-            candidate_recall([np.array([1])], np.array([[1], [2]]), 1)
+            candidate_stats(index, np.zeros((2, 1)), np.array([[1], [2]]), 2, 1)
 
 
 class TestSweep:

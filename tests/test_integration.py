@@ -22,7 +22,7 @@ from repro.core import (
 from repro.datasets import sift_like
 from repro.eval import (
     accuracy_candidate_curve,
-    candidate_recall,
+    candidate_stats,
     knn_accuracy,
     run_figure5,
 )
@@ -102,12 +102,9 @@ class TestEnsembleClaim:
         ensemble = UspEnsembleIndex(EnsembleConfig(n_models=2, base=base_config)).build(
             medium_dataset.base, knn=medium_knn
         )
-        single_recall = candidate_recall(
-            single.candidate_sets(medium_dataset.queries, 1), medium_dataset.ground_truth, 10
-        )
-        ensemble_recall = candidate_recall(
-            ensemble.candidate_sets(medium_dataset.queries, 1), medium_dataset.ground_truth, 10
-        )
+        queries, truth = medium_dataset.queries, medium_dataset.ground_truth
+        _, single_recall = candidate_stats(single, queries, truth, 10, 1)
+        _, ensemble_recall = candidate_stats(ensemble, queries, truth, 10, 1)
         assert ensemble_recall >= single_recall - 0.03
 
     def test_boosting_weights_focus_on_separated_points(self, medium_dataset, medium_knn):

@@ -55,7 +55,7 @@ def test_more_than_2_to_the_16_leaves_rejected_at_construction(name, params):
 @pytest.mark.parametrize("name", sorted(TREE_BACKENDS))
 def test_leaf_scores_sum_to_one(name, tiny_dataset):
     index = make_index(name, **TREE_BACKENDS[name]).build(tiny_dataset.base)
-    for tree in getattr(index, "trees", [index]):
+    for tree in getattr(index, "members", [index]):
         scores = tree.bin_scores(tiny_dataset.queries)
         np.testing.assert_allclose(scores.sum(axis=1), 1.0, rtol=0, atol=1e-12)
 

@@ -561,24 +561,12 @@ class TestServingIntegration:
 # sweep integration: sharded curves
 # ---------------------------------------------------------------------- #
 class TestSweepIntegration:
-    def test_candidate_sets_union_global_ids(self, shard_dataset):
-        index = ShardedIndex(
-            2, spec="kmeans", shard_params=dict(n_bins=4, seed=0)
-        ).build(shard_dataset.base)
-        candidates = index.candidate_sets(shard_dataset.queries, 2)
-        assert len(candidates) == shard_dataset.n_queries
-        for row in candidates:
-            assert row.dtype == np.int64
-            assert row.min() >= 0 and row.max() < shard_dataset.n_points
-            assert np.unique(row).size == row.size  # shards are disjoint
-
-    def test_accuracy_curve_over_sharded_index(self, shard_dataset):
+    def test_accuracy_curve_rejects_sharded_index(self, shard_dataset):
         from repro.eval import accuracy_candidate_curve
 
         index = ShardedIndex(
             2, spec="kmeans", shard_params=dict(n_bins=4, seed=0)
         ).build(shard_dataset.base)
-        curve = accuracy_candidate_curve(index, shard_dataset, k=5, probes=[1, 4])
-        assert len(curve.points) == 2
-        # probing every per-shard bin makes the candidate union everything
-        assert curve.points[-1].accuracy == 1.0
+        # a composite routes nothing itself: its |C| is not one partition's bins
+        with pytest.raises(ValidationError, match="does not route queries to bins"):
+            accuracy_candidate_curve(index, shard_dataset, k=5, probes=[1, 4])
