@@ -180,13 +180,21 @@ class _BinMajorLayout:
 
         return scan_bins(ranked, self.bounds, self.ids, k, distances)
 
-    def restricted(self, allowed: np.ndarray) -> "_BinMajorLayout":
-        """This layout without the rows whose ids ``allowed`` (a boolean mask) excludes."""
-        keep = allowed[self.ids]
+    def restricted(self, allowed: np.ndarray, bins: np.ndarray) -> "_BinMajorLayout":
+        """This layout cut to the rows of ``bins`` (only those are read) that ``allowed`` admits."""
+        bins = np.unique(bins)
+        starts = self.bounds[bins]
+        sizes = self.bounds[bins + 1] - starts
+        positions = np.repeat(starts - (np.cumsum(sizes) - sizes), sizes)
+        positions += np.arange(positions.size)
+        keep = allowed[self.ids[positions]]
+        positions = positions[keep]
+        counts = np.bincount(np.repeat(bins, sizes)[keep], minlength=self.bounds.size - 1)
         layout = copy.copy(self)
-        layout.bounds = np.concatenate([[0], np.cumsum(keep)])[self.bounds]
-        layout.ids, layout.rows = self.ids[keep], self.rows[keep]
-        layout.norms = None if self.norms is None else self.norms[keep]
+        layout.bounds = np.zeros_like(self.bounds)
+        np.cumsum(counts, out=layout.bounds[1:])
+        layout.ids, layout.rows = self.ids[positions], self.rows[positions]
+        layout.norms = None if self.norms is None else self.norms[positions]
         return layout
 
 
@@ -200,8 +208,9 @@ def scan_routes(
     """The ``k`` nearest rows of each query's routed bins, as ``(ids, distances)``.
 
     Each route's partition scans its bin-major layout for its query rows;
-    ``allowed`` (a boolean mask over base ids) first removes the rows it
-    excludes from the layout, so they never reach the distance kernel.
+    ``allowed`` (a boolean mask over base ids) first cuts the layout to the
+    route's probed bins less the rows it excludes, so those never reach
+    the distance kernel.
     Row ``i`` is what :func:`rerank_candidates` gives on the ``allowed``
     members of its route's concatenated ranked bins.
     """
@@ -210,7 +219,7 @@ def scan_routes(
     for partition, rows, ranked in routes:
         layout = partition._bin_major_layout()
         if allowed is not None:
-            layout = layout.restricted(allowed)
+            layout = layout.restricted(allowed, ranked)
         ids[rows], distances[rows] = layout.scan(queries[rows], ranked, k)
     return ids, distances
 
@@ -349,7 +358,7 @@ class PartitionIndexBase(RegisteredIndex):
 
         ``filter=`` restricts results to ids satisfying a predicate /
         mask / allowlist: the :class:`repro.filter.FilterPlanner` scans
-        the layout restricted to the allowed rows (inline), or
+        only the probed bins' allowed rows (inline), or
         brute-forces the surviving subset when the predicate is highly
         selective (pre-filter) — disallowed ids never reach the distance
         kernel either way.

@@ -95,16 +95,6 @@ class BestMemberIndex(RegisteredIndex):
         self._require_built()
         return int(sum(member.num_parameters() for member in self.members))
 
-    def confidences(self, queries: np.ndarray) -> np.ndarray:
-        """Confidence value of every member for every query: ``(n_q, members)``."""
-        self._require_built()
-        queries = as_query_matrix(queries, self.dim)
-        return np.column_stack([member.bin_scores(queries).max(axis=1) for member in self.members])
-
-    def best_members(self, queries: np.ndarray) -> np.ndarray:
-        """Index of the most confident member per query (Algorithm 4, step 4)."""
-        return self.confidences(queries).argmax(axis=1)
-
     def route(self, queries: np.ndarray, n_probes: int) -> List[Route]:
         """One route per chosen member: its queries and their top ``n_probes`` bins."""
         self._require_built()

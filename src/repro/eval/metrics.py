@@ -14,6 +14,7 @@ from typing import Tuple
 import numpy as np
 
 from ..utils.exceptions import ValidationError
+from ..utils.validation import as_query_matrix
 
 
 def knn_accuracy(retrieved: np.ndarray, ground_truth: np.ndarray, k: int) -> float:
@@ -58,13 +59,18 @@ def candidate_stats(
     candidates: the best accuracy any re-ranking could reach, i.e. the
     quality of the partition itself.
     """
+    queries = as_query_matrix(queries, index.dim)
     ground_truth = np.asarray(ground_truth)
+    if queries.shape[0] != ground_truth.shape[0]:
+        raise ValidationError("queries and ground_truth must have one row per query")
     if ground_truth.shape[1] < k:
         raise ValidationError(f"ground truth has fewer than k={k} columns")
     sizes = np.zeros(ground_truth.shape[0], dtype=np.int64)
     hits = 0
     for partition, rows, ranked in index.route(queries, n_probes):
         sizes[rows] = partition.bin_sizes()[ranked].sum(axis=1)
-        truth_bins = partition.assignments[ground_truth[rows, :k]]
-        hits += int((truth_bins[:, :, None] == ranked[:, None, :]).any(axis=2).sum())
+        probed = np.zeros((len(rows), partition.n_bins), dtype=bool)
+        at = np.arange(len(rows))[:, None]
+        probed[at, ranked] = True
+        hits += int(probed[at, partition.assignments[ground_truth[rows, :k]]].sum())
     return float(sizes.mean()), hits / float(ground_truth.shape[0] * k)

@@ -8,9 +8,9 @@ selectivity and index capability:
 * **prefilter** — selectivity is low: brute-force scan only the surviving
   subset (exact; cheaper than probing a structure that will discard most
   of what it finds);
-* **inline** — the index is ``routed``: scan its routed bins with the
-  disallowed rows removed from the bin-major layout first, so they never
-  reach the distance kernel;
+* **inline** — the index is ``routed``: copy only its routed bins'
+  allowed rows out of the bin-major layout and scan them, so disallowed
+  rows never reach the distance kernel;
 * **postfilter** — anything else (graph / codec indexes): over-fetch
   ``k' > k`` results, drop disallowed ids, and retry with a
   multiplicatively larger ``k'`` until every query has ``k`` survivors or

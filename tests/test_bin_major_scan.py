@@ -164,7 +164,7 @@ def test_layout_is_built_on_the_first_scan_only(data):
     ensemble = make_index("usp-ensemble", **TINY_PARAMS["usp-ensemble"]).build(data.base)
     assert all(member._layout is None for member in ensemble.members)
     ensemble.batch_query(data.queries, K, n_probes=2)
-    chosen = set(ensemble.best_members(data.queries).tolist())
+    chosen = {ensemble.members.index(member) for member, _, _ in ensemble.route(data.queries, 2)}
     assert {m for m, member in enumerate(ensemble.members) if member._layout is not None} == chosen
 
 

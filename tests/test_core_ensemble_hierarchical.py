@@ -75,14 +75,14 @@ class TestUspEnsembleIndex:
         b = ensemble_index.members[1].assignments
         assert (a != b).any()
 
-    def test_confidences_shape_and_range(self, ensemble_index, tiny_dataset):
-        conf = ensemble_index.confidences(tiny_dataset.queries)
-        assert conf.shape == (tiny_dataset.n_queries, 2)
-        assert conf.min() > 0 and conf.max() <= 1.0
-
     def test_each_query_is_routed_to_its_best_member(self, ensemble_index, tiny_dataset):
         queries = tiny_dataset.queries
-        best = ensemble_index.best_members(queries)
+        confidences = np.column_stack(
+            [member.bin_scores(queries).max(axis=1) for member in ensemble_index.members]
+        )
+        assert confidences.shape == (tiny_dataset.n_queries, 2)
+        assert confidences.min() > 0 and confidences.max() <= 1.0
+        best = confidences.argmax(axis=1)
         routes = ensemble_index.route(queries, 2)
         covered = np.concatenate([rows for _, rows, _ in routes])
         np.testing.assert_array_equal(np.sort(covered), np.arange(len(queries)))

@@ -70,6 +70,12 @@ class TestCandidateMetrics:
         with pytest.raises(ValidationError):
             candidate_stats(index, np.zeros((2, 1)), np.array([[1], [2]]), 2, 1)
 
+    @pytest.mark.parametrize("n_queries", [1, 3])
+    def test_candidate_stats_rejects_a_query_count_mismatch(self, n_queries):
+        index = KMeansIndex(2, seed=0).build(np.array([[0.0], [0.1], [0.2], [9.0]]))
+        with pytest.raises(ValidationError, match="one row per query"):
+            candidate_stats(index, np.zeros((n_queries, 1)), np.array([[1, 0], [2, 3]]), 2, 1)
+
 
 class TestSweep:
     def test_probe_schedule_properties(self):

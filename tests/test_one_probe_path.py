@@ -50,11 +50,20 @@ def _probe_counts(index):
     return sorted({1, 2, index.n_bins})
 
 
+def _chosen_members(index, queries):
+    """The member each query's route goes to (Algorithm 4's choice)."""
+    best = np.full(queries.shape[0], -1)
+    for partition, rows, _ in index.route(queries, 1):
+        best[rows] = next(m for m, member in enumerate(index.members) if member is partition)
+    assert (best >= 0).all()
+    return best
+
+
 def _candidate_lists(index, queries, n_probes):
     """Each query's candidate ids: its chosen partition's ranked bins, concatenated."""
     if isinstance(index, BestMemberIndex):
         per_member = [member.candidate_sets(queries, n_probes) for member in index.members]
-        return [per_member[m][i] for i, m in enumerate(index.best_members(queries))]
+        return [per_member[m][i] for i, m in enumerate(_chosen_members(index, queries))]
     return index.candidate_sets(queries, n_probes)
 
 
@@ -104,7 +113,7 @@ def test_candidate_stats_equal_the_list_oracle(built, data, name):
 @pytest.mark.parametrize("name", ENSEMBLES)
 def test_ensemble_rows_are_the_chosen_members_own_rows(built, data, name, monkeypatch):
     index = built[name]
-    best = index.best_members(data.queries)
+    best = _chosen_members(index, data.queries)
     assert len(set(best.tolist())) > 1  # more than one member answers
     for n_probes in _probe_counts(index):
         own = [member.batch_query(data.queries, K, n_probes=n_probes) for member in index.members]
@@ -148,6 +157,27 @@ def test_inline_filter_scans_only_allowed_rows(built, data, name, monkeypatch):
         got = index.batch_query(data.queries, K, n_probes=n_probes, filter=mask)
         _assert_scan_contract(got, want, n_probes)
         assert mask[got[0][got[0] >= 0]].all()
+
+
+@pytest.mark.parametrize("name", ["kmeans", *ENSEMBLES])
+def test_inline_filter_copies_only_the_probed_bins(built, data, name, monkeypatch):
+    index = built[name]
+    mask = np.arange(index.n_points) % 2 == 0
+    copies = []
+    restricted = core_base._BinMajorLayout.restricted
+
+    def record(layout, allowed, bins):
+        copies.append(restricted(layout, allowed, bins))
+        return copies[-1]
+
+    monkeypatch.setattr(core_base._BinMajorLayout, "restricted", record)
+    query = data.queries[:1]
+    index.batch_query(query, K, n_probes=1, filter=mask)
+    ((partition, _, ranked),) = index.route(query, 1)
+    (copy,) = copies
+    probed = partition.points_in_bin(int(ranked[0, 0]))
+    assert sorted(copy.ids.tolist()) == sorted(probed[mask[probed]].tolist())
+    assert copy.rows.shape[0] == copy.ids.size < index.n_points // 2
 
 
 @pytest.mark.parametrize("name", ["kmeans", *ENSEMBLES])
