@@ -9,7 +9,6 @@ labels of the toy datasets, plus the internal silhouette score.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import comb
 
 from ..utils.distances import squared_euclidean
 from ..utils.exceptions import ValidationError
@@ -24,16 +23,22 @@ def _contingency(labels_true: np.ndarray, labels_pred: np.ndarray) -> np.ndarray
     return table
 
 
+def _pairs(counts: np.ndarray) -> int:
+    """Unordered pairs inside each count, summed as an exact integer."""
+    counts = counts.astype(np.int64)
+    return int((counts * (counts - 1) // 2).sum())
+
+
 def adjusted_rand_index(labels_true, labels_pred) -> float:
     """Adjusted Rand Index in [-1, 1]; 1 = identical partitions, 0 = chance."""
     labels_true = check_labels(labels_true, name="labels_true")
     labels_pred = check_labels(labels_pred, len(labels_true), name="labels_pred")
     table = _contingency(labels_true, labels_pred)
     n = labels_true.shape[0]
-    sum_comb_cells = comb(table, 2).sum()
-    sum_comb_rows = comb(table.sum(axis=1), 2).sum()
-    sum_comb_cols = comb(table.sum(axis=0), 2).sum()
-    total_pairs = comb(n, 2)
+    sum_comb_cells = _pairs(table)
+    sum_comb_rows = _pairs(table.sum(axis=1))
+    sum_comb_cols = _pairs(table.sum(axis=0))
+    total_pairs = n * (n - 1) // 2
     expected = sum_comb_rows * sum_comb_cols / total_pairs if total_pairs else 0.0
     max_index = 0.5 * (sum_comb_rows + sum_comb_cols)
     denominator = max_index - expected

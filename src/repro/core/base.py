@@ -48,6 +48,9 @@ def rerank_candidates(
     """
     metric_fn = get_metric(metric)
     queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
+    # A loaded quantized index re-ranks from a memmap; gathering through a
+    # plain view of it skips memmap.__getitem__ on every query.
+    base = np.asarray(base)
     out_indices = np.full((queries.shape[0], k), -1, dtype=np.int64)
     out_distances = np.full((queries.shape[0], k), np.inf, dtype=np.float64)
     for i, candidates in enumerate(candidate_lists):

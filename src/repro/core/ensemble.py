@@ -261,5 +261,9 @@ class UspEnsembleIndex(BestMemberIndex):
             )
         ]
         index._base = arrays["__base__"]
+        # Every member was built on this base and its directory repeats it;
+        # once loaded, the members share the ensemble's copy.
+        for member in index.members:
+            member._base = index._base
         index.build_seconds = float(config.get("build_seconds", 0.0))
         return index

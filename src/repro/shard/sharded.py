@@ -446,10 +446,7 @@ class ShardedIndex(RegisteredIndex):
                     local_ids, distances = DEFAULT_PLANNER.filtered_search(
                         child, queries, local_k, local_mask, query_kwargs=kwargs
                     )
-            valid = local_ids >= 0
-            global_ids = np.where(
-                valid, members[np.clip(local_ids, 0, members.shape[0] - 1)], -1
-            )
+            global_ids = np.where(local_ids >= 0, members.take(local_ids, mode="clip"), -1)
             parts.append((global_ids, distances))
         return parts
 
@@ -495,7 +492,10 @@ class ShardedIndex(RegisteredIndex):
             return np.full((n_queries, k), -1, dtype=np.int64), np.full((n_queries, k), np.inf)
         ids = np.hstack([part[0] for part in parts]).astype(np.int64, copy=False)
         distances = np.hstack([np.asarray(part[1], dtype=np.float64) for part in parts])
-        invalid = (ids < 0) | ~self._alive[np.clip(ids, 0, self._alive.shape[0] - 1)]
+        invalid = ids < 0
+        # Only a shard can answer a tombstoned id: the pending scan drops them.
+        if self._dead_per_shard.any():
+            invalid |= ~self._alive.take(ids, mode="clip")
         if invalid.any():
             ids = np.where(invalid, -1, ids)
             distances = np.where(invalid, np.inf, distances)

@@ -6,6 +6,9 @@
 * :func:`merge` — the ``k`` smallest (score, id) pairs, ties to the
   smaller id.  The sharded merge is defined by id, so it does not depend
   on the order the shards are visited in.
+* :func:`fold` — :func:`merge` for a few new (score, position) pairs per
+  row.  The tiled exact scan (:func:`~repro.utils.distances.pairwise_topk`)
+  walks columns in order, so position order is :func:`select`'s order.
 """
 
 from __future__ import annotations
@@ -79,4 +82,45 @@ def merge(ids: np.ndarray, scores: np.ndarray, k: int) -> Tuple[np.ndarray, np.n
     """
     ids, scores = pad(ids, scores, k)
     order = np.lexsort((ids, scores))[:, :k]
-    return np.take_along_axis(ids, order, axis=1), np.take_along_axis(scores, order, axis=1)
+    rows = np.arange(ids.shape[0])[:, None]
+    return ids[rows, order], scores[rows, order]
+
+
+def fold(
+    ids: np.ndarray,
+    scores: np.ndarray,
+    rows: np.ndarray,
+    new_ids: np.ndarray,
+    new_scores: np.ndarray,
+) -> None:
+    """Fold candidates into every row's kept ``(ids, scores)``, in place.
+
+    ``ids`` / ``scores`` are ``(n_rows, k)``.  Candidate ``j`` belongs to
+    row ``rows[j]``; a row's candidates come in increasing id order, and
+    no candidate score is NaN.  Each touched row keeps the :func:`merge`
+    of its kept pairs and its candidates.  The candidates are first cut to
+    their own ``k`` best by :func:`select`, which breaks ties by position
+    and so, here, by id.  Rows are padded to the widest one with (largest
+    id, NaN score) pairs, which sort after every real pair, so a pad never
+    displaces one.
+    """
+    k = ids.shape[1]
+    order = np.argsort(rows, kind="stable")
+    rows = rows[order]
+    counts = np.bincount(rows)
+    touched = np.flatnonzero(counts)
+    counts = counts[touched]
+    slot = np.arange(rows.shape[0]) - np.repeat(np.cumsum(counts) - counts, counts)
+    segment = np.repeat(np.arange(touched.shape[0]), counts)
+    width = int(counts.max())
+    padded_ids = np.full((touched.shape[0], width), np.iinfo(np.int64).max)
+    padded_scores = np.full((touched.shape[0], width), np.nan)
+    padded_ids[segment, slot] = new_ids[order]
+    padded_scores[segment, slot] = new_scores[order]
+    best = select(padded_scores, min(k, width))
+    at = np.arange(touched.shape[0])[:, None]
+    ids[touched], scores[touched] = merge(
+        np.hstack([ids[touched], padded_ids[at, best]]),
+        np.hstack([scores[touched], padded_scores[at, best]]),
+        k,
+    )

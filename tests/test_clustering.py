@@ -33,6 +33,26 @@ class TestMetrics:
         predicted = rng.integers(0, 4, 500)
         assert abs(adjusted_rand_index(truth, predicted)) < 0.1
 
+    @pytest.mark.parametrize(
+        "truth, predicted, expected",
+        [
+            (np.random.default_rng(0).integers(0, 4, 500), None, -0.0037083459393837037),
+            ([0, 0, 1, 1, 2, 2], [0, 0, 1, 2, 2, 2], 0.4444444444444444),
+            ([0] * 5 + [1] * 5, [0] * 3 + [1] * 4 + [2] * 3, 0.25),
+            (np.repeat(np.arange(7), 40000), np.random.default_rng(1).integers(0, 9, 280000),
+             -2.796904615330296e-06),
+            (np.zeros(10, int), np.zeros(10, int), 1.0),
+            (np.zeros(10, int), np.arange(10) % 2, 0.0),
+        ],
+    )
+    def test_ari_values_are_pinned(self, truth, predicted, expected):
+        # The values the floating-point binomial form gave; the exact pair
+        # counts reproduce them bit for bit.
+        if predicted is None:
+            rng = np.random.default_rng(0)
+            truth, predicted = rng.integers(0, 4, 500), rng.integers(0, 4, 500)
+        assert adjusted_rand_index(truth, predicted) == expected
+
     def test_nmi_bounds(self):
         labels = np.array([0, 0, 1, 1])
         assert normalized_mutual_information(labels, labels) == pytest.approx(1.0)

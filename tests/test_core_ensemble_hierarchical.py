@@ -138,6 +138,21 @@ class TestUspEnsembleIndex:
         np.testing.assert_array_equal(ids, re_ids)
         np.testing.assert_array_equal(distances, re_distances)
 
+    def test_loaded_members_share_one_base(self, ensemble_index, tiny_dataset, tmp_path):
+        # Each member's directory still holds its own copy of the base (the
+        # saved layout is unchanged); after a load only the ensemble's stays.
+        ensemble_index.save(tmp_path / "ens")
+        reloaded = load_index(tmp_path / "ens")
+        for member in reloaded.members:
+            assert np.shares_memory(member._base, reloaded._base)
+        queries = tiny_dataset.queries
+        for n_probes in range(1, reloaded.n_bins + 1):
+            for built, loaded in [(ensemble_index, reloaded), *zip(ensemble_index.members, reloaded.members)]:
+                ids, distances = built.batch_query(queries, 10, n_probes=n_probes)
+                re_ids, re_distances = loaded.batch_query(queries, 10, n_probes=n_probes)
+                np.testing.assert_array_equal(ids, re_ids)
+                np.testing.assert_array_equal(distances, re_distances)
+
     def test_saved_union_combination_is_rejected(self, ensemble_index, tmp_path):
         self._save_with_combination(ensemble_index, tmp_path / "ens", "union")
         with pytest.raises(SerializationError, match="'union'"):
