@@ -155,11 +155,17 @@ def pairwise_topk(
         point_norms = squared_norms(points)
     n_queries = queries.shape[0]
     blocks = list(iter_blocks(n_queries, block_size))
-    products = np.empty((min(block_size, n_queries), n_points))
-    rows = max(1, min(products.shape[0], TOPK_TILE_ROWS))
+    block_rows = min(block_size, n_queries)
+    rows = max(1, min(block_rows, TOPK_TILE_ROWS))
     # The first tile of a run only has to set a bound, so it is a quarter wide.
     widths = (max(TOPK_TILE // 4 // rows, k), max(TOPK_TILE // rows, k))
-    scratch = np.empty((2, rows * min(widths[1], n_points)))
+    # One allocation for the GEMM output and the tile scratch: freeing a
+    # separate mid-sized scratch would raise glibc's mmap threshold and
+    # leave later callers' arrays on the heap.
+    tile_size = rows * min(widths[1], n_points)
+    buffer = np.empty(block_rows * n_points + 2 * tile_size)
+    products = buffer[: block_rows * n_points].reshape(block_rows, n_points)
+    scratch = buffer[block_rows * n_points :].reshape(2, tile_size)
 
     all_idx = np.empty((n_queries, k), dtype=np.int64)
     all_dist = np.empty((n_queries, k), dtype=np.float64)
@@ -204,7 +210,8 @@ def _scan_rows(
     whole (:func:`~repro.utils.topk.select`) and sets each row's k-th
     distance as its bound.  A later tile finishes (clamp, square root)
     only the entries whose pre-root value is within the bound; they are
-    folded in at the end (:func:`~repro.utils.topk.fold`).  No entry that
+    folded in at the end, or once they outnumber an eighth of a tile
+    (:func:`~repro.utils.topk.fold`).  No entry that
     fails the bound can enter: for the Euclidean metric a finished
     distance ``sqrt(max(d, 0)) < b`` needs ``d < b * b`` exactly, so
     ``d <= fl(b * b)``; a later column ties a kept one only to lose it.
