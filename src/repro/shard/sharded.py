@@ -492,10 +492,9 @@ class ShardedIndex(RegisteredIndex):
             return np.full((n_queries, k), -1, dtype=np.int64), np.full((n_queries, k), np.inf)
         ids = np.hstack([part[0] for part in parts]).astype(np.int64, copy=False)
         distances = np.hstack([np.asarray(part[1], dtype=np.float64) for part in parts])
-        invalid = ids < 0
-        # Only a shard can answer a tombstoned id: the pending scan drops them.
-        if self._dead_per_shard.any():
-            invalid |= ~self._alive.take(ids, mode="clip")
+        # Always read the live mask: the shards may be a snapshot taken
+        # before a concurrent compact() reset the tombstone counters.
+        invalid = (ids < 0) | ~self._alive.take(ids, mode="clip")
         if invalid.any():
             ids = np.where(invalid, -1, ids)
             distances = np.where(invalid, np.inf, distances)

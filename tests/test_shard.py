@@ -390,6 +390,65 @@ class TestMutation:
                 thread.join()
         assert not failures
 
+    def test_compaction_during_a_query_never_revives_a_removed_id(self, shard_dataset):
+        """A query whose shard snapshot predates a compaction still drops removed ids.
+
+        The id is removed before the query starts; the compaction runs
+        after the query took its serve-state snapshot and before its
+        merge, so the snapshot's shards still hold the id while the
+        tombstone counters already read zero.
+        """
+        index = ShardedIndex(3, compact_threshold=None).build(shard_dataset.base)
+        removed = 17
+        query = shard_dataset.base[removed][None, :]
+        assert index.batch_query(query, 5)[0][0, 0] == removed
+        index.remove([removed])
+        scatter = index._scatter
+
+        def scatter_then_compact(*args, **kwargs):
+            parts = scatter(*args, **kwargs)
+            index.compact()
+            return parts
+
+        index._scatter = scatter_then_compact
+        ids, _ = index.batch_query(query, 5)
+        assert index.n_tombstones == 0  # the compaction ran mid-query
+        assert removed not in ids
+
+    def test_readers_racing_remove_and_compact_never_see_removed_ids(self, shard_dataset):
+        """No id whose remove() returned before a query began is in its answer."""
+        import threading
+
+        index = ShardedIndex(3, compact_threshold=None).build(shard_dataset.base)
+        targets = np.arange(0, 40, 2)
+        queries = shard_dataset.base[targets]
+        removed: list = []
+        failures = []
+        stop = threading.Event()
+
+        def reader():
+            while not stop.is_set():
+                gone = set(removed[: len(removed)])
+                ids, _ = index.batch_query(queries, 3)
+                revived = gone.intersection(ids.ravel().tolist())
+                if revived:
+                    failures.append(sorted(revived))
+                    return
+
+        threads = [threading.Thread(target=reader) for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        try:
+            for target in targets.tolist():
+                index.remove([target])
+                removed.append(target)
+                index.compact()
+        finally:
+            stop.set()
+            for thread in threads:
+                thread.join()
+        assert not failures
+
     def test_stats_aggregate_per_shard(self, mutable_index, shard_dataset):
         mutable_index.add(np.zeros((2, shard_dataset.dim)))
         mutable_index.remove([1])
