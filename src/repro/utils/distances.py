@@ -24,6 +24,16 @@ DEFAULT_BLOCK_SIZE = 1024
 #: take 295-345 ms at 2^16, 2^17 or 2^18 entries and 8-32 rows, within
 #: noise of each other; the full distance matrix took 660-790 ms and the
 #: GEMM alone is 140-200 ms of either.
+#:
+#: The two fractions in :func:`_scan_rows` were measured against their
+#: neighbours (paired in-process, 7 rounds, 2-core Xeon; 1000 x 10k,
+#: 256 x 100k, and 256 x 50k with points sorted far to near or in
+#: clusters).  A first tile of 1/8-1/2 of a tile reads within noise,
+#: a whole one 0.85-0.94x.  Switching a tile to a whole select above
+#: 1/16-1/4 admitted entries reads within noise; never switching reads
+#: 0.26x on the sorted points and 0.77x on the clusters.  Selecting
+#: every tile whole and merging it, with no bound, reads 0.64-0.80x
+#: except on the sorted points (1.19x).
 TOPK_TILE = 1 << 17
 TOPK_TILE_ROWS = 16
 
@@ -156,13 +166,17 @@ def pairwise_topk(
     n_queries = queries.shape[0]
     blocks = list(iter_blocks(n_queries, block_size))
     block_rows = min(block_size, n_queries)
-    rows = max(1, min(block_rows, TOPK_TILE_ROWS))
-    # The first tile of a run only has to set a bound, so it is a quarter wide.
-    widths = (max(TOPK_TILE // 4 // rows, k), max(TOPK_TILE // rows, k))
+    # A run is as many rows as one tile holds whole, so short rows (a
+    # prefilter's allowed set) take few runs; long rows take TOPK_TILE_ROWS.
+    rows = max(1, min(block_rows, max(TOPK_TILE_ROWS, TOPK_TILE // n_points)))
+    width = max(TOPK_TILE // rows, k)
+    # A row that fits one tile is one tile.  Otherwise the first tile only
+    # has to set a bound, so it is a quarter wide.
+    widths = (n_points if n_points <= width else max(width // 4, k), width)
     # One allocation for the GEMM output and the tile scratch: freeing a
     # separate mid-sized scratch would raise glibc's mmap threshold and
     # leave later callers' arrays on the heap.
-    tile_size = rows * min(widths[1], n_points)
+    tile_size = rows * min(width, n_points)
     buffer = np.empty(block_rows * n_points + 2 * tile_size)
     products = buffer[: block_rows * n_points].reshape(block_rows, n_points)
     scratch = buffer[block_rows * n_points :].reshape(2, tile_size)
@@ -216,8 +230,9 @@ def _scan_rows(
     distance ``sqrt(max(d, 0)) < b`` needs ``d < b * b`` exactly, so
     ``d <= fl(b * b)``; a later column ties a kept one only to lose it.
     A tile that admits more than an eighth of its entries is selected
-    whole and merged at once, which also tightens the bound.  ``own``
-    holds each row's own column to mask (``exclude_self``).
+    whole and merged at once, which also tightens the bound (both
+    fractions are measured at :data:`TOPK_TILE`).  ``own`` holds each
+    row's own column to mask (``exclude_self``).
     """
     height, n_points = gram.shape
     k = ids.shape[1]

@@ -159,6 +159,28 @@ def test_one_tile_when_the_input_fits():
     assert_same(points[:300], points[:300], 10, exclude_self=True)
 
 
+@pytest.mark.parametrize(
+    "n_queries, n_points, block_size, runs",
+    [(1000, 100, 1024, 1), (1000, 100, 256, 4), (1000, 1000, 1024, 8), (100, 9000, 1024, 7)],
+)
+def test_short_rows_take_few_runs(monkeypatch, n_queries, n_points, block_size, runs):
+    # A run holds as many query rows as one tile takes whole, so 1,000
+    # queries against a prefilter's few hundred allowed rows are one run
+    # per block, not one per TOPK_TILE_ROWS queries.
+    calls = []
+    real = distances._scan_rows
+
+    def counted(gram, *args):
+        calls.append(gram.shape)
+        return real(gram, *args)
+
+    monkeypatch.setattr(distances, "_scan_rows", counted)
+    rng = np.random.default_rng(11)
+    points = rng.normal(size=(n_points, 4))
+    assert_same(rng.normal(size=(n_queries, 4)), points, 10, block_size=block_size)
+    assert len(calls) == runs
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(1, 80))
 def test_fold_is_merge_over_kept_and_candidates(seed, k, n_new):
