@@ -428,7 +428,7 @@ class TestMutation:
 
         def reader():
             while not stop.is_set():
-                gone = set(removed[: len(removed)])
+                gone = set(removed)
                 ids, _ = index.batch_query(queries, 3)
                 revived = gone.intersection(ids.ravel().tolist())
                 if revived:
