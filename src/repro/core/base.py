@@ -22,46 +22,144 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from ..api.protocol import RegisteredIndex
-from ..utils.distances import get_metric, squared_norms, unit_rows
+from ..utils.distances import get_metric, squared_norms, stacked_distances, unit_rows
 from ..utils.exceptions import NotFittedError, ValidationError
 from ..utils.topk import WHOLE_SORT_PER_K, select
 from ..utils.validation import as_float_matrix, as_query_matrix, check_positive_int
 
 
+#: bytes of float64 rows one stacked call of :func:`rerank_candidates` may
+#: gather: one core's L2 on the 2-core Xeon it was sized on.
+RERANK_GATHER_BYTES = 2 << 20
+
+#: Fewest queries a stacked call scores; groups that would be cut into
+#: smaller blocks (lists of more than ``RERANK_GATHER_BYTES / 8`` bytes,
+#: or fewer queries) are re-ranked one plain product per query.  Against
+#: the per-query loop, 256 queries with 40-300 candidates of 64-784
+#: dimensions in 2 MB blocks: stacking read 1.03-2.46x where a block held
+#: 8 or more queries and 0.88-1.02x where it held 3-6
+#: (``docs/benchmarks.md``).
+RERANK_MIN_STACK = 8
+
+
 def rerank_candidates(
     base: np.ndarray,
     queries: np.ndarray,
-    candidate_lists: Sequence[np.ndarray],
+    candidate_lists: Sequence[np.ndarray] | np.ndarray,
     k: int,
     *,
     metric: str = "euclidean",
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Exactly re-rank per-query candidate index lists against ``base``.
+    """Exact re-ranking of per-query candidate sets (the brute-force step).
 
     Given the candidate set of each query, compute exact distances and
     keep the best ``k``; an exact distance tie goes to the earlier
-    candidate.  Rows are padded with ``-1`` / ``inf`` when fewer than
-    ``k`` candidates are available.  The quantized indexes re-rank their
-    shortlists with it; on :meth:`PartitionIndexBase.candidate_sets` it is
-    the tests' oracle for :func:`scan_routes`, which gives the same
-    answers without the gather.
+    candidate.  ``-1`` in a list is padding: never scored, never
+    returned.  Rows are padded with ``-1`` / ``inf`` when fewer than ``k``
+    candidates are available.  ``candidate_lists`` is a sequence of 1-D
+    id arrays or one ``(queries, width)`` array.
+
+    The queries whose lists hold equally many ids are re-ranked together:
+    their rows are gathered into ``(queries, width, dim)`` blocks of at
+    most :data:`RERANK_GATHER_BYTES`, and one :func:`stacked_distances`
+    call scores a block — one matrix-vector product per query on its own
+    gathered rows, the rounding of a one-query call whatever the block's
+    size.  A group whose blocks would hold fewer than
+    :data:`RERANK_MIN_STACK` queries is scored query by query.
+
+    The quantized indexes re-rank their shortlists with it; on
+    :meth:`PartitionIndexBase.candidate_sets` it is the tests' oracle for
+    :func:`scan_routes`, which gives the same answers without the gather.
     """
-    metric_fn = get_metric(metric)
+    get_metric(metric)  # unknown names fail before any work
     queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
     # A loaded quantized index re-ranks from a memmap; gathering through a
-    # plain view of it skips memmap.__getitem__ on every query.
+    # plain view of it skips memmap.__getitem__ on every block.
     base = np.asarray(base)
     out_indices = np.full((queries.shape[0], k), -1, dtype=np.int64)
-    out_distances = np.full((queries.shape[0], k), np.inf, dtype=np.float64)
-    for i, candidates in enumerate(candidate_lists):
-        candidates = np.asarray(candidates, dtype=np.int64)
-        if candidates.size == 0:
+    out_distances = np.full((queries.shape[0], k), np.inf)
+    if len(candidate_lists) == 1:  # one query: its list alone, without the grouping
+        ids = np.asarray(candidate_lists[0], dtype=np.int64).ravel()
+        if ids.size and ids[ids.argmin()] < 0:  # argmin: a third of min's cost on a short list
+            ids = ids[ids >= 0]
+        if ids.size:
+            _rerank_one(base, queries[:1], ids, metric, out_indices[0], out_distances[0])
+        return out_indices, out_distances
+    row_bytes = 8 * base.shape[1]
+    for rows, lists in _equal_length_groups(candidate_lists):
+        width = lists.shape[1]
+        step = RERANK_GATHER_BYTES // (row_bytes * width)
+        if min(step, rows.size) < RERANK_MIN_STACK:
+            for row, ids in zip(rows.tolist(), lists):
+                _rerank_one(base, queries[row : row + 1], ids, metric, out_indices[row], out_distances[row])
             continue
-        dists = metric_fn(queries[i : i + 1], base[candidates])[0]
-        nearest = select(dists, k)
-        out_indices[i, : nearest.size] = candidates[nearest]
-        out_distances[i, : nearest.size] = dists[nearest]
+        for start in range(0, rows.size, step):
+            ids, block = lists[start : start + step], rows[start : start + step]
+            dists = _gathered_distances(base, queries[block], ids, metric)
+            # flat positions: each row picks among its own
+            nearest = select(dists, k) + np.arange(0, dists.size, width)[:, None]
+            out_indices[block, : nearest.shape[1]] = ids.take(nearest)
+            out_distances[block, : nearest.shape[1]] = dists.take(nearest)
     return out_indices, out_distances
+
+
+def _rerank_one(
+    base: np.ndarray, query: np.ndarray, ids: np.ndarray, metric: str, out_ids: np.ndarray, out_distances: np.ndarray
+) -> None:
+    """One ``(1, dim)`` query's unpadded 1-D list, re-ranked into its output rows."""
+    dists = _gathered_distances(base, query, ids, metric)[0]
+    nearest = select(dists, out_ids.size)
+    out_ids[: nearest.size] = ids[nearest]
+    out_distances[: nearest.size] = dists[nearest]
+
+
+def _gathered_distances(base: np.ndarray, queries: np.ndarray, ids: np.ndarray, metric: str) -> np.ndarray:
+    """``(q, c)`` distances from each query to its own rows: ``base[ids[i]]``, or ``base[ids]`` for one query."""
+    rows = base[ids.ravel()].astype(np.float64, copy=False)
+    if metric == "cosine":
+        queries, rows, query_norms, row_norms = unit_rows(queries), unit_rows(rows), None, None
+    else:
+        query_norms, row_norms = squared_norms(queries), squared_norms(rows)
+    if ids.ndim == 2:  # one block of rows per query
+        rows = rows.reshape(*ids.shape, -1)
+        row_norms = None if row_norms is None else row_norms.reshape(ids.shape)
+    return stacked_distances(queries, query_norms, rows, row_norms, metric)
+
+
+def _equal_length_groups(
+    candidate_lists: Sequence[np.ndarray] | np.ndarray,
+) -> List[Tuple[np.ndarray, np.ndarray]]:
+    """``(rows, ids)`` per non-zero list length: the query rows and their ``(rows, length)`` ids.
+
+    ``-1`` entries are dropped; the ids left keep their order.
+    """
+    if isinstance(candidate_lists, np.ndarray) and candidate_lists.ndim == 2:
+        ids = candidate_lists.astype(np.int64, copy=False)
+        if ids.size == 0:
+            return []
+        if ids.min() >= 0:
+            return [(np.arange(ids.shape[0]), ids)]
+        # A stable sort of the padding flags moves each row's ids ahead
+        # of its -1s, in order.
+        valid = ids >= 0
+        ids = np.take_along_axis(ids, np.argsort(~valid, axis=1, kind="stable"), axis=1)
+        lengths = np.count_nonzero(valid, axis=1)
+    else:  # ragged lists: their ids, left-aligned in one -1-padded array
+        lists = [np.asarray(c, dtype=np.int64).ravel() for c in candidate_lists]
+        if lists and np.concatenate(lists).min(initial=0) < 0:
+            lists = [c[c >= 0] for c in lists]
+        lengths = np.array([c.size for c in lists], dtype=np.int64)
+        ids = np.full((lengths.size, lengths.max(initial=0)), -1, dtype=np.int64)
+        for row, c in zip(ids, lists):
+            row[: c.size] = c
+    order = np.argsort(lengths, kind="stable")
+    lengths = lengths[order]
+    starts = [0, *(np.flatnonzero(lengths[1:] != lengths[:-1]) + 1).tolist()]
+    return [
+        (order[lo:hi], ids[order[lo:hi], : lengths[lo]])
+        for lo, hi in zip(starts, [*starts[1:], order.size])
+        if lengths[lo]
+    ]
 
 
 def bin_major(lookup: Sequence[np.ndarray]) -> Tuple[np.ndarray, np.ndarray]:
@@ -165,21 +263,16 @@ class _BinMajorLayout:
         Same distances, selection and padding as :func:`rerank_candidates`
         over the concatenated ``lookup`` buckets of each row of ``ranked``.
         """
-        rows, norms = self.rows, self.norms
+        rows, norms, metric = self.rows, self.norms, self.metric
         if norms is None:
-            queries = unit_rows(queries)
+            queries, query_norms = unit_rows(queries), None
         else:
             query_norms = squared_norms(queries)
 
         def distances(qi: np.ndarray, b: int, block: slice) -> np.ndarray:
-            dots = (queries[qi][:, None, :] @ rows[block].T)[:, 0, :]
             if norms is None:
-                return 1.0 - dots
-            dists = query_norms[qi, None] + norms[block] - 2.0 * dots
-            np.maximum(dists, 0.0, out=dists)
-            if self.metric == "euclidean":
-                np.sqrt(dists, out=dists)
-            return dists
+                return stacked_distances(queries[qi], None, rows[block], None, metric)
+            return stacked_distances(queries[qi], query_norms[qi], rows[block], norms[block], metric)
 
         return scan_bins(ranked, self.bounds, self.ids, k, distances)
 

@@ -318,7 +318,7 @@ class QuantizedIndexBase(RegisteredIndex):
                     return rerank_candidates(
                         self._vectors,
                         queries,
-                        [allowed] * n_queries,
+                        np.broadcast_to(allowed, (n_queries, allowed.size)),
                         k,
                         metric=self.metric,
                     )
@@ -335,9 +335,7 @@ class QuantizedIndexBase(RegisteredIndex):
             candidates=int(budget),
             source="memmap" if self._store is not None else "resident",
         ):
-            return rerank_candidates(
-                self._vectors, queries, list(candidates), k, metric=self.metric
-            )
+            return rerank_candidates(self._vectors, queries, candidates, k, metric=self.metric)
 
     def _scan(
         self, queries: np.ndarray, budget: int, allowed: Optional[np.ndarray]

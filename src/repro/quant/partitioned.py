@@ -109,7 +109,7 @@ class PartitionedAdcIndex(PqAdcIndex):
         budget = self._rerank_budget(k, None)
         partitioner = self.partitioner
         if partitioner is None:
-            candidates = list(self._scan(queries, budget, None)[0])
+            candidates = self._scan(queries, budget, None)[0]
             return rerank_candidates(self._base, queries, candidates, k, metric=self.metric)
         n_probes = min(check_positive_int(n_probes, "n_probes"), partitioner.n_bins)
         luts = None if self.residual else self._encode_queries(queries)
@@ -121,7 +121,7 @@ class PartitionedAdcIndex(PqAdcIndex):
 
         ranked = partitioner.top_bins(queries, n_probes)
         ids, _ = scan_bins(ranked, self._bounds, self._ids, budget, scores)
-        return rerank_candidates(self._base, queries, [row[row >= 0] for row in ids], k, metric=self.metric)
+        return rerank_candidates(self._base, queries, ids, k, metric=self.metric)
 
     def stats(self):
         stats = super().stats()

@@ -8,7 +8,7 @@ of points stay within a modest memory budget.
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, Tuple
+from typing import Callable, Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -280,6 +280,34 @@ def _scan_rows(
         left = right
     if pending:
         fold(ids, dists, *map(np.concatenate, zip(*pending)))
+
+
+def stacked_distances(
+    queries: np.ndarray,
+    query_norms: Optional[np.ndarray],
+    rows: np.ndarray,
+    row_norms: Optional[np.ndarray],
+    metric: str,
+) -> np.ndarray:
+    """``(q, c)`` distances from each of ``q`` queries to its own ``c`` rows.
+
+    ``rows`` is one ``(c, dim)`` block that every query reads or a
+    ``(q, c, dim)`` stack, one block per query.  ``euclidean`` /
+    ``sqeuclidean`` pass both sides' :func:`squared_norms` (``row_norms``
+    shaped like ``rows`` less its last axis); ``cosine`` passes
+    :func:`unit_rows` on both sides and no norms.
+
+    Row ``i`` is bitwise the metric's own function on ``queries[i:i + 1]``
+    and its rows: a ``(q, 1, dim) @ (..., dim, c)`` matmul runs that call's
+    matrix-vector product once per query, on the same strides, and the
+    terms are summed in the same order.
+    """
+    if queries.shape[0] == 1 and rows.ndim == 2:  # the same product, without the stacking views
+        dots = queries @ rows.T
+    else:
+        dots = (queries[:, None, :] @ np.swapaxes(rows, -1, -2))[:, 0, :]
+    pre = 1.0 - dots if metric == "cosine" else query_norms[:, None] + row_norms - 2.0 * dots
+    return _finish(pre, metric)
 
 
 def _finish(pre: np.ndarray, metric: str) -> np.ndarray:

@@ -34,6 +34,8 @@ def select(scores: np.ndarray, k: int) -> np.ndarray:
     """
     if scores.ndim == 1:
         return _select_row(scores, k)
+    if scores.shape[0] == 1:  # one row: the 1-D path, without the batched bookkeeping
+        return _select_row(scores[0], k)[None, :]
     return _select_rows(scores, k)
 
 
@@ -42,7 +44,12 @@ def _select_row(dists: np.ndarray, k: int) -> np.ndarray:
         return np.argsort(dists, kind="stable")[:k]
     # The k smallest are among the entries up to the k-th smallest value;
     # a stable sort of just those, in position order, keeps the tie rule.
-    near = np.flatnonzero(dists <= np.partition(dists, k - 1)[k - 1])
+    # NaN sorts last, so a NaN k-th value means the row holds fewer than k
+    # numbers and every entry is needed.
+    kth = np.partition(dists, k - 1)[k - 1]
+    if np.isnan(kth):
+        return np.argsort(dists, kind="stable")[:k]
+    near = np.flatnonzero(dists <= kth)
     return near[np.argsort(dists[near], kind="stable")[:k]]
 
 
@@ -55,8 +62,10 @@ def _select_rows(dists: np.ndarray, k: int) -> np.ndarray:
     chosen = dists[rows, top]
     nearest = top[rows, np.argsort(chosen, axis=1, kind="stable")]
     # argpartition picks arbitrarily among entries tied with the k-th
-    # smallest, so a row tied at the boundary falls back to the full stable sort.
-    tied = dists[rows[:, 0], part[:, k]] <= chosen.max(axis=1)
+    # smallest (NaN included), so a row tied at the boundary, or holding
+    # fewer than k numbers, falls back to the full stable sort.
+    worst = chosen.max(axis=1)
+    tied = (dists[rows[:, 0], part[:, k]] <= worst) | np.isnan(worst)
     if tied.any():
         nearest[tied] = np.argsort(dists[tied], axis=1, kind="stable")[:, :k]
     return nearest

@@ -254,6 +254,23 @@ def test_selection_is_the_stable_argsort(rows, width, k, levels, seed):
         )
 
 
+@pytest.mark.parametrize("width", [40, 300, 1000])
+@pytest.mark.parametrize("numbers", [0, 1, 9, 10, 11, 60])
+def test_selection_sorts_nan_last_like_the_stable_argsort(width, numbers):
+    # NaN scores sort after every number; a row holding fewer than k
+    # numbers still yields k positions, the earliest NaNs first.
+    rng = np.random.default_rng(width + numbers)
+    dists = np.full((3, width), np.nan)
+    for row in dists:
+        at = rng.choice(width, min(numbers, width), replace=False)
+        row[at] = rng.integers(0, 3, at.size)
+    expected = np.argsort(dists, axis=1, kind="stable")[:, :10]
+    np.testing.assert_array_equal(select(dists, 10), expected)
+    for row, want in zip(dists, expected):
+        np.testing.assert_array_equal(select(row, 10), want)
+        np.testing.assert_array_equal(select(row[None, :], 10), want[None, :])
+
+
 def _hand_index(sizes, metric="euclidean"):
     """A :class:`_HandBins` index with ``sizes[b]`` rows in bin ``b``, shuffled
     so no bin's rows are contiguous in the base."""

@@ -36,6 +36,7 @@ from repro.eval import knn_accuracy
 from repro.quant import Sq8Index, VectorStore
 from repro.quant import base as quant_base
 from repro.quant.memmap_store import HEADER_FILE, VECTORS_FILE
+from repro.quant.sq8 import FOLD_BLAS, FOLD_MIN_QUERIES
 from repro.utils.distances import get_metric, iter_blocks, pairwise_topk
 from repro.utils.exceptions import (
     ConfigurationError,
@@ -480,15 +481,22 @@ class TestKernels:
         # The float32 tile kernel is exact on the code grid too: on an
         # integer base (scale 1, offset 0) every norm and cross term is an
         # integer below 2^24, so fed a quantized query as its operand each
-        # tile reproduces the int32 cross term plus ||x̂||² bitwise.
+        # tile reproduces the int32 cross term plus ||x̂||² bitwise.  The
+        # operand goes through the encoded layout: on scale 1, encoding
+        # q8 / -2 gives q8 exactly, and a block tall enough to fold (on a
+        # BLAS the fold was checked on) also carries a trailing 1.0 column.
         grid = Sq8Index().build(_grid_base(rng, 300, 24))
         q8 = grid.quantize_queries(query)[0]
-        operand = q8.astype(np.float32)[None, :]
-        tiled = np.concatenate(
-            [grid._tile_scores(operand, slice(start, start + 64)) for start in range(0, 300, 64)],
-            axis=1,
-        )
-        np.testing.assert_array_equal(tiled[0] - grid._code_norms, grid.int32_dot(query))
+        for copies in (1, FOLD_MIN_QUERIES):
+            operand = grid._encode_queries(np.repeat(q8[None, :] / -2.0, copies, axis=0))
+            np.testing.assert_array_equal(operand[:, :24], np.repeat(q8[None, :], copies, axis=0))
+            assert operand.shape[1] == 24 + (copies >= FOLD_MIN_QUERIES and FOLD_BLAS)
+            tiled = np.concatenate(
+                [grid._tile_scores(operand, slice(start, start + 64)) for start in range(0, 300, 64)],
+                axis=1,
+            )
+            for row in tiled:
+                np.testing.assert_array_equal(row - grid._code_norms, grid.int32_dot(query))
 
     def test_sq8_scores_rank_like_decoded_distances(self):
         # The float32 SGEMM kernel drops ||q||² and -2 q·offset, both the

@@ -152,6 +152,20 @@ def test_a_row_with_every_distance_infinite(small_tiles):
     assert_same(np.zeros((2, 2)), points, 6)
 
 
+@pytest.mark.parametrize("n_queries", [1, 3])
+def test_overflowing_rows_give_nan_distances_and_still_k_answers(n_queries):
+    # A query and rows near 1e200 overflow to inf - inf = NaN.  Only three
+    # rows stay finite, so every query's k-th distance is NaN.
+    rng = np.random.default_rng(11)
+    points = np.full((600, 4), 1e200)
+    points[[5, 300, 599]] = rng.normal(size=(3, 4))
+    queries = np.full((n_queries, 4), 1e200)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ids, _ = pairwise_topk(queries, points, 10)
+        assert_same(queries, points, 10)
+    assert ids.shape == (n_queries, 10) and (ids >= 0).all()
+
+
 def test_one_tile_when_the_input_fits():
     rng = np.random.default_rng(10)
     points = rng.normal(size=(3000, 8))
