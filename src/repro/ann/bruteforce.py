@@ -60,6 +60,10 @@ class BruteForceIndex(RegisteredIndex):
         if self._base is None:
             raise NotFittedError("BruteForceIndex has not been built yet")
 
+    def vectors(self, ids: Optional[np.ndarray] = None) -> np.ndarray:
+        self._require_built()
+        return self._base if ids is None else self._base[ids]
+
     def batch_query(
         self, queries: np.ndarray, k: int = 10, *, filter=None
     ) -> Tuple[np.ndarray, np.ndarray]:

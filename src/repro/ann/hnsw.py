@@ -74,6 +74,10 @@ class HnswIndex(RegisteredIndex):
         if self._base is None:
             raise NotFittedError("HnswIndex has not been built yet")
 
+    def vectors(self, ids: Optional[np.ndarray] = None) -> np.ndarray:
+        self._require_built()
+        return self._base if ids is None else self._base[ids]
+
     @property
     def dim(self) -> int:
         self._require_built()

@@ -78,7 +78,7 @@ class IVFFlatIndex(KMeansIndex):
             "build_seconds": self.build_seconds,
         }
         arrays = {
-            "__base__": self._base,
+            "__base__": self.vectors(),
             "centroids": self.centroids,
             "labels": self._assignments,
         }

@@ -86,7 +86,7 @@ class ScannSearcher(PartitionedAdcIndex):
             "has_partitioner": self.partitioner is not None,
         }
         arrays = {
-            "__base__": self._base,
+            "__base__": self.vectors(),
             "codes": self._saved_codes(),
             "codec.codebooks": self._pq.codebooks,
         }

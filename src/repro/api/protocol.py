@@ -283,6 +283,13 @@ class RegisteredIndex(PersistentIndexMixin):
         """The attached :class:`repro.filter.AttributeStore`, or ``None``."""
         return self._attributes
 
+    def vectors(self, ids: Optional[np.ndarray] = None) -> Optional[np.ndarray]:
+        """The raw base rows ``ids`` (every row, in id order, for ``None``); ``None`` if not kept.
+
+        The filter planner's prefilter reads the allowed rows through it.
+        """
+        return None
+
     def _filtered_batch_query(self, queries, k: int, filter, **query_kwargs):
         """Shared ``filter=`` dispatch for every backend's ``batch_query``.
 

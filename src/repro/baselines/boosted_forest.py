@@ -37,10 +37,9 @@ from .trees import HyperplaneTreeIndex, pack_tree_nodes, unpack_tree_nodes
 class _WeightedPcaTree(HyperplaneTreeIndex):
     """A hyperplane tree whose splits maximise weighted variance."""
 
-    def __init__(self, depth: int, weights: np.ndarray, base: np.ndarray, *, seed=None) -> None:
+    def __init__(self, depth: int, weights: np.ndarray, *, seed=None) -> None:
         super().__init__(depth, seed=seed)
         self._all_weights = np.asarray(weights, dtype=np.float64)
-        self._all_points = base
 
     def split_rule(
         self, points: np.ndarray, rng: np.random.Generator
@@ -74,7 +73,7 @@ class _WeightedPcaTree(HyperplaneTreeIndex):
         return direction, float(projections[order][split_at])
 
     def _match_weights(self, points: np.ndarray) -> np.ndarray:
-        if points.shape[0] == self._all_points.shape[0]:
+        if points.shape[0] == self._all_weights.shape[0]:
             return self._all_weights
         # Subset nodes: fall back to uniform weights (see class docstring).
         return np.ones(points.shape[0], dtype=np.float64)
@@ -109,7 +108,6 @@ class BoostedSearchForestIndex(BestMemberIndex):
         self.seed = seed
         self.metric = "euclidean"
         self.members: List[HyperplaneTreeIndex] = []
-        self._base: Optional[np.ndarray] = None
         self.build_seconds: float = 0.0
 
     # ------------------------------------------------------------------ #
@@ -122,15 +120,15 @@ class BoostedSearchForestIndex(BestMemberIndex):
             knn = build_knn_matrix(base, min(self.k_prime, base.shape[0] - 1))
         rngs = spawn_rngs(self.seed, self.n_trees)
         weights = np.ones(base.shape[0], dtype=np.float64)
-        self.members = []
+        members: List[HyperplaneTreeIndex] = []
         for t in range(self.n_trees):
-            tree = _WeightedPcaTree(self.depth, weights, base, seed=rngs[t])
+            tree = _WeightedPcaTree(self.depth, weights, seed=rngs[t])
             tree.build(base)
-            self.members.append(tree)
+            members.append(tree)
             weights = boosting_weights(tree.assignments, knn, weights)
             if weights.sum() <= 0:
                 weights = np.ones(base.shape[0], dtype=np.float64)
-        self._base = base
+        self.members = members
         self.build_seconds = time.perf_counter() - start
         return self
 
@@ -147,7 +145,7 @@ class BoostedSearchForestIndex(BestMemberIndex):
             "metric": self.metric,
             "build_seconds": self.build_seconds,
         }
-        arrays = {"__base__": self._base}
+        arrays = {"__base__": self.vectors()}
         for t, tree in enumerate(self.members):
             arrays[f"tree{t}.assignments"] = tree.assignments
             for key, value in pack_tree_nodes(
@@ -173,6 +171,5 @@ class BoostedSearchForestIndex(BestMemberIndex):
                 base, arrays[f"tree{t}.assignments"], 2 ** int(config["depth"])
             )
             index.members.append(tree)
-        index._base = base
         index.build_seconds = float(config.get("build_seconds", 0.0))
         return index

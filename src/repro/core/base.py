@@ -162,24 +162,16 @@ def _equal_length_groups(
     ]
 
 
-def bin_major(lookup: Sequence[np.ndarray]) -> Tuple[np.ndarray, np.ndarray]:
-    """``(bounds, ids)``: the ``lookup`` buckets concatenated bin after bin.
-
-    Bin ``b`` owns positions ``[bounds[b], bounds[b + 1])`` of ``ids``.
-    """
-    bounds = np.concatenate([[0], np.cumsum([len(b) for b in lookup])]).astype(np.int64)
-    return bounds, np.concatenate(lookup)
-
-
 def scan_bins(
     ranked: np.ndarray,
     bounds: np.ndarray,
-    ids: np.ndarray,
+    ids: Optional[np.ndarray],
     k: int,
     score: Callable[[np.ndarray, int, slice], np.ndarray],
 ) -> Tuple[np.ndarray, np.ndarray]:
     """The ``k`` best-scored rows of each query's ``ranked`` bins, as ``(ids, scores)``.
 
+    ``ids[p]`` is returned for layout row ``p`` (``None``: ``p`` itself).
     The first ``k`` of a stable argsort of each query's scores over its
     concatenated bins, padded with ``-1`` / ``inf``.  The (query, probe
     rank) pairs are grouped by bin once, and ``score(queries, b, rows)``
@@ -211,11 +203,12 @@ def scan_bins(
             continue
         qi, rank = np.divmod(group, n_probes)
         scores = score(qi, b, slice(lo, hi))
+        block_ids = np.arange(lo, hi) if ids is None else ids[lo:hi]
         if n_probes > 1 and hi - lo <= width:
-            block_ids, block_scores = ids[lo:hi], scores
+            block_scores = scores
         else:
             nearest = select(scores, min(k, width))
-            block_ids = ids[lo:hi][nearest]
+            block_ids = block_ids[nearest]
             block_scores = scores[np.arange(len(qi))[:, None], nearest]
         pool_ids[qi, rank, : block_scores.shape[1]] = block_ids
         pool_scores[qi, rank, : block_scores.shape[1]] = block_scores
@@ -228,13 +221,16 @@ def scan_bins(
 
 
 class _BinMajorLayout:
-    """The base rows regrouped bin after bin, with the metric's per-row constant.
+    """A partition's base rows stored bin after bin: the only copy it keeps.
 
-    Bin ``b`` owns layout rows ``[bounds[b], bounds[b + 1])``, which are
-    ``base[ids[bounds[b]:bounds[b + 1]]]`` byte for byte (see
-    :func:`bin_major`).  ``euclidean`` / ``sqeuclidean`` keep the rows and
-    their squared norms; ``cosine`` keeps the rows already divided by
-    their norms.
+    Bin ``b`` owns layout rows ``[bounds[b], bounds[b + 1])``.  Layout row
+    ``p`` is base row ``ids[p]`` byte for byte; ``ids`` is the stable
+    argsort of the assignments, so a bin's ids ascend.  ``metric`` sets
+    the per-row constant the scan reads: ``euclidean`` / ``sqeuclidean``
+    the rows' squared ``norms``, ``cosine`` the ``units`` (the rows
+    divided by their norms), kept beside the raw rows: dividing each
+    probed block at scan time added 28-30 % to a cosine ``batch_query``
+    (10k x 64, one BLAS thread).
 
     :meth:`scan` walks the probed bins, not the queries (see
     :func:`scan_bins`): every query that probes bin ``b`` is scored
@@ -245,15 +241,13 @@ class _BinMajorLayout:
     queries share the bin.
     """
 
-    def __init__(self, base: np.ndarray, lookup: Sequence[np.ndarray], metric: str) -> None:
+    def __init__(self, ids: np.ndarray, bounds: np.ndarray, rows: np.ndarray, metric: str) -> None:
         get_metric(metric)  # unknown names fail exactly as in rerank_candidates
-        self.metric = metric
-        self.bounds, self.ids = bin_major(lookup)
-        rows = base[self.ids]
+        self.ids, self.bounds, self.rows, self.metric = ids, bounds, rows, metric
         if metric == "cosine":
-            self.rows, self.norms = unit_rows(rows), None
+            self.units, self.norms = unit_rows(rows), None
         else:
-            self.rows, self.norms = rows, squared_norms(rows)
+            self.units, self.norms = None, squared_norms(rows)
 
     def scan(
         self, queries: np.ndarray, ranked: np.ndarray, k: int
@@ -261,13 +255,13 @@ class _BinMajorLayout:
         """The ``k`` nearest rows of each query's ``ranked`` bins, as base ids.
 
         Same distances, selection and padding as :func:`rerank_candidates`
-        over the concatenated ``lookup`` buckets of each row of ``ranked``.
+        over the concatenated bins of each row of ``ranked``.
         """
-        rows, norms, metric = self.rows, self.norms, self.metric
+        norms, metric = self.norms, self.metric
         if norms is None:
-            queries, query_norms = unit_rows(queries), None
+            rows, queries, query_norms = self.units, unit_rows(queries), None
         else:
-            query_norms = squared_norms(queries)
+            rows, query_norms = self.rows, squared_norms(queries)
 
         def distances(qi: np.ndarray, b: int, block: slice) -> np.ndarray:
             if norms is None:
@@ -289,8 +283,11 @@ class _BinMajorLayout:
         layout = copy.copy(self)
         layout.bounds = np.zeros_like(self.bounds)
         np.cumsum(counts, out=layout.bounds[1:])
-        layout.ids, layout.rows = self.ids[positions], self.rows[positions]
-        layout.norms = None if self.norms is None else self.norms[positions]
+        layout.ids = self.ids[positions]
+        if self.units is None:
+            layout.rows, layout.norms = self.rows[positions], self.norms[positions]
+        else:  # cosine scans the unit rows alone
+            layout.rows, layout.units = None, self.units[positions]
         return layout
 
 
@@ -313,7 +310,7 @@ def scan_routes(
     ids = np.full((queries.shape[0], k), -1, dtype=np.int64)
     distances = np.full((queries.shape[0], k), np.inf)
     for partition, rows, ranked in routes:
-        layout = partition._bin_major_layout()
+        layout = partition.layout
         if allowed is not None:
             layout = layout.restricted(allowed, ranked)
         ids[rows], distances[rows] = layout.scan(queries[rows], ranked, k)
@@ -321,7 +318,7 @@ def scan_routes(
 
 
 class PartitionIndexBase(RegisteredIndex):
-    """Base class: stores the dataset, bin assignments, and a lookup table.
+    """Base class: the bin assignments and the bin-major :attr:`layout`, the only copy of the rows.
 
     Subclasses must call :meth:`_finalize_build` at the end of their
     ``build`` method and implement :meth:`bin_scores`.  Persistence
@@ -335,37 +332,30 @@ class PartitionIndexBase(RegisteredIndex):
     metric: str = "euclidean"
 
     def __init__(self) -> None:
-        self._base: Optional[np.ndarray] = None
         self._assignments: Optional[np.ndarray] = None
-        self._lookup: Optional[List[np.ndarray]] = None
-        self._n_bins: Optional[int] = None
         self._layout: Optional[_BinMajorLayout] = None
+        self._positions: Optional[np.ndarray] = None  # layout row of every base id
 
     # ------------------------------------------------------------------ #
     # offline phase plumbing
     # ------------------------------------------------------------------ #
     def _finalize_build(self, base: np.ndarray, assignments: np.ndarray, n_bins: int) -> None:
-        """Store the dataset and build the bin -> point-indices lookup table."""
+        """Store the assignments and the base rows, bin-major (a copy: the index owns its rows)."""
         base = as_float_matrix(base, name="base")
         assignments = np.asarray(assignments, dtype=np.int64).reshape(-1)
         if assignments.shape[0] != base.shape[0]:
             raise ValidationError("assignments must have one entry per base point")
         if assignments.min() < 0 or assignments.max() >= n_bins:
             raise ValidationError("assignments contain bin ids outside [0, n_bins)")
-        self._base = base
         self._assignments = assignments
-        self._n_bins = int(n_bins)
-        lookup: List[np.ndarray] = []
-        order = np.argsort(assignments, kind="stable")
-        sorted_bins = assignments[order]
-        boundaries = np.searchsorted(sorted_bins, np.arange(n_bins + 1))
-        for bin_id in range(n_bins):
-            lookup.append(order[boundaries[bin_id] : boundaries[bin_id + 1]])
-        self._lookup = lookup
-        self._layout = None
+        ids = np.argsort(assignments, kind="stable")
+        bounds = np.searchsorted(assignments[ids], np.arange(n_bins + 1))
+        self._layout = _BinMajorLayout(ids, bounds, base[ids], self.metric)
+        self._positions = np.empty_like(ids)
+        self._positions[ids] = np.arange(ids.size)
 
     def _require_built(self) -> None:
-        if self._base is None or self._lookup is None:
+        if self._layout is None:
             raise NotFittedError(f"{type(self).__name__} has not been built yet")
 
     # ------------------------------------------------------------------ #
@@ -373,22 +363,31 @@ class PartitionIndexBase(RegisteredIndex):
     # ------------------------------------------------------------------ #
     @property
     def is_built(self) -> bool:
-        return self._base is not None
+        return self._layout is not None
+
+    @property
+    def layout(self) -> _BinMajorLayout:
+        """The bin-major rows with the per-row constant of the current ``metric``."""
+        self._require_built()
+        layout = self._layout
+        if layout.metric != self.metric:  # changed after build: same rows, new constant
+            layout = self._layout = _BinMajorLayout(layout.ids, layout.bounds, layout.rows, self.metric)
+        return layout
 
     @property
     def n_points(self) -> int:
         self._require_built()
-        return int(self._base.shape[0])
+        return int(self._layout.rows.shape[0])
 
     @property
     def dim(self) -> int:
         self._require_built()
-        return int(self._base.shape[1])
+        return int(self._layout.rows.shape[1])
 
     @property
     def n_bins(self) -> int:
         self._require_built()
-        return int(self._n_bins)
+        return self._layout.bounds.size - 1
 
     @property
     def assignments(self) -> np.ndarray:
@@ -399,14 +398,20 @@ class PartitionIndexBase(RegisteredIndex):
     def bin_sizes(self) -> np.ndarray:
         """Number of points per bin."""
         self._require_built()
-        return np.array([len(bucket) for bucket in self._lookup], dtype=np.int64)
+        return np.diff(self._layout.bounds)
 
     def points_in_bin(self, bin_id: int) -> np.ndarray:
         """Indices of the base points assigned to ``bin_id``."""
         self._require_built()
-        if not 0 <= bin_id < self._n_bins:
-            raise ValidationError(f"bin_id {bin_id} out of range [0, {self._n_bins})")
-        return self._lookup[bin_id]
+        if not 0 <= bin_id < self.n_bins:
+            raise ValidationError(f"bin_id {bin_id} out of range [0, {self.n_bins})")
+        bounds = self._layout.bounds
+        return self._layout.ids[bounds[bin_id] : bounds[bin_id + 1]]
+
+    def vectors(self, ids: Optional[np.ndarray] = None) -> np.ndarray:
+        """Base rows ``ids`` copied out of the layout; every row, in id order, for ``None``."""
+        self._require_built()
+        return self._layout.rows[self._positions if ids is None else self._positions[ids]]
 
     def num_parameters(self) -> int:
         """Learnable/stored parameter count (Table 2); overridden by learners."""
@@ -441,7 +446,7 @@ class PartitionIndexBase(RegisteredIndex):
     def candidate_sets(self, queries: np.ndarray, n_probes: int = 1) -> List[np.ndarray]:
         """Each query's routed bins as one concatenated id list (the tests' oracle)."""
         ((_, _, ranked),) = self.route(queries, n_probes)
-        return [np.concatenate([self._lookup[b] for b in row]) for row in ranked]
+        return [np.concatenate([self.points_in_bin(b) for b in row]) for row in ranked]
 
     def batch_query(
         self, queries: np.ndarray, k: int = 10, *, n_probes: int = 1, filter=None
@@ -459,9 +464,9 @@ class PartitionIndexBase(RegisteredIndex):
         selective (pre-filter) — disallowed ids never reach the distance
         kernel either way.
 
-        The probed bins' row ranges of the bin-major layout (built on the
-        first scan) are scanned bin by bin, each once for all the queries
-        that probe it, with the answers :func:`rerank_candidates` gives on
+        The probed bins' row ranges of the bin-major :attr:`layout` are
+        scanned bin by bin, each once for all the queries that probe it,
+        with the answers :func:`rerank_candidates` gives on
         :meth:`candidate_sets`.
         """
         self._require_built()
@@ -471,18 +476,7 @@ class PartitionIndexBase(RegisteredIndex):
             return self._filtered_batch_query(queries, k, filter, n_probes=int(n_probes))
         n_probes = min(check_positive_int(n_probes, "n_probes"), self.n_bins)
         ranked = self.top_bins(queries, n_probes)
-        return self._bin_major_layout().scan(queries, ranked, int(k))
-
-    def _bin_major_layout(self) -> _BinMajorLayout:
-        """The bin-major rows for the current metric, built on first use.
-
-        A pure function of the built state, so concurrent first calls at
-        worst build it twice; nothing of it is persisted.
-        """
-        layout = self._layout
-        if layout is None or layout.metric != self.metric:
-            layout = self._layout = _BinMajorLayout(self._base, self._lookup, self.metric)
-        return layout
+        return self.layout.scan(queries, ranked, int(k))
 
     # ------------------------------------------------------------------ #
     # persistence (repro.api.persistence hooks)
@@ -506,17 +500,17 @@ class PartitionIndexBase(RegisteredIndex):
         config, arrays = self._extra_state()
         config = dict(config)
         arrays = dict(arrays)
-        config["__n_bins__"] = int(self._n_bins)
+        config["__n_bins__"] = self.n_bins
         config["__metric__"] = self.metric
-        arrays["__base__"] = self._base
+        arrays["__base__"] = self.vectors()
         arrays["__assignments__"] = self._assignments
         return config, arrays, {}
 
     @classmethod
     def _from_state(cls, config, arrays, load_child):
         index = cls._restore(config, arrays, load_child)
+        index.metric = str(config["__metric__"])
         index._finalize_build(
             arrays["__base__"], arrays["__assignments__"], int(config["__n_bins__"])
         )
-        index.metric = str(config["__metric__"])
         return index

@@ -54,7 +54,8 @@ def boosting_weights(
 class BestMemberIndex(RegisteredIndex):
     """Algorithm 4: each query is answered by its most confident member alone.
 
-    ``members`` are partition indexes over one base (``_base``).  A
+    ``members`` are partition indexes over one base, each holding its own
+    bin-major copy of it (an m-member ensemble holds m copies).  A
     member's confidence in a query is its highest bin score.  One
     :meth:`~repro.core.base.PartitionIndexBase.bin_scores` pass per member
     over the whole batch gives both the confidences and the chosen
@@ -65,25 +66,29 @@ class BestMemberIndex(RegisteredIndex):
 
     metric: str = "euclidean"
     members: List[PartitionIndexBase]
-    _base: Optional[np.ndarray]
 
     def _require_built(self) -> None:
-        if not self.members or self._base is None:
+        if not self.members:
             raise NotFittedError(f"{type(self).__name__} has not been built yet")
 
     @property
     def is_built(self) -> bool:
-        return bool(self.members) and self._base is not None
+        return bool(self.members)
 
     @property
     def dim(self) -> int:
         self._require_built()
-        return int(self._base.shape[1])
+        return self.members[0].dim
 
     @property
     def n_points(self) -> int:
         self._require_built()
-        return int(self._base.shape[0])
+        return self.members[0].n_points
+
+    def vectors(self, ids: Optional[np.ndarray] = None) -> np.ndarray:
+        """Base rows ``ids`` (every row, in id order, for ``None``), read from the first member."""
+        self._require_built()
+        return self.members[0].vectors(ids)
 
     @property
     def n_bins(self) -> int:
@@ -177,7 +182,6 @@ class UspEnsembleIndex(BestMemberIndex):
         self.weight_history: List[np.ndarray] = []
         self.knn: Optional[KnnMatrix] = None
         self.build_seconds: float = 0.0
-        self._base: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------ #
     # offline phase (Algorithm 3)
@@ -193,7 +197,7 @@ class UspEnsembleIndex(BestMemberIndex):
             self.knn = knn
             rngs = spawn_rngs(config.base.seed, config.n_models)
             weights = np.ones(base.shape[0], dtype=np.float64)
-            self.members = []
+            members: List[UspIndex] = []
             self.weight_history = []
             for j in range(config.n_models):
                 member_seed = int(rngs[j].integers(0, 2**31 - 1))
@@ -203,10 +207,10 @@ class UspEnsembleIndex(BestMemberIndex):
                 # make the quality term vanish; fall back to uniform weights.
                 effective = weights if weights.sum() > 0 else None
                 member.build(base, knn=knn, point_weights=effective)
-                self.members.append(member)
+                members.append(member)
                 self.weight_history.append(weights.copy())
                 weights = boosting_weights(member.assignments, knn, weights)
-        self._base = base
+        self.members = members
         self.build_seconds = stopwatch.totals()["build"]
         return self
 
@@ -231,7 +235,7 @@ class UspEnsembleIndex(BestMemberIndex):
             "base": asdict(self.config.base),
             "build_seconds": self.build_seconds,
         }
-        arrays = {"__base__": self._base}
+        arrays = {"__base__": self.vectors()}
         for j, weights in enumerate(self.weight_history):
             arrays[f"weights.{j}"] = weights
         children = {f"member-{j}": member for j, member in enumerate(self.members)}
@@ -260,10 +264,6 @@ class UspEnsembleIndex(BestMemberIndex):
                 key=lambda k: int(k.split(".", 1)[1]),
             )
         ]
-        index._base = arrays["__base__"]
-        # Every member was built on this base and its directory repeats it;
-        # once loaded, the members share the ensemble's copy.
-        for member in index.members:
-            member._base = index._base
+        # ``__base__`` repeats what every member's own directory holds.
         index.build_seconds = float(config.get("build_seconds", 0.0))
         return index

@@ -96,7 +96,7 @@ class PartitionTreeIndex(PartitionIndexBase):
 
     def _rows_per_node(self) -> np.ndarray:
         """Number of base rows under every node, indexed by node id (leaves last)."""
-        per_leaf = np.bincount(self._assignments, minlength=self._n_bins)
+        per_leaf = self.bin_sizes()
         return np.concatenate([per_leaf.reshape(-1, width).sum(axis=1) for width in self._widths])
 
     # ------------------------------------------------------------------ #
@@ -137,7 +137,7 @@ class PartitionTreeIndex(PartitionIndexBase):
         queries = as_query_matrix(queries, self.dim)
         n_queries = queries.shape[0]
         rows = self._rows_per_node()
-        scores = np.ones((n_queries, self._n_bins), dtype=np.float64)
+        scores = np.ones((n_queries, self.n_bins), dtype=np.float64)
         for level in reversed(range(len(self.levels))):
             m, width = self.levels[level], self._widths[level + 1]
             first = self._offsets[level + 1]

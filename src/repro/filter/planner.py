@@ -6,8 +6,8 @@ mask, :class:`FilterPlanner` picks one of three strategies by estimated
 selectivity and index capability:
 
 * **prefilter** — selectivity is low: brute-force scan only the surviving
-  subset (exact; cheaper than probing a structure that will discard most
-  of what it finds);
+  subset, read through the index's ``vectors(ids)`` (exact; cheaper than
+  probing a structure that will discard most of what it finds);
 * **inline** — the index is ``routed``: copy only its routed bins'
   allowed rows out of the bin-major layout and scan them, so disallowed
   rows never reach the distance kernel;
@@ -28,6 +28,7 @@ from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 
+from ..api.protocol import RegisteredIndex
 from ..utils.distances import DEFAULT_BLOCK_SIZE, pairwise_topk
 from ..utils.exceptions import ValidationError
 from ..utils.topk import pad
@@ -117,25 +118,20 @@ def resolve_filter(filter_spec: Any, index: Any, n_rows: int) -> Optional[np.nda
     return mask
 
 
-def _index_vectors(index: Any) -> Optional[np.ndarray]:
-    """The raw vector matrix an index stores, if it exposes one."""
-    for attr in ("_base", "_data"):
-        vectors = getattr(index, attr, None)
-        if isinstance(vectors, np.ndarray) and vectors.ndim == 2:
-            return vectors
-    return None
+def _has_vectors(index: Any) -> bool:
+    """Whether ``index`` hands out its raw rows (overrides :meth:`RegisteredIndex.vectors`)."""
+    return type(index).vectors is not RegisteredIndex.vectors
 
 
 def filter_row_count(index: Any) -> int:
     """Number of id rows a filter mask for ``index`` must cover.
 
-    ``n_points`` for ordinary indexes; the full vector-store length
-    (tombstoned rows included — ids are stable) for mutable composites
-    like :class:`repro.shard.ShardedIndex`.
+    ``n_points`` for ordinary indexes; every id ever assigned
+    (``total_rows``: tombstoned rows included — ids are stable) for
+    mutable ones like :class:`repro.shard.ShardedIndex`.
     """
-    data = getattr(index, "_data", None)
-    if isinstance(data, np.ndarray) and data.ndim == 2:
-        return int(data.shape[0])
+    if type(index).capabilities.mutable:
+        return int(index.total_rows)
     return int(index.n_points)
 
 
@@ -192,7 +188,7 @@ class FilterPlanner:
         if n_allowed == 0:
             return FilterPlan("empty", 0.0, 0)
         capabilities = type(index).capabilities
-        has_vectors = _index_vectors(index) is not None
+        has_vectors = _has_vectors(index)
         # An exact index's query *is* a scan, so the subset scan is its
         # filtered query at every selectivity, not just low ones.
         if has_vectors and (capabilities.exact or selectivity <= self.prefilter_selectivity):
@@ -234,7 +230,7 @@ class FilterPlanner:
                 raise ValidationError(
                     f"unknown filter strategy {strategy!r}; expected one of {FILTER_STRATEGIES}"
                 )
-            if strategy == "prefilter" and _index_vectors(index) is None:
+            if strategy == "prefilter" and not _has_vectors(index):
                 raise ValidationError(
                     f"cannot force 'prefilter' on {type(index).__name__}: "
                     "the index does not expose its raw vectors"
@@ -283,11 +279,10 @@ class FilterPlanner:
         self, index: Any, queries: np.ndarray, k: int, mask: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Exact scan of only the allowed rows, remapped to global ids."""
-        vectors = _index_vectors(index)
         allowed = np.flatnonzero(mask)
         local_ids, distances = pairwise_topk(
             queries,
-            vectors[allowed],
+            index.vectors(allowed),
             min(k, allowed.shape[0]),
             metric=_index_metric(index),
             # honour the index's own memory bound when it configures one

@@ -1,13 +1,15 @@
 """Partitioned PQ-ADC scan: the one query path of the Figure 7 pipelines.
 
 ``scann``, ``kmeans-scann``, ``usp-scann`` and ``ivf-pq`` keep
-``pq-adc``'s codes **bin-major** — uint8 columns in the partitioner's
-lookup order — so :func:`~repro.core.base.scan_bins` scores each probed
-bin's contiguous block once, for every query that probes it, with
-:meth:`PqAdcIndex._tile_scores`.  Without a partitioner the scan is
-:meth:`QuantizedIndexBase._scan` over every row.  The shortlist goes to
-:func:`rerank_candidates`; an ADC tie goes to the earlier gathered
-candidate (bins in probe rank order, rows in lookup order).
+``pq-adc``'s codes **bin-major** — uint8 columns in the order of the
+partitioner's :attr:`~repro.core.PartitionIndexBase.layout` — so
+:func:`~repro.core.base.scan_bins` scores each probed bin's contiguous
+block once, for every query that probes it, with
+:meth:`PqAdcIndex._tile_scores`.  :func:`rerank_candidates` re-ranks the
+shortlisted layout positions against the layout's own rows.  Without a
+partitioner the scan is :meth:`QuantizedIndexBase._scan` over every row,
+re-ranked against the pipeline's ``_base``.  An ADC tie goes to the
+earlier gathered candidate (bins in probe rank order, rows in layout order).
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from typing import ClassVar, Optional, Tuple
 import numpy as np
 
 from ..api.protocol import RegisteredIndex
-from ..core.base import PartitionIndexBase, bin_major, rerank_candidates, scan_bins
+from ..core.base import PartitionIndexBase, rerank_candidates, scan_bins
 from ..utils.exceptions import ConfigurationError, ValidationError
 from ..utils.validation import as_float_matrix, as_query_matrix, check_positive_int
 from .adc import PqAdcIndex
@@ -47,9 +49,7 @@ class PartitionedAdcIndex(PqAdcIndex):
             )
         super().__init__(**codec)
         self.partitioner = partitioner
-        self._base: Optional[np.ndarray] = None
-        self._bounds: Optional[np.ndarray] = None  # bin b owns columns [bounds[b], bounds[b+1])
-        self._ids: Optional[np.ndarray] = None  # base id of every code column
+        self._base: Optional[np.ndarray] = None  # the re-rank rows when there is no partitioner
         self.build_seconds = 0.0
 
     def _train_codes(self, base: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:  # pragma: no cover
@@ -60,14 +60,8 @@ class PartitionedAdcIndex(PqAdcIndex):
         """Build the partitioner (unless prebuilt on ``base``), then train and encode the codec."""
         start = time.perf_counter()
         base = as_float_matrix(base, name="base")
-        partitioner = self.partitioner
-        if partitioner is not None and not partitioner.is_built:
-            partitioner.build(base)
-        elif partitioner is not None and (partitioner.n_points, partitioner.dim) != base.shape:
-            raise ValidationError(
-                f"the partitioner holds {partitioner.n_points} x {partitioner.dim} points, "
-                f"the base {base.shape[0]} x {base.shape[1]}; build it on the same base"
-            )
+        if self.partitioner is not None and not self.partitioner.is_built:
+            self.partitioner.build(base)
         self._restore(base, *self._train_codes(base))
         self.build_seconds = time.perf_counter() - start
         return self
@@ -75,26 +69,33 @@ class PartitionedAdcIndex(PqAdcIndex):
     def _restore(self, base: np.ndarray, codebooks: np.ndarray, codes: np.ndarray) -> None:
         """Adopt a base, its id-order ``(n, n_subspaces)`` codes and their codebooks.
 
-        Any ``(n_subspaces, n_codewords, sub_dim)`` codebooks (PQ or
+        A partitioner must hold exactly ``base``'s rows.  Any
+        ``(n_subspaces, n_codewords, sub_dim)`` codebooks (PQ or
         anisotropic) are scored by ``pq-adc``'s LUT gather-sum.
         """
-        self._base = as_float_matrix(base, name="base")  # the float64 re-rank rows
-        self._n_points, self._dim = self._base.shape
+        base = as_float_matrix(base, name="base")
         p = self.partitioner
-        if p is None:
-            self._bounds, self._ids = None, np.arange(self._n_points)
-        else:
-            self._bounds, self._ids = bin_major([p.points_in_bin(b) for b in range(p.n_bins)])
+        if p is not None and not np.array_equal(p.vectors(), base):
+            raise ValidationError(f"the partitioner was not built on this {base.shape} base; build it on the same base")
+        self._n_points, self._dim = base.shape
+        self._base, order = (base, slice(None)) if p is None else (None, p.layout.ids)
         config = dict(
             n_subspaces=codebooks.shape[0], n_codewords=self.n_codewords, kmeans_iterations=self.kmeans_iterations
         )
-        self._restore_codec(config, {"codes_t": np.asarray(codes)[self._ids].T, "codebooks": codebooks})
+        self._restore_codec(config, {"codes_t": np.asarray(codes)[order].T, "codebooks": codebooks})
 
     def _saved_codes(self) -> np.ndarray:
         """The codes as id-order ``(n, n_subspaces)`` int32 rows."""
         codes = np.empty((self._n_points, self.n_subspaces), dtype=np.int32)
-        codes[self._ids] = self._codes_t.T
+        codes[slice(None) if self.partitioner is None else self.partitioner.layout.ids] = self._codes_t.T
         return codes
+
+    def vectors(self, ids: Optional[np.ndarray] = None) -> np.ndarray:
+        """The float64 re-rank rows ``ids`` (every row, in id order, for ``None``)."""
+        self._require_built()
+        if self.partitioner is not None:
+            return self.partitioner.vectors(ids)
+        return self._base if ids is None else self._base[ids]
 
     def batch_query(
         self, queries: np.ndarray, k: int = 10, *, n_probes: Optional[int] = None, filter=None
@@ -120,12 +121,24 @@ class PartitionedAdcIndex(PqAdcIndex):
             return self._tile_scores(luts[qi], block)
 
         ranked = partitioner.top_bins(queries, n_probes)
-        ids, _ = scan_bins(ranked, self._bounds, self._ids, budget, scores)
-        return rerank_candidates(self._base, queries, ids, k, metric=self.metric)
+        layout = partitioner.layout
+        positions, _ = scan_bins(ranked, layout.bounds, None, budget, scores)
+        positions, distances = rerank_candidates(layout.rows, queries, positions, k, metric=self.metric)
+        ids = layout.ids[positions]
+        ids[positions < 0] = -1
+        return ids, distances
+
+    def resident_bytes(self) -> int:
+        """Also counts the partitioner layout's rows, ids and bounds: the re-rank reads them."""
+        total = super().resident_bytes()
+        if self.partitioner is not None:
+            layout = self.partitioner.layout
+            total += layout.rows.nbytes + layout.ids.nbytes + layout.bounds.nbytes
+        return total
 
     def stats(self):
         stats = super().stats()
-        stats.pop("float32_bytes", None)  # the re-rank rows are the resident float64 ``_base``
+        stats.pop("float32_bytes", None)  # the re-rank rows are float64: the partitioner's or ``_base``
         return stats
 
     # the subclasses' saved layouts keep ``__base__`` in arrays.npz: no vector store

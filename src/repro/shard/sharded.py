@@ -334,6 +334,11 @@ class ShardedIndex(RegisteredIndex):
         self._require_built()
         return int(self._data.shape[0])
 
+    def vectors(self, ids: Optional[np.ndarray] = None) -> np.ndarray:
+        """Rows of the vector store by global id, tombstoned ones included."""
+        self._require_built()
+        return self._data if ids is None else self._data[ids]
+
     def contains(self, ids) -> np.ndarray:
         """Boolean per id: assigned to this index and not tombstoned.
 

@@ -52,16 +52,16 @@ def built(data):
     return {name: make_index(name, **TINY_PARAMS[name]).build(data.base) for name in PARTITION_BACKENDS}
 
 
-def _gathered(index, queries, k, n_probes):
-    """The reference answer: gather each candidate set, then re-rank it."""
+def _gathered(index, base, queries, k, n_probes):
+    """The reference answer: gather each candidate set from the built ``base``, then re-rank it."""
     candidates = index.candidate_sets(queries, n_probes)
-    return rerank_candidates(index._base, queries, candidates, k, metric=index.metric)
+    return rerank_candidates(base, queries, candidates, k, metric=index.metric)
 
 
-def _check_against_gather(index, queries, k):
+def _check_against_gather(index, base, queries, k):
     for n_probes in sorted({1, 2, 3, index.n_bins}):
         ids, distances = index.batch_query(queries, k, n_probes=n_probes)
-        ref_ids, ref_distances = _gathered(index, queries, k, n_probes)
+        ref_ids, ref_distances = _gathered(index, base, queries, k, n_probes)
         np.testing.assert_array_equal(ids, ref_ids)
         if n_probes == 1:
             np.testing.assert_array_equal(distances, ref_distances)
@@ -85,8 +85,8 @@ def test_scan_matches_gather(built, data, name, metric):
     # base rows as queries: |q|^2 + |x|^2 - 2 q.x may cancel below zero
     queries = np.vstack([data.queries, data.base[:20]])
     try:
-        _check_against_gather(index, queries, K)
-        _check_against_gather(index, queries[3:4], K)  # a single-row batch
+        _check_against_gather(index, data.base, queries, K)
+        _check_against_gather(index, data.base, queries[3:4], K)  # a single-row batch
     finally:
         index.metric = "euclidean"
 
@@ -99,6 +99,7 @@ class _HandBins(PartitionIndexBase):
         self.anchors = anchors
 
     def build(self, base: np.ndarray, assignments: np.ndarray) -> "_HandBins":
+        self.built_base = base  # the oracles' rows, kept apart from the index's own copy
         self._finalize_build(base, assignments, self.anchors.shape[0])
         return self
 
@@ -117,7 +118,7 @@ def test_empty_and_underfull_bins_pad_like_the_gather(metric):
     index = _HandBins(anchors).build(base, rng.permutation(assignments))
     index.metric = metric
     np.testing.assert_array_equal(index.top_bins(queries, 1)[:, 0], np.arange(4))
-    _check_against_gather(index, queries, K)
+    _check_against_gather(index, base, queries, K)
     ids, distances = index.batch_query(queries, K, n_probes=1)
     assert (ids[1, 3:] == -1).all() and np.isinf(distances[1, 3:]).all()
     assert (ids[2] == -1).all() and np.isinf(distances[2]).all()
@@ -154,23 +155,34 @@ def test_unfiltered_queries_never_gather(built, data, name, monkeypatch):
 
 
 def test_layout_is_built_on_the_first_scan_only(data):
+    # The layout is built with the index, from a copy of the base: no
+    # read builds it again, and a metric change re-derives only the
+    # per-row constant over the same rows.
     index = make_index("kmeans", **TINY_PARAMS["kmeans"]).build(data.base)
-    assert index._layout is None
+    layout = index._layout
+    assert layout is not None and not np.shares_memory(layout.rows, data.base)
+    np.testing.assert_array_equal(layout.rows, data.base[layout.ids])
     index.candidate_sets(data.queries, 2)
     index.batch_query(data.queries, K, filter=np.arange(0, 300, 50))  # a prefilter
-    assert index._layout is None
     index.batch_query(data.queries, K, filter=np.arange(0, 300, 7))  # an inline scan
-    assert index._layout is not None
+    index.batch_query(data.queries, K, n_probes=2)
+    assert index._layout is layout
+    index.metric = "cosine"
+    try:
+        index.batch_query(data.queries, K, n_probes=2)
+        assert index._layout is not layout and index._layout.rows is layout.rows
+    finally:
+        index.metric = "euclidean"
     ensemble = make_index("usp-ensemble", **TINY_PARAMS["usp-ensemble"]).build(data.base)
-    assert all(member._layout is None for member in ensemble.members)
+    layouts = [member._layout for member in ensemble.members]
+    assert all(layout is not None for layout in layouts)
     ensemble.batch_query(data.queries, K, n_probes=2)
-    chosen = {ensemble.members.index(member) for member, _, _ in ensemble.route(data.queries, 2)}
-    assert {m for m, member in enumerate(ensemble.members) if member._layout is not None} == chosen
+    assert [member._layout for member in ensemble.members] == layouts
 
 
 def test_concurrent_first_queries_agree(data):
     index = make_index("kmeans", **TINY_PARAMS["kmeans"]).build(data.base)
-    expected = _gathered(index, data.queries, K, 2)
+    expected = _gathered(index, data.base, data.queries, K, 2)
     results, interval = [None] * 8, sys.getswitchinterval()
 
     def ask(slot):
@@ -203,8 +215,11 @@ def test_saved_index_has_no_layout_and_answers_the_same(data, name, tmp_path):
         assert sorted(cold.files) == sorted(warm.files)
         for key in cold.files:
             np.testing.assert_array_equal(cold[key], warm[key])
+    with np.load(tmp_path / "warm" / "arrays.npz") as warm:
+        np.testing.assert_array_equal(warm["__base__"], data.base)  # saved in id order
     loaded = load_index(tmp_path / "warm")
-    assert loaded._layout is None
+    np.testing.assert_array_equal(loaded._layout.ids, index._layout.ids)
+    np.testing.assert_array_equal(loaded._layout.rows, index._layout.rows)
     ids, distances = loaded.batch_query(data.queries, K, n_probes=2)
     np.testing.assert_array_equal(ids, expected[0])
     np.testing.assert_array_equal(distances, expected[1])
@@ -289,7 +304,7 @@ def _stable_reference(index, queries, k, n_probes):
     ids = np.full((len(queries), k), -1, dtype=np.int64)
     distances = np.full((len(queries), k), np.inf)
     for q, candidates in enumerate(index.candidate_sets(queries, n_probes)):
-        d = get_metric(index.metric)(queries[q : q + 1], index._base[candidates])[0]
+        d = get_metric(index.metric)(queries[q : q + 1], index.built_base[candidates])[0]
         best = np.argsort(d, kind="stable")[:k]
         ids[q, : best.size], distances[q, : best.size] = candidates[best], d[best]
     return ids, distances
@@ -311,7 +326,7 @@ def test_exact_ties_keep_the_lower_gathered_position(metric):
         expected = _stable_reference(index, queries, K, n_probes)
         np.testing.assert_array_equal(ids, expected[0])
         np.testing.assert_array_equal(distances, expected[1])
-        gathered = _gathered(index, queries, K, n_probes)
+        gathered = _gathered(index, base, queries, K, n_probes)
         np.testing.assert_array_equal(ids, gathered[0])
         np.testing.assert_array_equal(distances, gathered[1])
         assert all(len(set(row)) < K for row in distances.tolist())  # every answer ties
@@ -343,7 +358,7 @@ def test_a_batch_that_probes_one_bin(metric):
     queries = index.anchors[1] + 0.1 * rng.normal(size=(9, index.dim))
     assert (index.top_bins(queries, 1) == 1).all()
     ids, distances = index.batch_query(queries, K)
-    expected = _gathered(index, queries, K, 1)
+    expected = _gathered(index, index.built_base, queries, K, 1)
     np.testing.assert_array_equal(ids, expected[0])
     np.testing.assert_array_equal(distances, expected[1])
     assert np.isin(ids, index.points_in_bin(1)).all()
@@ -356,7 +371,7 @@ def test_a_one_row_bin(metric):
     ids, distances = index.batch_query(queries, K)
     assert ids[1, 0] == index.points_in_bin(1)[0] and (ids[1, 1:] == -1).all()
     for n_probes in (1, 2, 3):
-        expected = _gathered(index, queries, K, n_probes)
+        expected = _gathered(index, index.built_base, queries, K, n_probes)
         got = index.batch_query(queries, K, n_probes=n_probes)
         np.testing.assert_array_equal(got[0], expected[0])
         if n_probes == 1:

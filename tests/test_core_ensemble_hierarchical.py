@@ -140,11 +140,14 @@ class TestUspEnsembleIndex:
 
     def test_loaded_members_share_one_base(self, ensemble_index, tiny_dataset, tmp_path):
         # Each member's directory still holds its own copy of the base (the
-        # saved layout is unchanged); after a load only the ensemble's stays.
+        # saved layout is unchanged); after a load each member keeps its
+        # own bin-major copy and the ensemble none beside them.
         ensemble_index.save(tmp_path / "ens")
         reloaded = load_index(tmp_path / "ens")
+        assert not any(isinstance(value, np.ndarray) and value.ndim == 2 for value in vars(reloaded).values())
         for member in reloaded.members:
-            assert np.shares_memory(member._base, reloaded._base)
+            np.testing.assert_array_equal(member.vectors(), tiny_dataset.base)
+        np.testing.assert_array_equal(reloaded.vectors(), tiny_dataset.base)
         queries = tiny_dataset.queries
         for n_probes in range(1, reloaded.n_bins + 1):
             for built, loaded in [(ensemble_index, reloaded), *zip(ensemble_index.members, reloaded.members)]:

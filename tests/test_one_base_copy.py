@@ -1,0 +1,84 @@
+"""An index holds each base row once per partition that answers from it.
+
+A partition index's bin-major layout is its only row store; a Figure 7
+pipeline re-ranks from its partitioner's layout; an m-member ensemble or
+forest holds m copies, one per member.  Cosine keeps its unit rows beside
+the raw ones, so a cosine partition holds two.  The count walks
+everything reachable from the index, after a query, for a freshly built
+index and for one loaded from disk.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from repro.api import get_spec, load_index, make_index
+from repro.core import PartitionIndexBase
+from repro.core.ensemble import BestMemberIndex
+from repro.datasets import sift_like
+from repro.quant.partitioned import PartitionedAdcIndex
+from test_api_registry import TINY_PARAMS
+
+#: 20 columns: no other (n, d) array of the tiny indexes (k'-NN tables,
+#: codes, weights) shares the base's shape
+DIM = 20
+
+SINGLE = sorted(
+    name
+    for name in TINY_PARAMS
+    if issubclass(get_spec(name).cls, (PartitionIndexBase, PartitionedAdcIndex))
+)
+ENSEMBLES = sorted(name for name in TINY_PARAMS if issubclass(get_spec(name).cls, BestMemberIndex))
+
+
+@pytest.fixture(scope="module")
+def data():
+    return sift_like(n_points=240, n_queries=6, dim=DIM, n_clusters=4, seed=3)
+
+
+def base_copies(index, shape) -> int:
+    """Distinct float buffers of ``shape`` reachable from ``index``'s attributes."""
+    buffers, seen, stack = set(), set(), [index]
+    while stack:
+        value = stack.pop()
+        if id(value) in seen:
+            continue
+        seen.add(id(value))
+        if isinstance(value, np.ndarray):
+            if value.shape == shape and value.dtype.kind == "f":
+                while isinstance(value.base, np.ndarray):
+                    value = value.base
+                buffers.add(id(value))
+        elif isinstance(value, dict):
+            stack.extend(value.values())
+        elif isinstance(value, (list, tuple)):
+            stack.extend(value)
+        elif hasattr(value, "__dict__") and not isinstance(value, type):
+            stack.extend(vars(value).values())
+    return len(buffers)
+
+
+def _expected(index) -> int:
+    if isinstance(index, BestMemberIndex):
+        return len(index.members)
+    return 2 if index.metric == "cosine" else 1
+
+
+def _check(index, data, tmp_path):
+    index.save(tmp_path / "index")
+    loaded = load_index(tmp_path / "index")
+    for served in (index, loaded):
+        served.batch_query(data.queries, 5)
+        assert base_copies(served, data.base.shape) == _expected(served)
+
+
+@pytest.mark.parametrize("name", [*SINGLE, *ENSEMBLES])
+def test_each_partition_holds_the_base_once(data, name, tmp_path):
+    _check(make_index(name, **TINY_PARAMS[name]).build(data.base), data, tmp_path)
+
+
+def test_a_cosine_partition_holds_its_unit_rows_beside_the_base(data, tmp_path):
+    index = make_index("kmeans", **TINY_PARAMS["kmeans"])
+    index.metric = "cosine"
+    _check(index.build(data.base), data, tmp_path)

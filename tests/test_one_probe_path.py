@@ -118,7 +118,7 @@ def test_ensemble_rows_are_the_chosen_members_own_rows(built, data, name, monkey
     for n_probes in _probe_counts(index):
         own = [member.batch_query(data.queries, K, n_probes=n_probes) for member in index.members]
         lists = _candidate_lists(index, data.queries, n_probes)
-        gathered = rerank_candidates(index._base, data.queries, lists, K, metric=index.metric)
+        gathered = rerank_candidates(data.base, data.queries, lists, K, metric=index.metric)
         passes = []
         with monkeypatch.context() as patch:
             for member in index.members:
@@ -144,7 +144,7 @@ def test_inline_filter_scans_only_allowed_rows(built, data, name, monkeypatch):
     for n_probes in _probe_counts(index):
         lists = [c[mask[c]] for c in _candidate_lists(index, data.queries, n_probes)]
         expected[n_probes] = rerank_candidates(
-            index._base, data.queries, lists, K, metric=index.metric
+            data.base, data.queries, lists, K, metric=index.metric
         )
     scan_bins = core_base.scan_bins
 

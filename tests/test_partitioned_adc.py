@@ -40,11 +40,11 @@ def _adc_scores(index, query: np.ndarray, codes: np.ndarray) -> np.ndarray:
     return scores
 
 
-def _oracle(index, queries: np.ndarray, k: int, n_probes: int):
-    """The per-query pipeline: gather, ADC-score, shortlist, re-rank exactly.
+def _oracle(index, base: np.ndarray, queries: np.ndarray, k: int, n_probes: int):
+    """The per-query pipeline: gather, ADC-score, shortlist, re-rank the built ``base`` exactly.
 
     Tie rule (the scan's): each query's candidates are its probed bins in
-    probe-rank order, each bin's rows in the partitioner's lookup order
+    probe-rank order, each bin's rows in the partitioner's layout order
     (no partitioner: every row in id order).  The shortlist is the first
     ``budget = min(rerank_factor * k, n)`` of a stable argsort of their
     float32 ADC scores — an ADC tie goes to the earlier candidate — except
@@ -72,7 +72,7 @@ def _oracle(index, queries: np.ndarray, k: int, n_probes: int):
             shortlists.append(ids)
         else:
             shortlists.append(ids[np.argsort(scores, kind="stable")[:budget]])
-    return rerank_candidates(index._base, queries, shortlists, k, metric=index.metric)
+    return rerank_candidates(base, queries, shortlists, k, metric=index.metric)
 
 
 def test_the_four_figure7_pipelines_share_the_scan():
@@ -91,7 +91,7 @@ def test_scan_matches_the_per_query_oracle(name, codec, seed):
     n_bins = 1 if index.partitioner is None else index.partitioner.n_bins
     for n_probes in sorted({1, 2, n_bins}):
         ids, distances = index.batch_query(data.queries, K, n_probes=n_probes)
-        ref_ids, ref_distances = _oracle(index, data.queries, K, n_probes)
+        ref_ids, ref_distances = _oracle(index, data.base, data.queries, K, n_probes)
         np.testing.assert_array_equal(ids, ref_ids)
         np.testing.assert_allclose(distances, ref_distances, rtol=1e-6, atol=0)
 
@@ -109,23 +109,38 @@ def test_a_query_does_not_depend_on_its_batch():
 def test_a_partitioner_built_on_another_base_is_rejected():
     data = sift_like(n_points=400, n_queries=5, dim=16, n_clusters=4, seed=7)
     codec = dict(n_subspaces=4, n_codewords=8, seed=0)
+    other = data.base.copy()
+    other[123, 5] += 1.0
     for partitioner in (
         KMeansIndex(4, seed=0).build(data.base[:200]),  # fewer rows: answers only ids < 200
         KMeansIndex(4, seed=0).build(np.vstack([data.base, data.base])),  # more rows
         KMeansIndex(4, seed=0).build(data.base[:, :8]),  # another dimensionality
+        # the same shape: the re-rank would read the partitioner's rows
+        KMeansIndex(4, seed=0).build(other),
+        KMeansIndex(4, seed=0).build(data.base[::-1]),
     ):
         with pytest.raises(ValidationError, match="same base"):
             ScannSearcher(partitioner, **codec).build(data.base)
+    prebuilt = KMeansIndex(4, seed=0).build(data.base)
+    assert ScannSearcher(prebuilt, **codec).build(data.base).partitioner is prebuilt
 
 
 @pytest.mark.parametrize("name", PIPELINES)
-def test_stats_count_the_float64_base_once(name):
+def test_stats_count_the_float64_base_once(name, tmp_path):
     data = sift_like(n_points=300, n_queries=5, dim=16, n_clusters=4, seed=5)
     index = make_index(name, **TINY_PARAMS[name]).build(data.base)
-    stats = index.stats()
-    assert "float32_bytes" not in stats and stats["rerank_source"] == "resident"
-    assert data.base.nbytes < stats["resident_bytes"] < 2 * data.base.nbytes
-    assert stats["code_bytes"] == data.n_points * index.n_subspaces
+    index.save(tmp_path / "pipeline")
+    for served in (index, load_index(tmp_path / "pipeline")):
+        served.batch_query(data.queries, K)
+        stats = served.stats()
+        assert "float32_bytes" not in stats and stats["rerank_source"] == "resident"
+        assert stats["code_bytes"] == data.n_points * served.n_subspaces
+        # the re-rank rows (the partitioner layout's, or the index's own) count once
+        expected = data.base.nbytes + stats["code_bytes"] + served._pq.codebooks.nbytes
+        if served.partitioner is not None:  # with the layout's ids and bounds
+            layout = served.partitioner.layout
+            expected += layout.ids.nbytes + layout.bounds.nbytes
+        assert stats["resident_bytes"] == served.resident_bytes() == expected
 
 
 def test_ivf_pq_keeps_its_cell_count():
