@@ -32,6 +32,8 @@ from ..utils.validation import as_float_matrix, as_query_matrix, check_positive_
 class BruteForceIndex(RegisteredIndex):
     """Exact k-NN by scanning the entire dataset."""
 
+    _fitted = ("metric", "_base")
+
     def __init__(self, *, metric: str = "euclidean", block_size: int = 1024) -> None:
         self.metric = metric
         self.block_size = int(block_size)
@@ -87,14 +89,3 @@ class BruteForceIndex(RegisteredIndex):
         if k > ids.shape[1]:  # k > n: the clipped answer, padded like every index's
             return pad(ids, distances, k)
         return ids, distances
-
-    # ------------------------------------------------------------------ #
-    def _state(self):
-        config = {"metric": self.metric, "block_size": int(self.block_size)}
-        return config, {"__base__": self._base}, {}
-
-    @classmethod
-    def _from_state(cls, config, arrays, load_child):
-        index = cls(metric=str(config["metric"]), block_size=int(config["block_size"]))
-        index._base = arrays["__base__"]
-        return index

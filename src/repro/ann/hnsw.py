@@ -47,6 +47,8 @@ class HnswIndex(RegisteredIndex):
         Seed for the level sampling.
     """
 
+    _fitted = ("_base", "_levels", "_graphs", "_entry_point", "build_seconds")
+
     def __init__(
         self,
         m: int = 16,
@@ -300,49 +302,3 @@ class HnswIndex(RegisteredIndex):
         for i, query in enumerate(queries):
             indices[i], distances[i] = self.query(query, k, ef=ef)
         return indices, distances
-
-    # ------------------------------------------------------------------ #
-    # persistence: each layer is stored as a node array plus an edge array
-    # in adjacency-list order, so the rebuilt graphs iterate identically
-    # ------------------------------------------------------------------ #
-    def _state(self):
-        config = {
-            "m": int(self.m),
-            "ef_construction": int(self.ef_construction),
-            "ef_search": int(self.ef_search),
-            "entry_point": int(self._entry_point),
-            "n_layers": int(len(self._graphs)),
-            "build_seconds": self.build_seconds,
-        }
-        arrays = {"__base__": self._base, "levels": self._levels}
-        for layer, graph in enumerate(self._graphs):
-            nodes = np.fromiter(graph.keys(), dtype=np.int64, count=len(graph))
-            edges = [
-                (node, neighbor) for node, links in graph.items() for neighbor in links
-            ]
-            arrays[f"layer{layer}.nodes"] = nodes
-            arrays[f"layer{layer}.edges"] = np.asarray(edges, dtype=np.int64).reshape(
-                -1, 2
-            )
-        return config, arrays, {}
-
-    @classmethod
-    def _from_state(cls, config, arrays, load_child):
-        index = cls(
-            int(config["m"]),
-            ef_construction=int(config["ef_construction"]),
-            ef_search=int(config["ef_search"]),
-        )
-        index._base = arrays["__base__"]
-        index._levels = arrays["levels"]
-        index._entry_point = int(config["entry_point"])
-        index._graphs = []
-        for layer in range(int(config["n_layers"])):
-            graph: Dict[int, List[int]] = {
-                int(node): [] for node in arrays[f"layer{layer}.nodes"]
-            }
-            for node, neighbor in arrays[f"layer{layer}.edges"]:
-                graph[int(node)].append(int(neighbor))
-            index._graphs.append(graph)
-        index.build_seconds = float(config.get("build_seconds", 0.0))
-        return index

@@ -23,7 +23,7 @@ import numpy as np
 
 from ..api.protocol import IndexCapabilities
 from ..api.registry import register_index
-from ..baselines.kmeans import KMeansIndex, KMeansResult
+from ..baselines.kmeans import KMeansIndex
 from ..quant.partitioned import PartitionedAdcIndex
 from ..utils.rng import SeedLike
 from ..utils.validation import as_float_matrix, check_positive_int
@@ -40,7 +40,7 @@ _IVF_CAPABILITIES = IndexCapabilities(
 
 @register_index(
     "ivf-flat",
-    capabilities=replace(_IVF_CAPABILITIES, routed=True),
+    capabilities=replace(_IVF_CAPABILITIES, metrics=("euclidean", "sqeuclidean", "cosine"), routed=True),
     description="Inverted-file index with exact in-cell distances",
 )
 class IVFFlatIndex(KMeansIndex):
@@ -67,44 +67,6 @@ class IVFFlatIndex(KMeansIndex):
         self, queries: np.ndarray, k: int = 10, *, n_probes: int = 4, filter=None
     ) -> Tuple[np.ndarray, np.ndarray]:
         return super().batch_query(queries, k, n_probes=n_probes, filter=filter)
-
-    # ------------------------------------------------------------------ #
-    # persistence: the cells are saved as ``centroids`` + ``labels``
-    # ------------------------------------------------------------------ #
-    def _state(self):
-        config = {
-            "n_lists": int(self.n_lists),
-            "kmeans_iterations": int(self.kmeans_iterations),
-            "build_seconds": self.build_seconds,
-        }
-        arrays = {
-            "__base__": self.vectors(),
-            "centroids": self.centroids,
-            "labels": self._assignments,
-        }
-        return config, arrays, {}
-
-    def _restore_cells(self, arrays) -> None:
-        """Adopt saved cells (the format keeps no K-means fit statistics)."""
-        centroids, labels = arrays["centroids"], arrays["labels"]
-        self._kmeans.result = KMeansResult(
-            centroids=centroids,
-            labels=labels,
-            inertia=float("nan"),
-            n_iterations=0,
-            converged=False,
-        )
-        self._finalize_build(arrays["__base__"], labels, centroids.shape[0])
-
-    @classmethod
-    def _from_state(cls, config, arrays, load_child):
-        index = cls(
-            int(config["n_lists"]),
-            kmeans_iterations=int(config["kmeans_iterations"]),
-        )
-        index._restore_cells(arrays)
-        index.build_seconds = float(config.get("build_seconds", 0.0))
-        return index
 
 
 @register_index(
@@ -177,35 +139,3 @@ class IVFPQIndex(PartitionedAdcIndex):
     def n_lists(self) -> int:
         """Requested cell count (``n_bins`` is the built one, at most ``n_points``)."""
         return self.partitioner.n_lists
-
-    # ------------------------------------------------------------------ #
-    # persistence: IVF's cells plus the residual codec
-    # ------------------------------------------------------------------ #
-    def _state(self):
-        self._require_built()
-        config, arrays, children = self.partitioner._state()
-        config.update(
-            {
-                "n_subspaces": int(self.n_subspaces),
-                "n_codewords": int(self.n_codewords),
-                "rerank_factor": int(self.rerank_factor),
-                "build_seconds": self.build_seconds,
-            }
-        )
-        arrays["pq.codebooks"] = self._pq.codebooks
-        arrays["pq.codes"] = self._saved_codes()
-        return config, arrays, children
-
-    @classmethod
-    def _from_state(cls, config, arrays, load_child):
-        index = cls(
-            int(config["n_lists"]),
-            n_subspaces=int(config["n_subspaces"]),
-            n_codewords=int(config["n_codewords"]),
-            rerank_factor=int(config["rerank_factor"]),
-            kmeans_iterations=int(config["kmeans_iterations"]),
-        )
-        index.partitioner._restore_cells(arrays)
-        index._restore(arrays["__base__"], arrays["pq.codebooks"], arrays["pq.codes"])
-        index.build_seconds = float(config.get("build_seconds", 0.0))
-        return index

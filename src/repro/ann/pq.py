@@ -9,6 +9,7 @@ and all encoded points are computed with per-subspace lookup tables
 
 from __future__ import annotations
 
+from dataclasses import KW_ONLY, dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -28,6 +29,7 @@ def _squared_distances(chunk: np.ndarray, codebook: np.ndarray) -> np.ndarray:
     )
 
 
+@dataclass(eq=False)
 class ProductQuantizer:
     """Split-and-quantize codec with ADC distance estimation.
 
@@ -41,22 +43,23 @@ class ProductQuantizer:
         Lloyd iterations when training each codebook.
     seed:
         Random seed.
+    codebooks:
+        The ``(n_subspaces, n_codewords, sub_dim)`` codebooks :meth:`fit`
+        learns; given, the codec is already fitted.
     """
 
-    def __init__(
-        self,
-        n_subspaces: int = 8,
-        n_codewords: int = 256,
-        *,
-        kmeans_iterations: int = 25,
-        seed: SeedLike = None,
-    ) -> None:
-        self.n_subspaces = check_positive_int(n_subspaces, "n_subspaces")
-        self.n_codewords = check_positive_int(n_codewords, "n_codewords")
-        self.kmeans_iterations = check_positive_int(kmeans_iterations, "kmeans_iterations")
-        self.seed = seed
-        self.codebooks: Optional[np.ndarray] = None  # (n_subspaces, n_codewords, sub_dim)
-        self._sub_dim: Optional[int] = None
+    n_subspaces: int = 8
+    n_codewords: int = 256
+    _: KW_ONLY
+    kmeans_iterations: int = 25
+    seed: SeedLike = None
+    codebooks: Optional[np.ndarray] = field(default=None, repr=False)
+
+    def __post_init__(self) -> None:
+        self.n_subspaces = check_positive_int(self.n_subspaces, "n_subspaces")
+        self.n_codewords = check_positive_int(self.n_codewords, "n_codewords")
+        self.kmeans_iterations = check_positive_int(self.kmeans_iterations, "kmeans_iterations")
+        self._sub_dim = None if self.codebooks is None else int(self.codebooks.shape[2])
 
     # ------------------------------------------------------------------ #
     def fit(self, points: np.ndarray) -> "ProductQuantizer":

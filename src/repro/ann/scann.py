@@ -26,7 +26,6 @@ from ..core.base import PartitionIndexBase
 from ..core.config import UspConfig
 from ..core.index import UspIndex
 from ..quant.partitioned import PartitionedAdcIndex
-from ..utils.exceptions import ConfigurationError, SerializationError
 from ..utils.rng import SeedLike
 from .anisotropic import AnisotropicQuantizer
 
@@ -70,47 +69,6 @@ class ScannSearcher(PartitionedAdcIndex):
         codec = AnisotropicQuantizer(n_subspaces, self.n_codewords, eta=self.anisotropic_eta, seed=self.seed)
         codec.fit(base)
         return codec.codebooks, codec.encode(base)
-
-    # ------------------------------------------------------------------ #
-    # persistence: the codec arrays live here, the partitioner (if any) is
-    # a nested saved index dispatched through its own registry name
-    # ------------------------------------------------------------------ #
-    def _state(self):
-        self._require_built()
-        config = {
-            "n_subspaces": int(self.n_subspaces),
-            "n_codewords": int(self.n_codewords),
-            "anisotropic_eta": float(self.anisotropic_eta),
-            "rerank_factor": int(self.rerank_factor),
-            "build_seconds": self.build_seconds,
-            "has_partitioner": self.partitioner is not None,
-        }
-        arrays = {
-            "__base__": self.vectors(),
-            "codes": self._saved_codes(),
-            "codec.codebooks": self._pq.codebooks,
-        }
-        children = {}
-        if self.partitioner is not None:
-            children["partitioner"] = self.partitioner
-        return config, arrays, children
-
-    @classmethod
-    def _from_state(cls, config, arrays, load_child):
-        partitioner = load_child("partitioner") if config.get("has_partitioner") else None
-        try:
-            searcher = cls(
-                partitioner,
-                n_subspaces=int(config["n_subspaces"]),
-                n_codewords=int(config["n_codewords"]),
-                anisotropic_eta=float(config["anisotropic_eta"]),
-                rerank_factor=int(config["rerank_factor"]),
-            )
-        except ConfigurationError as exc:
-            raise SerializationError(f"cannot load this ScaNN pipeline: {exc}") from exc
-        searcher._restore(arrays["__base__"], arrays["codec.codebooks"], arrays["codes"])
-        searcher.build_seconds = float(config.get("build_seconds", 0.0))
-        return searcher
 
 
 # ---------------------------------------------------------------------- #

@@ -31,7 +31,7 @@ from ..core.ensemble import BestMemberIndex, boosting_weights
 from ..core.knn_matrix import KnnMatrix, build_knn_matrix
 from ..utils.rng import SeedLike, spawn_rngs
 from ..utils.validation import as_float_matrix, check_positive_int
-from .trees import HyperplaneTreeIndex, pack_tree_nodes, unpack_tree_nodes
+from .trees import HyperplaneTreeIndex
 
 
 class _WeightedPcaTree(HyperplaneTreeIndex):
@@ -94,6 +94,8 @@ class _WeightedPcaTree(HyperplaneTreeIndex):
 class BoostedSearchForestIndex(BestMemberIndex):
     """Boosted hyperplane trees; each query searches its most confident tree's bins."""
 
+    _fitted = BestMemberIndex._fitted + ("build_seconds",)
+
     def __init__(
         self,
         n_trees: int = 3,
@@ -131,45 +133,3 @@ class BoostedSearchForestIndex(BestMemberIndex):
         self.members = members
         self.build_seconds = time.perf_counter() - start
         return self
-
-    # ------------------------------------------------------------------ #
-    # persistence: each tree's hyperplanes + assignments are stored flat;
-    # restored trees are plain HyperplaneTreeIndex routers (split rules are
-    # only needed during build)
-    # ------------------------------------------------------------------ #
-    def _state(self):
-        config = {
-            "n_trees": int(len(self.members)),
-            "depth": int(self.depth),
-            "k_prime": int(self.k_prime),
-            "metric": self.metric,
-            "build_seconds": self.build_seconds,
-        }
-        arrays = {"__base__": self.vectors()}
-        for t, tree in enumerate(self.members):
-            arrays[f"tree{t}.assignments"] = tree.assignments
-            for key, value in pack_tree_nodes(
-                tree._nodes, tree._margin_scales, self.dim
-            ).items():
-                arrays[f"tree{t}.{key}"] = value
-        return config, arrays, {}
-
-    @classmethod
-    def _from_state(cls, config, arrays, load_child):
-        index = cls(
-            int(config["n_trees"]),
-            int(config["depth"]),
-            k_prime=int(config["k_prime"]),
-        )
-        index.metric = str(config["metric"])
-        base = arrays["__base__"]
-        index.members = []
-        for t in range(int(config["n_trees"])):
-            tree = HyperplaneTreeIndex(int(config["depth"]))
-            tree._nodes, tree._margin_scales = unpack_tree_nodes(arrays, f"tree{t}.")
-            tree._finalize_build(
-                base, arrays[f"tree{t}.assignments"], 2 ** int(config["depth"])
-            )
-            index.members.append(tree)
-        index.build_seconds = float(config.get("build_seconds", 0.0))
-        return index

@@ -180,6 +180,8 @@ class KMeansIndex(PartitionIndexBase):
     the "K-means + ScaNN" pipeline of Figure 7.
     """
 
+    _fitted = PartitionIndexBase._fitted + ("_kmeans.result", "build_seconds")
+
     def __init__(
         self,
         n_bins: int = 16,
@@ -218,30 +220,3 @@ class KMeansIndex(PartitionIndexBase):
         """Stored parameters = centroid table (Table 2: m * d)."""
         self._require_built()
         return int(self._kmeans.centroids.size)
-
-    # ------------------------------------------------------------------ #
-    # persistence
-    # ------------------------------------------------------------------ #
-    def _extra_state(self):
-        result = self._kmeans.result
-        config = {
-            "n_bins": int(self.n_bins_requested),
-            "inertia": float(result.inertia),
-            "n_iterations": int(result.n_iterations),
-            "converged": bool(result.converged),
-            "build_seconds": self.build_seconds,
-        }
-        return config, {"centroids": result.centroids}
-
-    @classmethod
-    def _restore(cls, config, arrays, load_child):
-        index = cls(int(config["n_bins"]))
-        index._kmeans.result = KMeansResult(
-            centroids=arrays["centroids"],
-            labels=arrays["__assignments__"],
-            inertia=float(config["inertia"]),
-            n_iterations=int(config["n_iterations"]),
-            converged=bool(config["converged"]),
-        )
-        index.build_seconds = float(config.get("build_seconds", 0.0))
-        return index

@@ -52,6 +52,8 @@ class CrossPolytopeLshIndex(PartitionIndexBase):
     shift) so the sign information is meaningful for unnormalised data.
     """
 
+    _fitted = PartitionIndexBase._fitted + ("_rotation", "_center", "build_seconds")
+
     def __init__(self, n_bins: int = 16, *, seed: SeedLike = None) -> None:
         super().__init__()
         n_bins = check_positive_int(n_bins, "n_bins")
@@ -101,16 +103,3 @@ class CrossPolytopeLshIndex(PartitionIndexBase):
         """Stored parameters: the rotation matrix plus the centring vector."""
         self._require_built()
         return int(self._rotation.size + self._center.size)
-
-    # ------------------------------------------------------------------ #
-    def _extra_state(self):
-        config = {"n_bins": int(self.n_bins_requested), "build_seconds": self.build_seconds}
-        return config, {"rotation": self._rotation, "center": self._center}
-
-    @classmethod
-    def _restore(cls, config, arrays, load_child):
-        index = cls(int(config["n_bins"]))
-        index._rotation = arrays["rotation"]
-        index._center = arrays["center"]
-        index.build_seconds = float(config.get("build_seconds", 0.0))
-        return index

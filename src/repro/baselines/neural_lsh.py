@@ -23,7 +23,7 @@ trained by the same step; only each node's target differs.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -96,6 +96,10 @@ class NeuralLshConfig:
 )
 class NeuralLshIndex(PartitionIndexBase):
     """Supervised graph-partition + classifier baseline (Neural LSH)."""
+
+    _fitted = PartitionIndexBase._fitted + (
+        "model", "edge_cut", "build_seconds", "partition_seconds", "training_time"
+    )
 
     def __init__(self, config: Optional[NeuralLshConfig] = None, **overrides) -> None:
         super().__init__()
@@ -178,52 +182,6 @@ class NeuralLshIndex(PartitionIndexBase):
         """Graph-partitioning time — the expensive step USP eliminates."""
         return self.partition_seconds
 
-    # ------------------------------------------------------------------ #
-    # persistence
-    # ------------------------------------------------------------------ #
-    def _extra_state(self):
-        config = {
-            "config": asdict(self.config),
-            "edge_cut": None if self.edge_cut is None else int(self.edge_cut),
-            "build_seconds": self.build_seconds,
-            "partition_seconds": self.partition_seconds,
-            "training_time": self.training_time,
-        }
-        arrays = {
-            f"model.{key}": value for key, value in self.model.state_dict().items()
-        }
-        return config, arrays
-
-    @classmethod
-    def _restore(cls, config, arrays, load_child):
-        lsh_config = NeuralLshConfig(**config["config"])
-        index = cls(lsh_config)
-        dim = int(arrays["__base__"].shape[1])
-        index.model = _load_classifier(
-            lsh_config,
-            dim,
-            {
-                key[len("model.") :]: value
-                for key, value in arrays.items()
-                if key.startswith("model.")
-            },
-        )
-        index.edge_cut = config.get("edge_cut")
-        index.build_seconds = float(config.get("build_seconds", 0.0))
-        index.partition_seconds = float(config.get("partition_seconds", 0.0))
-        index.training_time = float(config.get("training_time", 0.0))
-        return index
-
-
-def _load_classifier(config: NeuralLshConfig, dim: int, state) -> PartitionModel:
-    """Rebuild a classifier from ``config`` and load its saved parameters."""
-    model = PartitionModel(
-        _build_classifier_module(dim, config), dim=dim, n_bins=config.n_bins
-    )
-    model.load_state_dict(state)
-    model.eval()
-    return model
-
 
 @register_index(
     "regression-lsh",
@@ -285,50 +243,3 @@ class RegressionLshIndex(PartitionTreeIndex):
             return None
         left = model.predict_proba(queries)[:, 0]
         return np.column_stack([left, 1.0 - left])
-
-    # ------------------------------------------------------------------ #
-    # persistence: each node is stored as its classifier's flat state
-    # ------------------------------------------------------------------ #
-    def _extra_state(self):
-        config = {
-            "depth": int(self.depth),
-            "k_prime": int(self.k_prime),
-            "epochs": int(self.epochs),
-            "learning_rate": float(self.learning_rate),
-            "seed": int(self.seed),
-            "build_seconds": self.build_seconds,
-            "nodes": [i for i, model in enumerate(self._nodes) if model is not None],
-        }
-        arrays = {}
-        for i, model in enumerate(self._nodes):
-            if model is None:
-                continue
-            for key, value in model.state_dict().items():
-                arrays[f"node{i}.model.{key}"] = value
-        return config, arrays
-
-    @classmethod
-    def _restore(cls, config, arrays, load_child):
-        index = cls(
-            int(config["depth"]),
-            k_prime=int(config["k_prime"]),
-            epochs=int(config["epochs"]),
-            learning_rate=float(config["learning_rate"]),
-            seed=int(config["seed"]),
-        )
-        dim = int(arrays["__base__"].shape[1])
-        index._nodes = [None] * (2**index.depth - 1)
-        node_config = NeuralLshConfig(n_bins=2, model="logistic")
-        for i in config["nodes"]:
-            prefix = f"node{i}.model."
-            index._nodes[int(i)] = _load_classifier(
-                node_config,
-                dim,
-                {
-                    key[len(prefix) :]: value
-                    for key, value in arrays.items()
-                    if key.startswith(prefix)
-                },
-            )
-        index.build_seconds = float(config.get("build_seconds", 0.0))
-        return index

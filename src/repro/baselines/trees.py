@@ -46,50 +46,13 @@ class _SplitNode:
         return self.normal.size + 1
 
 
-def pack_tree_nodes(
-    nodes: List[Optional[_SplitNode]], margin_scales: List[float], dim: int
-) -> dict:
-    """Flatten a hyperplane tree's node list into dense numpy arrays.
-
-    Shared by the tree indexes and the boosted forest so both serialise
-    through the same npz layout.
-    """
-    n_internal = len(nodes)
-    mask = np.zeros(n_internal, dtype=bool)
-    normals = np.zeros((n_internal, dim), dtype=np.float64)
-    offsets = np.zeros(n_internal, dtype=np.float64)
-    for i, node in enumerate(nodes):
-        if node is not None and node.normal is not None:
-            mask[i] = True
-            normals[i] = node.normal
-            offsets[i] = node.offset
-    return {
-        "node_mask": mask,
-        "node_normals": normals,
-        "node_offsets": offsets,
-        "margin_scales": np.asarray(margin_scales, dtype=np.float64),
-    }
-
-
-def unpack_tree_nodes(arrays: dict, prefix: str = "") -> Tuple[List[Optional[_SplitNode]], List[float]]:
-    """Inverse of :func:`pack_tree_nodes` (``prefix`` selects npz keys)."""
-    mask = arrays[f"{prefix}node_mask"]
-    normals = arrays[f"{prefix}node_normals"]
-    offsets = arrays[f"{prefix}node_offsets"]
-    nodes: List[Optional[_SplitNode]] = [
-        _SplitNode(normal=normals[i].copy(), offset=float(offsets[i])) if mask[i] else None
-        for i in range(mask.shape[0])
-    ]
-    margin_scales = [float(v) for v in arrays[f"{prefix}margin_scales"]]
-    return nodes, margin_scales
-
-
 class HyperplaneTreeIndex(PartitionTreeIndex):
     """Generic binary hyperplane partitioning tree."""
 
     #: Temperature for the soft routing probability at query time; the scale
     #: is relative to the node's margin spread, so it is data-independent.
     routing_temperature: float = 0.5
+    _fitted = PartitionTreeIndex._fitted + ("_margin_scales",)
 
     def __init__(self, depth: int = 4, *, seed: SeedLike = None) -> None:
         self.depth = check_positive_int(depth, "depth")
@@ -131,18 +94,6 @@ class HyperplaneTreeIndex(PartitionTreeIndex):
         scale = self._margin_scales[node_id] * self.routing_temperature
         left = 1.0 / (1.0 + np.exp(np.clip(margins / max(scale, 1e-12), -30, 30)))
         return np.column_stack([left, 1.0 - left])
-
-    # ------------------------------------------------------------------ #
-    def _extra_state(self):
-        config = {"depth": int(self.depth), "build_seconds": self.build_seconds}
-        return config, pack_tree_nodes(self._nodes, self._margin_scales, self.dim)
-
-    @classmethod
-    def _restore(cls, config, arrays, load_child):
-        index = cls(int(config["depth"]))
-        index._nodes, index._margin_scales = unpack_tree_nodes(arrays)
-        index.build_seconds = float(config.get("build_seconds", 0.0))
-        return index
 
 
 @register_index(

@@ -17,7 +17,8 @@ bin by bin by :func:`scan_routes`.
 from __future__ import annotations
 
 import copy
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -220,6 +221,7 @@ def scan_bins(
     return np.take_along_axis(pool_ids, order, axis=1), np.take_along_axis(pool_scores, order, axis=1)
 
 
+@dataclass(eq=False)
 class _BinMajorLayout:
     """A partition's base rows stored bin after bin: the only copy it keeps.
 
@@ -230,7 +232,7 @@ class _BinMajorLayout:
     the rows' squared ``norms``, ``cosine`` the ``units`` (the rows
     divided by their norms), kept beside the raw rows: dividing each
     probed block at scan time added 28-30 % to a cosine ``batch_query``
-    (10k x 64, one BLAS thread).
+    (10k x 64, one BLAS thread).  Both are derived, never saved.
 
     :meth:`scan` walks the probed bins, not the queries (see
     :func:`scan_bins`): every query that probes bin ``b`` is scored
@@ -241,13 +243,19 @@ class _BinMajorLayout:
     queries share the bin.
     """
 
-    def __init__(self, ids: np.ndarray, bounds: np.ndarray, rows: np.ndarray, metric: str) -> None:
-        get_metric(metric)  # unknown names fail exactly as in rerank_candidates
-        self.ids, self.bounds, self.rows, self.metric = ids, bounds, rows, metric
-        if metric == "cosine":
-            self.units, self.norms = unit_rows(rows), None
+    ids: np.ndarray
+    bounds: np.ndarray
+    rows: Optional[np.ndarray]
+    metric: str
+    units: Optional[np.ndarray] = field(init=False)
+    norms: Optional[np.ndarray] = field(init=False)
+
+    def __post_init__(self) -> None:
+        get_metric(self.metric)  # unknown names fail exactly as in rerank_candidates
+        if self.metric == "cosine":
+            self.units, self.norms = unit_rows(self.rows), None
         else:
-            self.units, self.norms = None, squared_norms(rows)
+            self.units, self.norms = None, squared_norms(self.rows)
 
     def scan(
         self, queries: np.ndarray, ranked: np.ndarray, k: int
@@ -321,15 +329,14 @@ class PartitionIndexBase(RegisteredIndex):
     """Base class: the bin assignments and the bin-major :attr:`layout`, the only copy of the rows.
 
     Subclasses must call :meth:`_finalize_build` at the end of their
-    ``build`` method and implement :meth:`bin_scores`.  Persistence
-    (:meth:`save` / :meth:`load`, inherited from
-    :class:`~repro.api.protocol.RegisteredIndex`) is implemented here once
-    for the shared state; subclasses add their scoring state through the
-    :meth:`_extra_state` / :meth:`_restore` hooks.
+    ``build`` method and implement :meth:`bin_scores`.  A saved partition
+    is its metric and its layout's ids, bounds and rows; the positions
+    and assignments are derived on load.
     """
 
     #: metric used for the final candidate re-ranking
     metric: str = "euclidean"
+    _fitted = ("metric", "_layout")
 
     def __init__(self) -> None:
         self._assignments: Optional[np.ndarray] = None
@@ -347,12 +354,24 @@ class PartitionIndexBase(RegisteredIndex):
             raise ValidationError("assignments must have one entry per base point")
         if assignments.min() < 0 or assignments.max() >= n_bins:
             raise ValidationError("assignments contain bin ids outside [0, n_bins)")
-        self._assignments = assignments
         ids = np.argsort(assignments, kind="stable")
         bounds = np.searchsorted(assignments[ids], np.arange(n_bins + 1))
-        self._layout = _BinMajorLayout(ids, bounds, base[ids], self.metric)
-        self._positions = np.empty_like(ids)
-        self._positions[ids] = np.arange(ids.size)
+        self._adopt(_BinMajorLayout(ids, bounds, base[ids], self.metric))
+
+    def _loaded(self) -> None:
+        self._adopt(self._layout)
+
+    def _adopt(self, layout: _BinMajorLayout) -> None:
+        """Take ``layout`` as the rows, deriving each base id's layout position and bin."""
+        ids, bounds, n = layout.ids, layout.bounds, layout.rows.shape[0]
+        if ids.shape != (n,) or bounds[0] != 0 or bounds[-1] != n or (np.diff(bounds) < 0).any():
+            raise ValidationError(f"a layout of {n} rows has {ids.shape} ids and bin bounds {bounds[[0, -1]]}")
+        positions = np.full(n, -1, dtype=np.int64)
+        positions[ids] = np.arange(n)
+        if (positions < 0).any():
+            raise ValidationError("the layout's ids are not a permutation of its rows")
+        self._layout, self._positions = layout, positions
+        self._assignments = np.repeat(np.arange(bounds.size - 1), np.diff(bounds))[positions]
 
     def _require_built(self) -> None:
         if self._layout is None:
@@ -477,40 +496,3 @@ class PartitionIndexBase(RegisteredIndex):
         n_probes = min(check_positive_int(n_probes, "n_probes"), self.n_bins)
         ranked = self.top_bins(queries, n_probes)
         return self.layout.scan(queries, ranked, int(k))
-
-    # ------------------------------------------------------------------ #
-    # persistence (repro.api.persistence hooks)
-    # ------------------------------------------------------------------ #
-    def _extra_state(self) -> Tuple[Dict[str, Any], Dict[str, np.ndarray]]:
-        """Subclass hook: (JSON-able config, numpy arrays) beyond the shared state."""
-        return {}, {}
-
-    @classmethod
-    def _restore(
-        cls,
-        config: Mapping[str, Any],
-        arrays: Mapping[str, np.ndarray],
-        load_child: Callable[[str], Any],
-    ) -> "PartitionIndexBase":
-        """Subclass hook: rebuild an *unbuilt* instance from the extra state."""
-        raise NotImplementedError(f"{cls.__name__} does not implement _restore")
-
-    def _state(self):
-        self._require_built()
-        config, arrays = self._extra_state()
-        config = dict(config)
-        arrays = dict(arrays)
-        config["__n_bins__"] = self.n_bins
-        config["__metric__"] = self.metric
-        arrays["__base__"] = self.vectors()
-        arrays["__assignments__"] = self._assignments
-        return config, arrays, {}
-
-    @classmethod
-    def _from_state(cls, config, arrays, load_child):
-        index = cls._restore(config, arrays, load_child)
-        index.metric = str(config["__metric__"])
-        index._finalize_build(
-            arrays["__base__"], arrays["__assignments__"], int(config["__n_bins__"])
-        )
-        return index

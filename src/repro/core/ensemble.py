@@ -12,14 +12,13 @@ partition members; the boosted search forest shares it.
 
 from __future__ import annotations
 
-from dataclasses import asdict
 from typing import List, Optional, Tuple
 
 import numpy as np
 
 from ..api.protocol import IndexCapabilities, RegisteredIndex
 from ..api.registry import register_index
-from ..utils.exceptions import NotFittedError, SerializationError
+from ..utils.exceptions import NotFittedError
 from ..utils.rng import spawn_rngs
 from ..utils.timing import Stopwatch
 from ..utils.topk import select
@@ -66,6 +65,7 @@ class BestMemberIndex(RegisteredIndex):
 
     metric: str = "euclidean"
     members: List[PartitionIndexBase]
+    _fitted = ("metric", "members")
 
     def _require_built(self) -> None:
         if not self.members:
@@ -159,6 +159,8 @@ class UspEnsembleIndex(BestMemberIndex):
     reads |C| and the candidate ceiling from the chosen member's bins.
     """
 
+    _fitted = BestMemberIndex._fitted + ("weight_history", "build_seconds")
+
     def __init__(
         self,
         config: Optional[EnsembleConfig] = None,
@@ -225,45 +227,3 @@ class UspEnsembleIndex(BestMemberIndex):
         """Total wall-clock training time across members (Table 3)."""
         self._require_built()
         return float(sum(member.training_seconds() for member in self.members))
-
-    # ------------------------------------------------------------------ #
-    # persistence
-    # ------------------------------------------------------------------ #
-    def _state(self):
-        config = {
-            "n_models": int(len(self.members)),
-            "base": asdict(self.config.base),
-            "build_seconds": self.build_seconds,
-        }
-        arrays = {"__base__": self.vectors()}
-        for j, weights in enumerate(self.weight_history):
-            arrays[f"weights.{j}"] = weights
-        children = {f"member-{j}": member for j, member in enumerate(self.members)}
-        return config, arrays, children
-
-    @classmethod
-    def _from_state(cls, config, arrays, load_child):
-        # Older saves record the query mode; only Algorithm 4's "best" remains.
-        mode = config.get("combination", "best")
-        if mode != "best":
-            raise SerializationError(
-                f"saved ensemble uses the removed {mode!r} combination mode; "
-                "only the most-confident-member query ('best') is supported"
-            )
-        ensemble_config = EnsembleConfig(
-            n_models=int(config["n_models"]),
-            base=UspConfig(**config["base"]),
-        )
-        index = cls(ensemble_config)
-        index.members = [
-            load_child(f"member-{j}") for j in range(ensemble_config.n_models)
-        ]
-        index.weight_history = [
-            arrays[key] for key in sorted(
-                (k for k in arrays if k.startswith("weights.")),
-                key=lambda k: int(k.split(".", 1)[1]),
-            )
-        ]
-        # ``__base__`` repeats what every member's own directory holds.
-        index.build_seconds = float(config.get("build_seconds", 0.0))
-        return index

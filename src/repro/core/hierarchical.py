@@ -17,7 +17,6 @@ import bisect
 import itertools
 import math
 import time
-from dataclasses import asdict
 from typing import Any, List, Optional, Sequence
 
 import numpy as np
@@ -30,7 +29,6 @@ from ..utils.validation import as_float_matrix, as_query_matrix
 from .base import PartitionIndexBase
 from .config import HierarchicalConfig, UspConfig
 from .knn_matrix import build_knn_matrix
-from .models import build_partition_model
 from .trainer import UspTrainer
 
 #: what every tree index can do
@@ -59,6 +57,7 @@ class PartitionTreeIndex(PartitionIndexBase):
     #: nodes with fewer than ``max(2 * m, min_split_size)`` rows are not
     #: fitted and send every row to branch 0
     min_split_size: int = 4
+    _fitted = PartitionIndexBase._fitted + ("_nodes", "build_seconds")
 
     def __init__(self, levels: Sequence[int]) -> None:
         super().__init__()
@@ -72,6 +71,12 @@ class PartitionTreeIndex(PartitionIndexBase):
         self._widths = [n_leaves // count for count in nodes_per_level]
         self._nodes: List[Optional[Any]] = []
         self.build_seconds: float = 0.0
+
+    def _loaded(self) -> None:
+        super()._loaded()
+        n_nodes = self._offsets[len(self.levels)]
+        if len(self._nodes) != n_nodes:
+            raise ValidationError(f"a tree of {n_nodes} nodes was saved with {len(self._nodes)}")
 
     # ------------------------------------------------------------------ #
     # hooks
@@ -184,6 +189,8 @@ def _make_hierarchical_usp(
 class HierarchicalUspIndex(PartitionTreeIndex):
     """A tree of USP partition models producing ``prod(levels)`` leaf bins."""
 
+    _fitted = PartitionTreeIndex._fitted + ("training_time",)
+
     def __init__(self, config: Optional[HierarchicalConfig] = None) -> None:
         self.config = config or HierarchicalConfig()
         super().__init__(self.config.levels)
@@ -237,67 +244,3 @@ class HierarchicalUspIndex(PartitionTreeIndex):
     def training_seconds(self) -> float:
         """Total wall-clock seconds spent training tree models."""
         return self.training_time
-
-    # ------------------------------------------------------------------ #
-    # persistence: every node with rows is stored under its path ("root",
-    # "root-2", "root-2-0", ...) so it fits the npz + JSON format
-    # ------------------------------------------------------------------ #
-    def _extra_state(self):
-        rows = self._rows_per_node()
-        nodes: List[dict] = []
-        arrays: dict = {}
-        stack = [("root", 0)]
-        while stack:
-            path, node_id = stack.pop()
-            level, model = self._level(node_id), self._nodes[node_id]
-            nodes.append(
-                {
-                    "path": path,
-                    "n_branches": self.levels[level],
-                    "n_parameters": 0 if model is None else model.num_parameters(),
-                    "has_model": model is not None,
-                }
-            )
-            if model is not None:
-                for key, value in model.state_dict().items():
-                    arrays[f"tree.{path}.{key}"] = value
-            if level + 1 < len(self.levels):
-                first_child = self._first_child(node_id)
-                for branch in range(self.levels[level]):
-                    if rows[first_child + branch]:
-                        stack.append((f"{path}-{branch}", first_child + branch))
-        config = {
-            "levels": list(self.levels),
-            "base": asdict(self.config.base),
-            "nodes": nodes,
-            "build_seconds": self.build_seconds,
-            "training_time": self.training_time,
-        }
-        return config, arrays
-
-    @classmethod
-    def _restore(cls, config, arrays, load_child):
-        base_config = UspConfig(**config["base"])
-        index = cls(
-            HierarchicalConfig(levels=tuple(int(m) for m in config["levels"]), base=base_config)
-        )
-        dim = int(arrays["__base__"].shape[1])
-        index._nodes = [None] * index._offsets[len(index.levels)]
-        for meta in config["nodes"]:
-            if not meta["has_model"]:
-                continue
-            node_id = 0
-            for branch in meta["path"].split("-")[1:]:
-                node_id = index._first_child(node_id) + int(branch)
-            model = build_partition_model(
-                dim, base_config.with_updates(n_bins=int(meta["n_branches"]))
-            )
-            prefix = f"tree.{meta['path']}."
-            model.load_state_dict(
-                {key[len(prefix) :]: value for key, value in arrays.items() if key.startswith(prefix)}
-            )
-            model.eval()
-            index._nodes[node_id] = model
-        index.build_seconds = float(config.get("build_seconds", 0.0))
-        index.training_time = float(config.get("training_time", 0.0))
-        return index

@@ -8,7 +8,6 @@ inference, multi-probe candidate retrieval, exact re-ranking).
 
 from __future__ import annotations
 
-from dataclasses import asdict
 from typing import Optional
 
 import numpy as np
@@ -21,7 +20,7 @@ from ..utils.validation import as_float_matrix, as_query_matrix
 from .base import PartitionIndexBase
 from .config import UspConfig
 from .knn_matrix import KnnMatrix, build_knn_matrix
-from .models import PartitionModel, build_partition_model
+from .models import PartitionModel
 from .trainer import TrainingHistory, UspTrainer
 
 
@@ -56,6 +55,8 @@ class UspIndex(PartitionIndexBase):
     <repro.core.index.UspIndex object at ...>
     >>> neighbours, dists = index.query(data.queries[0], k=10, n_probes=2)
     """
+
+    _fitted = PartitionIndexBase._fitted + ("model", "build_seconds")
 
     def __init__(self, config: Optional[UspConfig] = None) -> None:
         super().__init__()
@@ -131,31 +132,3 @@ class UspIndex(PartitionIndexBase):
         if self.history is None:
             raise NotFittedError("UspIndex has not been built yet")
         return self.history.seconds
-
-    # ------------------------------------------------------------------ #
-    # persistence
-    # ------------------------------------------------------------------ #
-    def _extra_state(self):
-        config = {"config": asdict(self.config), "build_seconds": self.build_seconds}
-        arrays = {
-            f"model.{key}": value for key, value in self.model.state_dict().items()
-        }
-        return config, arrays
-
-    @classmethod
-    def _restore(cls, config, arrays, load_child):
-        usp_config = UspConfig(**config["config"])
-        index = cls(usp_config)
-        dim = int(arrays["__base__"].shape[1])
-        model = build_partition_model(dim, usp_config)
-        model.load_state_dict(
-            {
-                key[len("model.") :]: value
-                for key, value in arrays.items()
-                if key.startswith("model.")
-            }
-        )
-        model.eval()
-        index.model = model
-        index.build_seconds = float(config.get("build_seconds", 0.0))
-        return index

@@ -20,7 +20,7 @@ contiguous) so every gather streams sequentially.  A row costs
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict, Mapping, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Any, Dict, Optional, Union
 
 import numpy as np
 
@@ -66,6 +66,8 @@ class PqAdcIndex(QuantizedIndexBase):
         See :class:`~repro.quant.QuantizedIndexBase`.
     """
 
+    _fitted = QuantizedIndexBase._fitted + ("_pq", "codes")
+
     def __init__(
         self,
         n_subspaces: int = 8,
@@ -103,8 +105,7 @@ class PqAdcIndex(QuantizedIndexBase):
             kmeans_iterations=self.kmeans_iterations,
             seed=self.seed,
         ).fit(encoded_base)
-        codes = self._pq.encode(encoded_base)
-        self._codes_t = np.ascontiguousarray(codes.T.astype(np.uint8))
+        self.codes = self._pq.encode(encoded_base)
 
     def _encode_queries(self, queries: np.ndarray) -> np.ndarray:
         """One float32 ``(n_subspaces, n_codewords)`` LUT per query."""
@@ -134,39 +135,28 @@ class PqAdcIndex(QuantizedIndexBase):
     # ------------------------------------------------------------------ #
     # persistence / introspection
     # ------------------------------------------------------------------ #
-    def _codec_state(self) -> Tuple[Dict[str, Any], Dict[str, np.ndarray]]:
-        config = {
-            "n_subspaces": int(self.n_subspaces),
-            "n_codewords": int(self.n_codewords),
-            "kmeans_iterations": int(self.kmeans_iterations),
-        }
-        arrays = {
-            "codes_t": self._codes_t,
-            "codebooks": self._pq.codebooks,
-        }
-        return config, arrays
+    def _scan_order(self) -> Optional[np.ndarray]:
+        """The id of each column of ``_codes_t`` (``None``: column ``i`` is id ``i``)."""
+        return None
 
-    def _restore_codec(
-        self, config: Mapping[str, Any], arrays: Mapping[str, np.ndarray]
-    ) -> None:
-        self.n_subspaces = int(config["n_subspaces"])
-        self.n_codewords = int(config["n_codewords"])
-        self.kmeans_iterations = int(config.get("kmeans_iterations", 25))
-        codes_t = np.asarray(arrays["codes_t"], dtype=np.uint8)
-        self._validate_codes_shape(codes_t.T)
-        self._codes_t = np.ascontiguousarray(codes_t)
-        codebooks = np.asarray(arrays["codebooks"], dtype=np.float64)
-        from ..ann.pq import ProductQuantizer
+    @property
+    def codes(self) -> np.ndarray:
+        """The codes as id-order ``(n, n_subspaces)`` uint8 rows, whatever order the scan keeps."""
+        order = self._scan_order()
+        if order is None:
+            return self._codes_t.T
+        codes = np.empty_like(self._codes_t.T)
+        codes[order] = self._codes_t.T
+        return codes
 
-        pq = ProductQuantizer(
-            self.n_subspaces,
-            self.n_codewords,
-            kmeans_iterations=self.kmeans_iterations,
-            seed=None,
-        )
-        pq.codebooks = codebooks
-        pq._sub_dim = int(codebooks.shape[2])
-        self._pq = pq
+    @codes.setter
+    def codes(self, codes: np.ndarray) -> None:
+        codes = np.asarray(codes).astype(np.uint8, copy=False)
+        order = self._scan_order()
+        self._codes_t = np.ascontiguousarray((codes if order is None else codes[order]).T)
+
+    def _loaded(self) -> None:
+        self._check_rows(self._codes_t.shape[1])
 
     def _codec_resident_bytes(self) -> int:
         if self._pq is not None and self._pq.codebooks is not None:

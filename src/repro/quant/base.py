@@ -38,7 +38,7 @@ from __future__ import annotations
 import math
 import os
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
+from typing import Any, ClassVar, Dict, List, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
@@ -117,7 +117,7 @@ def _merge_top(
 class QuantizedIndexBase(RegisteredIndex):
     """Base class for code-scanning backends with an exact re-rank stage.
 
-    Subclasses implement six hooks:
+    Subclasses implement four hooks:
 
     * :meth:`_fit_codec` — train the codec and encode the (metric-adjusted)
       base matrix into compressed codes;
@@ -128,11 +128,16 @@ class QuantizedIndexBase(RegisteredIndex):
       id array) for encoded queries, monotone in distance (smaller =
       closer) up to a per-query constant, computed from the codes alone;
     * :meth:`_tile_rows` — rows per tile for a query count, from the
-      float32 elements one row of a tile costs the kernel;
-    * :meth:`_codec_state` / :meth:`_restore_codec` — persistence of the
-      codec arrays (the re-rank vectors are handled here, through the
-      :class:`VectorStore`).
+      float32 elements one row of a tile costs the kernel.
+
+    Their ``_fitted`` codec state saves like any index's; the re-rank
+    vectors are saved here, as a :class:`VectorStore`.
     """
+
+    _fitted = ("metric", "_n_points", "_dim")
+    #: whether ``save`` writes the re-rank rows as a ``vectors/`` store (the
+    #: Figure 7 pipelines re-rank from float64 rows they save as state)
+    _vector_store: ClassVar[bool] = True
 
     def __init__(
         self,
@@ -168,14 +173,6 @@ class QuantizedIndexBase(RegisteredIndex):
 
     def _tile_rows(self, n_queries: int) -> int:  # pragma: no cover
         raise NotImplementedError
-
-    def _codec_state(self) -> Tuple[Dict[str, Any], Dict[str, np.ndarray]]:
-        raise NotImplementedError  # pragma: no cover
-
-    def _restore_codec(
-        self, config: Mapping[str, Any], arrays: Mapping[str, np.ndarray]
-    ) -> None:
-        raise NotImplementedError  # pragma: no cover
 
     # ------------------------------------------------------------------ #
     # offline phase
@@ -444,32 +441,8 @@ class QuantizedIndexBase(RegisteredIndex):
         return stats
 
     # ------------------------------------------------------------------ #
-    # persistence: arrays.npz for the codec, VectorStore for the vectors
+    # persistence: the shared rule for the codec, VectorStore for the vectors
     # ------------------------------------------------------------------ #
-    def _state(self):
-        self._require_built()
-        config, arrays = self._codec_state()
-        config = dict(config)
-        arrays = dict(arrays)
-        config["__metric__"] = self.metric
-        config["__rerank_factor__"] = int(self.rerank_factor)
-        config["__n_points__"] = int(self.n_points)
-        config["__dim__"] = int(self.dim)
-        return config, arrays, {}
-
-    @classmethod
-    def _from_state(cls, config, arrays, load_child):
-        # Manifests written before the tiled scan also carry a
-        # ``__query_block__`` key; it no longer configures anything.
-        index = cls(
-            metric=str(config["__metric__"]),
-            rerank_factor=int(config["__rerank_factor__"]),
-        )
-        index._n_points = int(config["__n_points__"])
-        index._dim = int(config["__dim__"])
-        index._restore_codec(config, arrays)
-        return index
-
     def save(
         self,
         path: str | os.PathLike,
@@ -483,13 +456,16 @@ class QuantizedIndexBase(RegisteredIndex):
         :class:`VectorStore` that :meth:`load` re-opens as a memmap.
         """
         path = super().save(path, manifest_extra=manifest_extra)
-        VectorStore.create(Path(path) / VECTORS_DIR, self._vectors)
+        if self._vector_store:
+            VectorStore.create(Path(path) / VECTORS_DIR, self._vectors)
         return path
 
     @classmethod
     def load(cls, path: str | os.PathLike):
         """Reload the codec and attach the re-rank vectors as a memmap."""
         index = super().load(path)
+        if not cls._vector_store:
+            return index
         store = VectorStore.open(Path(path) / VECTORS_DIR)
         if store.shape != (index.n_points, index.dim):
             raise SerializationError(
@@ -501,10 +477,7 @@ class QuantizedIndexBase(RegisteredIndex):
         index._vectors = store.vectors
         return index
 
-    def _validate_codes_shape(self, codes: np.ndarray) -> None:
-        """Guard a restored code matrix against a mismatched manifest."""
-        if codes.shape[0] != self._n_points:
-            raise ValidationError(
-                f"code matrix has {codes.shape[0]} rows, manifest says "
-                f"{self._n_points}"
-            )
+    def _check_rows(self, rows: int) -> None:
+        """Guard loaded codes against a mismatched manifest."""
+        if rows != self._n_points:
+            raise ValidationError(f"code matrix has {rows} rows, manifest says {self._n_points}")

@@ -19,7 +19,6 @@ from typing import ClassVar, Optional, Tuple
 
 import numpy as np
 
-from ..api.protocol import RegisteredIndex
 from ..core.base import PartitionIndexBase, rerank_candidates, scan_bins
 from ..utils.exceptions import ConfigurationError, ValidationError
 from ..utils.validation import as_float_matrix, as_query_matrix, check_positive_int
@@ -33,13 +32,15 @@ class PartitionedAdcIndex(PqAdcIndex):
     ``partitioner`` is a :class:`~repro.core.PartitionIndexBase` whose
     ``n_probes`` best bins each query scans; ``build`` builds it unless it
     is prebuilt on the same base.  Subclasses train the codec
-    (:meth:`_train_codes`) and keep their own saved layout.
+    (:meth:`_train_codes`).
     """
 
     #: codes encode ``base - centroid`` of the row's bin (IVF-PQ)
     residual: ClassVar[bool] = False
     #: bins probed when ``batch_query`` is not given ``n_probes``
     default_probes: ClassVar[int] = 2
+    _fitted = QuantizedIndexBase._fitted + ("n_subspaces", "partitioner", "_base", "_pq", "codes", "build_seconds")
+    _vector_store = False
 
     def __init__(self, partitioner: Optional[PartitionIndexBase] = None, **codec) -> None:
         if partitioner is not None and not isinstance(partitioner, PartitionIndexBase):
@@ -57,38 +58,39 @@ class PartitionedAdcIndex(PqAdcIndex):
         raise NotImplementedError
 
     def build(self, base: np.ndarray) -> "PartitionedAdcIndex":
-        """Build the partitioner (unless prebuilt on ``base``), then train and encode the codec."""
+        """Build the partitioner (unless prebuilt on ``base``), then train and encode the codec.
+
+        The codes are scored by ``pq-adc``'s LUT gather-sum, whatever
+        ``(n_subspaces, n_codewords, sub_dim)`` codebooks (PQ or
+        anisotropic) the subclass trains.
+        """
+        from ..ann.pq import ProductQuantizer  # local: repro.ann's pipelines subclass this index
+
         start = time.perf_counter()
         base = as_float_matrix(base, name="base")
-        if self.partitioner is not None and not self.partitioner.is_built:
-            self.partitioner.build(base)
-        self._restore(base, *self._train_codes(base))
+        p = self.partitioner
+        if p is not None and not p.is_built:
+            p.build(base)
+        if p is not None and not np.array_equal(p.vectors(), base):
+            raise ValidationError(f"the partitioner was not built on this {base.shape} base; build it on the same base")
+        codebooks, codes = self._train_codes(base)
+        self._n_points, self._dim = base.shape
+        self._base = base if p is None else None
+        self.n_subspaces = codebooks.shape[0]
+        self._pq = ProductQuantizer(
+            self.n_subspaces, self.n_codewords, kmeans_iterations=self.kmeans_iterations, codebooks=codebooks
+        )
+        self.codes = codes
         self.build_seconds = time.perf_counter() - start
         return self
 
-    def _restore(self, base: np.ndarray, codebooks: np.ndarray, codes: np.ndarray) -> None:
-        """Adopt a base, its id-order ``(n, n_subspaces)`` codes and their codebooks.
+    def _scan_order(self) -> Optional[np.ndarray]:
+        return None if self.partitioner is None else self.partitioner.layout.ids
 
-        A partitioner must hold exactly ``base``'s rows.  Any
-        ``(n_subspaces, n_codewords, sub_dim)`` codebooks (PQ or
-        anisotropic) are scored by ``pq-adc``'s LUT gather-sum.
-        """
-        base = as_float_matrix(base, name="base")
-        p = self.partitioner
-        if p is not None and not np.array_equal(p.vectors(), base):
-            raise ValidationError(f"the partitioner was not built on this {base.shape} base; build it on the same base")
-        self._n_points, self._dim = base.shape
-        self._base, order = (base, slice(None)) if p is None else (None, p.layout.ids)
-        config = dict(
-            n_subspaces=codebooks.shape[0], n_codewords=self.n_codewords, kmeans_iterations=self.kmeans_iterations
-        )
-        self._restore_codec(config, {"codes_t": np.asarray(codes)[order].T, "codebooks": codebooks})
-
-    def _saved_codes(self) -> np.ndarray:
-        """The codes as id-order ``(n, n_subspaces)`` int32 rows."""
-        codes = np.empty((self._n_points, self.n_subspaces), dtype=np.int32)
-        codes[slice(None) if self.partitioner is None else self.partitioner.layout.ids] = self._codes_t.T
-        return codes
+    def _loaded(self) -> None:
+        super()._loaded()
+        if self.partitioner is not None:
+            self._check_rows(self.partitioner.n_points)
 
     def vectors(self, ids: Optional[np.ndarray] = None) -> np.ndarray:
         """The float64 re-rank rows ``ids`` (every row, in id order, for ``None``)."""
@@ -140,11 +142,3 @@ class PartitionedAdcIndex(PqAdcIndex):
         stats = super().stats()
         stats.pop("float32_bytes", None)  # the re-rank rows are float64: the partitioner's or ``_base``
         return stats
-
-    # the subclasses' saved layouts keep ``__base__`` in arrays.npz: no vector store
-    def save(self, path, *, manifest_extra=None):
-        return RegisteredIndex.save(self, path, manifest_extra=manifest_extra)
-
-    @classmethod
-    def load(cls, path):
-        return super(QuantizedIndexBase, cls).load(path)

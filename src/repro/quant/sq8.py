@@ -37,7 +37,7 @@ from __future__ import annotations
 import ctypes
 from glob import glob
 from pathlib import Path
-from typing import Any, Dict, Mapping, Tuple, Union
+from typing import Any, Dict, Tuple, Union
 
 import numpy as np
 
@@ -175,6 +175,8 @@ class Sq8Index(QuantizedIndexBase):
         candidates per query (override per call with ``rerank=``).
     """
 
+    _fitted = QuantizedIndexBase._fitted + ("_codes", "_code_norms", "_codec.scale", "_codec.offset")
+
     def __init__(
         self,
         *,
@@ -284,26 +286,9 @@ class Sq8Index(QuantizedIndexBase):
     # ------------------------------------------------------------------ #
     # persistence / introspection
     # ------------------------------------------------------------------ #
-    def _codec_state(self) -> Tuple[Dict[str, Any], Dict[str, np.ndarray]]:
-        arrays = {
-            "codes": self._codes,
-            "scale": self._codec.scale,
-            "offset": self._codec.offset,
-            "code_norms": self._code_norms,
-        }
-        return {}, arrays
-
-    def _restore_codec(
-        self, config: Mapping[str, Any], arrays: Mapping[str, np.ndarray]
-    ) -> None:
-        # Manifests written before the tiled scan also carry a
-        # ``row_block`` key; it no longer configures anything.
-        codes = np.asarray(arrays["codes"], dtype=np.uint8)
-        self._validate_codes_shape(codes)
-        self._codes = codes
-        self._codec.scale = np.asarray(arrays["scale"], dtype=np.float64)
-        self._codec.offset = np.asarray(arrays["offset"], dtype=np.float64)
-        self._code_norms = np.asarray(arrays["code_norms"], dtype=np.float32)
+    def _loaded(self) -> None:
+        self._check_rows(self._codes.shape[0])
+        self._check_rows(self._code_norms.shape[0])
 
     def _codec_resident_bytes(self) -> int:
         total = 0

@@ -12,13 +12,14 @@ A :class:`Partitioner` answers two questions for a
 zero training cost); ``kmeans`` clusters the base so each shard holds a
 spatially coherent region — queries then concentrate their true
 neighbours in few shards, which is the locality that distributed designs
-like SafarDB exploit.  All three persist inside the sharded index's
-manifest via :meth:`Partitioner.state`.
+like SafarDB exploit.  All three are dataclasses of what they learn, so
+they save inside the sharded index's manifest like any other value.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Tuple
+from dataclasses import KW_ONLY, dataclass, field
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -28,13 +29,11 @@ from ..utils.exceptions import ConfigurationError, ValidationError
 from ..utils.rng import SeedLike
 from ..utils.validation import as_float_matrix, check_positive_int
 
-StateDicts = Tuple[Dict[str, Any], Dict[str, np.ndarray]]
-
 
 class Partitioner:
     """Base class: assigns build vectors and routes later additions."""
 
-    #: registry key written into the sharded index's manifest
+    #: the name ``make_partitioner`` resolves to this class
     name: str = ""
 
     def partition(self, base: np.ndarray, n_shards: int) -> np.ndarray:
@@ -50,50 +49,30 @@ class Partitioner:
         """Shard label for vectors added after the build (compact routing)."""
         raise NotImplementedError
 
-    # -- persistence (embedded in the sharded index's own state) -------- #
-    def state(self) -> StateDicts:
-        """JSON-able config and numpy arrays describing this partitioner."""
-        return {"partitioner": self.name}, {}
 
-    @classmethod
-    def from_state(
-        cls, config: Dict[str, Any], arrays: Dict[str, np.ndarray]
-    ) -> "Partitioner":
-        return cls()
-
-
+@dataclass
 class RoundRobinPartitioner(Partitioner):
     """Deal vectors to shards like cards: ``row % n_shards``.
 
     Perfectly balanced and training-free; routing continues the deal from
-    a persistent cursor so repeated ``add`` calls stay balanced too.
+    the persistent cursor ``start`` (the shard the next vector is dealt
+    to), so repeated ``add`` calls stay balanced too.
     """
 
+    start: int = 0
     name = "round-robin"
 
-    def __init__(self, start: int = 0) -> None:
-        self._next = int(start)
-
     def partition(self, base: np.ndarray, n_shards: int) -> np.ndarray:
-        n = as_float_matrix(base, name="base").shape[0]
-        labels = (np.arange(n, dtype=np.int64) + self._next) % n_shards
-        self._next = int((self._next + n) % n_shards)
-        return labels
+        return self.route(as_float_matrix(base, name="base"), n_shards)
 
     def route(self, vectors, n_shards, shard_sizes=None) -> np.ndarray:
         n = np.atleast_2d(np.asarray(vectors)).shape[0]
-        labels = (np.arange(n, dtype=np.int64) + self._next) % n_shards
-        self._next = int((self._next + n) % n_shards)
+        labels = (np.arange(n, dtype=np.int64) + self.start) % n_shards
+        self.start = int((self.start + n) % n_shards)
         return labels
 
-    def state(self) -> StateDicts:
-        return {"partitioner": self.name, "next": int(self._next)}, {}
 
-    @classmethod
-    def from_state(cls, config, arrays) -> "RoundRobinPartitioner":
-        return cls(start=int(config.get("next", 0)))
-
-
+@dataclass
 class ContiguousPartitioner(Partitioner):
     """Split the base into ``n_shards`` contiguous row ranges.
 
@@ -127,25 +106,24 @@ class ContiguousPartitioner(Partitioner):
         return labels
 
 
+@dataclass(eq=False)
 class KMeansRoutePartitioner(Partitioner):
     """Cluster the base with K-means; route every vector to its nearest centroid.
 
     Shards become spatially coherent regions, so a query's true
     neighbours concentrate in few shards and later additions land next to
-    the points they are close to.
+    the points they are close to.  ``centroids`` are what
+    :meth:`partition` learns.
     """
 
+    _: KW_ONLY
+    max_iterations: int = 25
+    seed: SeedLike = None
+    centroids: Optional[np.ndarray] = field(default=None, repr=False)
     name = "kmeans"
 
-    def __init__(
-        self,
-        *,
-        max_iterations: int = 25,
-        seed: SeedLike = None,
-    ) -> None:
-        self.max_iterations = check_positive_int(max_iterations, "max_iterations")
-        self.seed = seed
-        self.centroids: Optional[np.ndarray] = None
+    def __post_init__(self) -> None:
+        self.max_iterations = check_positive_int(self.max_iterations, "max_iterations")
 
     def partition(self, base: np.ndarray, n_shards: int) -> np.ndarray:
         base = as_float_matrix(base, name="base")
@@ -165,24 +143,6 @@ class KMeansRoutePartitioner(Partitioner):
         vectors = np.atleast_2d(np.asarray(vectors, dtype=np.float64))
         distances = squared_euclidean(vectors, self.centroids)
         return np.argmin(distances, axis=1).astype(np.int64)
-
-    def state(self) -> StateDicts:
-        config = {
-            "partitioner": self.name,
-            "max_iterations": int(self.max_iterations),
-        }
-        arrays = {}
-        if self.centroids is not None:
-            arrays["partitioner.centroids"] = self.centroids
-        return config, arrays
-
-    @classmethod
-    def from_state(cls, config, arrays) -> "KMeansRoutePartitioner":
-        partitioner = cls(max_iterations=int(config.get("max_iterations", 25)))
-        centroids = arrays.get("partitioner.centroids")
-        if centroids is not None:
-            partitioner.centroids = np.asarray(centroids, dtype=np.float64)
-        return partitioner
 
 
 _PARTITIONERS: Dict[str, type] = {
@@ -212,18 +172,3 @@ def make_partitioner(spec, **params) -> Partitioner:
             f"unknown partitioner {spec!r}; available partitioners: {known}"
         ) from None
     return cls(**params)
-
-
-def partitioner_from_state(
-    config: Dict[str, Any], arrays: Dict[str, np.ndarray]
-) -> Partitioner:
-    """Rebuild a partitioner from the state embedded in a saved sharded index."""
-    name = str(config.get("partitioner", RoundRobinPartitioner.name))
-    try:
-        cls = _PARTITIONERS[name]
-    except KeyError:
-        known = ", ".join(available_partitioners())
-        raise ConfigurationError(
-            f"saved index uses unknown partitioner {name!r}; known: {known}"
-        ) from None
-    return cls.from_state(config, arrays)

@@ -18,9 +18,9 @@
   back into freshly rebuilt shards once they pass a threshold — the
   :class:`~repro.api.MutableIndex` capability.
 
-Persistence writes a directory of shard artifacts (one PR 1 saved index
-per shard) plus a manifest, so a sharded deployment survives restarts
-like any other registered index, including through ``Router.save``.
+It saves like any registered index — the rows, tombstones and routing
+in its own arrays, each shard as a child directory — so a sharded
+deployment survives restarts, including through ``Router.save``.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from ..utils.distances import pairwise_topk
 from ..utils.exceptions import ConfigurationError, NotFittedError, ValidationError
 from ..utils.topk import merge
 from ..utils.validation import as_float_matrix, as_query_matrix, check_positive_int
-from .partitioner import Partitioner, make_partitioner, partitioner_from_state
+from .partitioner import Partitioner, make_partitioner
 
 _SHARDED_CAPABILITIES = IndexCapabilities(
     metrics=("euclidean", "sqeuclidean", "cosine"),
@@ -120,6 +120,10 @@ class ShardedIndex(RegisteredIndex):
     buffer references it, and tombstones only ever flip ids dead.
     Concurrent *mutations* must be serialised by the caller.
     """
+
+    _fitted = (
+        "metric", "partitioner", "version", "build_seconds", "_data", "_alive", "_assignments", "_serve_state"
+    )
 
     def __init__(
         self,
@@ -230,6 +234,17 @@ class ShardedIndex(RegisteredIndex):
         self._data_store = self._data = data
         self._alive_store = self._alive = alive
         self._assign_store = self._assignments = assignments
+
+    def _loaded(self) -> None:
+        """Adopt the loaded rows as the stores and recount the tombstones inside each shard."""
+        shards, shard_ids, _ = self._serve_state
+        if len(shards) != self.n_shards or len(shard_ids) != self.n_shards:
+            raise ValidationError(f"{len(shards)} shards were saved for n_shards={self.n_shards}")
+        if not self._data.shape[0] == self._alive.shape[0] == self._assignments.shape[0]:
+            raise ValidationError("the saved rows, tombstones and assignments differ in length")
+        self._adopt_stores(self._data, self._alive, self._assignments)
+        dead = self._assignments[~self._alive]
+        self._dead_per_shard = np.bincount(dead[dead >= 0], minlength=self.n_shards).astype(np.int64)
 
     def _ensure_capacity(self, extra: int) -> None:
         """Grow the backing stores geometrically to hold ``extra`` more rows."""
@@ -675,80 +690,6 @@ class ShardedIndex(RegisteredIndex):
             f"ShardedIndex(n_shards={self.n_shards}, spec={'/'.join(backends)}, "
             f"partitioner={self.partitioner.name!r}, built={self.is_built})"
         )
-
-    # ------------------------------------------------------------------ #
-    # persistence: directory of shard artifacts + manifest
-    # ------------------------------------------------------------------ #
-    def _state(self):
-        routing_config, routing_arrays = self.partitioner.state()
-        config = {
-            "n_shards": int(self.n_shards),
-            "specs": [[name, params] for name, params in self._specs],
-            "metric": self.metric,
-            "compact_threshold": self.compact_threshold,
-            "routing": routing_config,
-            "version": int(self.version),
-            "build_seconds": float(self.build_seconds),
-            "built_shards": [
-                shard
-                for shard, child in enumerate(self._shards)
-                if child is not None
-            ],
-        }
-        arrays = {
-            "data": self._data,
-            "alive": self._alive.astype(np.uint8),
-            "assignments": self._assignments,
-            "pending": self._pending,
-            **routing_arrays,
-        }
-        for shard, members in enumerate(self._shard_ids):
-            arrays[f"shard_ids.{shard}"] = members
-        children = {
-            f"shard-{shard}": child
-            for shard, child in enumerate(self._shards)
-            if child is not None
-        }
-        return config, arrays, children
-
-    @classmethod
-    def _from_state(cls, config, arrays, load_child):
-        specs = [(str(name), dict(params)) for name, params in config["specs"]]
-        # Manifests written by older versions also carry thread-pool
-        # settings; they are ignored: answers never depended on them.
-        index = cls(
-            int(config["n_shards"]),
-            spec=[name for name, _ in specs],
-            shard_params=[params for _, params in specs],
-            partitioner=partitioner_from_state(dict(config.get("routing", {})), arrays),
-            metric=str(config.get("metric", "euclidean")),
-            compact_threshold=config.get("compact_threshold"),
-        )
-        index._adopt_stores(
-            np.asarray(arrays["data"], dtype=np.float64),
-            np.asarray(arrays["alive"], dtype=bool),
-            np.asarray(arrays["assignments"], dtype=np.int64),
-        )
-        built = set(int(shard) for shard in config.get("built_shards", []))
-        index._serve_state = (
-            [
-                load_child(f"shard-{shard}") if shard in built else None
-                for shard in range(index.n_shards)
-            ],
-            [
-                np.asarray(arrays[f"shard_ids.{shard}"], dtype=np.int64)
-                for shard in range(index.n_shards)
-            ],
-            np.asarray(arrays["pending"], dtype=np.int64),
-        )
-        dead_assignments = index._assignments[~index._alive]
-        dead_assignments = dead_assignments[dead_assignments >= 0]
-        index._dead_per_shard = np.bincount(
-            dead_assignments, minlength=index.n_shards
-        ).astype(np.int64)
-        index.version = int(config.get("version", 0))
-        index.build_seconds = float(config.get("build_seconds", 0.0))
-        return index
 
 
 def _register_config(name: str, description: str, **defaults) -> None:

@@ -172,35 +172,41 @@ class TestIVF:
         assert (small.n_lists, small.n_bins) == (64, 10)
 
     @pytest.mark.parametrize(
-        "index_cls, params, config_keys, array_keys",
+        "index_cls, params, state_keys, array_keys",
         [
             (
                 IVFFlatIndex,
                 {},
-                ["build_seconds", "kmeans_iterations", "n_lists"],
-                ["__base__", "centroids", "labels"],
+                ["_kmeans.result", "_layout", "build_seconds", "metric"],
+                ["_kmeans.result.centroids", "_kmeans.result.labels", "_layout.bounds", "_layout.ids", "_layout.rows"],
             ),
             (
                 IVFPQIndex,
                 dict(n_subspaces=4, n_codewords=16),
-                ["build_seconds", "kmeans_iterations", "n_codewords", "n_lists", "n_subspaces", "rerank_factor"],
-                ["__base__", "centroids", "labels", "pq.codebooks", "pq.codes"],
+                ["_base", "_dim", "_n_points", "_pq", "build_seconds", "codes", "metric", "n_subspaces", "partitioner"],
+                ["_pq.codebooks", "codes"],
             ),
         ],
         ids=["ivf-flat", "ivf-pq"],
     )
     def test_saved_format_is_the_inverted_file_one(
-        self, tiny_dataset, tmp_path, index_cls, params, config_keys, array_keys
+        self, tiny_dataset, tmp_path, index_cls, params, state_keys, array_keys
     ):
+        """The cells are the ivf-flat's saved layout and K-means fit; ivf-pq saves one as its partitioner."""
         index = index_cls(8, seed=0, **params).build(tiny_dataset.base)
         index.save(tmp_path / "ivf")
         manifest = json.loads((tmp_path / "ivf" / "index.json").read_text())
-        assert manifest["class"] == index_cls.__name__
-        assert sorted(manifest["config"]) == config_keys
+        assert manifest["class"] == f"repro.ann.ivf.{index_cls.__name__}"
+        assert manifest["arguments"]["n_lists"] == 8 and manifest["arguments"]["seed"] == 0
+        assert sorted(manifest["state"]) == state_keys
         with np.load(tmp_path / "ivf" / "arrays.npz") as arrays:
             assert sorted(arrays.files) == array_keys
-            np.testing.assert_array_equal(arrays["labels"], index.assignments)
-            np.testing.assert_array_equal(arrays["centroids"], index.centroids)
+        cells = tmp_path / "ivf" / ("partitioner" if index_cls is IVFPQIndex else "")
+        with np.load(cells / "arrays.npz") as arrays:
+            np.testing.assert_array_equal(arrays["_kmeans.result.labels"], index.assignments)
+            np.testing.assert_array_equal(arrays["_kmeans.result.centroids"], index.centroids)
+            np.testing.assert_array_equal(arrays["_layout.rows"], tiny_dataset.base[arrays["_layout.ids"]])
+        assert not (tmp_path / "ivf" / "vectors").exists()
         loaded = load_index(tmp_path / "ivf")
         for n_probes in (1, 3):
             expected = index.batch_query(tiny_dataset.queries, 10, n_probes=n_probes)

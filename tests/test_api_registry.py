@@ -18,8 +18,9 @@ from repro.api import (
     make_index,
     save_index,
 )
-from repro.core import UspConfig
+from repro.core import PartitionIndexBase, UspConfig
 from repro.datasets import sift_like
+from repro.filter import random_attribute_store
 from repro.utils.exceptions import ConfigurationError, SerializationError
 
 _TINY_USP = dict(
@@ -202,19 +203,47 @@ class TestProbeKnobWarning:
             assert kmeans.capabilities.query_kwargs(3) == {"n_probes": 3}
 
 
-@pytest.mark.parametrize("config_id", sorted(CONFIGURATIONS))
+def _metric_cases():
+    """(configuration, metric) for every metric each configuration's entry lists."""
+    return [
+        (config_id, metric)
+        for config_id in sorted(CONFIGURATIONS)
+        for metric in index_info(CONFIGURATIONS[config_id][0])["capabilities"]["metrics"]
+    ]
+
+
+def _probe_kwargs(name):
+    """Each probe count the round trip compares, as the entry's query keywords."""
+    probe = index_info(name)["capabilities"]["probe_parameter"]
+    return [{} if probe is None else {probe: p} for p in ((1, 3) if probe == "n_probes" else (8, 16))]
+
+
 class TestSaveLoadRoundTrip:
-    def test_roundtrip_identical_queries(self, config_id, api_dataset, tmp_path):
-        index = make_configuration(config_id).build(api_dataset.base)
+    @pytest.mark.parametrize("config_id, metric", _metric_cases())
+    def test_roundtrip_identical_queries(self, config_id, metric, api_dataset, tmp_path):
+        """Bitwise answers after ``save`` / ``load_index``, under each metric and with an attribute store.
+
+        A partition index takes its metric after build (its scan follows
+        ``metric``); every other entry takes it as a construction keyword.
+        """
+        name, params = CONFIGURATIONS[config_id]
+        index = make_configuration(config_id)
+        if isinstance(index, PartitionIndexBase):
+            index.build(api_dataset.base).metric = metric
+        else:
+            index = make_index(name, **params, **({} if metric == "euclidean" else {"metric": metric}))
+            index.build(api_dataset.base)
+        index.set_attributes(random_attribute_store(api_dataset.n_points, seed=1))
         path = tmp_path / config_id
         index.save(path)
         reloaded = load_index(path)
-        assert type(reloaded) is type(index)
-        kwargs = _query_kwargs(CONFIGURATIONS[config_id][0])
-        indices, distances = index.batch_query(api_dataset.queries, 5, **kwargs)
-        re_indices, re_distances = reloaded.batch_query(api_dataset.queries, 5, **kwargs)
-        np.testing.assert_array_equal(indices, re_indices)
-        np.testing.assert_array_equal(distances, re_distances)
+        assert type(reloaded) is type(index) and getattr(reloaded, "metric", "euclidean") == metric
+        assert reloaded.attributes.n_rows == api_dataset.n_points
+        for kwargs in _probe_kwargs(name):
+            indices, distances = index.batch_query(api_dataset.queries, 5, **kwargs)
+            re_indices, re_distances = reloaded.batch_query(api_dataset.queries, 5, **kwargs)
+            np.testing.assert_array_equal(indices, re_indices)
+            np.testing.assert_array_equal(distances, re_distances)
 
 
 class TestPersistenceEdges:

@@ -204,7 +204,7 @@ def test_concurrent_first_queries_agree(data):
 
 
 @pytest.mark.parametrize("name", ["usp", "kmeans", "regression-lsh"])
-def test_saved_index_has_no_layout_and_answers_the_same(data, name, tmp_path):
+def test_saved_index_is_its_layout_and_answers_the_same(data, name, tmp_path):
     index = make_index(name, **TINY_PARAMS[name]).build(data.base)
     index.save(tmp_path / "cold")
     expected = index.batch_query(data.queries, K, n_probes=2)
@@ -215,8 +215,8 @@ def test_saved_index_has_no_layout_and_answers_the_same(data, name, tmp_path):
         assert sorted(cold.files) == sorted(warm.files)
         for key in cold.files:
             np.testing.assert_array_equal(cold[key], warm[key])
-    with np.load(tmp_path / "warm" / "arrays.npz") as warm:
-        np.testing.assert_array_equal(warm["__base__"], data.base)  # saved in id order
+    with np.load(tmp_path / "warm" / "arrays.npz") as warm:  # saved bin-major, as served
+        np.testing.assert_array_equal(warm["_layout.rows"], data.base[warm["_layout.ids"]])
     loaded = load_index(tmp_path / "warm")
     np.testing.assert_array_equal(loaded._layout.ids, index._layout.ids)
     np.testing.assert_array_equal(loaded._layout.rows, index._layout.rows)

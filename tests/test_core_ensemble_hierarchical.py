@@ -121,27 +121,22 @@ class TestUspEnsembleIndex:
         batch_indices, _ = ensemble_index.batch_query(tiny_dataset.queries, k=5, n_probes=2)
         assert batch_indices.shape == (tiny_dataset.n_queries, 5)
 
-    @staticmethod
-    def _save_with_combination(index, path, mode):
-        """Save ``index``, then write ``mode`` into its config as older saves did."""
-        index.save(path)
-        manifest = path / "index.json"
+    @pytest.mark.parametrize("mode", ["best", "union"])
+    def test_saved_combination_keyword_is_refused(self, ensemble_index, tmp_path, mode):
+        """Only Algorithm 4 remains: a manifest passing a combination mode names no keyword."""
+        ensemble_index.save(tmp_path / "ens")
+        manifest = tmp_path / "ens" / "index.json"
         metadata = json.loads(manifest.read_text())
-        metadata["config"]["combination"] = mode
+        assert "combination" not in metadata["arguments"]
+        metadata["arguments"]["combination"] = mode
         manifest.write_text(json.dumps(metadata))
-
-    def test_saved_best_combination_loads_bitwise(self, ensemble_index, tiny_dataset, tmp_path):
-        self._save_with_combination(ensemble_index, tmp_path / "ens", "best")
-        reloaded = load_index(tmp_path / "ens")
-        ids, distances = ensemble_index.batch_query(tiny_dataset.queries, 10, n_probes=2)
-        re_ids, re_distances = reloaded.batch_query(tiny_dataset.queries, 10, n_probes=2)
-        np.testing.assert_array_equal(ids, re_ids)
-        np.testing.assert_array_equal(distances, re_distances)
+        with pytest.raises(SerializationError, match="combination"):
+            load_index(tmp_path / "ens")
 
     def test_loaded_members_share_one_base(self, ensemble_index, tiny_dataset, tmp_path):
-        # Each member's directory still holds its own copy of the base (the
-        # saved layout is unchanged); after a load each member keeps its
-        # own bin-major copy and the ensemble none beside them.
+        # Each member's directory holds its own bin-major copy of the base
+        # and the ensemble's none; after a load each member keeps its own
+        # copy and the ensemble none beside them.
         ensemble_index.save(tmp_path / "ens")
         reloaded = load_index(tmp_path / "ens")
         assert not any(isinstance(value, np.ndarray) and value.ndim == 2 for value in vars(reloaded).values())
@@ -155,11 +150,6 @@ class TestUspEnsembleIndex:
                 re_ids, re_distances = loaded.batch_query(queries, 10, n_probes=n_probes)
                 np.testing.assert_array_equal(ids, re_ids)
                 np.testing.assert_array_equal(distances, re_distances)
-
-    def test_saved_union_combination_is_rejected(self, ensemble_index, tmp_path):
-        self._save_with_combination(ensemble_index, tmp_path / "ens", "union")
-        with pytest.raises(SerializationError, match="'union'"):
-            load_index(tmp_path / "ens")
 
     def test_ensemble_not_worse_than_single_member(self, ensemble_index, tiny_dataset):
         queries, truth = tiny_dataset.queries, tiny_dataset.ground_truth

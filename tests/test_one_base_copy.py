@@ -5,10 +5,14 @@ pipeline re-ranks from its partitioner's layout; an m-member ensemble or
 forest holds m copies, one per member.  Cosine keeps its unit rows beside
 the raw ones, so a cosine partition holds two.  The count walks
 everything reachable from the index, after a query, for a freshly built
-index and for one loaded from disk.
+index and for one loaded from disk.  On disk the count is the same, less
+the unit rows (derived on load): the float ``(n, d)`` arrays of every
+``arrays.npz`` and ``vectors/`` store in the saved tree.
 """
 
 from __future__ import annotations
+
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +21,8 @@ from repro.api import get_spec, load_index, make_index
 from repro.core import PartitionIndexBase
 from repro.core.ensemble import BestMemberIndex
 from repro.datasets import sift_like
+from repro.quant import VectorStore
+from repro.quant.base import VECTORS_DIR
 from repro.quant.partitioned import PartitionedAdcIndex
 from test_api_registry import TINY_PARAMS
 
@@ -59,6 +65,15 @@ def base_copies(index, shape) -> int:
     return len(buffers)
 
 
+def saved_copies(path: Path, shape) -> int:
+    """Float arrays of ``shape`` in the saved tree at ``path``: npz members and vector stores."""
+    copies = 0
+    for arrays_file in path.rglob("arrays.npz"):
+        with np.load(arrays_file) as arrays:
+            copies += sum(arrays[key].shape == shape and arrays[key].dtype.kind == "f" for key in arrays.files)
+    return copies + sum(VectorStore.open(store).shape == shape for store in path.rglob(VECTORS_DIR))
+
+
 def _expected(index) -> int:
     if isinstance(index, BestMemberIndex):
         return len(index.members)
@@ -67,6 +82,7 @@ def _expected(index) -> int:
 
 def _check(index, data, tmp_path):
     index.save(tmp_path / "index")
+    assert saved_copies(tmp_path / "index", data.base.shape) == _expected(index) - (index.metric == "cosine")
     loaded = load_index(tmp_path / "index")
     for served in (index, loaded):
         served.batch_query(data.queries, 5)
@@ -82,3 +98,9 @@ def test_a_cosine_partition_holds_its_unit_rows_beside_the_base(data, tmp_path):
     index = make_index("kmeans", **TINY_PARAMS["kmeans"])
     index.metric = "cosine"
     _check(index.build(data.base), data, tmp_path)
+
+
+@pytest.mark.parametrize("name", ["sq8", "pq-adc"])
+def test_a_quantized_index_saves_its_rerank_rows_once(data, name, tmp_path):
+    make_index(name, **TINY_PARAMS[name]).build(data.base).save(tmp_path / "index")
+    assert saved_copies(tmp_path / "index", data.base.shape) == 1

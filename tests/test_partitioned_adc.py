@@ -54,7 +54,7 @@ def _oracle(index, base: np.ndarray, queries: np.ndarray, k: int, n_probes: int)
     """
     partitioner = index.partitioner
     budget = min(index.rerank_factor * k, index.n_points)
-    codes = index._saved_codes()
+    codes = index.codes
     if partitioner is not None:
         ranked = partitioner.top_bins(queries, min(n_probes, partitioner.n_bins))
     shortlists = []
@@ -169,21 +169,26 @@ def test_scann_keeps_its_saved_format(name, tmp_path):
     index = make_index(name, **TINY_PARAMS[name]).build(data.base)
     index.save(tmp_path / "scann")
     manifest = json.loads((tmp_path / "scann" / "index.json").read_text())
-    assert manifest["class"] == "ScannSearcher"
-    assert sorted(manifest["config"]) == [
+    assert (manifest["name"], manifest["class"]) == ("scann", "repro.ann.scann.ScannSearcher")
+    assert sorted(manifest["arguments"]) == [
         "anisotropic_eta",
-        "build_seconds",
-        "has_partitioner",
         "n_codewords",
         "n_subspaces",
+        "partitioner",
         "rerank_factor",
+        "seed",
     ]
     assert not (tmp_path / "scann" / "vectors").exists()
+    # the float rows are saved once: the pipeline's own without a
+    # partitioner, the partitioner's layout with one
+    partitioned = name == "kmeans-scann"
+    assert (tmp_path / "scann" / "partitioner" / "index.json").is_file() == partitioned
     with np.load(tmp_path / "scann" / "arrays.npz") as arrays:
-        assert sorted(arrays.files) == ["__base__", "codec.codebooks", "codes"]
+        own_rows = [] if partitioned else ["_base"]
+        assert sorted(arrays.files) == [*own_rows, "_pq.codebooks", "codes"]
         # codes stay id-order rows, whatever order the scan keeps them in:
         # row i reconstructs base row i, not its neighbour in the file
-        codebooks, codes = arrays["codec.codebooks"], arrays["codes"]
+        codebooks, codes = arrays["_pq.codebooks"], arrays["codes"]
         assert codes.shape == (data.n_points, codebooks.shape[0])
         decoded = np.concatenate([codebooks[s][codes[:, s]] for s in range(codes.shape[1])], axis=1)
         own = np.linalg.norm(decoded - data.base, axis=1).mean()

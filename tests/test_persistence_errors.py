@@ -10,6 +10,8 @@ a silently empty (or subtly wrong) index.  Covered here:
 * a learned index whose ``arrays.npz`` lacks a model parameter or buffer;
 * a manifest whose registry name and recorded class disagree
   (hand-edited or mixed from two artifacts);
+* a manifest of another format version (format 2 reads no other), or
+  one naming a class outside :mod:`repro`;
 * corrupt JSON manifests, including the attribute-store sidecar.
 """
 
@@ -71,7 +73,7 @@ class TestMissingArtifacts:
     def test_missing_shard_artifact_raises(self, tmp_path, base):
         path = tmp_path / "sharded"
         ShardedIndex(3).build(base).save(path)
-        shutil.rmtree(path / "shard-1")
+        shutil.rmtree(path / "_serve_state.0.1")
         with pytest.raises(SerializationError, match="not a saved index"):
             load_index(path)
 
@@ -132,4 +134,25 @@ class TestManifestMismatch:
         metadata["format_version"] = 99
         (path / "index.json").write_text(json.dumps(metadata))
         with pytest.raises(SerializationError, match="format version"):
+            load_index(path)
+
+    def test_format_version_1_manifest_raises(self, tmp_path, base):
+        # Format 2 keeps no version-1 loader: an old manifest is refused by name.
+        path = save_kmeans(tmp_path, base)
+        metadata = json.loads((path / "index.json").read_text())
+        metadata["format_version"] = 1
+        (path / "index.json").write_text(json.dumps(metadata))
+        with pytest.raises(SerializationError, match="format version 1.*format version 2"):
+            load_index(path)
+
+    def test_a_class_outside_repro_is_never_imported(self, tmp_path, base):
+        # The codec rebuilds repro's own dataclasses only; a manifest naming
+        # any other class is refused before its module is imported.
+        path = tmp_path / "usp"
+        make_index("usp", **SMALL_LEARNED_INDEXES["usp"]).build(base).save(path)
+        metadata = json.loads((path / "index.json").read_text())
+        assert metadata["arguments"]["config"]["__dataclass__"] == "repro.core.config.UspConfig"
+        metadata["arguments"]["config"]["__dataclass__"] = "subprocess.Popen"
+        (path / "index.json").write_text(json.dumps(metadata))
+        with pytest.raises(SerializationError, match="not a repro class"):
             load_index(path)

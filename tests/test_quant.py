@@ -327,27 +327,18 @@ class TestQuantPersistence:
         assert stats["resident_bytes"] == reloaded.resident_bytes()
 
     @pytest.mark.parametrize("backend", sorted(QUANT_BACKENDS))
-    def test_manifest_with_retired_block_knobs_loads_bitwise(self, backend, tmp_path):
-        # Manifests written before the tiled scan carry ``__query_block__``
-        # (and ``row_block`` for sq8); they must load and answer unchanged.
-        rng = np.random.default_rng(8)
-        base = rng.normal(size=(300, 16))
-        queries = rng.normal(size=(6, 16))
-        index = _build(backend, base)
-        ids, distances = index.batch_query(queries, 10)
+    def test_retired_block_knobs_are_refused(self, backend, tmp_path):
+        # The tiled scan has no query or row block: a manifest passing one
+        # names no keyword of the index.
+        index = _build(backend, np.random.default_rng(8).normal(size=(300, 16)))
         index.save(tmp_path / backend)
         manifest_path = tmp_path / backend / "index.json"
         manifest = json.loads(manifest_path.read_text())
-        manifest["config"]["__query_block__"] = 32
-        if backend == "sq8":
-            manifest["config"]["row_block"] = 512
+        assert not {"query_block", "row_block"} & {*manifest["arguments"], *manifest["state"]}
+        manifest["arguments"]["row_block"] = 512
         manifest_path.write_text(json.dumps(manifest))
-        reloaded = load_index(tmp_path / backend)
-        re_ids, re_distances = reloaded.batch_query(queries, 10)
-        np.testing.assert_array_equal(ids, re_ids)
-        np.testing.assert_array_equal(distances, re_distances)
-        assert not hasattr(reloaded, "query_block")
-        assert not hasattr(reloaded, "row_block")
+        with pytest.raises(SerializationError, match="row_block"):
+            load_index(tmp_path / backend)
 
     def test_mismatched_store_is_rejected_at_load(self, tmp_path):
         rng = np.random.default_rng(5)

@@ -33,7 +33,7 @@ from repro.shard import (
     make_partitioner,
 )
 from repro.utils.distances import pairwise_topk
-from repro.utils.exceptions import ConfigurationError, NotFittedError, ValidationError
+from repro.utils.exceptions import ConfigurationError, NotFittedError, SerializationError, ValidationError
 
 
 def clustered_points(seed: int, n: int, dim: int) -> np.ndarray:
@@ -119,33 +119,16 @@ def test_merge_exact_for_every_partitioner(partitioner, shard_dataset):
     np.testing.assert_array_equal(expected, got)
 
 
-def reload_with_legacy_pool_keys(index, path, parallel):
-    """Save ``index``, then reload it from a manifest an older version wrote.
-
-    Older versions had a thread-pool scatter and stored its settings in
-    the manifest config; a freshly saved manifest must carry neither key.
-    """
-    path = index.save(path)
+@pytest.mark.parametrize("parallel", ["serial", "thread", "process"])
+def test_saved_pool_keywords_are_refused(parallel, shard_dataset, tmp_path):
+    """The thread-pool scatter is gone: a manifest passing its settings names no keyword."""
+    path = make_index("sharded-sq8", n_shards=3).build(shard_dataset.base).save(tmp_path / "pool")
     manifest = json.loads((path / "index.json").read_text())
-    assert not {"parallel", "max_workers"} & set(manifest["config"])
-    manifest["config"].update({"parallel": parallel, "max_workers": 3})
+    assert not {"parallel", "max_workers"} & {*manifest["arguments"], *manifest["state"]}
+    manifest["arguments"].update({"parallel": parallel, "max_workers": 3})
     (path / "index.json").write_text(json.dumps(manifest))
-    return load_index(path)
-
-
-@pytest.mark.parametrize("parallel", ["serial", "thread"])
-def test_parallel_modes_build_identical_indexes(parallel, shard_dataset, tmp_path):
-    """A manifest naming either removed mode loads to a fresh build's answers."""
-    saved = make_index("sharded-sq8", n_shards=3).build(shard_dataset.base)
-    reloaded = reload_with_legacy_pool_keys(saved, tmp_path / "legacy", parallel)
-    fresh = make_index("sharded-sq8", n_shards=3).build(shard_dataset.base)
-    expected = fresh.batch_query(shard_dataset.queries, 5)
-    got = reloaded.batch_query(shard_dataset.queries, 5)
-    np.testing.assert_array_equal(expected[0], got[0])
-    np.testing.assert_array_equal(expected[1], got[1])
-    for name in ("parallel", "max_workers", "close"):
-        assert not hasattr(reloaded, name)
-        assert name not in reloaded.stats()
+    with pytest.raises(SerializationError, match="parallel"):
+        load_index(path)
 
 
 def test_every_shard_is_scanned_on_the_calling_thread(shard_dataset):
@@ -215,7 +198,7 @@ def test_configuration_errors(shard_dataset):
     with pytest.raises(ConfigurationError, match="one backend per shard"):
         ShardedIndex(3, spec=["bruteforce"])
     with pytest.raises(ConfigurationError, match="does not support metric"):
-        ShardedIndex(2, spec="ivf-flat", metric="cosine")
+        ShardedIndex(2, spec="hnsw", metric="cosine")
     # the removed pool options are ordinary unknown keywords now
     with pytest.raises(TypeError, match="parallel"):
         ShardedIndex(2, parallel="serial")
@@ -470,19 +453,8 @@ class TestPersistence:
         path = tmp_path / "sharded"
         index.save(path)
         assert (path / "index.json").is_file()
-        for shard in range(3):
-            assert (path / f"shard-{shard}" / "index.json").is_file()
-
-    def test_artifact_saved_with_the_removed_process_mode_loads_as_thread(
-        self, shard_dataset, tmp_path
-    ):
-        index = ShardedIndex(3).build(shard_dataset.base)
-        # "process": what the oldest versions could write
-        reloaded = reload_with_legacy_pool_keys(index, tmp_path / "sharded", "process")
-        expected = index.batch_query(shard_dataset.queries, 5)
-        got = reloaded.batch_query(shard_dataset.queries, 5)
-        np.testing.assert_array_equal(expected[0], got[0])
-        np.testing.assert_array_equal(expected[1], got[1])
+        for shard in range(3):  # each shard of the serving state is a child index
+            assert (path / f"_serve_state.0.{shard}" / "index.json").is_file()
 
     def test_mutations_round_trip_through_save_load(self, shard_dataset, tmp_path):
         """Acceptance: add/remove/compact survive persistence."""
@@ -599,7 +571,7 @@ class TestServingIntegration:
 
         deployment = tmp_path / "deployment"
         router.save(deployment)
-        assert (deployment / "indexes" / "shards" / "shard-0" / "index.json").is_file()
+        assert (deployment / "indexes" / "shards" / "_serve_state.0.0" / "index.json").is_file()
         reloaded = Router.load(deployment)
         assert reloaded.names() == router.names()
         for name in router.names():
