@@ -88,6 +88,9 @@ def main() -> None:
     #    carries the WAL + mutation-pressure gauges operators watch.
     service = SearchService(recovered, cache_size=256)
     service.add(rng.normal(size=(4, 32)))
+    # Those 4 vectors came ahead of their metadata; the store catches up, durably.
+    recovered.set_attributes({"price": rng.uniform(0, 100, size=4), "shop": ["shop-0"] * 4, "labels": [[]] * 4})
+    assert recovered.attributes.n_rows == recovered.index.total_rows
     result = service.search_batch(queries, QueryRequest(k=10, probes=4))
     stats = service.stats()
     print(

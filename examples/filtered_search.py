@@ -61,6 +61,19 @@ def main() -> None:
         print(f"  {label:>10}: strategy={plan.strategy:<10} "
               f"selectivity={plan.selectivity:.3f}")
 
+    # An index with no inline filter (hnsw) answers by post-filtering: it
+    # over-fetches, drops disallowed ids and re-asks the short rows wider.
+    # Predicates also combine with | (Or) and ~ (Not).
+    either = (In("shop", ["shop-1", "shop-2"]) | Eq("labels", "label-0")) & ~Range("price", high=20.0)
+    graph = make_index("hnsw", m=8, ef_construction=32, seed=0).build(data.base[:500])
+    graph.set_attributes(random_attribute_store(500, seed=3))
+    allowed = either.mask(graph.attributes)
+    plan = planner.plan(graph, allowed, 10)
+    h_ids, _ = graph.batch_query(data.queries, k=10, ef=64, filter=either)
+    assert plan.strategy == "postfilter" and all(allowed[i] for row in h_ids for i in row if i >= 0)
+    print(f"hnsw, (shop-1 or shop-2 or label-0) and not under 20 selects {plan.selectivity:.1%}: "
+          f"strategy={plan.strategy}, every id allowed")
+
     # 4. Sharded: the mask is sliced per shard and pushed below the exact
     # global merge, so filtered sharded-bruteforce is bitwise-identical
     # to brute force over the filtered subset.

@@ -15,7 +15,7 @@ The end-to-end network serving story:
    with typed 429s and a ``Retry-After`` estimate, while every accepted
    request still completes — no connection is ever dropped;
 5. read the observability surfaces (``/stats``, Prometheus
-   ``/metrics``) and drain: in-flight work finishes, new work gets 503,
+   ``/metrics``, ``/readyz``) and drain: in-flight work finishes, new work gets 503,
    and the collection is checkpointed on the way down.
 """
 
@@ -29,7 +29,7 @@ import numpy as np
 
 from repro.filter import Eq, Range, random_attribute_store
 from repro.net import SearchServer, ServerConfig, request_json
-from repro.service import QueryRequest, SearchService
+from repro.service import BatchResult, QueryRequest, QueryResult, SearchService
 from repro.shard import ShardedIndex
 from repro.store import Collection
 
@@ -61,9 +61,16 @@ def main() -> None:
         )
         local = service.search_batch(queries, request)
         assert status == 200
-        assert np.array_equal(np.asarray(wire["ids"]), local.ids)
-        assert np.array_equal(np.asarray(wire["distances"]), local.distances)
+        remote = BatchResult.from_dict(wire)  # the client-side decoder of the wire shape
+        assert np.array_equal(remote.ids, local.ids)
+        assert np.array_equal(remote.distances, local.distances)
         print(f"filtered batch over HTTP == in-process ({local.ids.shape})")
+        status, wire = request_json(
+            f"{server.url}/query", method="POST",
+            body={"vector": queries[0].tolist(), "request": request.as_dict()},
+        )
+        one = QueryResult.from_dict(wire)
+        assert status == 200 and np.array_equal(one.ids, local.ids[0])
 
         # 3. Mutations acknowledge only after the WAL fsync.
         new_vectors = rng.normal(size=(32, 24)).astype(np.float32)
@@ -81,6 +88,17 @@ def main() -> None:
         )
         assert status == 200 and ack["count"] == 32
         print(f"added {ack['count']} vectors over HTTP (ids {ack['ids'][0]}..)")
+        # Vectors may arrive ahead of their metadata; the rows follow later.
+        status, late = request_json(
+            f"{server.url}/add", method="POST", body={"vectors": new_vectors[:2].tolist()}
+        )
+        status, _ = request_json(
+            f"{server.url}/extend_attributes",
+            method="POST",
+            body={"rows": {"price": [10.0, 20.0], "shop": ["shop-0", "shop-1"], "labels": [[], ["new"]]}},
+        )
+        assert status == 200 and collection.attributes.n_rows == collection.index.total_rows
+        print(f"added {late['count']} more without metadata, then their attribute rows")
 
         # 4. A burst beyond the waiting room is shed, never dropped.
         results: list[int] = []
@@ -111,6 +129,10 @@ def main() -> None:
         )
         _, metrics = request_json(f"{server.url}/metrics")
         assert "repro_http_requests_total" in metrics
+        # Readiness (what a load balancer polls): 200 while serving, 503 once draining.
+        status, ready = request_json(f"{server.url}/readyz")
+        assert status == 200 and ready["status"] == "ready"
+        print(f"/readyz: {ready['status']}")
 
     # Leaving the context manager drained the server: in-flight work
     # finished, the listener closed, and the collection checkpointed.

@@ -11,22 +11,26 @@ starve the others:
 2. show ACL injection: the same query through two tenants' gateways
    returns disjoint, ACL-respecting id sets, and a user filter is
    AND-ed with the ACL rather than replacing it;
-3. exhaust a quota and read the typed denial, including the
-   refill-derived retry hint;
+3. write through a gateway against the tenant's vector cap, exhaust a
+   query quota and read the typed denial, including the refill-derived
+   retry hint;
 4. run the cross-tenant ``FairScheduler``: a flooding tenant's backlog
    does not delay a neighbour's small burst, and same-shaped queries
    coalesce into single batch calls with bitwise-identical answers;
 5. serve it all over HTTP with the ``X-Tenant`` header — typed 404 for
    unknown tenants, 429 ``quota_exceeded`` distinct from admission
-   sheds, per-tenant ``repro_tenant_*`` series on ``/metrics``.
+   sheds, which a client ``RetryPolicy`` waits out, per-tenant
+   ``repro_tenant_*`` series on ``/metrics``.
 """
 
 from __future__ import annotations
 
+import asyncio
+
 import numpy as np
 
 from repro.filter import AttributeStore, Eq, Range
-from repro.net import SearchServer, ServerConfig, request_json
+from repro.net import AsyncHttpClient, RetryPolicy, SearchServer, ServerConfig, request_json
 from repro.service import SearchService
 from repro.shard import ShardedIndex
 from repro.tenant import TenantConfig, TenantRegistry
@@ -51,7 +55,7 @@ def main() -> None:
     registry.create_tenant(
         "acme",
         "products",
-        TenantConfig(acl=Eq("owner", "acme"), qps=1e6, cache_weight=4.0),
+        TenantConfig(acl=Eq("owner", "acme"), qps=1e6, cache_weight=4.0, max_vectors=16),
     )
     registry.create_tenant(
         "globex",
@@ -72,6 +76,19 @@ def main() -> None:
     # A user filter narrows the tenant's view; it can never widen it.
     narrowed = acme.search(queries[0], k=5, filter=Range("score", high=0.3))
     assert set(narrowed.ids[narrowed.ids >= 0].tolist()) <= acme_rows
+
+    # Writes go through the gateway too: adds count against the tenant's
+    # vector cap, and removes give the room back.
+    def rows(count: int) -> dict:
+        return {"owner": ["acme"] * count, "score": rng.uniform(size=count).tolist()}
+
+    added = acme.add(rng.normal(size=(10, dim)).astype(np.float32), attributes=rows(10))
+    try:
+        acme.add(rng.normal(size=(7, dim)).astype(np.float32), attributes=rows(7))
+        raise AssertionError("the vector cap should refuse 10 + 7 > 16")
+    except QuotaExceededError as denial:
+        print(f"acme added {len(added)} vectors; 7 more refused: resource={denial.resource}")
+    assert acme.remove(added) == len(added) and acme.vectors_used == 0
 
     # 3. Quotas are typed, with a retry hint derived from the refill rate.
     served = 0
@@ -109,6 +126,8 @@ def main() -> None:
     # Coalesced answers are bitwise-identical to per-tenant serial calls.
     assert np.array_equal(flood[0].result().ids, flood[-1].result().ids)
     assert not np.array_equal(flood[0].result().ids, direct.ids[:1])  # ACL'd
+    registry.drop_tenant("initech")  # the stand-in victim leaves, its cache partition with it
+    print(f"tenants now: {registry.tenants()}")
 
     # 5. The same registry on the wire: X-Tenant picks the gateway.
     with SearchServer(tenants=registry, config=ServerConfig(port=0)) as server:
@@ -135,6 +154,16 @@ def main() -> None:
             f"HTTP as globex: 429 quota_exceeded, "
             f"Retry-After {wire['error']['retry_after_seconds']:.2f}s"
         )
+
+        # A client that opts into retries waits out the hint instead.
+        async def patient_globex() -> int:
+            policy = RetryPolicy(max_retries=3, jitter=0.0)
+            async with AsyncHttpClient(server.host, server.port, retry=policy) as client:
+                code, _, _ = await client.request("POST", "/query", body=body, headers={"X-Tenant": "globex"})
+                print(f"HTTP as globex with a RetryPolicy: {code} after {client.retries_total} retry")
+                return code
+
+        assert asyncio.run(patient_globex()) == 200
 
         _, metrics = request_json(f"{server.url}/metrics")
         assert 'repro_tenant_queries_total{tenant="acme"}' in metrics

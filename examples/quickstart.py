@@ -18,7 +18,7 @@ import numpy as np
 
 from repro.api import available_indexes, load_index, make_index
 from repro.core import UspConfig, UspIndex
-from repro.datasets import sift_like
+from repro.datasets import available_datasets, from_fvecs, load_dataset, write_fvecs, write_ivecs
 from repro.eval import candidate_stats, knn_accuracy
 from repro.filter import Eq, Range, random_attribute_store
 from repro.service import QueryRequest, SearchService
@@ -26,9 +26,20 @@ from repro.service import QueryRequest, SearchService
 
 def main() -> None:
     # 1. A SIFT-like benchmark dataset: a synthetic stand-in with SIFT's
-    #    structure (see docs/benchmarks.md).
-    data = sift_like(n_points=5000, n_queries=200, dim=64, n_clusters=12, seed=7)
-    print(f"dataset: {data.name}  base={data.base.shape}  queries={data.queries.shape}")
+    #    structure (see docs/benchmarks.md), one of available_datasets().
+    data = load_dataset("sift-like", n_points=5000, n_queries=200, dim=64, n_clusters=12, seed=7)
+    print(f"dataset: {data.name} (of {', '.join(available_datasets())})  "
+          f"base={data.base.shape}  queries={data.queries.shape}")
+
+    # The real SIFT1M ships as .fvecs (vectors) and .ivecs (ground truth);
+    # from_fvecs reads that format.  Round trip the stand-in through it:
+    with tempfile.TemporaryDirectory() as tmp:
+        write_fvecs(f"{tmp}/base.fvecs", data.base)
+        write_fvecs(f"{tmp}/query.fvecs", data.queries)
+        write_ivecs(f"{tmp}/groundtruth.ivecs", data.ground_truth)
+        on_disk = from_fvecs("sift-like", f"{tmp}/base.fvecs", f"{tmp}/query.fvecs", f"{tmp}/groundtruth.ivecs")
+        assert np.array_equal(on_disk.ground_truth, data.ground_truth)
+        print(f".fvecs/.ivecs round trip: base {on_disk.base.shape}, same ground truth: True")
 
     # 2. Offline phase: train the partition (Algorithm 1).
     config = UspConfig(
@@ -80,14 +91,17 @@ def main() -> None:
     print(f"kmeans via registry: accuracy={knn_accuracy(retrieved, data.ground_truth, 10):.3f}")
 
     # Built indexes survive process restarts: save() writes a directory of
-    # JSON config + npz arrays, load_index() restores an identical index.
+    # JSON config + npz arrays, load_index() restores an identical index,
+    # the trained USP model included.
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "kmeans-index"
-        kmeans.save(path)
-        reloaded = load_index(path)
-        again, _ = reloaded.batch_query(data.queries, k=10, n_probes=2)
-        assert np.array_equal(retrieved, again)
-        print(f"saved to {path.name}, reloaded, identical results: True")
+        for name, built in (("kmeans", kmeans), ("usp", index)):
+            path = Path(tmp) / f"{name}-index"
+            built.save(path)
+            reloaded = load_index(path)
+            before, _ = built.batch_query(data.queries, k=10, n_probes=2)
+            again, _ = reloaded.batch_query(data.queries, k=10, n_probes=2)
+            assert np.array_equal(before, again)
+            print(f"saved to {path.name}, reloaded, identical results: True")
 
     # ------------------------------------------------------------------ #
     # Serving queries

@@ -107,6 +107,14 @@ def main() -> None:
     assert group.reads_follower == 1
     print(f"session read served by the follower, bitwise-equal "
           f"(waits={group.session_waits}, redirects={group.session_redirects})")
+    # The token is plain data a client carries between requests (as JSON
+    # over HTTP); the group's stats hold the primary's and each follower's.
+    session = SessionToken.from_dict(session.as_dict())
+    group.sync_all()
+    stats = group.stats()
+    assert group.max_lag() == 0 and stats["replication"]["primary"]["last_seq"] == session.last_seen_seq
+    print(f"after sync_all: max lag {group.max_lag()}, primary at seq "
+          f"{stats['replication']['primary']['last_seq']}, token at {session.last_seen_seq}")
 
     # 5. Failover: the primary dies; the follower's directory promotes
     # to a writable collection at exactly the acknowledged sequence.

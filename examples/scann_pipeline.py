@@ -8,7 +8,9 @@ touches only a few bins ("USP + ScaNN").
 
 This example builds three pipelines over the same data and codec —
 vanilla ScaNN (no partitioning), K-means + ScaNN, and USP + ScaNN —
-and reports 10-NN accuracy against measured queries/second.
+plus the plain product-quantized scan (``pq-adc``: no partition, no
+anisotropic loss, its re-rank budget as the dial), and reports 10-NN
+accuracy against measured queries/second.
 
 Run with:  python examples/scann_pipeline.py
 """
@@ -16,6 +18,7 @@ Run with:  python examples/scann_pipeline.py
 from __future__ import annotations
 
 from repro.ann import kmeans_scann, usp_scann, vanilla_scann
+from repro.api import make_index
 from repro.core import UspConfig
 from repro.datasets import sift_like
 from repro.eval import format_curves, speedup_at_accuracy, throughput_accuracy_curve
@@ -33,11 +36,12 @@ def main() -> None:
         ).build(data.base),
         "K-means + ScaNN": kmeans_scann(n_bins, **codec).build(data.base),
         "ScaNN (no partition)": vanilla_scann(**codec).build(data.base),
+        "PQ ADC (no partition)": make_index("pq-adc", n_subspaces=8, n_codewords=32, seed=0).build(data.base),
     }
 
     curves = []
     for name, searcher in pipelines.items():
-        probes = [1] if name == "ScaNN (no partition)" else [1, 2, 3, 5, 8]
+        probes = {"ScaNN (no partition)": [1], "PQ ADC (no partition)": [50, 200]}.get(name, [1, 2, 3, 5, 8])
         curves.append(
             throughput_accuracy_curve(searcher, data, k=10, probes=probes, method=name)
         )

@@ -78,7 +78,6 @@ _LAZY_ATTRS = {
     "available_indexes": ("repro.api", "available_indexes"),
     "index_info": ("repro.api", "index_info"),
     "register_index": ("repro.api", "register_index"),
-    "save_index": ("repro.api", "save_index"),
     "load_index": ("repro.api", "load_index"),
     "UspIndex": ("repro.core", "UspIndex"),
     "UspEnsembleIndex": ("repro.core", "UspEnsembleIndex"),
@@ -121,10 +120,6 @@ def __getattr__(name: str):
         module = importlib.import_module(module_name)
         return getattr(module, attr)
     raise AttributeError(f"module 'repro' has no attribute {name!r}")
-
-
-def __dir__():
-    return __all__
 
 
 if TYPE_CHECKING:  # pragma: no cover - typing only

@@ -2,7 +2,7 @@
 
 from .bruteforce import BruteForceIndex
 from .pq import ProductQuantizer
-from .anisotropic import AnisotropicQuantizer, anisotropic_distortion
+from .anisotropic import AnisotropicQuantizer
 from .ivf import IVFFlatIndex, IVFPQIndex
 from .hnsw import HnswIndex
 from .scann import ScannSearcher, kmeans_scann, usp_scann, vanilla_scann
@@ -11,7 +11,6 @@ __all__ = [
     "BruteForceIndex",
     "ProductQuantizer",
     "AnisotropicQuantizer",
-    "anisotropic_distortion",
     "IVFFlatIndex",
     "IVFPQIndex",
     "HnswIndex",

@@ -16,7 +16,7 @@ codeword *assignment* uses the anisotropic distortion, and the codebook
 approximately by averaging (exact for the isotropic part; the anisotropic
 correction primarily changes the assignment boundaries, which is where the
 ranking benefit comes from).  The codebooks have plain PQ's shape, so
-decoding and ADC lookup tables are :class:`ProductQuantizer`'s.
+the ADC lookup tables are :class:`ProductQuantizer`'s.
 """
 
 from __future__ import annotations
@@ -27,22 +27,6 @@ from ..utils.exceptions import ValidationError
 from ..utils.rng import SeedLike
 from ..utils.validation import as_float_matrix, check_positive_int
 from .pq import ProductQuantizer, _squared_distances
-
-
-def anisotropic_distortion(
-    points: np.ndarray, reconstructions: np.ndarray, eta: float
-) -> np.ndarray:
-    """Per-point anisotropic loss between points and their reconstructions."""
-    points = np.atleast_2d(points)
-    reconstructions = np.atleast_2d(reconstructions)
-    residual = points - reconstructions
-    norms = np.linalg.norm(points, axis=1, keepdims=True)
-    directions = np.divide(points, norms, out=np.zeros_like(points), where=norms > 0)
-    parallel_mag = np.einsum("ij,ij->i", residual, directions)
-    parallel_sq = parallel_mag**2
-    total_sq = np.einsum("ij,ij->i", residual, residual)
-    orthogonal_sq = np.maximum(total_sq - parallel_sq, 0.0)
-    return eta * parallel_sq + orthogonal_sq
 
 
 class AnisotropicQuantizer(ProductQuantizer):
@@ -133,9 +117,3 @@ class AnisotropicQuantizer(ProductQuantizer):
         """Quantize points under the anisotropic assignment rule."""
         self._require_fitted()
         return self._assign(as_float_matrix(points), self.codebooks)
-
-    def anisotropic_error(self, points: np.ndarray) -> float:
-        """Mean anisotropic distortion of ``points`` under this codec."""
-        points = as_float_matrix(points)
-        reconstructed = self.decode(self.encode(points))
-        return float(anisotropic_distortion(points, reconstructed, self.eta).mean())

@@ -4,7 +4,7 @@ The sketching substrate for the FAISS-style IVF-PQ baseline: vectors are
 split into ``n_subspaces`` contiguous chunks and each chunk is quantized
 with its own small K-means codebook.  Approximate distances between a query
 and all encoded points are computed with per-subspace lookup tables
-(asymmetric distance computation, ADC).
+(asymmetric distance computation, ADC; :meth:`ProductQuantizer.distance_tables`).
 """
 
 from __future__ import annotations
@@ -108,29 +108,13 @@ class ProductQuantizer:
             codes[:, s] = _squared_distances(self._subvector(points, s), self.codebooks[s]).argmin(axis=1)
         return codes
 
-    def decode(self, codes: np.ndarray) -> np.ndarray:
-        """Reconstruct approximate vectors from codes."""
-        self._require_fitted()
-        codes = np.asarray(codes, dtype=np.int64)
-        parts = [self.codebooks[s][codes[:, s]] for s in range(self.n_subspaces)]
-        return np.concatenate(parts, axis=1)
-
     # ------------------------------------------------------------------ #
-    def distance_table(self, query: np.ndarray) -> np.ndarray:
-        """ADC lookup table: squared distance of the query to every codeword.
-
-        Shape ``(n_subspaces, n_codewords)``; the approximate squared
-        distance to an encoded point is the sum over subspaces of the table
-        entries selected by its codes.  Delegates to the batched
-        :meth:`distance_tables`, so the two are identical by construction.
-        """
-        query = np.asarray(query, dtype=np.float64).reshape(-1)
-        return self.distance_tables(query[None, :])[0]
-
     def distance_tables(self, queries: np.ndarray) -> np.ndarray:
         """Batched ADC lookup tables, one per query row.
 
-        Shape ``(n_queries, n_subspaces, n_codewords)``.  One reshape
+        Shape ``(n_queries, n_subspaces, n_codewords)``: the approximate
+        squared distance to an encoded point is the sum over subspaces of
+        the entries its codes select.  One reshape
         replaces the per-query python loop that re-sliced every subspace:
         queries become a ``(q, n_subspaces, 1, sub_dim)`` view and a
         single einsum contracts the query-to-codeword differences over
@@ -145,15 +129,3 @@ class ProductQuantizer:
         )
         diff = self.codebooks[None, :, :, :] - sub_queries
         return np.einsum("qmks,qmks->qmk", diff, diff)
-
-    def adc_distances(self, query: np.ndarray, codes: np.ndarray) -> np.ndarray:
-        """Approximate squared distances from ``query`` to encoded points."""
-        table = self.distance_table(query)
-        codes = np.asarray(codes, dtype=np.int64)
-        return table[np.arange(self.n_subspaces)[None, :], codes].sum(axis=1)
-
-    def reconstruction_error(self, points: np.ndarray) -> float:
-        """Mean squared reconstruction error over ``points`` (codec quality)."""
-        points = as_float_matrix(points)
-        reconstructed = self.decode(self.encode(points))
-        return float(np.mean(np.sum((points - reconstructed) ** 2, axis=1)))

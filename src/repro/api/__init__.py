@@ -10,7 +10,7 @@ single surface:
 * :func:`make_index` / :func:`available_indexes` — the string-keyed
   registry: ``make_index("usp", n_bins=16)`` works for every index in
   :mod:`repro.core`, :mod:`repro.baselines`, and :mod:`repro.ann`.
-* :func:`save_index` / :func:`load_index` — persistence for every
+* ``index.save(path)`` / :func:`load_index` — persistence for every
   registered index (``.npz`` arrays + JSON config), so a built index
   survives process restarts: the prerequisite for any serving story.
 
@@ -37,7 +37,7 @@ from .registry import (
     make_index,
     register_index,
 )
-from .persistence import PersistentIndexMixin, load_index, save_index
+from .persistence import PersistentIndexMixin, load_index
 
 __all__ = [
     "AnnIndex",
@@ -53,5 +53,4 @@ __all__ = [
     "register_index",
     "PersistentIndexMixin",
     "load_index",
-    "save_index",
 ]

@@ -256,16 +256,6 @@ class _Decoder:
         return model
 
 
-def saved_index_name(path: str | os.PathLike) -> str:
-    """Registry name recorded in a saved index directory."""
-    return str(_read_metadata(Path(path))["name"])
-
-
-def save_index(index, path: str | os.PathLike) -> Path:
-    """Save ``index`` (any registered index) to the directory ``path``."""
-    return index.save(path)
-
-
 def load_index(path: str | os.PathLike):
     """Load any saved index, dispatching on the registry name it recorded.
 

@@ -27,11 +27,6 @@ from .persistence import PersistentIndexMixin
 _PROBE_WARNINGS: set = set()
 
 
-def _reset_probe_warning_registry() -> None:
-    """Forget which capabilities already warned (test isolation hook)."""
-    _PROBE_WARNINGS.clear()
-
-
 @dataclass(frozen=True)
 class IndexCapabilities:
     """What a registered index can do and how to drive it.

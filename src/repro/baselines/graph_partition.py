@@ -6,10 +6,8 @@ part labels as supervision for a classifier.  KaHIP is not available here,
 so this module implements a self-contained balanced partitioner with the
 same contract:
 
-1. **Greedy streaming assignment** (Fennel-style): vertices are visited in
-   a random order and assigned to the part that contains most of their
-   already-assigned neighbours, minus a load penalty that grows with the
-   part's current size.
+1. **Balanced region growing**: parts grow breadth-first from random
+   seed vertices, each capped at its share of the vertices.
 2. **Local refinement** (Kernighan–Lin flavoured): several passes move
    single vertices to the part that reduces the edge cut the most, subject
    to a hard balance constraint.
@@ -65,7 +63,6 @@ def partition_knn_graph(
     *,
     imbalance: float = 0.05,
     refinement_passes: int = 10,
-    method: str = "bfs",
     seed: SeedLike = None,
 ) -> GraphPartitionResult:
     """Partition the k-NN graph given by ``knn_indices`` into balanced parts.
@@ -81,11 +78,8 @@ def partition_knn_graph(
         ``(1 + imbalance) * n / n_parts`` vertices.
     refinement_passes:
         Number of local-move refinement sweeps.
-    method:
-        Initial assignment strategy: ``"bfs"`` (balanced multi-source region
-        growing, default — lowest cut) or ``"fennel"`` (greedy streaming).
     seed:
-        Random seed controlling seeds/streaming order.
+        Random seed controlling the region seeds and the refinement order.
     """
     knn_indices = np.asarray(knn_indices, dtype=np.int64)
     if knn_indices.ndim != 2:
@@ -101,12 +95,7 @@ def partition_knn_graph(
     indptr, neighbors = _build_adjacency(n_vertices, edges)
 
     capacity = int(np.ceil((1.0 + imbalance) * n_vertices / n_parts))
-    if method == "bfs":
-        labels = _region_growing_assignment(indptr, neighbors, n_parts, capacity, rng)
-    elif method == "fennel":
-        labels = _greedy_streaming_assignment(indptr, neighbors, n_parts, capacity, rng)
-    else:
-        raise ValidationError(f"unknown partition method {method!r}")
+    labels = _region_growing_assignment(indptr, neighbors, n_parts, capacity, rng)
     for _ in range(max(0, int(refinement_passes))):
         moved = _refinement_pass(indptr, neighbors, labels, n_parts, capacity, rng)
         if moved == 0:
@@ -174,37 +163,6 @@ def _region_growing_assignment(
         part = int(sizes.argmin())
         labels[vertex] = part
         sizes[part] += 1
-    return labels
-
-
-def _greedy_streaming_assignment(
-    indptr: np.ndarray,
-    neighbors: np.ndarray,
-    n_parts: int,
-    capacity: int,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Fennel-style greedy assignment in random vertex order."""
-    n_vertices = indptr.shape[0] - 1
-    labels = np.full(n_vertices, -1, dtype=np.int64)
-    sizes = np.zeros(n_parts, dtype=np.int64)
-    # Load penalty weight: scaled so that the penalty is comparable to the
-    # typical neighbour gain (a handful of edges).
-    gamma = 1.5 * (indptr[-1] / max(n_vertices, 1)) / max(capacity, 1)
-    order = rng.permutation(n_vertices)
-    for vertex in order:
-        neigh = neighbors[indptr[vertex] : indptr[vertex + 1]]
-        assigned = labels[neigh]
-        assigned = assigned[assigned >= 0]
-        gains = np.zeros(n_parts, dtype=np.float64)
-        if assigned.size:
-            counts = np.bincount(assigned, minlength=n_parts)
-            gains += counts
-        gains -= gamma * sizes
-        gains[sizes >= capacity] = -np.inf
-        best = int(gains.argmax())
-        labels[vertex] = best
-        sizes[best] += 1
     return labels
 
 

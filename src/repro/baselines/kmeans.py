@@ -152,13 +152,6 @@ class KMeans:
             raise NotFittedError("KMeans has not been fitted yet")
         return self.result.labels
 
-    def predict(self, points) -> np.ndarray:
-        """Assign new points to the nearest centroid."""
-        if self.result is None:
-            raise NotFittedError("KMeans has not been fitted yet")
-        points = as_float_matrix(points)
-        return squared_euclidean(points, self.result.centroids).argmin(axis=1)
-
 
 @register_index(
     "kmeans",
@@ -180,7 +173,7 @@ class KMeansIndex(PartitionIndexBase):
     the "K-means + ScaNN" pipeline of Figure 7.
     """
 
-    _fitted = PartitionIndexBase._fitted + ("_kmeans.result", "build_seconds")
+    _fitted = PartitionIndexBase._fitted + ("centroids", "build_seconds")
 
     def __init__(
         self,
@@ -195,6 +188,7 @@ class KMeansIndex(PartitionIndexBase):
         self._kmeans = KMeans(
             n_bins, max_iterations=max_iterations, n_init=n_init, seed=seed
         )
+        self.centroids: Optional[np.ndarray] = None
         self.build_seconds: float = 0.0
 
     def build(self, base: np.ndarray) -> "KMeansIndex":
@@ -202,21 +196,19 @@ class KMeansIndex(PartitionIndexBase):
 
         start = time.perf_counter()
         base = as_float_matrix(base, name="base")
-        self._kmeans.fit(base)
-        self._finalize_build(base, self._kmeans.labels, self._kmeans.n_clusters)
+        # Keep the centroids only: the layout's ids and bounds give every point's cell.
+        result, self._kmeans.result = self._kmeans.fit(base).result, None
+        self.centroids = result.centroids
+        self._finalize_build(base, result.labels, self._kmeans.n_clusters)
         self.build_seconds = time.perf_counter() - start
         return self
 
     def bin_scores(self, queries: np.ndarray) -> np.ndarray:
         """Negative squared distance to each centroid (closer = higher)."""
         self._require_built()
-        return -squared_euclidean(np.atleast_2d(queries), self._kmeans.centroids)
-
-    @property
-    def centroids(self) -> np.ndarray:
-        return self._kmeans.centroids
+        return -squared_euclidean(np.atleast_2d(queries), self.centroids)
 
     def num_parameters(self) -> int:
         """Stored parameters = centroid table (Table 2: m * d)."""
         self._require_built()
-        return int(self._kmeans.centroids.size)
+        return int(self.centroids.size)

@@ -5,8 +5,6 @@ from .spectral import SpectralClustering
 from .metrics import (
     adjusted_rand_index,
     normalized_mutual_information,
-    purity,
-    silhouette_score,
 )
 from .usp_clustering import UspClustering
 
@@ -16,7 +14,5 @@ __all__ = [
     "SpectralClustering",
     "adjusted_rand_index",
     "normalized_mutual_information",
-    "purity",
-    "silhouette_score",
     "UspClustering",
 ]

@@ -73,9 +73,3 @@ class DBSCAN:
         if self.labels_ is None:
             raise NotFittedError("DBSCAN has not been fitted yet")
         return self.labels_
-
-    @property
-    def n_clusters(self) -> int:
-        """Number of clusters found (excluding noise)."""
-        labels = self.labels
-        return int(labels.max() + 1) if (labels >= 0).any() else 0

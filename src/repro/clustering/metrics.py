@@ -1,17 +1,15 @@
 """Clustering quality metrics.
 
 The paper's Table 5 shows clustering results visually; this reproduction
-quantifies the same comparison with standard external metrics (Adjusted
-Rand Index, Normalised Mutual Information, purity) against the generating
-labels of the toy datasets, plus the internal silhouette score.
+quantifies the same comparison with two standard external metrics
+(Adjusted Rand Index, Normalised Mutual Information) against the
+generating labels of the toy datasets.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..utils.distances import squared_euclidean
-from ..utils.exceptions import ValidationError
 from ..utils.validation import check_labels
 
 
@@ -77,37 +75,3 @@ def normalized_mutual_information(labels_true, labels_pred) -> float:
         return 1.0 if mutual_information == 0 else 0.0
     return float(np.clip(mutual_information / normalizer, 0.0, 1.0))
 
-
-def purity(labels_true, labels_pred) -> float:
-    """Fraction of points whose predicted cluster's majority class matches."""
-    labels_true = check_labels(labels_true, name="labels_true")
-    labels_pred = check_labels(labels_pred, len(labels_true), name="labels_pred")
-    table = _contingency(labels_true, labels_pred)
-    return float(table.max(axis=0).sum() / labels_true.shape[0])
-
-
-def silhouette_score(points, labels) -> float:
-    """Mean silhouette coefficient (internal metric, no ground truth needed)."""
-    points = np.asarray(points, dtype=np.float64)
-    labels = check_labels(labels, points.shape[0])
-    unique = np.unique(labels)
-    if unique.size < 2:
-        raise ValidationError("silhouette requires at least two clusters")
-    distances = np.sqrt(squared_euclidean(points, points))
-    scores = np.zeros(points.shape[0], dtype=np.float64)
-    for i in range(points.shape[0]):
-        same = labels == labels[i]
-        same[i] = False
-        if not same.any():
-            scores[i] = 0.0
-            continue
-        a = distances[i, same].mean()
-        b = np.inf
-        for cluster in unique:
-            if cluster == labels[i]:
-                continue
-            mask = labels == cluster
-            if mask.any():
-                b = min(b, distances[i, mask].mean())
-        scores[i] = (b - a) / max(a, b) if max(a, b) > 0 else 0.0
-    return float(scores.mean())

@@ -62,18 +62,8 @@ class UspClustering:
         """Train on ``points`` and return their cluster labels."""
         return self.fit(points).labels
 
-    def predict(self, points) -> np.ndarray:
-        """Assign new points to clusters with the trained model."""
-        if self.index_ is None:
-            raise NotFittedError("UspClustering has not been fitted yet")
-        return self.index_.model.predict_bins(np.asarray(points, dtype=np.float64))
-
     @property
     def labels(self) -> np.ndarray:
         if self.labels_ is None:
             raise NotFittedError("UspClustering has not been fitted yet")
         return self.labels_
-
-    @property
-    def n_clusters(self) -> int:
-        return self.config.n_bins

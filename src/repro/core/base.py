@@ -432,10 +432,6 @@ class PartitionIndexBase(RegisteredIndex):
         self._require_built()
         return self._layout.rows[self._positions if ids is None else self._positions[ids]]
 
-    def num_parameters(self) -> int:
-        """Learnable/stored parameter count (Table 2); overridden by learners."""
-        return 0
-
     # ------------------------------------------------------------------ #
     # online phase (Algorithm 2)
     # ------------------------------------------------------------------ #
@@ -446,13 +442,8 @@ class PartitionIndexBase(RegisteredIndex):
         """
         raise NotImplementedError
 
-    def ranked_bins(self, queries: np.ndarray) -> np.ndarray:
-        """Bins ordered from most to least probable for each query."""
-        scores = self.bin_scores(queries)
-        return np.argsort(-scores, axis=1, kind="stable")
-
     def top_bins(self, queries: np.ndarray, n_probes: int) -> np.ndarray:
-        """``ranked_bins(queries)[:, :n_probes]``, without ranking every bin."""
+        """Each query's ``n_probes`` highest-scoring bins, best first (ties: lower bin first), without ranking every bin."""
         return select(-self.bin_scores(queries), n_probes)
 
     def route(self, queries: np.ndarray, n_probes: int) -> List[Route]:

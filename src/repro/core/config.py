@@ -142,10 +142,3 @@ class HierarchicalConfig:
             raise ConfigurationError("levels must contain at least one branching factor")
         if any(level < 2 for level in self.levels):
             raise ConfigurationError(f"all branching factors must be >= 2, got {self.levels}")
-
-    @property
-    def total_bins(self) -> int:
-        total = 1
-        for level in self.levels:
-            total *= level
-        return total

@@ -219,9 +219,6 @@ class UspEnsembleIndex(BestMemberIndex):
     # ------------------------------------------------------------------ #
     # introspection
     # ------------------------------------------------------------------ #
-    @property
-    def n_models(self) -> int:
-        return len(self.members)
 
     def training_seconds(self) -> float:
         """Total wall-clock training time across members (Table 3)."""

@@ -237,10 +237,6 @@ class HierarchicalUspIndex(PartitionTreeIndex):
         model = self._nodes[node_id]
         return None if model is None else model.predict_proba(queries)
 
-    def depth(self) -> int:
-        """Number of levels in the hierarchy."""
-        return len(self.levels)
-
     def training_seconds(self) -> float:
         """Total wall-clock seconds spent training tree models."""
         return self.training_time

@@ -46,27 +46,9 @@ class KnnMatrix:
     def n_points(self) -> int:
         return int(self.indices.shape[0])
 
-    @property
-    def k_prime(self) -> int:
-        return int(self.indices.shape[1])
-
-    def neighbors_of(self, point_index: int) -> np.ndarray:
-        """Indices of the ``k'`` nearest neighbours of point ``point_index``."""
-        return self.indices[point_index]
-
     def gather(self, point_indices: np.ndarray) -> np.ndarray:
         """Neighbour index rows for a batch of points: ``(batch, k')``."""
         return self.indices[np.asarray(point_indices, dtype=np.int64)]
-
-    def as_graph_edges(self) -> np.ndarray:
-        """Return the directed k'-NN graph as an ``(n * k', 2)`` edge array.
-
-        Used by the Neural LSH baseline, whose first stage partitions this
-        graph with a balanced combinatorial partitioner.
-        """
-        sources = np.repeat(np.arange(self.n_points, dtype=np.int64), self.k_prime)
-        targets = self.indices.reshape(-1)
-        return np.column_stack([sources, targets])
 
 
 #: Candidates a scoring pass keeps beyond ``k'``: the wider the shortlist,

@@ -64,15 +64,6 @@ class TrainingHistory:
     def n_iterations(self) -> int:
         return len(self.total)
 
-    def smoothed_total(self, window: int = 10) -> List[float]:
-        """Moving average of the total loss (for convergence checks)."""
-        if not self.total:
-            return []
-        values = np.asarray(self.total, dtype=np.float64)
-        window = max(1, min(window, len(values)))
-        kernel = np.ones(window) / window
-        return np.convolve(values, kernel, mode="valid").tolist()
-
 
 ProgressCallback = Callable[[int, LossBreakdown], None]
 

@@ -10,18 +10,14 @@ from .synthetic import (
 )
 from .ground_truth import compute_ground_truth
 from .io import (
-    load_bundle,
     read_fvecs,
     read_ivecs,
-    save_bundle,
     write_fvecs,
     write_ivecs,
 )
 from .ann import (
     AnnDataset,
     available_datasets,
-    from_arrays,
-    from_bundle,
     from_fvecs,
     glove_like,
     load_dataset,
@@ -37,16 +33,12 @@ __all__ = [
     "make_gaussian_mixture",
     "make_moons",
     "compute_ground_truth",
-    "load_bundle",
     "read_fvecs",
     "read_ivecs",
-    "save_bundle",
     "write_fvecs",
     "write_ivecs",
     "AnnDataset",
     "available_datasets",
-    "from_arrays",
-    "from_bundle",
     "from_fvecs",
     "glove_like",
     "load_dataset",

@@ -15,15 +15,13 @@ that reproduce the *structural* properties the paper's claims depend on:
   extension experiments / angular metric paths).
 
 Each generator returns an :class:`AnnDataset` with a held-out query set and
-exact ground truth, exactly as the ann-benchmarks HDF5 bundles do.  If real
-``.fvecs``/``.ivecs`` or ``.npz`` files are present on disk they can be
-loaded through :func:`load_dataset` instead.
+exact ground truth, exactly as the ann-benchmarks HDF5 bundles do.  Real
+``.fvecs``/``.ivecs`` files on disk load through :func:`from_fvecs` instead.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Callable, Dict, Optional
 
 import numpy as np
@@ -32,7 +30,7 @@ from ..utils.exceptions import DatasetError
 from ..utils.rng import SeedLike, resolve_rng
 from ..utils.validation import check_positive_int
 from .ground_truth import compute_ground_truth
-from .io import load_bundle, read_fvecs, read_ivecs
+from .io import read_fvecs, read_ivecs
 from .synthetic import make_gaussian_mixture
 
 
@@ -96,27 +94,6 @@ class AnnDataset:
         gt = compute_ground_truth(self.base, self.queries, k, metric=metric)
         self._gt_cache[(k, metric)] = gt
         return gt
-
-    def subset(self, n_points: int, n_queries: Optional[int] = None, *, gt_k: Optional[int] = None) -> "AnnDataset":
-        """Return a smaller dataset using the first ``n_points`` base rows.
-
-        Ground truth is recomputed because dropping base points invalidates
-        the stored neighbour indices.
-        """
-        n_points = min(check_positive_int(n_points, "n_points"), self.n_points)
-        n_queries = self.n_queries if n_queries is None else min(n_queries, self.n_queries)
-        gt_k = self.gt_k if gt_k is None else gt_k
-        base = self.base[:n_points]
-        queries = self.queries[:n_queries]
-        gt = compute_ground_truth(base, queries, min(gt_k, n_points), metric=self.metric)
-        return AnnDataset(
-            name=f"{self.name}-subset{n_points}",
-            base=base,
-            queries=queries,
-            ground_truth=gt,
-            metric=self.metric,
-            extra=dict(self.extra),
-        )
 
 
 def _manifold_embedding(
@@ -255,21 +232,6 @@ def glove_like(
     )
 
 
-def from_arrays(
-    name: str,
-    base: np.ndarray,
-    queries: np.ndarray,
-    *,
-    gt_k: int = 100,
-    metric: str = "euclidean",
-) -> AnnDataset:
-    """Wrap raw arrays as an :class:`AnnDataset`, computing exact ground truth."""
-    base = np.asarray(base, dtype=np.float64)
-    queries = np.asarray(queries, dtype=np.float64)
-    gt = compute_ground_truth(base, queries, min(gt_k, base.shape[0]), metric=metric)
-    return AnnDataset(name=name, base=base, queries=queries, ground_truth=gt, metric=metric)
-
-
 def from_fvecs(
     name: str,
     base_path: str,
@@ -290,20 +252,6 @@ def from_fvecs(
     return AnnDataset(name=name, base=base, queries=queries, ground_truth=gt)
 
 
-def from_bundle(path: str) -> AnnDataset:
-    """Load an ``.npz`` bundle with ``base``, ``queries``, ``ground_truth`` arrays."""
-    arrays = load_bundle(path)
-    missing = {"base", "queries", "ground_truth"} - set(arrays)
-    if missing:
-        raise DatasetError(f"bundle {path} is missing arrays: {sorted(missing)}")
-    return AnnDataset(
-        name=Path(path).stem,
-        base=arrays["base"],
-        queries=arrays["queries"],
-        ground_truth=arrays["ground_truth"],
-    )
-
-
 _REGISTRY: Dict[str, Callable[..., AnnDataset]] = {
     "sift-like": sift_like,
     "mnist-like": mnist_like,
@@ -317,16 +265,7 @@ def available_datasets() -> list[str]:
 
 
 def load_dataset(name: str, **kwargs) -> AnnDataset:
-    """Load a benchmark dataset by name (or an ``.npz``/``.fvecs`` path).
-
-    ``name`` may be one of :func:`available_datasets`, or a filesystem path
-    to a saved ``.npz`` bundle.
-    """
+    """Generate the benchmark dataset ``name``, one of :func:`available_datasets`."""
     if name in _REGISTRY:
         return _REGISTRY[name](**kwargs)
-    path = Path(name)
-    if path.suffix == ".npz" and path.exists():
-        return from_bundle(str(path))
-    raise DatasetError(
-        f"unknown dataset {name!r}; expected one of {available_datasets()} or an .npz path"
-    )
+    raise DatasetError(f"unknown dataset {name!r}; expected one of {available_datasets()}")

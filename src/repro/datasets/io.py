@@ -2,8 +2,7 @@
 
 The SIFT-1M distribution uses ``.fvecs`` (float vectors) and ``.ivecs``
 (integer vectors, used for ground truth).  Each record is a little-endian
-``int32`` dimensionality ``d`` followed by ``d`` values.  A compressed
-``.npz`` bundle format is also provided for saving generated datasets.
+``int32`` dimensionality ``d`` followed by ``d`` values.
 """
 
 from __future__ import annotations
@@ -70,18 +69,3 @@ def write_ivecs(path: str | os.PathLike, vectors: np.ndarray) -> None:
     out[:, 1:] = vectors
     out.tofile(path)
 
-
-def save_bundle(path: str | os.PathLike, **arrays: np.ndarray) -> None:
-    """Save named arrays (base, queries, ground_truth, ...) as one ``.npz``."""
-    if not arrays:
-        raise DatasetError("save_bundle requires at least one array")
-    np.savez_compressed(path, **arrays)
-
-
-def load_bundle(path: str | os.PathLike) -> dict[str, np.ndarray]:
-    """Load an ``.npz`` bundle written by :func:`save_bundle`."""
-    path = Path(path)
-    if not path.exists():
-        raise DatasetError(f"bundle not found: {path}")
-    with np.load(path) as archive:
-        return {key: archive[key] for key in archive.files}

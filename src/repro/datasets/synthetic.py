@@ -33,10 +33,6 @@ class LabeledDataset:
             raise DatasetError("points and labels must have the same length")
 
     @property
-    def n_points(self) -> int:
-        return int(self.points.shape[0])
-
-    @property
     def dim(self) -> int:
         return int(self.points.shape[1])
 

@@ -57,35 +57,6 @@ class ExperimentScale:
     mnist_dim: int = 256
     seed: int = 7
 
-    @staticmethod
-    def small() -> "ExperimentScale":
-        return ExperimentScale()
-
-    @staticmethod
-    def tiny() -> "ExperimentScale":
-        """Unit-test scale: everything finishes in seconds."""
-        return ExperimentScale(
-            sift_points=1200,
-            sift_queries=60,
-            sift_dim=32,
-            sift_clusters=8,
-            mnist_points=800,
-            mnist_queries=40,
-            mnist_dim=64,
-        )
-
-    @staticmethod
-    def paper() -> "ExperimentScale":
-        return ExperimentScale(
-            sift_points=1_000_000,
-            sift_queries=10_000,
-            sift_dim=128,
-            sift_clusters=256,
-            mnist_points=60_000,
-            mnist_queries=10_000,
-            mnist_dim=784,
-        )
-
 
 #: memoized benchmark datasets per (canonical name, scale); cached instances
 #: also accumulate their own per-(k, metric) ground-truth cache across runs
@@ -102,7 +73,7 @@ def benchmark_dataset(
     — and with it the dataset's memoized exact ground truth.  Pass
     ``cached=False`` for a fresh, independent copy.
     """
-    scale = scale or ExperimentScale.small()
+    scale = scale or ExperimentScale()
     if name in ("sift", "sift-like"):
         canonical = "sift-like"
     elif name in ("mnist", "mnist-like"):
@@ -487,7 +458,7 @@ def run_table3(
     256-bin rows are scaled down proportionally to the reduced dataset
     sizes; the reproduced quantity is the *ratio* between rows).
     """
-    scale = scale or ExperimentScale.small()
+    scale = scale or ExperimentScale()
     if configurations is None:
         configurations = [
             {"dataset": "mnist-like", "n_bins": 16},

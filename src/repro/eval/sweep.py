@@ -51,11 +51,6 @@ class SweepCurve:
     def accuracies(self) -> np.ndarray:
         return np.array([p.accuracy for p in self.points])
 
-    def throughputs(self) -> np.ndarray:
-        return np.array(
-            [p.queries_per_second if p.queries_per_second is not None else np.nan for p in self.points]
-        )
-
     def candidate_size_at_accuracy(self, target_accuracy: float) -> float:
         """Smallest candidate size reaching ``target_accuracy`` (interpolated).
 
@@ -76,15 +71,6 @@ class SweepCurve:
                 fraction = (target_accuracy - accs[i - 1]) / (accs[i] - accs[i - 1])
                 return float(sizes[i - 1] + fraction * (sizes[i] - sizes[i - 1]))
         return float("inf")
-
-    def accuracy_at_candidate_size(self, size: float) -> float:
-        """Accuracy reached within a candidate budget of ``size`` points."""
-        sizes = self.candidate_sizes()
-        accs = self.accuracies()
-        mask = sizes <= size
-        if not mask.any():
-            return 0.0
-        return float(accs[mask].max())
 
 
 def resolve_index(index, base: Optional[np.ndarray] = None, params: Optional[dict] = None):
@@ -200,16 +186,6 @@ class FilterSweepPoint:
     recall: float
     queries_per_second: float
     n_allowed: int
-
-    def as_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "selectivity": self.selectivity,
-            "strategy": self.strategy,
-            "recall": self.recall,
-            "queries_per_second": self.queries_per_second,
-            "n_allowed": self.n_allowed,
-        }
 
 
 def _same_store_content(a, b) -> bool:

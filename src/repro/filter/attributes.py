@@ -46,12 +46,6 @@ class _Column:
     def __len__(self) -> int:  # pragma: no cover - abstract
         raise NotImplementedError
 
-    def eq_mask(self, value: Any) -> np.ndarray:
-        raise ValidationError(f"{self.kind} column does not support Eq")
-
-    def in_mask(self, values: Sequence[Any]) -> np.ndarray:
-        raise ValidationError(f"{self.kind} column does not support In")
-
     def range_mask(self, low: Optional[float], high: Optional[float]) -> np.ndarray:
         raise ValidationError(f"{self.kind} column does not support Range")
 
@@ -436,12 +430,6 @@ class AttributeStore:
             else:
                 raise ValidationError(f"unknown attribute column kind {kind!r}")
         return store
-
-    def __repr__(self) -> str:
-        columns = ", ".join(
-            f"{name}:{column.kind}" for name, column in sorted(self._columns.items())
-        )
-        return f"AttributeStore(n_rows={self.n_rows}, columns=[{columns}])"
 
 
 def random_attribute_store(n_rows: int, *, seed: SeedLike = 0) -> AttributeStore:

@@ -149,14 +149,6 @@ class FilterPlan:
     n_allowed: int
     initial_fetch: int = 0
 
-    def as_dict(self) -> Dict[str, Any]:
-        return {
-            "strategy": self.strategy,
-            "selectivity": self.selectivity,
-            "n_allowed": self.n_allowed,
-            "initial_fetch": self.initial_fetch,
-        }
-
 
 @dataclass(frozen=True)
 class FilterPlanner:

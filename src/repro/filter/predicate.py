@@ -112,9 +112,6 @@ class Eq(Predicate):
     def as_dict(self) -> Dict[str, Any]:
         return {"op": "eq", "column": self.column, "value": self.value}
 
-    def __repr__(self) -> str:
-        return f"Eq({self.column!r}, {self.value!r})"
-
 
 class In(Predicate):
     """``column in values`` (for tags columns: "has any of these tags")."""
@@ -139,9 +136,6 @@ class In(Predicate):
 
     def as_dict(self) -> Dict[str, Any]:
         return {"op": "in", "column": self.column, "values": list(self.values)}
-
-    def __repr__(self) -> str:
-        return f"In({self.column!r}, {list(self.values)!r})"
 
 
 class Range(Predicate):
@@ -175,9 +169,6 @@ class Range(Predicate):
 
     def as_dict(self) -> Dict[str, Any]:
         return {"op": "range", "column": self.column, "low": self.low, "high": self.high}
-
-    def __repr__(self) -> str:
-        return f"Range({self.column!r}, low={self.low!r}, high={self.high!r})"
 
 
 def _flatten(op: type, children: Sequence[Predicate]) -> List[Predicate]:
@@ -217,9 +208,6 @@ class And(Predicate):
     def as_dict(self) -> Dict[str, Any]:
         return {"op": "and", "children": [c.as_dict() for c in self.children]}
 
-    def __repr__(self) -> str:
-        return f"And({', '.join(map(repr, self.children))})"
-
 
 class Or(Predicate):
     """At least one child matches."""
@@ -238,9 +226,6 @@ class Or(Predicate):
 
     def as_dict(self) -> Dict[str, Any]:
         return {"op": "or", "children": [c.as_dict() for c in self.children]}
-
-    def __repr__(self) -> str:
-        return f"Or({', '.join(map(repr, self.children))})"
 
 
 class Not(Predicate):
@@ -268,9 +253,6 @@ class Not(Predicate):
 
     def as_dict(self) -> Dict[str, Any]:
         return {"op": "not", "child": self.child.as_dict()}
-
-    def __repr__(self) -> str:
-        return f"Not({self.child!r})"
 
 
 def predicate_from_dict(data: Mapping[str, Any]) -> Predicate:

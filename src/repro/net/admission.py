@@ -67,9 +67,6 @@ class Deadline:
                 stage=stage,
             )
 
-    def __repr__(self) -> str:
-        return f"Deadline(seconds={self.seconds}, remaining={self.remaining})"
-
 
 #: weight of the newest sample in the per-endpoint execution-time EWMA
 EXEC_EWMA_WEIGHT = 0.2
@@ -213,10 +210,3 @@ class AdmissionController:
             return True
         except asyncio.TimeoutError:
             return False
-
-    def __repr__(self) -> str:
-        return (
-            f"AdmissionController(active={self.active}/{self.max_concurrency}, "
-            f"waiting={self.waiting}/{self.queue_limit}, shed={self.shed_total}, "
-            f"draining={self.draining})"
-        )

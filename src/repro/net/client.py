@@ -248,9 +248,6 @@ class AsyncHttpClient:
             parsed = raw.decode("utf-8", errors="replace")
         return status, response_headers, parsed
 
-    async def get(self, path: str, **kwargs) -> Tuple[int, Dict[str, str], Any]:
-        return await self.request("GET", path, **kwargs)
-
     async def post(self, path: str, body: Any, **kwargs) -> Tuple[int, Dict[str, str], Any]:
         return await self.request("POST", path, body=body, **kwargs)
 

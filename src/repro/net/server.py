@@ -289,15 +289,6 @@ class SearchServer:
             self.maintenance.start()
         return self
 
-    async def serve_forever(self) -> None:
-        """``start()`` (if needed) and serve until ``shutdown()``."""
-        if self._asyncio_server is None:
-            await self.start()
-        try:
-            await self._asyncio_server.serve_forever()
-        except asyncio.CancelledError:
-            pass
-
     async def shutdown(self) -> bool:
         """Drain-then-stop; returns True when everything completed cleanly.
 
@@ -909,16 +900,6 @@ class SearchServer:
             ),
             stage_seconds=self.tracer.stage_histograms(),
         )
-
-    def __repr__(self) -> str:
-        if self.router is not None:
-            target = f"router[{', '.join(self.router.names())}]"
-        elif self.service is not None:
-            target = f"service {self.service.name!r}"
-        else:
-            target = f"tenants[{', '.join(self.tenants.tenants())}]"
-        bound = self.url if self.port is not None else "<unbound>"
-        return f"SearchServer({target}, {bound}, {self.admission!r})"
 
 
 def _required_array(body: Dict[str, Any], field: str, *, ndim: int) -> np.ndarray:

@@ -2,20 +2,13 @@
 
 This subpackage replaces PyTorch for the reproduction: it provides exactly
 the pieces the paper's models need — parameters, fully connected layers
-with batch normalisation and dropout, Glorot initialisation, Adam/SGD
-optimisers, gradient clipping and mini-batch sampling.  There is no
+with batch normalisation and dropout, Glorot initialisation, the Adam
+optimiser, gradient clipping and mini-batch sampling.  There is no
 autodiff engine: :func:`repro.core.trainer.loss_and_gradients` computes
 every gradient the library trains with in closed form.
 """
 
-from .init import (
-    get_initializer,
-    glorot_normal,
-    glorot_uniform,
-    he_uniform,
-    ones,
-    zeros,
-)
+from .init import glorot_uniform, ones, zeros
 from .layers import (
     BatchNorm1d,
     Dropout,
@@ -25,15 +18,11 @@ from .layers import (
     ReLU,
     Sequential,
 )
-from .optim import SGD, Adam, Optimizer, clip_grad_norm
-from .data import Batch, EpochBatchIterator, UniformBatchSampler, train_validation_split
-from .serialization import load_module, save_module
+from .optim import Adam, Optimizer, clip_grad_norm
+from .data import Batch, EpochBatchIterator, UniformBatchSampler
 
 __all__ = [
-    "get_initializer",
-    "glorot_normal",
     "glorot_uniform",
-    "he_uniform",
     "ones",
     "zeros",
     "BatchNorm1d",
@@ -43,14 +32,10 @@ __all__ = [
     "Parameter",
     "ReLU",
     "Sequential",
-    "SGD",
     "Adam",
     "Optimizer",
     "clip_grad_norm",
     "Batch",
     "EpochBatchIterator",
     "UniformBatchSampler",
-    "train_validation_split",
-    "load_module",
-    "save_module",
 ]

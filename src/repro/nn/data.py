@@ -9,7 +9,7 @@ are provided.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Tuple
+from typing import Iterator
 
 import numpy as np
 
@@ -23,9 +23,6 @@ class Batch:
 
     indices: np.ndarray
     points: np.ndarray
-
-    def __len__(self) -> int:
-        return int(self.indices.shape[0])
 
 
 class UniformBatchSampler:
@@ -45,48 +42,18 @@ class UniformBatchSampler:
         indices = self._rng.choice(len(self.points), size=self.batch_size, replace=False)
         return Batch(indices=indices, points=self.points[indices])
 
-    def iter_batches(self, n_batches: int) -> Iterator[Batch]:
-        for _ in range(check_positive_int(n_batches, "n_batches")):
-            yield self.sample()
-
 
 class EpochBatchIterator:
     """Iterate the dataset once per epoch in shuffled fixed-size batches."""
 
-    def __init__(self, points, batch_size: int, *, rng: SeedLike = None, drop_last: bool = False) -> None:
+    def __init__(self, points, batch_size: int, *, rng: SeedLike = None) -> None:
         self.points = as_float_matrix(points)
         self.batch_size = min(check_positive_int(batch_size, "batch_size"), len(self.points))
-        self.drop_last = bool(drop_last)
         self._rng = resolve_rng(rng)
 
     def __iter__(self) -> Iterator[Batch]:
         order = self._rng.permutation(len(self.points))
         for start in range(0, len(order), self.batch_size):
             indices = order[start : start + self.batch_size]
-            if self.drop_last and len(indices) < self.batch_size:
-                return
             yield Batch(indices=indices, points=self.points[indices])
 
-    def __len__(self) -> int:
-        n = len(self.points)
-        if self.drop_last:
-            return n // self.batch_size
-        return (n + self.batch_size - 1) // self.batch_size
-
-
-def train_validation_split(
-    points,
-    validation_fraction: float = 0.1,
-    *,
-    rng: SeedLike = None,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Split row indices into train / validation index arrays."""
-    points = as_float_matrix(points)
-    if not 0.0 <= validation_fraction < 1.0:
-        raise ValueError(
-            f"validation_fraction must lie in [0, 1), got {validation_fraction}"
-        )
-    rng = resolve_rng(rng)
-    order = rng.permutation(len(points))
-    n_val = int(round(validation_fraction * len(points)))
-    return order[n_val:], order[:n_val]

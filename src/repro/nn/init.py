@@ -1,8 +1,7 @@
 """Parameter initialisation schemes.
 
 The paper initialises both the neural network and the logistic regression
-model with Glorot (Xavier) initialisation; He initialisation is provided as
-well for completeness.
+model with Glorot (Xavier) initialisation.
 """
 
 from __future__ import annotations
@@ -19,20 +18,6 @@ def glorot_uniform(fan_in: int, fan_out: int, rng: SeedLike = None) -> np.ndarra
     return rng.uniform(-limit, limit, size=(fan_in, fan_out))
 
 
-def glorot_normal(fan_in: int, fan_out: int, rng: SeedLike = None) -> np.ndarray:
-    """Glorot/Xavier normal initialisation for a ``(fan_in, fan_out)`` matrix."""
-    rng = resolve_rng(rng)
-    std = np.sqrt(2.0 / (fan_in + fan_out))
-    return rng.normal(0.0, std, size=(fan_in, fan_out))
-
-
-def he_uniform(fan_in: int, fan_out: int, rng: SeedLike = None) -> np.ndarray:
-    """He (Kaiming) uniform initialisation, suited to ReLU activations."""
-    rng = resolve_rng(rng)
-    limit = np.sqrt(6.0 / fan_in)
-    return rng.uniform(-limit, limit, size=(fan_in, fan_out))
-
-
 def zeros(*shape: int) -> np.ndarray:
     """All-zeros initialisation (used for biases and BatchNorm shift)."""
     return np.zeros(shape, dtype=np.float64)
@@ -42,19 +27,3 @@ def ones(*shape: int) -> np.ndarray:
     """All-ones initialisation (used for BatchNorm scale)."""
     return np.ones(shape, dtype=np.float64)
 
-
-_INITIALIZERS = {
-    "glorot_uniform": glorot_uniform,
-    "glorot_normal": glorot_normal,
-    "he_uniform": he_uniform,
-}
-
-
-def get_initializer(name: str):
-    """Look up a weight initialiser by name."""
-    try:
-        return _INITIALIZERS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown initializer {name!r}; expected one of {sorted(_INITIALIZERS)}"
-        ) from None

@@ -18,7 +18,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 import numpy as np
 
 from ..utils.rng import SeedLike, resolve_rng
-from .init import get_initializer, ones, zeros
+from .init import glorot_uniform, ones, zeros
 
 
 class Parameter:
@@ -42,9 +42,6 @@ class Module:
         self.training = True
 
     # -- registration --------------------------------------------------- #
-    def register_parameter(self, name: str, param: Parameter) -> Parameter:
-        self._parameters[name] = param
-        return param
 
     def register_buffer(self, name: str, value: np.ndarray) -> np.ndarray:
         self._buffers[name] = np.asarray(value, dtype=np.float64)
@@ -141,32 +138,21 @@ class Linear(Module):
         out_features: int,
         *,
         bias: bool = True,
-        init: str = "glorot_uniform",
         rng: SeedLike = None,
     ) -> None:
         super().__init__()
         self.in_features = int(in_features)
         self.out_features = int(out_features)
-        initializer = get_initializer(init)
-        self.weight = Parameter(
-            initializer(self.in_features, self.out_features, resolve_rng(rng)),
-            name="weight",
-        )
+        self.weight = Parameter(glorot_uniform(self.in_features, self.out_features, resolve_rng(rng)), name="weight")
         self.bias: Optional[Parameter]
         if bias:
             self.bias = Parameter(zeros(self.out_features), name="bias")
         else:
             self.bias = None
 
-    def __repr__(self) -> str:
-        return f"Linear({self.in_features}, {self.out_features})"
-
 
 class ReLU(Module):
     """Rectified linear activation."""
-
-    def __repr__(self) -> str:
-        return "ReLU()"
 
 
 class Dropout(Module):
@@ -183,9 +169,6 @@ class Dropout(Module):
         self.p = float(p)
         self._rng = resolve_rng(rng)
 
-    def __repr__(self) -> str:
-        return f"Dropout(p={self.p})"
-
 
 class BatchNorm1d(Module):
     """Batch normalisation over the feature dimension of a 2-D input."""
@@ -200,9 +183,6 @@ class BatchNorm1d(Module):
         self.register_buffer("running_mean", zeros(self.num_features))
         self.register_buffer("running_var", ones(self.num_features))
 
-    def __repr__(self) -> str:
-        return f"BatchNorm1d({self.num_features})"
-
 
 class Sequential(Module):
     """An ordered list of child modules."""
@@ -215,12 +195,6 @@ class Sequential(Module):
             self.add_module(name, module)
             self._order.append(name)
 
-    def append(self, module: Module) -> "Sequential":
-        name = str(len(self._order))
-        self.add_module(name, module)
-        self._order.append(name)
-        return self
-
     def __iter__(self) -> Iterator[Module]:
         return iter(self._modules[name] for name in self._order)
 
@@ -229,7 +203,3 @@ class Sequential(Module):
 
     def __getitem__(self, index: int) -> Module:
         return self._modules[self._order[index]]
-
-    def __repr__(self) -> str:
-        inner = ", ".join(repr(self._modules[name]) for name in self._order)
-        return f"Sequential({inner})"

@@ -14,8 +14,7 @@ The single home for the telemetry every layer shares:
   span trees.
 * :mod:`repro.obs.metrics` — the histogram/Prometheus primitives
   (``repro.net.metrics`` imports the ones the server's ``/metrics`` page
-  needs, the emitters under private aliases, and exports none), and
-  :func:`lint_prometheus_text` enforcing the exposition-format contract.
+  needs, the emitters under private aliases, and exports none).
 """
 
 from .metrics import (
@@ -29,7 +28,6 @@ from .metrics import (
     escape_label_value,
     format_labels,
     format_value,
-    lint_prometheus_text,
 )
 from .store import SlowQueryLog, TraceStore
 from .trace import (
@@ -63,7 +61,6 @@ __all__ = [
     "escape_label_value",
     "format_labels",
     "format_value",
-    "lint_prometheus_text",
     "SlowQueryLog",
     "TraceStore",
     "NOOP_SPAN",

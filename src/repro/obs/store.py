@@ -83,10 +83,6 @@ class TraceStore:
                 handle.write(json.dumps(payload, sort_keys=True) + "\n")
         return len(payloads)
 
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._traces)
-
     def stats(self) -> Dict[str, Any]:
         with self._lock:
             return {
@@ -128,13 +124,6 @@ class SlowQueryLog:
         if n is not None:
             ordered = ordered[: max(int(n), 0)]
         return [payload for _, _, payload in ordered]
-
-    def threshold(self) -> float:
-        """Duration a new trace must beat to enter a full log (else 0)."""
-        with self._lock:
-            if len(self._heap) < self.size:
-                return 0.0
-            return self._heap[0][0]
 
     def __len__(self) -> int:
         with self._lock:

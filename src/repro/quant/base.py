@@ -45,7 +45,7 @@ import numpy as np
 from ..api.protocol import RegisteredIndex
 from ..core.base import rerank_candidates
 from ..obs.trace import span
-from ..utils.distances import iter_blocks
+from ..utils.distances import iter_blocks, unit_rows
 from ..utils.exceptions import (
     ConfigurationError,
     NotFittedError,
@@ -67,12 +67,6 @@ SCAN_TILE = 1 << 21
 def tile_rows(row_cost: int) -> int:
     """Rows per scan tile when one row costs ``row_cost`` float32 elements."""
     return max(1, SCAN_TILE // max(1, row_cost))
-
-
-def _normalize_rows(matrix: np.ndarray) -> np.ndarray:
-    """L2-normalise rows (zero rows pass through unscaled)."""
-    norms = np.linalg.norm(matrix, axis=1, keepdims=True)
-    return matrix / np.where(norms == 0.0, 1.0, norms)
 
 
 def _query_score_keys(owner: np.ndarray, scores: np.ndarray) -> np.ndarray:
@@ -199,7 +193,7 @@ class QuantizedIndexBase(RegisteredIndex):
         stored vectors.
         """
         if self.metric == "cosine":
-            return _normalize_rows(points)
+            return unit_rows(points)
         return points
 
     # ------------------------------------------------------------------ #
@@ -223,11 +217,6 @@ class QuantizedIndexBase(RegisteredIndex):
         self._require_built()
         return int(self._dim)
 
-    @property
-    def vector_store(self) -> Optional[VectorStore]:
-        """The memmapped re-rank store (``None`` while vectors are resident)."""
-        return self._store
-
     def resident_bytes(self) -> int:
         """Bytes of numpy state held in RAM by the serving path.
 
@@ -247,10 +236,6 @@ class QuantizedIndexBase(RegisteredIndex):
                         total += int(item.nbytes)
         total += self._codec_resident_bytes()
         return total
-
-    def _codec_resident_bytes(self) -> int:
-        """Resident bytes held behind codec objects (subclass hook)."""
-        return 0
 
     # ------------------------------------------------------------------ #
     # two-stage online phase

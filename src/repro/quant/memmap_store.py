@@ -159,14 +159,6 @@ class VectorStore:
         return int(self._vectors.shape[0])
 
     @property
-    def dim(self) -> int:
-        return int(self._vectors.shape[1])
-
-    @property
-    def dtype(self) -> np.dtype:
-        return self._vectors.dtype
-
-    @property
     def file_bytes(self) -> int:
         """On-disk (mapped, not resident) size of the vector file."""
         try:
@@ -181,9 +173,3 @@ class VectorStore:
 
     def __len__(self) -> int:
         return self.n_rows
-
-    def __repr__(self) -> str:
-        return (
-            f"VectorStore(path={str(self.path)!r}, shape={self.shape}, "
-            f"dtype={self._vectors.dtype})"
-        )

@@ -27,9 +27,8 @@ hundreds of queries and thousands of rows, so BLAS runs large,
 well-shaped products instead of many thin ones.
 
 NumPy ships no integer GEMM, so the serving kernel accumulates in
-float32; :meth:`Sq8Index.int32_dot` is the pure-integer reference — the
-same cross term accumulated in ``int32`` on the code grid — that the
-test-suite pins the kernel against.
+float32; the test suite pins it against a pure-integer reference, the
+same cross term accumulated in ``int32`` on the code grid.
 """
 
 from __future__ import annotations
@@ -44,7 +43,6 @@ import numpy as np
 from ..api.protocol import IndexCapabilities
 from ..api.registry import register_index
 from ..utils.distances import iter_blocks
-from ..utils.validation import as_query_matrix
 from .base import QuantizedIndexBase, tile_rows
 
 #: Queries from which a tile folds ``||x̂||²`` into its SGEMM.  Paired
@@ -143,9 +141,6 @@ class Sq8Codec:
     def encode(self, points: np.ndarray) -> np.ndarray:
         codes = np.rint((points - self.offset) / self.scale)
         return np.clip(codes, 0, 255).astype(np.uint8)
-
-    def decode(self, codes: np.ndarray) -> np.ndarray:
-        return codes.astype(np.float64) * self.scale + self.offset
 
 
 @register_index(
@@ -256,32 +251,6 @@ class Sq8Index(QuantizedIndexBase):
         scores = encoded_queries @ codes.astype(np.float32).T
         scores += self._code_norms[rows]
         return scores
-
-    # ------------------------------------------------------------------ #
-    # integer reference kernel
-    # ------------------------------------------------------------------ #
-    def quantize_queries(self, queries: np.ndarray) -> np.ndarray:
-        """Quantize queries onto the codec's own uint8 grid."""
-        self._require_built()
-        queries = as_query_matrix(np.atleast_2d(queries), self.dim)
-        return self._codec.encode(self._encode_input(queries))
-
-    def int32_dot(self, query: np.ndarray) -> np.ndarray:
-        """Cross term ``q8 · codes`` accumulated in int32 on the code grid.
-
-        The pure-integer reference for the float32 SGEMM kernel: both
-        operands are uint8 (≤ 255), so every partial product fits int32
-        and the per-row sum stays exact for any dim ≤ 2^31 / 255² ≈ 33k.
-        Exposed for tests and kernel validation, not the serving path —
-        NumPy has no integer GEMM, so this accumulates via einsum.
-        """
-        q8 = self.quantize_queries(query)[0].astype(np.int32)
-        n = self._codes.shape[0]
-        out = np.empty(n, dtype=np.int32)
-        for start, stop in iter_blocks(n, self._tile_rows(1)):
-            block = self._codes[start:stop].astype(np.int32)
-            np.einsum("nd,d->n", block, q8, out=out[start:stop])
-        return out
 
     # ------------------------------------------------------------------ #
     # persistence / introspection

@@ -284,9 +284,3 @@ class ReplicationLoop:
 
     def __exit__(self, *exc_info) -> None:
         self.stop()
-
-    def __repr__(self) -> str:
-        return (
-            f"ReplicationLoop(follower={self.follower.name!r}, "
-            f"interval={self.interval_seconds}, syncs={self.syncs})"
-        )

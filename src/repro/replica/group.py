@@ -61,9 +61,6 @@ class SessionToken:
     def from_dict(cls, data: Mapping[str, Any]) -> "SessionToken":
         return cls(int(data.get("last_seen_seq", 0)))
 
-    def __repr__(self) -> str:
-        return f"SessionToken(last_seen_seq={self.last_seen_seq})"
-
 
 class ReplicaGroup(Service):
     """One primary + N followers behind a single service-shaped front.
@@ -267,9 +264,3 @@ class ReplicaGroup(Service):
 
     def service_config(self) -> Dict[str, Any]:
         return self._primary_service.service_config()
-
-    def __repr__(self) -> str:
-        return (
-            f"ReplicaGroup(name={self.name!r}, followers={len(self.followers)}, "
-            f"last_seq={self.primary.last_seq})"
-        )

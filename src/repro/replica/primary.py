@@ -111,9 +111,3 @@ class Primary:
             "generation": self.generation,
             **counters,
         }
-
-    def __repr__(self) -> str:
-        return (
-            f"Primary(name={self.name!r}, last_seq={self.last_seq}, "
-            f"shipped={self.records_shipped})"
-        )

@@ -100,6 +100,3 @@ class HttpReplicationSource:
             f"replication {what} against {self.url} failed: "
             f"HTTP {status} {code or '<no code>'}: {message}"
         )
-
-    def __repr__(self) -> str:
-        return f"HttpReplicationSource({self.url!r})"

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import threading
 from collections import deque
-from typing import Any, Deque, Dict, Optional
+from typing import Any, Deque, Dict
 
 import numpy as np
 
@@ -42,23 +42,6 @@ class ServiceMetrics:
         with self._lock:
             self.recall_sum += float(recall) * int(n_queries)
             self.recall_queries += int(n_queries)
-
-    def reset(self) -> None:
-        with self._lock:
-            self._latencies.clear()
-            self.queries = 0
-            self.batches = 0
-            self.cache_hits = 0
-            self.query_seconds = 0.0
-            self.recall_sum = 0.0
-            self.recall_queries = 0
-
-    @property
-    def mean_recall(self) -> Optional[float]:
-        with self._lock:
-            if not self.recall_queries:
-                return None
-            return self.recall_sum / self.recall_queries
 
     def snapshot(self) -> Dict[str, Any]:
         with self._lock:

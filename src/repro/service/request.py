@@ -249,10 +249,6 @@ class QueryResult:
     def k(self) -> int:
         return int(self.ids.shape[-1])
 
-    @property
-    def metadata(self) -> Mapping[str, Any]:
-        return self.request.metadata
-
     def as_dict(self) -> Dict[str, Any]:
         """Complete JSON-able form — the wire layer ships this verbatim."""
         return {
@@ -294,9 +290,6 @@ class BatchResult:
     @property
     def queries_per_second(self) -> float:
         return self.n_queries / max(self.elapsed_seconds, 1e-9)
-
-    def __len__(self) -> int:
-        return self.n_queries
 
     def __iter__(self) -> Iterator[QueryResult]:
         """Per-query views (latency is the batch average)."""
@@ -368,10 +361,9 @@ class Service(Protocol):
     * ``batch_size`` — the rows one ``search_batch`` call should carry
       (the HTTP layer checks deadlines between such chunks).
 
-    Implementers write :meth:`search_batch`; :meth:`search` is defined
-    here once, as its one-row case, and :meth:`resolve_request` /
-    :meth:`cache_tag` have defaults for targets without a default
-    request or a freshness tag.
+    Implementers write :meth:`search_batch` and :meth:`resolve_request`;
+    :meth:`search` is defined here once, as its one-row case, and
+    :meth:`cache_tag` defaults to no freshness tag.
     """
 
     name: str
@@ -412,8 +404,6 @@ class Service(Protocol):
         self, request: Optional[QueryRequest] = None, **overrides
     ) -> QueryRequest:
         """``request`` (or the target's default one) with ``overrides`` applied."""
-        merged = request if request is not None else QueryRequest()
-        return merged.with_updates(**overrides) if overrides else merged
 
     def cache_tag(self) -> Optional[tuple]:
         """Identity of the data a cached answer was computed from.

@@ -27,6 +27,7 @@ from typing import Any, Dict, List, Optional
 import numpy as np
 
 from ..api.persistence import load_index
+from ..store.collection import Collection
 from ..utils.exceptions import ConfigurationError, SerializationError, ValidationError
 from .request import BatchResult, QueryRequest, Service
 from .service import SearchService
@@ -75,24 +76,6 @@ class Router:
         service = SearchService(index, name=name, **service_kwargs)
         return self.add_service(name, service)
 
-    def add_collection(self, name: str, collection, **service_kwargs) -> SearchService:
-        """Serve a durable :class:`repro.store.Collection` under ``name``.
-
-        ``collection`` is an open collection or a path to one (recovered
-        through :meth:`Collection.open`).  The service's mutation
-        endpoints then journal through the collection's write-ahead log.
-        """
-        from ..store.collection import Collection
-
-        if not isinstance(collection, Collection):
-            collection = Collection.open(collection)
-        service = SearchService(collection, name=name, **service_kwargs)
-        return self.add_service(name, service)
-
-    def remove(self, name: str) -> None:
-        with self._lock:
-            self._services.pop(name, None)
-
     # ------------------------------------------------------------------ #
     # lookup / dispatch
     # ------------------------------------------------------------------ #
@@ -109,14 +92,6 @@ class Router:
                 raise ConfigurationError(
                     f"no service named {name!r}; registered services: {known}"
                 ) from None
-
-    def __contains__(self, name: str) -> bool:
-        with self._lock:
-            return name in self._services
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._services)
 
     def route(
         self,
@@ -305,7 +280,7 @@ class Router:
             )
             collection_path = config.get("collection_path")
             if collection_path is not None:
-                router.add_collection(name, collection_path, **service_kwargs)
+                router.add_service(name, SearchService(Collection.open(collection_path), name=name, **service_kwargs))
             else:
                 router.add_index(name, load_index(path / INDEXES_DIR / name), **service_kwargs)
         return router

@@ -33,10 +33,9 @@ from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 
-from ..api.persistence import load_index
 from ..obs.trace import span
 from ..api.protocol import IndexCapabilities
-from ..store.collection import Collection, is_collection_dir
+from ..store.collection import Collection
 from ..utils.exceptions import ValidationError
 from ..utils.validation import as_query_matrix
 from .cache import QueryCache, read_through
@@ -104,18 +103,6 @@ class SearchService(Service):
     # ------------------------------------------------------------------ #
     # construction helpers
     # ------------------------------------------------------------------ #
-    @classmethod
-    def from_saved(cls, path, **kwargs) -> "SearchService":
-        """Serve a saved index directory — or a durable collection.
-
-        A plain index artifact (PR 1 persistence) is loaded read-only; a
-        :class:`repro.store.Collection` directory is recovered through
-        :meth:`Collection.open` (snapshot + WAL replay) and served with
-        durable mutation endpoints.
-        """
-        if is_collection_dir(path):
-            return cls(Collection.open(path), **kwargs)
-        return cls(load_index(path), **kwargs)
 
     @property
     def capabilities(self) -> IndexCapabilities:
@@ -278,12 +265,6 @@ class SearchService(Service):
         any either.  A served :class:`~repro.store.Collection` stays open:
         whoever created it closes it.
         """
-
-    def __enter__(self) -> "SearchService":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
 
     # ------------------------------------------------------------------ #
     # public serving surface (search() is the one-row case, from Service)
@@ -471,9 +452,6 @@ class SearchService(Service):
                 stats["index"] = {"class": type(self.index).__name__}
             return stats
 
-    def reset_stats(self) -> None:
-        self.metrics.reset()
-
     def service_config(self) -> Dict[str, Any]:
         """JSON-able construction parameters (used by router save/restore)."""
         return {
@@ -481,9 +459,3 @@ class SearchService(Service):
             "cache_size": self.cache.max_entries if self.cache is not None else 0,
             "default_request": self.default_request.as_dict(),
         }
-
-    def __repr__(self) -> str:
-        return (
-            f"SearchService(name={self.name!r}, index={type(self.index).__name__}, "
-            f"batch_size={self.batch_size})"
-        )

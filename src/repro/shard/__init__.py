@@ -7,9 +7,9 @@ backends allowed):
   with an exact global top-k merge, post-build ``add`` / ``remove`` /
   ``compact`` mutation, and persistence as a directory of shard
   artifacts plus a manifest;
-* :class:`Partitioner` strategies — :class:`RoundRobinPartitioner`,
-  :class:`ContiguousPartitioner`, :class:`KMeansRoutePartitioner` —
-  assigning base vectors to shards and routing later additions.
+* :class:`Partitioner` strategies — :class:`RoundRobinPartitioner` and
+  :class:`KMeansRoutePartitioner` — assigning base vectors to shards and
+  routing later additions.
 
 Registered under ``sharded`` (plus the ``sharded-bruteforce`` /
 ``sharded-sq8`` configurations), so the usual surface applies end to
@@ -22,21 +22,17 @@ end::
 """
 
 from .partitioner import (
-    ContiguousPartitioner,
     KMeansRoutePartitioner,
     Partitioner,
     RoundRobinPartitioner,
-    available_partitioners,
     make_partitioner,
 )
 from .sharded import ShardedIndex
 
 __all__ = [
-    "ContiguousPartitioner",
     "KMeansRoutePartitioner",
     "Partitioner",
     "RoundRobinPartitioner",
-    "available_partitioners",
     "make_partitioner",
     "ShardedIndex",
 ]

@@ -8,18 +8,18 @@ A :class:`Partitioner` answers two questions for a
 * ``route(vectors, n_shards, shard_sizes)`` — which shard should a vector
   added *after* the build land in when the deployment next compacts?
 
-``round-robin`` and ``contiguous`` are data-independent (uniform load,
-zero training cost); ``kmeans`` clusters the base so each shard holds a
-spatially coherent region — queries then concentrate their true
-neighbours in few shards, which is the locality that distributed designs
-like SafarDB exploit.  All three are dataclasses of what they learn, so
-they save inside the sharded index's manifest like any other value.
+``round-robin`` is data-independent (uniform load, zero training cost);
+``kmeans`` clusters the base so each shard holds a spatially coherent
+region — queries then concentrate their true neighbours in few shards,
+which is the locality that distributed designs like SafarDB exploit.
+Both are dataclasses of what they learn, so they save inside the
+sharded index's manifest like any other value.
 """
 
 from __future__ import annotations
 
 from dataclasses import KW_ONLY, dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -72,40 +72,6 @@ class RoundRobinPartitioner(Partitioner):
         return labels
 
 
-@dataclass
-class ContiguousPartitioner(Partitioner):
-    """Split the base into ``n_shards`` contiguous row ranges.
-
-    Preserves any locality already present in the ingest order (time
-    ranges, pre-sorted keys).  Additions are routed to the currently
-    smallest shard to keep the load even.
-    """
-
-    name = "contiguous"
-
-    def partition(self, base: np.ndarray, n_shards: int) -> np.ndarray:
-        n = as_float_matrix(base, name="base").shape[0]
-        labels = np.empty(n, dtype=np.int64)
-        bounds = np.linspace(0, n, n_shards + 1).astype(np.int64)
-        for shard in range(n_shards):
-            labels[bounds[shard] : bounds[shard + 1]] = shard
-        return labels
-
-    def route(self, vectors, n_shards, shard_sizes=None) -> np.ndarray:
-        n = np.atleast_2d(np.asarray(vectors)).shape[0]
-        sizes = (
-            np.zeros(n_shards, dtype=np.int64)
-            if shard_sizes is None
-            else np.asarray(shard_sizes, dtype=np.int64).copy()
-        )
-        labels = np.empty(n, dtype=np.int64)
-        for row in range(n):
-            shard = int(np.argmin(sizes))
-            labels[row] = shard
-            sizes[shard] += 1
-        return labels
-
-
 @dataclass(eq=False)
 class KMeansRoutePartitioner(Partitioner):
     """Cluster the base with K-means; route every vector to its nearest centroid.
@@ -147,13 +113,8 @@ class KMeansRoutePartitioner(Partitioner):
 
 _PARTITIONERS: Dict[str, type] = {
     RoundRobinPartitioner.name: RoundRobinPartitioner,
-    ContiguousPartitioner.name: ContiguousPartitioner,
     KMeansRoutePartitioner.name: KMeansRoutePartitioner,
 }
-
-
-def available_partitioners() -> Tuple[str, ...]:
-    return tuple(sorted(_PARTITIONERS))
 
 
 def make_partitioner(spec, **params) -> Partitioner:
@@ -167,7 +128,7 @@ def make_partitioner(spec, **params) -> Partitioner:
     try:
         cls = _PARTITIONERS[str(spec)]
     except KeyError:
-        known = ", ".join(available_partitioners())
+        known = ", ".join(sorted(_PARTITIONERS))
         raise ConfigurationError(
             f"unknown partitioner {spec!r}; available partitioners: {known}"
         ) from None

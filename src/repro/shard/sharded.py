@@ -99,7 +99,7 @@ class ShardedIndex(RegisteredIndex):
         Construction parameters for the shard factories: one mapping
         applied to every shard, or a sequence of ``n_shards`` mappings.
     partitioner:
-        ``"round-robin"`` / ``"contiguous"`` / ``"kmeans"`` (or a
+        ``"round-robin"`` / ``"kmeans"`` (or a
         :class:`~repro.shard.Partitioner` instance) assigning base
         vectors to shards and routing later additions.
     metric:
@@ -203,11 +203,6 @@ class ShardedIndex(RegisteredIndex):
                     f"shard backend {name!r} does not support metric "
                     f"{child_metric!r} (supported: {capabilities.metrics})"
                 )
-
-    @property
-    def shard_specs(self) -> List[Tuple[str, Dict[str, Any]]]:
-        """(registry name, params) per shard, as configured."""
-        return [(name, dict(params)) for name, params in self._specs]
 
     # ------------------------------------------------------------------ #
     # offline phase
@@ -683,13 +678,6 @@ class ShardedIndex(RegisteredIndex):
             }
         )
         return stats
-
-    def __repr__(self) -> str:
-        backends = sorted({name for name, _ in self._specs})
-        return (
-            f"ShardedIndex(n_shards={self.n_shards}, spec={'/'.join(backends)}, "
-            f"partitioner={self.partitioner.name!r}, built={self.is_built})"
-        )
 
 
 def _register_config(name: str, description: str, **defaults) -> None:

@@ -253,18 +253,9 @@ class Collection:
                 self._wal.close()
                 self._wal = None
 
-    def __enter__(self) -> "Collection":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
     # ------------------------------------------------------------------ #
     # gauges
     # ------------------------------------------------------------------ #
-    @property
-    def is_built(self) -> bool:
-        return self.index.is_built
 
     @property
     def last_seq(self) -> int:

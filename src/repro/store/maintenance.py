@@ -160,16 +160,3 @@ class MaintenanceLoop:
         if self._thread is not None:
             self._thread.join(timeout=30.0)
             self._thread = None
-
-    def __enter__(self) -> "MaintenanceLoop":
-        return self.start()
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()
-
-    def __repr__(self) -> str:
-        return (
-            f"MaintenanceLoop(collection={self.collection.name!r}, "
-            f"checkpoint_ops={self.checkpoint_ops}, "
-            f"compact_pressure={self.compact_pressure}, runs={self.runs})"
-        )

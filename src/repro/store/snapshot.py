@@ -14,7 +14,7 @@ attribute store) written through the PR-1 persistence format — plus a
       generations/
         gen-0000000003/
           snapshot.json          -- generation, last_seq, op/byte counters
-          index/                 -- save_index() artifact (attributes ride along)
+          index/                 -- the index's save() directory (attributes ride along)
 
 The checkpoint discipline is **write-new → fsync → rename → truncate**:
 the new generation directory is written completely and fsynced *before*

@@ -273,18 +273,6 @@ class WriteAheadLog:
                 os.fsync(self._handle.fileno())
             self._handle.close()
 
-    def __enter__(self) -> "WriteAheadLog":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    def __repr__(self) -> str:
-        return (
-            f"WriteAheadLog(path={str(self.path)!r}, sync={self.sync!r}, "
-            f"n_records={self.n_records})"
-        )
-
 
 # Public aliases: the replication wire format (repro.replica.wire) ships
 # WAL records as exactly these payload bytes, so a record is covered by

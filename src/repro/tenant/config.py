@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
-from ..filter.predicate import Predicate, predicate_from_dict
+from ..filter.predicate import Predicate
 from ..utils.exceptions import ValidationError
 
 
@@ -84,27 +84,3 @@ class TenantConfig:
         if self.extra:
             payload["extra"] = dict(self.extra)
         return payload
-
-    @classmethod
-    def from_dict(cls, payload: Dict[str, Any]) -> "TenantConfig":
-        if not isinstance(payload, dict):
-            raise ValidationError("TenantConfig payload must be a dict")
-        data = dict(payload)
-        acl = data.pop("acl", None)
-        if acl is not None and not isinstance(acl, Predicate):
-            acl = predicate_from_dict(acl)
-        known = {
-            "max_vectors",
-            "qps",
-            "qps_burst",
-            "write_ops",
-            "write_burst",
-            "cache_weight",
-            "extra",
-        }
-        unknown = set(data) - known
-        if unknown:
-            raise ValidationError(
-                f"TenantConfig got unknown keys: {sorted(unknown)}"
-            )
-        return cls(acl=acl, **data)

@@ -317,9 +317,3 @@ class TenantGateway(Service):
             **self.config.as_dict(),
         }
         return config
-
-    def __repr__(self) -> str:
-        return (
-            f"TenantGateway({self.name!r}, namespace={self.namespace!r}, "
-            f"acl={'set' if self.config.acl is not None else 'none'})"
-        )

@@ -101,9 +101,3 @@ class TokenBucket:
                 "granted": self.granted,
                 "denied": self.denied,
             }
-
-    def __repr__(self) -> str:
-        return (
-            f"TokenBucket(rate={self.rate:g}/s, burst={self.burst:g}, "
-            f"tokens={self.tokens:.2f})"
-        )

@@ -165,10 +165,6 @@ class TenantRegistry:
         with self._lock:
             return sorted(self._tenants)
 
-    def __contains__(self, name: str) -> bool:
-        with self._lock:
-            return name in self._tenants
-
     def __len__(self) -> int:
         with self._lock:
             return len(self._tenants)
@@ -197,9 +193,3 @@ class TenantRegistry:
         if self.budget is not None:
             payload["cache_budget"] = self.budget.stats()
         return payload
-
-    def __repr__(self) -> str:
-        return (
-            f"TenantRegistry({len(self)} tenant(s), "
-            f"{len(self.namespaces())} namespace(s))"
-        )

@@ -28,7 +28,7 @@ import threading
 from collections import OrderedDict, deque
 from concurrent.futures import Future
 from time import perf_counter
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Deque, Dict, List, Optional
 
 import numpy as np
 
@@ -85,9 +85,6 @@ class FairScheduler:
         self.coalesced_calls = 0
         self.executed_calls = 0
         self._lock = threading.Lock()
-        self._work = threading.Condition(self._lock)
-        self._thread: Optional[threading.Thread] = None
-        self._stopping = False
 
     # ------------------------------------------------------------------ #
     # submission
@@ -133,7 +130,6 @@ class FairScheduler:
             self._pending_rows[gateway.name] = (
                 self._pending_rows.get(gateway.name, 0) + rows
             )
-            self._work.notify()
         return future
 
     def pending_rows(self, tenant: Optional[str] = None) -> int:
@@ -262,46 +258,6 @@ class FairScheduler:
         while self.pending_rows() > 0:
             total += self.run_round()
         return total
-
-    # ------------------------------------------------------------------ #
-    # background draining
-    # ------------------------------------------------------------------ #
-    def start(self) -> None:
-        """Drain queues on a background thread until :meth:`stop`."""
-        with self._lock:
-            if self._thread is not None:
-                return
-            self._stopping = False
-            self._thread = threading.Thread(
-                target=self._drain_loop, name="tenant-scheduler", daemon=True
-            )
-            self._thread.start()
-
-    def _drain_loop(self) -> None:
-        while True:
-            with self._lock:
-                while not self._stopping and not any(self._queues.values()):
-                    self._work.wait(timeout=0.1)
-                if self._stopping and not any(self._queues.values()):
-                    return
-            self.run_round()
-
-    def stop(self) -> None:
-        """Finish queued work, then stop the background thread (idempotent)."""
-        with self._lock:
-            thread = self._thread
-            self._thread = None
-            self._stopping = True
-            self._work.notify_all()
-        if thread is not None:
-            thread.join()
-
-    def __enter__(self) -> "FairScheduler":
-        self.start()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()
 
     def stats(self) -> dict:
         with self._lock:

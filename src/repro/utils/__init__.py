@@ -13,15 +13,13 @@ from .distances import (
     cosine_distance,
     euclidean,
     get_metric,
-    inner_product,
     pairwise_topk,
     squared_euclidean,
 )
-from .timing import Stopwatch, TimerResult, timed
+from .timing import Stopwatch
 from .validation import (
     as_float_matrix,
     as_query_matrix,
-    check_fraction,
     check_labels,
     check_positive_int,
 )
@@ -39,15 +37,11 @@ __all__ = [
     "cosine_distance",
     "euclidean",
     "get_metric",
-    "inner_product",
     "pairwise_topk",
     "squared_euclidean",
     "Stopwatch",
-    "TimerResult",
-    "timed",
     "as_float_matrix",
     "as_query_matrix",
-    "check_fraction",
     "check_labels",
     "check_positive_int",
 ]

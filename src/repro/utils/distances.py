@@ -69,13 +69,6 @@ def euclidean(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.sqrt(squared_euclidean(x, y))
 
 
-def inner_product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Pairwise inner products (similarities, larger is closer)."""
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    y = np.atleast_2d(np.asarray(y, dtype=np.float64))
-    return x @ y.T
-
-
 def cosine_distance(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Pairwise cosine distances (1 - cosine similarity)."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))

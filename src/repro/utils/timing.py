@@ -5,19 +5,7 @@ from __future__ import annotations
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List
-
-
-@dataclass
-class TimerResult:
-    """Result of a single timed section."""
-
-    name: str
-    seconds: float
-
-    @property
-    def milliseconds(self) -> float:
-        return self.seconds * 1e3
+from typing import Dict, Iterator
 
 
 @dataclass
@@ -33,7 +21,7 @@ class Stopwatch:
     True
     """
 
-    _records: List[TimerResult] = field(default_factory=list)
+    _totals: Dict[str, float] = field(default_factory=dict)
 
     @contextmanager
     def section(self, name: str) -> Iterator[None]:
@@ -41,25 +29,8 @@ class Stopwatch:
         try:
             yield
         finally:
-            self._records.append(TimerResult(name, time.perf_counter() - start))
+            self._totals[name] = self._totals.get(name, 0.0) + (time.perf_counter() - start)
 
     def totals(self) -> Dict[str, float]:
         """Total seconds per section name."""
-        totals: Dict[str, float] = {}
-        for record in self._records:
-            totals[record.name] = totals.get(record.name, 0.0) + record.seconds
-        return totals
-
-    def records(self) -> List[TimerResult]:
-        return list(self._records)
-
-
-@contextmanager
-def timed() -> Iterator[List[float]]:
-    """Context manager that appends the elapsed seconds to the yielded list."""
-    result: List[float] = []
-    start = time.perf_counter()
-    try:
-        yield result
-    finally:
-        result.append(time.perf_counter() - start)
+        return dict(self._totals)

@@ -47,15 +47,6 @@ def check_positive_int(value: int, name: str) -> int:
     return ivalue
 
 
-def check_fraction(value: float, name: str, *, inclusive_low: bool = False) -> float:
-    """Validate that ``value`` lies in (0, 1] (or [0, 1] if ``inclusive_low``)."""
-    fvalue = float(value)
-    low_ok = fvalue >= 0.0 if inclusive_low else fvalue > 0.0
-    if not (low_ok and fvalue <= 1.0):
-        raise ValidationError(f"{name} must lie in (0, 1], got {value}")
-    return fvalue
-
-
 def check_labels(labels, n_points: Optional[int] = None, name: str = "labels") -> np.ndarray:
     """Coerce cluster/bin labels to a 1-D int64 array (and check length)."""
     arr = np.asarray(labels)

@@ -5,6 +5,8 @@ built on a dataset, saved to disk, reloaded in a fresh object, and answer
 ``batch_query`` bitwise-identically to the original instance.
 """
 
+import json
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,6 @@ from repro.api import (
     index_info,
     load_index,
     make_index,
-    save_index,
 )
 from repro.core import PartitionIndexBase, UspConfig
 from repro.datasets import sift_like
@@ -86,6 +87,11 @@ REMOVED_NAMES = (
     "sharded-kmeans",
     "sharded-ivf",
 )
+
+
+def saved_index_name(path):
+    """The registry name a saved index directory records."""
+    return json.loads((path / "index.json").read_text())["name"]
 
 
 def make_configuration(config_id):
@@ -172,11 +178,11 @@ class TestProbeKnobWarning:
 
     @pytest.fixture(autouse=True)
     def _fresh_warning_registry(self):
-        from repro.api.protocol import _reset_probe_warning_registry
+        from repro.api.protocol import _PROBE_WARNINGS
 
-        _reset_probe_warning_registry()
+        _PROBE_WARNINGS.clear()
         yield
-        _reset_probe_warning_registry()
+        _PROBE_WARNINGS.clear()
 
     def test_probes_on_knobless_index_warns(self):
         capabilities = make_index("bruteforce").capabilities
@@ -255,17 +261,7 @@ class TestPersistenceEdges:
         with pytest.raises(SerializationError, match="not a saved index"):
             load_index(tmp_path / "nothing-here")
 
-    def test_save_index_function(self, api_dataset, tmp_path):
-        index = make_index("bruteforce").build(api_dataset.base)
-        save_index(index, tmp_path / "bf")
-        reloaded = load_index(tmp_path / "bf")
-        a, _ = index.batch_query(api_dataset.queries, 3)
-        b, _ = reloaded.batch_query(api_dataset.queries, 3)
-        np.testing.assert_array_equal(a, b)
-
     def test_saved_name_roundtrips_through_generic_loader(self, api_dataset, tmp_path):
-        from repro.api.persistence import saved_index_name
-
         index = make_index("usp-scann", **TINY_PARAMS["usp-scann"]).build(api_dataset.base)
         index.save(tmp_path / "pipeline")
         # composite entries share one saved-index name (their class's)

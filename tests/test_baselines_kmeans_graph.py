@@ -16,6 +16,11 @@ from repro.utils.exceptions import NotFittedError, ValidationError
 
 
 class TestKMeans:
+    def test_labels_are_each_points_nearest_centroid(self, blob_points):
+        model = KMeans(3, seed=0).fit(blob_points)
+        nearest = np.linalg.norm(blob_points[:, None, :] - model.centroids[None], axis=2).argmin(axis=1)
+        np.testing.assert_array_equal(model.labels, nearest)
+
     def test_recovers_separated_blobs(self, blob_points, blob_labels):
         model = KMeans(3, n_init=3, seed=0).fit(blob_points)
         # Each true cluster should map to exactly one predicted cluster.
@@ -27,11 +32,6 @@ class TestKMeans:
         inertia_2 = KMeans(2, seed=0).fit(blob_points).result.inertia
         inertia_6 = KMeans(6, seed=0).fit(blob_points).result.inertia
         assert inertia_6 < inertia_2
-
-    def test_predict_assigns_to_nearest_centroid(self, blob_points):
-        model = KMeans(3, seed=0).fit(blob_points)
-        new_points = model.centroids + 0.01
-        np.testing.assert_array_equal(model.predict(new_points), np.arange(3))
 
     def test_handles_duplicate_points(self):
         points = np.zeros((20, 3))
@@ -61,6 +61,12 @@ class TestKMeans:
 
 
 class TestKMeansIndex:
+    def test_build_keeps_the_centroids_and_no_point_labels(self, tiny_dataset):
+        index = KMeansIndex(4, seed=0).build(tiny_dataset.base)
+        assert index._kmeans.result is None  # the layout gives every point's cell
+        assert index.centroids.shape == (4, tiny_dataset.dim)
+        np.testing.assert_array_equal(index.bin_scores(index.centroids).argmax(axis=1), np.arange(4))
+
     def test_build_and_query(self, tiny_dataset):
         index = KMeansIndex(4, seed=0).build(tiny_dataset.base)
         assert index.bin_sizes().sum() == tiny_dataset.n_points
@@ -83,7 +89,9 @@ class TestKMeansIndex:
 
     def test_assignments_match_kmeans_labels(self, tiny_dataset):
         index = KMeansIndex(4, seed=0).build(tiny_dataset.base)
-        np.testing.assert_array_equal(index.assignments, index._kmeans.labels)
+        model = KMeans(4, max_iterations=50, seed=0).fit(tiny_dataset.base)
+        np.testing.assert_array_equal(index.assignments, model.labels)
+        np.testing.assert_array_equal(index.centroids, model.centroids)
 
 
 class TestGraphPartition:
@@ -112,14 +120,6 @@ class TestGraphPartition:
         sources = np.repeat(np.arange(len(knn_indices)), knn_indices.shape[1])
         random_cut = int((random_labels[sources] != random_labels[knn_indices.reshape(-1)]).sum())
         assert result.edge_cut < random_cut
-
-    def test_fennel_method(self, knn_indices):
-        result = partition_knn_graph(knn_indices, 4, method="fennel", seed=0)
-        assert np.bincount(result.labels, minlength=4).min() > 0
-
-    def test_unknown_method(self, knn_indices):
-        with pytest.raises(ValidationError):
-            partition_knn_graph(knn_indices, 4, method="metis")
 
     def test_more_parts_than_vertices_rejected(self):
         with pytest.raises(ValidationError):

@@ -259,13 +259,13 @@ def test_selection_is_the_stable_argsort(rows, width, k, levels, seed):
         np.testing.assert_array_equal(got_ids[r], row_ids[order])
         np.testing.assert_array_equal(got_scores[r], row_scores[order])
 
-    # integer-valued bin scores: top_bins is the head of ranked_bins
+    # integer-valued bin scores: top_bins is the head of the full stable ranking
     if width:
         anchors = rng.integers(0, 3, size=(width, 2)).astype(np.float64)
         queries = rng.integers(0, 3, size=(rows, 2)).astype(np.float64)
         index = _HandBins(anchors)
         np.testing.assert_array_equal(
-            index.top_bins(queries, k), index.ranked_bins(queries)[:, :k]
+            index.top_bins(queries, k), np.argsort(-index.bin_scores(queries), axis=1, kind="stable")[:, :k]
         )
 
 

@@ -64,7 +64,7 @@ class TestBoostingWeights:
 
 class TestUspEnsembleIndex:
     def test_trains_requested_number_of_members(self, ensemble_index):
-        assert ensemble_index.n_models == 2
+        assert len(ensemble_index.members) == 2
         assert len(ensemble_index.weight_history) == 2
         np.testing.assert_array_equal(
             ensemble_index.weight_history[0], np.ones(ensemble_index.n_points)
@@ -175,10 +175,6 @@ class TestUspEnsembleIndex:
 
 
 class TestHierarchicalConfig:
-    def test_total_bins(self):
-        assert HierarchicalConfig(levels=(4, 4)).total_bins == 16
-        assert HierarchicalConfig(levels=(2, 2, 2)).total_bins == 8
-
     def test_invalid_levels(self):
         with pytest.raises(ConfigurationError):
             HierarchicalConfig(levels=())
@@ -216,7 +212,7 @@ class TestHierarchicalUspIndex:
 
     def test_num_parameters_positive(self, hierarchical_index):
         assert hierarchical_index.num_parameters() > 0
-        assert hierarchical_index.depth() == 2
+        assert len(hierarchical_index.levels) == 2
         assert hierarchical_index.training_seconds() > 0
 
     def test_not_built_error(self):

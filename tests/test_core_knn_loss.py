@@ -50,7 +50,7 @@ class TestKnnMatrix:
         dists = np.linalg.norm(base - base[i], axis=1)
         dists[i] = np.inf
         expected = set(np.argsort(dists)[:3].tolist())
-        assert set(knn.neighbors_of(i).tolist()) == expected
+        assert set(knn.indices[i].tolist()) == expected
 
     def test_keep_distances_sorted(self):
         rng = np.random.default_rng(0)
@@ -64,13 +64,6 @@ class TestKnnMatrix:
         knn = build_knn_matrix(points, 4)
         batch = np.array([2, 7, 13])
         np.testing.assert_array_equal(knn.gather(batch), knn.indices[batch])
-
-    def test_as_graph_edges(self):
-        points = np.random.default_rng(0).normal(size=(20, 3))
-        knn = build_knn_matrix(points, 3)
-        edges = knn.as_graph_edges()
-        assert edges.shape == (60, 2)
-        np.testing.assert_array_equal(edges[:3, 0], [0, 0, 0])
 
     def test_k_prime_too_large(self):
         with pytest.raises(ValidationError):

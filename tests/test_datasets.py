@@ -9,10 +9,7 @@ from repro.datasets import (
     AnnDataset,
     available_datasets,
     compute_ground_truth,
-    from_arrays,
-    from_bundle,
     glove_like,
-    load_bundle,
     load_dataset,
     make_blobs,
     make_circles,
@@ -22,7 +19,6 @@ from repro.datasets import (
     mnist_like,
     read_fvecs,
     read_ivecs,
-    save_bundle,
     sift_like,
     write_fvecs,
     write_ivecs,
@@ -125,19 +121,6 @@ class TestAnnDatasets:
         dists = np.linalg.norm(data.queries[:, None, :] - data.base[None, :, :], axis=2)
         np.testing.assert_array_equal(data.ground_truth[:, 0], dists.argmin(axis=1))
 
-    def test_subset_recomputes_ground_truth(self):
-        data = sift_like(n_points=500, n_queries=20, dim=16, seed=0)
-        small = data.subset(100, 5, gt_k=10)
-        assert small.n_points == 100
-        assert small.ground_truth.shape == (5, 10)
-        assert small.ground_truth.max() < 100
-
-    def test_from_arrays(self):
-        rng = np.random.default_rng(0)
-        data = from_arrays("custom", rng.normal(size=(50, 8)), rng.normal(size=(5, 8)), gt_k=10)
-        assert data.name == "custom"
-        assert data.gt_k == 10
-
     def test_registry(self):
         assert "sift-like" in available_datasets()
         data = load_dataset("sift-like", n_points=100, n_queries=5, dim=8, n_clusters=4)
@@ -180,37 +163,6 @@ class TestIO:
     def test_read_missing_file(self, tmp_path):
         with pytest.raises(DatasetError):
             read_fvecs(tmp_path / "missing.fvecs")
-
-    def test_bundle_roundtrip(self, tmp_path):
-        path = tmp_path / "bundle.npz"
-        base = np.random.default_rng(0).normal(size=(20, 4))
-        queries = base[:3]
-        gt = compute_ground_truth(base, queries, 5)
-        save_bundle(path, base=base, queries=queries, ground_truth=gt)
-        data = from_bundle(str(path))
-        np.testing.assert_allclose(data.base, base)
-        assert data.gt_k == 5
-        raw = load_bundle(path)
-        assert set(raw) == {"base", "queries", "ground_truth"}
-
-    def test_bundle_missing_arrays(self, tmp_path):
-        path = tmp_path / "partial.npz"
-        save_bundle(path, base=np.zeros((3, 2)))
-        with pytest.raises(DatasetError):
-            from_bundle(str(path))
-
-    def test_save_bundle_requires_arrays(self, tmp_path):
-        with pytest.raises(DatasetError):
-            save_bundle(tmp_path / "empty.npz")
-
-    def test_load_dataset_from_npz_path(self, tmp_path):
-        path = tmp_path / "mini.npz"
-        base = np.random.default_rng(1).normal(size=(30, 4))
-        queries = base[:4]
-        save_bundle(path, base=base, queries=queries, ground_truth=compute_ground_truth(base, queries, 3))
-        data = load_dataset(str(path))
-        assert data.n_points == 30
-
 
 class TestPropertyBased:
     @settings(max_examples=20, deadline=None)

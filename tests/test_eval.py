@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.eval import (
-    ExperimentScale,
     SweepCurve,
     SweepPoint,
     accuracy_candidate_curve,
@@ -23,6 +22,7 @@ from repro.eval import (
 )
 from repro.baselines import KMeansIndex
 from repro.utils.exceptions import ValidationError
+from test_experiment_runners import TINY_SCALE
 
 
 class TestKnnAccuracy:
@@ -105,8 +105,6 @@ class TestSweep:
         )
         assert curve.candidate_size_at_accuracy(0.7) == pytest.approx(150.0)
         assert curve.candidate_size_at_accuracy(0.95) == float("inf")
-        assert curve.accuracy_at_candidate_size(150.0) == pytest.approx(0.5)
-        assert curve.accuracy_at_candidate_size(50.0) == 0.0
 
     def test_throughput_curve(self, tiny_dataset):
         index = KMeansIndex(4, seed=0).build(tiny_dataset.base)
@@ -141,7 +139,7 @@ class TestReporting:
 
 class TestExperimentRunners:
     def test_benchmark_dataset_scales(self):
-        scale = ExperimentScale.tiny()
+        scale = TINY_SCALE
         data = benchmark_dataset("sift-like", scale)
         assert data.n_points == scale.sift_points
         data = benchmark_dataset("mnist-like", scale)

@@ -18,6 +18,11 @@ from repro.eval import (
 )
 from repro.eval.experiments import ExperimentScale, _square_levels
 
+#: unit-test scale: every runner finishes in seconds
+TINY_SCALE = ExperimentScale(
+    sift_points=1200, sift_queries=60, sift_dim=32, sift_clusters=8, mnist_points=800, mnist_queries=40, mnist_dim=64
+)
+
 
 @pytest.fixture(scope="module")
 def runner_dataset():
@@ -72,7 +77,7 @@ class TestFigure7Runner:
 
 class TestTableRunners:
     def test_table3_rows(self):
-        scale = ExperimentScale.tiny()
+        scale = TINY_SCALE
         rows = run_table3(
             scale=scale,
             configurations=[

@@ -971,7 +971,7 @@ class TestRetryPolicy:
             server = await asyncio.start_server(handler, "127.0.0.1", 0)
             port = server.sockets[0].getsockname()[1]
             async with AsyncHttpClient("127.0.0.1", port, retry=retry) as client:
-                status, headers, parsed = await client.get("/query")
+                status, headers, parsed = await client.request("GET", "/query")
                 retries = client.retries_total
             server.close()
             await server.wait_closed()

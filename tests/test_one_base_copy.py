@@ -104,3 +104,16 @@ def test_a_cosine_partition_holds_its_unit_rows_beside_the_base(data, tmp_path):
 def test_a_quantized_index_saves_its_rerank_rows_once(data, name, tmp_path):
     make_index(name, **TINY_PARAMS[name]).build(data.base).save(tmp_path / "index")
     assert saved_copies(tmp_path / "index", data.base.shape) == 1
+
+
+@pytest.mark.parametrize("name", ["kmeans", "ivf-flat", "ivf-pq"])
+def test_a_saved_kmeans_partition_keeps_no_point_labels(data, name, tmp_path):
+    """The layout's ids and bounds give each point's cell; no ``(n,)`` label array is saved beside them."""
+    index = make_index(name, **TINY_PARAMS[name]).build(data.base)
+    index.save(tmp_path / "index")
+    n = data.base.shape[0]
+    for arrays_file in (tmp_path / "index").rglob("arrays.npz"):
+        with np.load(arrays_file) as arrays:
+            for key in arrays.files:
+                if arrays[key].shape == (n,) and arrays[key].dtype.kind in "iu":
+                    np.testing.assert_array_equal(np.sort(arrays[key]), np.arange(n), err_msg=key)

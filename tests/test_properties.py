@@ -47,7 +47,7 @@ class TestPartitionInvariants:
         points = clustered_points(seed, 120, 5)
         index = PcaTreeIndex(depth=depth, seed=seed).build(points)
         queries = points[:5]
-        ranked = index.ranked_bins(queries)
+        ranked = np.argsort(-index.bin_scores(queries), axis=1, kind="stable")
         candidates = index.candidate_sets(queries, 1)
         for i in range(5):
             expected = set(index.points_in_bin(int(ranked[i, 0])).tolist())

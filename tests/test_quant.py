@@ -25,6 +25,8 @@ The central guarantees:
 import json
 import math
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -301,6 +303,20 @@ class TestVectorStore:
             VectorStore.open(tmp_path / "vs")
 
 
+class TestCosineZeroRows:
+    @pytest.mark.parametrize("backend", sorted(QUANT_BACKENDS))
+    def test_a_zero_row_or_query_stays_finite_under_cosine(self, backend):
+        rng = np.random.default_rng(5)
+        base = rng.normal(size=(200, 16))
+        base[7] = 0.0
+        queries = np.vstack([np.zeros(16), rng.normal(size=(3, 16))])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            ids, distances = _build(backend, base, metric="cosine").batch_query(queries, 10)
+        assert np.isfinite(distances).all()
+        assert (ids >= 0).all()
+
+
 # ---------------------------------------------------------------------- #
 # index persistence: memmapped re-rank after reload
 # ---------------------------------------------------------------------- #
@@ -429,23 +445,6 @@ class TestQuantCollection:
 # kernel regressions
 # ---------------------------------------------------------------------- #
 class TestKernels:
-    def test_distance_tables_single_equals_batched(self):
-        from repro.ann import ProductQuantizer
-
-        rng = np.random.default_rng(2)
-        points = rng.normal(size=(200, 16))
-        queries = rng.normal(size=(7, 16))
-        pq = ProductQuantizer(4, 16, seed=0).fit(points)
-        batched = pq.distance_tables(queries)
-        assert batched.shape == (7, 4, pq.codebooks.shape[1])
-        for i, query in enumerate(queries):
-            np.testing.assert_array_equal(pq.distance_table(query), batched[i])
-        # adc_distances (built on the single-query table) is unchanged
-        codes = pq.encode(points)
-        adc = pq.adc_distances(queries[0], codes)
-        gathered = batched[0][np.arange(4)[None, :], codes].sum(axis=1)
-        np.testing.assert_array_equal(adc, gathered)
-
     def test_distance_tables_validates_dimensionality(self):
         from repro.ann import ProductQuantizer
 
@@ -455,18 +454,16 @@ class TestKernels:
         with pytest.raises(ValidationError, match="dimensionality"):
             pq.distance_tables(np.zeros((2, 12)))
 
-    def test_int32_reference_kernel_is_exact_on_the_code_grid(self, monkeypatch):
+    def test_int32_reference_kernel_is_exact_on_the_code_grid(self):
         # The integer reference: uint8 x uint8 products accumulated in
-        # int32 must equal an int64 accumulation exactly (no overflow),
-        # across many small tiles.
-        monkeypatch.setattr(quant_base, "SCAN_TILE", 8 * 24 * 64)
+        # int32 must equal an int64 accumulation exactly (no overflow).
         rng = np.random.default_rng(3)
         base = rng.normal(size=(300, 24))
         index = Sq8Index().build(base)
         query = rng.normal(size=24)
-        got = index.int32_dot(query)
+        got = int32_dot(index, query)
         assert got.dtype == np.int32
-        q8 = index.quantize_queries(query)[0].astype(np.int64)
+        q8 = quantize_queries(index, query)[0].astype(np.int64)
         codes = index._codes.astype(np.int64)
         np.testing.assert_array_equal(got, codes @ q8)
         # The float32 tile kernel is exact on the code grid too: on an
@@ -477,7 +474,7 @@ class TestKernels:
         # q8 / -2 gives q8 exactly, and a block tall enough to fold (on a
         # BLAS the fold was checked on) also carries a trailing 1.0 column.
         grid = Sq8Index().build(_grid_base(rng, 300, 24))
-        q8 = grid.quantize_queries(query)[0]
+        q8 = quantize_queries(grid, query)[0]
         for copies in (1, FOLD_MIN_QUERIES):
             operand = grid._encode_queries(np.repeat(q8[None, :] / -2.0, copies, axis=0))
             np.testing.assert_array_equal(operand[:, :24], np.repeat(q8[None, :], copies, axis=0))
@@ -487,7 +484,7 @@ class TestKernels:
                 axis=1,
             )
             for row in tiled:
-                np.testing.assert_array_equal(row - grid._code_norms, grid.int32_dot(query))
+                np.testing.assert_array_equal(row - grid._code_norms, int32_dot(grid, query))
 
     def test_sq8_scores_rank_like_decoded_distances(self):
         # The float32 SGEMM kernel drops ||q||² and -2 q·offset, both the
@@ -498,7 +495,7 @@ class TestKernels:
         index = Sq8Index().build(base)
         queries = rng.normal(size=(4, 12))
         scores = index._tile_scores(index._encode_queries(queries), slice(0, 150))
-        decoded = index._codec.decode(index._codes)
+        decoded = index._codes.astype(np.float64) * index._codec.scale + index._codec.offset
         exact = get_metric("sqeuclidean")(queries, decoded)
         q_norms = np.einsum("ij,ij->i", queries, queries)
         q_offsets = queries @ index._codec.offset
@@ -535,6 +532,22 @@ class TestKernels:
         for ids, distances in answers[1:]:
             np.testing.assert_array_equal(ids, answers[0][0])
             np.testing.assert_array_equal(distances, answers[0][1])
+
+
+def quantize_queries(index, queries):
+    """Queries on ``index``'s own uint8 code grid."""
+    return index._codec.encode(index._encode_input(np.atleast_2d(queries)))
+
+
+def int32_dot(index, query):
+    """Cross term ``q8 · codes`` accumulated in int32 on the code grid.
+
+    The pure-integer reference for the float32 SGEMM kernel: both operands
+    are uint8 (≤ 255), so every partial product fits int32 and the per-row
+    sum stays exact for any dim ≤ 2^31 / 255² ≈ 33k.
+    """
+    q8 = quantize_queries(index, query)[0].astype(np.int32)
+    return np.einsum("nd,d->n", index._codes.astype(np.int32), q8)
 
 
 def _grid_base(rng, n, dim):

@@ -25,11 +25,9 @@ from repro.api import MutableIndex, load_index, make_index
 from repro.datasets import sift_like
 from repro.service import QueryRequest, Router, SearchService
 from repro.shard import (
-    ContiguousPartitioner,
     KMeansRoutePartitioner,
     RoundRobinPartitioner,
     ShardedIndex,
-    available_partitioners,
     make_partitioner,
 )
 from repro.utils.distances import pairwise_topk
@@ -53,11 +51,10 @@ def shard_dataset():
 # ---------------------------------------------------------------------- #
 class TestPartitioners:
     def test_registry(self):
-        assert available_partitioners() == ("contiguous", "kmeans", "round-robin")
-        with pytest.raises(ConfigurationError, match="unknown partitioner"):
+        with pytest.raises(ConfigurationError, match="available partitioners: kmeans, round-robin"):
             make_partitioner("alphabetical")
 
-    @pytest.mark.parametrize("name", ["round-robin", "contiguous", "kmeans"])
+    @pytest.mark.parametrize("name", ["round-robin", "kmeans"])
     def test_every_point_gets_a_shard(self, name, shard_dataset):
         partitioner = make_partitioner(name)
         labels = partitioner.partition(shard_dataset.base, 4)
@@ -71,13 +68,6 @@ class TestPartitioners:
         # routing continues the deal where the build left off
         routed = partitioner.route(np.zeros((2, 3)), 4)
         assert routed.tolist() == [(10 + i) % 4 for i in range(2)]
-
-    def test_contiguous_blocks_and_least_loaded_routing(self):
-        partitioner = ContiguousPartitioner()
-        labels = partitioner.partition(np.zeros((9, 2)), 3)
-        assert labels.tolist() == [0, 0, 0, 1, 1, 1, 2, 2, 2]
-        routed = partitioner.route(np.zeros((2, 2)), 3, shard_sizes=[5, 1, 4])
-        assert routed.tolist() == [1, 1]
 
     def test_kmeans_routes_to_nearest_centroid(self):
         points = clustered_points(0, 120, 4)
@@ -110,7 +100,7 @@ class TestShardedEqualsUnsharded:
         np.testing.assert_allclose(expected_distances, got_distances, rtol=1e-12)
 
 
-@pytest.mark.parametrize("partitioner", ["round-robin", "contiguous", "kmeans"])
+@pytest.mark.parametrize("partitioner", ["round-robin", "kmeans"])
 def test_merge_exact_for_every_partitioner(partitioner, shard_dataset):
     single = make_index("bruteforce").build(shard_dataset.base)
     sharded = ShardedIndex(3, partitioner=partitioner).build(shard_dataset.base)
@@ -520,15 +510,13 @@ class TestPersistence:
             np.testing.assert_array_equal(row_got[: survivors.size], survivors)
 
     def test_registry_load_dispatches_by_name(self, shard_dataset, tmp_path):
-        from repro.api.persistence import saved_index_name
-
         index = make_index(
             "sharded", spec="kmeans", partitioner="kmeans", n_shards=2,
             shard_params=dict(n_bins=4, seed=0),
         )
         index.build(shard_dataset.base)
         index.save(tmp_path / "by-name")
-        assert saved_index_name(tmp_path / "by-name") == "sharded"
+        assert json.loads((tmp_path / "by-name" / "index.json").read_text())["name"] == "sharded"
         reloaded = load_index(tmp_path / "by-name")
         a, _ = index.batch_query(shard_dataset.queries, 5, probes=2)
         b, _ = reloaded.batch_query(shard_dataset.queries, 5, probes=2)

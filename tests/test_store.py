@@ -22,6 +22,7 @@ The central guarantees:
 
 import shutil
 import time
+from contextlib import closing
 
 import numpy as np
 import pytest
@@ -70,11 +71,11 @@ def attribute_rows(n: int, *, offset: int = 0) -> dict:
 class TestWriteAheadLog:
     def test_append_replay_round_trip(self, tmp_path):
         path = tmp_path / "wal.log"
-        with WriteAheadLog(path) as wal:
+        with closing(WriteAheadLog(path)) as wal:
             wal.append({"seq": 1, "op": "add", "n": 2}, {"vectors": np.eye(2)})
             wal.append({"seq": 2, "op": "remove"}, {"ids": np.array([7, 9])})
             assert wal.n_records == 2
-        with WriteAheadLog(path) as wal:
+        with closing(WriteAheadLog(path)) as wal:
             assert wal.n_records == 2  # reopen continues the count
             records = list(wal.replay())
         assert [r["op"] for r, _ in records] == ["add", "remove"]
@@ -83,11 +84,11 @@ class TestWriteAheadLog:
 
     def test_torn_tail_is_tolerated_and_trimmed(self, tmp_path):
         path = tmp_path / "wal.log"
-        with WriteAheadLog(path) as wal:
+        with closing(WriteAheadLog(path)) as wal:
             wal.append({"seq": 1, "op": "add"}, {"vectors": np.ones((1, 4))})
         with open(path, "ab") as handle:
             handle.write(b"\x13\x37")  # a write that died mid-header
-        with WriteAheadLog(path) as wal:
+        with closing(WriteAheadLog(path)) as wal:
             assert wal.n_records == 1
             # the torn bytes were trimmed: appending again stays valid
             wal.append({"seq": 2, "op": "remove"}, {"ids": np.array([0])})
@@ -95,18 +96,18 @@ class TestWriteAheadLog:
 
     def test_truncation_mid_record_drops_only_the_tail(self, tmp_path):
         path = tmp_path / "wal.log"
-        with WriteAheadLog(path) as wal:
+        with closing(WriteAheadLog(path)) as wal:
             wal.append({"seq": 1, "op": "a"}, {})
             wal.append({"seq": 2, "op": "b"}, {"x": np.arange(64.0)})
         size = path.stat().st_size
         with open(path, "r+b") as handle:
             handle.truncate(size - 17)  # cut into the final record
-        with WriteAheadLog(path) as wal:
+        with closing(WriteAheadLog(path)) as wal:
             assert [r["seq"] for r, _ in wal.replay()] == [1]
 
     def test_mid_log_corruption_raises(self, tmp_path):
         path = tmp_path / "wal.log"
-        with WriteAheadLog(path) as wal:
+        with closing(WriteAheadLog(path)) as wal:
             wal.append({"seq": 1, "op": "a"}, {"x": np.arange(32.0)})
             first_record_end = wal.n_bytes
             wal.append({"seq": 2, "op": "b"}, {})
@@ -504,12 +505,13 @@ class TestMaintenance:
     def test_background_thread_runs_the_policy(self, tmp_path):
         collection = Collection.create(tmp_path / "c", build_index(make_base()))
         collection.add(np.ones((1, DIM)))
-        with MaintenanceLoop(
-            collection, checkpoint_ops=1, interval_seconds=0.05
-        ) as loop:
+        loop = MaintenanceLoop(collection, checkpoint_ops=1, interval_seconds=0.05).start()
+        try:
             deadline = time.time() + 5.0
             while loop.checkpoints == 0 and time.time() < deadline:
                 time.sleep(0.02)
+        finally:
+            loop.stop()
         assert loop.checkpoints >= 1
         assert collection.generation >= 1
 
@@ -555,16 +557,10 @@ class TestServingCollections:
         with pytest.raises(ValidationError, match="immutable"):
             immutable.add(np.ones((1, DIM)))
 
-    def test_from_saved_detects_collection_directories(self, tmp_path):
-        Collection.create(tmp_path / "c", build_index(make_base())).close()
-        service = SearchService.from_saved(tmp_path / "c")
-        assert service.collection is not None
-        assert service.stats()["collection"]["generation"] == 0
-
     def test_router_deployment_with_collection_round_trips(self, tmp_path):
         collection = Collection.create(tmp_path / "col", build_index(make_base()))
         router = Router()
-        router.add_collection("products", collection, cache_size=4)
+        router.add_service("products", SearchService(collection, name="products", cache_size=4))
         router.add_index(
             "static", build_index(make_base(60, seed=9), with_store=False)
         )
@@ -583,13 +579,6 @@ class TestServingCollections:
         assert service.collection is not None
         more = service.add(np.full((1, DIM), 3.0))
         assert int(more[0]) == int(ids[0]) + 1
-
-    def test_router_add_collection_from_path(self, tmp_path):
-        Collection.create(tmp_path / "c", build_index(make_base())).close()
-        router = Router()
-        service = router.add_collection("c", tmp_path / "c")
-        assert service.collection is not None
-
 
 # ---------------------------------------------------------------------- #
 # read-only collections (the follower side of replication)
@@ -639,7 +628,7 @@ class TestWalIterFrom:
     @staticmethod
     def _write_wal(path, n_records: int):
         rng = np.random.default_rng(n_records)
-        with WriteAheadLog(path) as wal:
+        with closing(WriteAheadLog(path)) as wal:
             for seq in range(1, n_records + 1):
                 wal.append(
                     {"seq": seq, "op": "add", "n": 1},
@@ -666,7 +655,7 @@ class TestWalIterFrom:
     ):
         cut = data.draw(st.integers(min_value=0, max_value=n_records))
         path = tmp_path_factory.mktemp("iter-from") / "wal.log"
-        with self._write_wal(path, n_records) as wal:
+        with closing(self._write_wal(path, n_records)) as wal:
             full = list(wal.replay())
             prefix = [(r, a) for r, a in full if r["seq"] <= cut]
             resumed = list(wal.iter_from(cut))
@@ -680,7 +669,7 @@ class TestWalIterFrom:
             assert prefix_sum + resumed_sum == pytest.approx(full_sum)
 
     def test_iter_from_beyond_the_log_is_empty(self, tmp_path):
-        with self._write_wal(tmp_path / "wal.log", 3) as wal:
+        with closing(self._write_wal(tmp_path / "wal.log", 3)) as wal:
             assert list(wal.iter_from(3)) == []
             assert list(wal.iter_from(99)) == []
             assert [r["seq"] for r, _ in wal.iter_from(0)] == [1, 2, 3]

@@ -1,5 +1,7 @@
 """Tests for repro.utils.distances."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,10 +12,10 @@ from repro.utils.distances import (
     cosine_distance,
     euclidean,
     get_metric,
-    inner_product,
     iter_blocks,
     pairwise_topk,
     squared_euclidean,
+    unit_rows,
 )
 
 
@@ -73,11 +75,24 @@ class TestCosineAndInnerProduct:
         y = np.array([[1.0, 0.0, 0.0]])
         assert np.isfinite(cosine_distance(x, y)).all()
 
-    def test_inner_product_matches_matmul(self):
-        rng = np.random.default_rng(3)
-        x = rng.normal(size=(3, 4))
-        y = rng.normal(size=(5, 4))
-        np.testing.assert_allclose(inner_product(x, y), x @ y.T)
+class TestUnitRows:
+    def test_rows_keep_their_direction_at_unit_length(self):
+        x = np.random.default_rng(0).normal(size=(6, 4)) * np.arange(1, 7)[:, None]
+        units = unit_rows(x)
+        np.testing.assert_allclose(np.linalg.norm(units, axis=1), 1.0)
+        np.testing.assert_allclose(units * np.linalg.norm(x, axis=1, keepdims=True), x)
+
+    def test_zero_rows_stay_zero_without_a_warning(self):
+        x = np.array([[0.0, 0.0], [3.0, 4.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            units = unit_rows(x)
+        np.testing.assert_array_equal(units, [[0.0, 0.0], [0.6, 0.8]])
+
+    def test_cosine_distance_is_one_less_the_dot_of_unit_rows(self):
+        rng = np.random.default_rng(1)
+        x, y = rng.normal(size=(5, 3)), rng.normal(size=(4, 3))
+        np.testing.assert_array_equal(cosine_distance(x, y), 1.0 - unit_rows(x) @ unit_rows(y).T)
 
 
 class TestGetMetric:
